@@ -79,7 +79,6 @@ from .sim import (
     RiskEstimate,
     SampledTruths,
     estimate_risk,
-    sweep,
 )
 
 __version__ = "0.1.0"

@@ -55,123 +55,135 @@ def _cmd_net(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# enumerate
+# cluster families: enumerate flags and scan.* config keys
+
+# Each family parameter (a clusters.FAMILIES key, and its `scan.*` config
+# key) with its type and its `enumerate` flag; value_pitch has no config
+# key.  Flag defaults are the config defaults.
+FAMILY_FLAGS = {
+    "lambda": (float, "--lam"),
+    "lambda_lo": (float, "--lam-lo"),
+    "lambda_hi": (float, "--lam-hi"),
+    "kappa": (float, "--kappa"),
+    "grid_eps": (float, "--grid-eps"),
+    "r": (float, "--r"),
+    "alpha": (float, "--alpha"),
+    "n_control": (int, "--ncontrol"),
+    "value_pitch": (float, "--value-pitch"),
+    "ell": (int, "--ell"),
+    "h": (int, "--h"),
+    "path_mode": (str, "--path-mode"),
+    "budget": (int, "--budget"),
+    "kmax": (int, "--kmax"),
+    "size_cap": (int, "--size-cap"),
+}
 
 
-def _stream_for_family(net, args):
-    fam = args.family
-    meta = {"family": fam}
-    if fam == "balls":
-        if args.lam is None:
-            raise ConfigError("enumerate balls requires --lam")
-        meta["lambda"] = args.lam
-        return cl.enumerate_balls(net, args.lam, size_cap=args.size_cap), meta
-    if fam == "thick":
-        if args.lam_lo is None or args.lam_hi is None:
-            raise ConfigError("enumerate thick requires --lam-lo and --lam-hi")
-        params = cl.ThickParams(
-            lam_lo=args.lam_lo,
-            lam_hi=args.lam_hi,
-            kappa=args.kappa,
-            grid_eps=args.grid_eps,
-        )
-        meta.update(lam_lo=args.lam_lo, lam_hi=args.lam_hi, kappa=args.kappa,
-                    grid_eps=args.grid_eps)
-        return cl.enumerate_thick(net, params, size_cap=args.size_cap), meta
-    if fam == "tubes":
-        if args.r is None:
-            raise ConfigError("enumerate tubes requires --r")
-        params = cl.ThinParams(
-            r=args.r, alpha=args.alpha, kappa=args.kappa,
-            n_control=args.ncontrol, value_pitch=args.value_pitch,
-        )
-        meta.update(r=args.r, alpha=args.alpha, kappa=args.kappa,
-                    n_control=args.ncontrol)
-        return cl.enumerate_tubes(net, params, size_cap=args.size_cap), meta
-    if fam == "bands":
-        if args.ell is None or args.h is None:
-            raise ConfigError("enumerate bands requires --ell and --h")
-        params = cl.BandParams(length=args.ell, width=args.h, path_mode=args.path_mode)
-        meta.update(ell=args.ell, h=args.h, path_mode=args.path_mode,
-                    budget=args.budget, seed=args.seed)
-        return (
-            cl.enumerate_bands(net, params, budget=args.budget, seed=args.seed,
-                               size_cap=args.size_cap),
-            meta,
-        )
-    if fam == "animals":
-        if args.kmax is None:
-            raise ConfigError("enumerate animals requires --kmax")
-        meta["kmax"] = args.kmax
-        return cl.enumerate_animals(net, args.kmax, size_cap=args.size_cap), meta
-    raise ConfigError(f"unknown family {fam!r}")
+def cluster_class(family: str, values: dict, name) -> tuple[cl.ClusterClass, dict]:
+    """The ClusterClass of `family` from enumerate flags or scan.* config keys.
+
+    `values` maps FAMILY_FLAGS keys to typed values (None when unset) and
+    name(key) is how the user sets one.  Also returns the values used, which
+    head an enumerate output file.
+    """
+    if family not in cl.FAMILIES:
+        raise ConfigError(f"unknown cluster family {family!r}; known: {list(cl.FAMILIES)}")
+    used: dict = {"family": family}
+    for key in cl.FAMILIES[family][0] + ("size_cap",):
+        if values.get(key) is not None:
+            used[key] = values[key]
+        elif key not in ("value_pitch", "size_cap"):
+            raise ConfigError(f"{family} clusters need {name(key)}")
+    return cl.ClusterClass.of(family, used), used
+
+
+def _scan_class(cfg, family: str) -> cl.ClusterClass:
+    """cluster_class over the scan.* config keys."""
+    values = {
+        key: _cfg_value(cfg, f"scan.{key}", kind)
+        for key, (kind, _) in FAMILY_FLAGS.items()
+        if f"scan.{key}" in _CONFIG_DEFAULTS and _cfg_get(cfg, f"scan.{key}")
+    }
+    return cluster_class(family, values, lambda key: f"config key 'scan.{key}'")[0]
 
 
 def _cmd_enumerate(args) -> int:
     net = network.load_nodeset(args.net)
-    stream, meta = _stream_for_family(net, args)
-    out_clusters = list(stream)
+    cclass, meta = cluster_class(args.family, vars(args), lambda key: FAMILY_FLAGS[key][1])
+    if cclass.family == cl.BANDS:
+        meta["seed"] = args.seed
+    clusters = list(cclass.stream(net, seed=args.seed))
     with _open_out(args.out) as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
-        for c in out_clusters:
-            fh.write(" ".join(str(i) for i in c.ids) + "\n")
+        cl.write_clusters(clusters, fh, meta)
     return 0
 
 
 def _cmd_netbuild(args) -> int:
     members, meta = cl.load_clusters(args.infile)
     net = metric.build_net(members, args.epsilon, family=meta.get("family", ""))
-    meta_out = dict(meta)
-    meta_out["epsilon"] = args.epsilon
     with _open_out(args.out) as fh:
-        for key, value in meta_out.items():
-            fh.write(f"# {key}={value}\n")
-        for c in net.members:
-            fh.write(" ".join(str(i) for i in c.ids) + "\n")
+        cl.write_clusters(net.members, fh, {**meta, "epsilon": args.epsilon})
     return 0
 
 
 # ---------------------------------------------------------------------------
 # calibrate / test
 
+# The test specification each --statistic name and each config `test`
+# name stands for, and the columns of a calibration file: the first four
+# describe the threshold, the last three what it was calibrated for.
+STATISTICS = {"scan": sim.EpsScanTest, "average": sim.AverageTest,
+              "cylinder-scan": sim.CylinderScanTest}
+CONFIG_TESTS = {"eps-scan": sim.EpsScanTest, "multiscale": sim.MultiscaleScanTest,
+                "average": sim.AverageTest, "oracle": sim.OracleTest,
+                "cylinders": sim.CylinderScanTest}
+CALIBRATION_COLUMNS = ("alpha", "b", "threshold", "seed", "statistic", "tm", "model")
 
-def _statistic_from_args(args, net, members, model):
-    if args.statistic == "scan":
-        table = detect.ScanTable(members, model)
-        return lambda fld: table.max_score(fld.values[0])[0]
-    if args.statistic == "average":
-        return lambda fld: detect.average_test(fld, model).statistic
-    if args.statistic == "cylinder-scan":
-        table = detect.ScanTable(members, model)
-        return lambda fld: growth.scan_spacetime_cylinders(fld, table, model).statistic
-    raise ConfigError(f"unknown statistic {args.statistic!r}")
+
+def _test_spec(args, net) -> sim.TestSpec:
+    """The test a --statistic name stands for, over the --clusters file."""
+    spec = STATISTICS[args.statistic]
+    if spec is sim.AverageTest:
+        return spec()
+    if args.clusters is None:
+        raise ConfigError(f"--statistic {args.statistic} requires --clusters")
+    members, meta = cl.load_clusters(args.clusters)
+    bad = [i for c in members for i in (c.ids[0], c.ids[-1]) if not 0 <= i < net.m]
+    if bad:
+        raise ConfigError(f"cluster file {args.clusters}: node id {bad[0]} outside 0..{net.m - 1}")
+    epsilon = float(meta.get("epsilon", 0.0))
+    return spec(metric.EpsNet(epsilon, tuple(members), meta.get("family", "")))
 
 
 def _cmd_calibrate(args) -> int:
     net = network.load_nodeset(args.net)
     model = models.noise_model(args.model)
-    members = None
-    if args.statistic != "average":
-        if args.clusters is None:
-            raise ConfigError(f"--statistic {args.statistic} requires --clusters")
-        members, _ = cl.load_clusters(args.clusters)
-    stat = _statistic_from_args(args, net, members, model)
+    score = sim.scorer(_test_spec(args, net), net, model, args.tm)
     calib = detect.calibrate(
-        stat, net, model, args.alpha, args.b, args.seed, t_m=args.tm,
-        threads=args.threads,
+        lambda fld: score(fld)[0], net, model, args.alpha, args.b, args.seed,
+        t_m=args.tm, threads=args.threads,
     )
     with _open_out(args.out) as fh:
-        fh.write("alpha,b,threshold,seed\n")
-        fh.write(f"{calib.alpha!r},{calib.b},{calib.threshold!r},{calib.seed}\n")
+        fh.write(",".join(CALIBRATION_COLUMNS) + "\n")
+        fh.write(
+            f"{calib.alpha!r},{calib.b},{calib.threshold!r},{calib.seed},"
+            f"{args.statistic},{args.tm},{args.model}\n"
+        )
     return 0
 
 
-def _read_calibration_threshold(path: str) -> float:
+def _read_calibration_threshold(path: str, **ours) -> float:
+    """The threshold of a calibration file made for `ours` (statistic, tm, model)."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        row = fh.readline().strip().split(",")
-    return float(row[header.index("threshold")])
+        calib = dict(zip(*(fh.readline().strip().split(",") for _ in range(2))))
+    missing = [c for c in CALIBRATION_COLUMNS if c not in calib]
+    if missing:
+        raise ConfigError(f"calibration file {path} lacks the columns {missing}")
+    for key, value in ours.items():
+        if calib[key] != str(value):
+            raise ConfigError(f"calibration file {path} is for {key} {calib[key]}, "
+                              f"but this test has {key} {value}")
+    return float(calib["threshold"])
 
 
 def _cmd_test(args) -> int:
@@ -181,30 +193,20 @@ def _cmd_test(args) -> int:
     if args.threshold is not None:
         threshold = args.threshold
     elif args.calibration is not None:
-        threshold = _read_calibration_threshold(args.calibration)
+        threshold = _read_calibration_threshold(
+            args.calibration, statistic=args.statistic, tm=field.t_m, model=args.model
+        )
     else:
         raise ConfigError("test requires --threshold or --calibration")
+    spec = _test_spec(args, net)
     start = time.perf_counter()
-    if args.statistic == "average":
-        result = detect.average_test(field, model).with_threshold(threshold)
-    else:
-        if args.clusters is None:
-            raise ConfigError(f"--statistic {args.statistic} requires --clusters")
-        members, _ = cl.load_clusters(args.clusters)
-        if args.statistic == "scan":
-            result = detect.scan(field, members, model).with_threshold(threshold)
-        else:
-            result = growth.scan_spacetime_cylinders(field, members, model)
-            result = result.with_threshold(threshold)
+    statistic, argmax = sim.scorer(spec, net, model, field.t_m)(field)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    argmax_size = 0 if result.argmax is None else result.argmax.size
-    decision = "reject" if result.decision else "accept"
+    argmax_size = 0 if argmax is None else argmax.size
+    decision = "reject" if statistic > threshold else "accept"
     with _open_out(args.out) as fh:
         fh.write("statistic,threshold,decision,argmax_size,wallclock_ms\n")
-        fh.write(
-            f"{result.statistic!r},{result.threshold!r},{decision},"
-            f"{argmax_size},{elapsed_ms:.3f}\n"
-        )
+        fh.write(f"{statistic!r},{threshold!r},{decision},{argmax_size},{elapsed_ms:.3f}\n")
     return 0
 
 
@@ -326,18 +328,31 @@ def _cfg_get(cfg: dict, key: str) -> str:
     return cfg.get(key, _CONFIG_DEFAULTS[key])
 
 
-def _cfg_float(cfg, key) -> float:
+def _cfg_value(cfg, key: str, kind: type):
+    """A config value as str, float or int; unset, non-numeric and (for int)
+    non-integral values are named errors."""
     value = _cfg_get(cfg, key)
     if value == "":
         raise ConfigError(f"missing required config key {key!r}")
+    if kind is str:
+        return value
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: not a number: {value!r}") from exc
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"config key {key!r}: not an integer: {value!r}")
+    return int(number)
+
+
+def _cfg_float(cfg, key) -> float:
+    return _cfg_value(cfg, key, float)
 
 
 def _cfg_int(cfg, key) -> int:
-    return int(round(_cfg_float(cfg, key)))
+    return _cfg_value(cfg, key, int)
 
 
 def _cfg_bool(cfg, key) -> bool:
@@ -362,101 +377,75 @@ def _build_net_from_config(cfg) -> network.NodeSet:
     raise ConfigError(f"config key 'net.mode': unknown mode {mode!r}")
 
 
-def _scan_members_from_config(cfg, net, seed):
-    family = _cfg_get(cfg, "scan.family")
-    if family == "balls":
-        return cl.enumerate_balls(net, _cfg_float(cfg, "scan.lambda"))
-    if family == "thick":
-        params = cl.ThickParams(
-            lam_lo=_cfg_float(cfg, "scan.lambda_lo"),
-            lam_hi=_cfg_float(cfg, "scan.lambda_hi"),
-            kappa=_cfg_float(cfg, "scan.kappa"),
-            grid_eps=_cfg_float(cfg, "scan.grid_eps"),
-        )
-        return cl.enumerate_thick(net, params)
-    if family == "tubes":
-        params = cl.ThinParams(
-            r=_cfg_float(cfg, "scan.r"),
-            alpha=_cfg_float(cfg, "scan.alpha"),
-            kappa=_cfg_float(cfg, "scan.kappa"),
-            n_control=_cfg_int(cfg, "scan.n_control"),
-        )
-        return cl.enumerate_tubes(net, params)
-    if family == "bands":
-        params = cl.BandParams(
-            length=_cfg_int(cfg, "scan.ell"),
-            width=_cfg_int(cfg, "scan.h"),
-            path_mode=_cfg_get(cfg, "scan.path_mode"),
-        )
-        return cl.enumerate_bands(
-            net, params, budget=_cfg_int(cfg, "scan.budget"),
-            seed=derive_seed(seed, "scanpaths"),
-        )
-    if family == "animals":
-        return cl.enumerate_animals(net, _cfg_int(cfg, "scan.kmax"))
-    raise ConfigError(f"config key 'scan.family': unknown family {family!r}")
+TRUTH_RETRIES = 1000  # draws of a thick truth that holds no node, at most
+
+
+def _center_sampler(net: network.NodeSet, lo: float, hi: float, what: str):
+    """draw(rng) -> a node with every coordinate in [lo, hi], by rejection.
+
+    ConfigError (naming `what`) when no node qualifies; the draws stop at 64
+    times their expected count, reached with chance below e**-64.
+    """
+    ok = ((net.coords >= lo) & (net.coords <= hi)).all(axis=1)
+    n_ok = int(ok.sum())
+    if n_ok == 0:
+        raise ConfigError(f"{what}: no node has every coordinate in [{lo}, {hi}]")
+    cap = 64 * (net.m // n_ok + 1)
+
+    def draw(rng) -> int:
+        for _ in range(cap):
+            node = int(rng.integers(0, net.m))
+            if ok[node]:
+                return node
+        raise ConfigError(f"{what}: no admissible node in {cap} draws")
+
+    return draw
 
 
 def _truth_sampler_from_config(cfg, net, t_m):
     family = _cfg_get(cfg, "truth.family") or _cfg_get(cfg, "scan.family")
-    if family == "balls":
+    if family == cl.BALLS:
         lam = _cfg_float(cfg, "truth.lambda" if _cfg_get(cfg, "truth.lambda") else "scan.lambda")
         margin = float(_cfg_get(cfg, "truth.margin") or lam)
         extent = 1.0 if net.mode == network.EUCLIDEAN else float(net.side - 1)
+        draw = _center_sampler(net, margin, extent - margin, "truth.margin")
 
         def sample(seed: int):
-            rng = rng_from_seed(seed)
-            while True:
-                node = int(rng.integers(0, net.m))
-                coords = net.coords[node]
-                if (coords >= margin).all() and (coords <= extent - margin).all():
-                    return network.ball_nodes(net, coords, lam)
+            node = draw(rng_from_seed(seed))
+            return network.ball_nodes(net, net.coords[node], lam)
 
         return sample
-    if family == "thick":
-        params = cl.ThickParams(
-            lam_lo=_cfg_float(cfg, "scan.lambda_lo"),
-            lam_hi=_cfg_float(cfg, "scan.lambda_hi"),
-            kappa=_cfg_float(cfg, "scan.kappa"),
-            grid_eps=_cfg_float(cfg, "scan.grid_eps"),
-        )
+    if family in (cl.THICK, cl.BANDS):
+        params = _scan_class(cfg, family).params
+        if family == cl.BANDS:
+            return lambda seed: cl.sample_band(net, params, seed)
+        rotate = net.mode == network.EUCLIDEAN
 
         def sample(seed: int):
-            spec = cl.sample_thick_shape(
-                net, params, seed, rotate=net.mode == network.EUCLIDEAN
-            )
-            ids = spec.member_ids(net)
-            if not ids:
-                return sample(derive_seed(seed, "retry"))
-            return cl.Cluster(ids)
+            for _ in range(TRUTH_RETRIES):
+                ids = cl.sample_thick_shape(net, params, seed, rotate=rotate).member_ids(net)
+                if ids:
+                    return cl.Cluster(ids)
+                seed = derive_seed(seed, "retry")
+            raise ConfigError(f"no thick truth holding a node in {TRUTH_RETRIES} draws")
 
         return sample
-    if family == "bands":
-        params = cl.BandParams(
-            length=_cfg_int(cfg, "scan.ell"),
-            width=_cfg_int(cfg, "scan.h"),
-            path_mode=_cfg_get(cfg, "scan.path_mode"),
-        )
-        return lambda seed: cl.sample_band(net, params, seed)
-    if family == "animals":
+    if family == cl.ANIMALS:
         k = _cfg_int(cfg, "truth.k" if _cfg_get(cfg, "truth.k") else "scan.kmax")
         return lambda seed: cl.sample_animal(net, k, seed)
     if family == "richardson":
+        if net.mode != network.LATTICE:
+            raise ConfigError("truth.family = richardson needs a lattice (net.rescale = false)")
         radius = _cfg_int(cfg, "truth.limit_radius")
         p = _cfg_float(cfg, "truth.p")
         warmup = _cfg_int(cfg, "truth.warmup")
         onset = _cfg_int(cfg, "truth.onset")
+        draw = _center_sampler(net, radius + 1, net.side - 2 - radius, "truth.limit_radius")
 
         def sample(seed: int):
-            rng = rng_from_seed(seed)
-            side = net.side
-            while True:
-                node = int(rng.integers(0, net.m))
-                coords = net.coords[node]
-                if (coords >= radius + 1).all() and (coords <= side - 2 - radius).all():
-                    break
+            node = draw(rng_from_seed(seed))
             limit = cl.cluster_from_ids(
-                int(i) for i in network.closed_ball_ids(net, coords, radius)
+                int(i) for i in network.closed_ball_ids(net, net.coords[node], radius)
             )
             horizon = warmup + t_m
             seq = growth.richardson_grow(
@@ -489,7 +478,10 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
     epsilon = _cfg_float(cfg, "scan.epsilon")
     test_name = _cfg_get(cfg, "test")
 
-    if test_name == "multiscale":
+    if test_name not in CONFIG_TESTS:
+        raise ConfigError(f"config key 'test': unknown test {test_name!r}")
+    spec = CONFIG_TESTS[test_name]
+    if spec is sim.MultiscaleScanTest:
         scales_text = _cfg_get(cfg, "multiscale.scales")
         if not scales_text:
             raise ConfigError("test=multiscale requires multiscale.scales")
@@ -497,23 +489,16 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
         extent = 1.0 if net.mode == network.EUCLIDEAN else float(net.side)
         nets = {
             s: metric.build_net(
-                cl.enumerate_balls(net, extent * 2.0 ** (-s)), epsilon, family="balls"
+                cl.enumerate_balls(net, extent * 2.0 ** (-s)), epsilon, family=cl.BALLS
             )
             for s in scales
         }
-        test: sim.TestSpec = sim.MultiscaleScanTest(nets=nets)
-    elif test_name == "eps-scan":
-        members = _scan_members_from_config(cfg, net, seed)
-        test = sim.EpsScanTest(metric.build_net(members, epsilon))
-    elif test_name == "average":
-        test = sim.AverageTest()
-    elif test_name == "oracle":
-        test = sim.OracleTest()
-    elif test_name == "cylinders":
-        members = _scan_members_from_config(cfg, net, seed)
-        test = sim.CylinderScanTest(metric.build_net(members, epsilon))
+        test = spec(nets=nets)
+    elif spec in (sim.EpsScanTest, sim.CylinderScanTest):
+        cclass = _scan_class(cfg, _cfg_get(cfg, "scan.family"))
+        test = spec(metric.build_net(cclass.stream(net, derive_seed(seed, "scanpaths")), epsilon))
     else:
-        raise ConfigError(f"config key 'test': unknown test {test_name!r}")
+        test = spec()
 
     sampler = _truth_sampler_from_config(cfg, net, t_m)
     truth = sim.SampledTruths(sampler=sampler, count=_cfg_int(cfg, "truth.count"))
@@ -549,7 +534,7 @@ def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     exp, echo = build_experiment(cfg, threads=args.threads)
-    rows = sim.sweep(exp)
+    rows = sim.estimate_risk(exp)
     with _open_out(args.out) as fh:
         sim.write_sweep_csv(rows, fh, echo=echo)
     return 0
@@ -595,24 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate a cluster family")
     p.add_argument("--net", required=True)
-    p.add_argument("--family", required=True,
-                   choices=["balls", "thick", "tubes", "bands", "animals"])
-    p.add_argument("--lam", type=float)
-    p.add_argument("--lam-lo", dest="lam_lo", type=float)
-    p.add_argument("--lam-hi", dest="lam_hi", type=float)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--grid-eps", dest="grid_eps", type=float, default=0.5)
-    p.add_argument("--r", type=float)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--ncontrol", type=int, default=3)
-    p.add_argument("--value-pitch", dest="value_pitch", type=float)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--path-mode", dest="path_mode", default="nondecreasing",
-                   choices=["nondecreasing", "self-avoiding"])
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--size-cap", dest="size_cap", type=int)
+    p.add_argument("--family", required=True, choices=list(cl.FAMILIES))
+    for key, (kind, flag) in FAMILY_FLAGS.items():
+        default = _CONFIG_DEFAULTS.get(f"scan.{key}", "")
+        p.add_argument(flag, dest=key, type=kind, default=kind(default) if default else None,
+                       choices=cl.PATH_MODES if key == "path_mode" else None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_enumerate)
@@ -623,32 +595,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_netbuild)
 
-    p = sub.add_parser("calibrate", help="empirical null quantile of a statistic")
-    p.add_argument("--net", required=True)
-    p.add_argument("--clusters")
-    p.add_argument("--model", default="gaussian",
-                   choices=["gaussian", "bernoulli", "poisson"])
-    p.add_argument("--statistic", default="scan",
-                   choices=["scan", "average", "cylinder-scan"])
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--net", required=True)
+    scoring.add_argument("--clusters")
+    scoring.add_argument("--model", default="gaussian",
+                         choices=["gaussian", "bernoulli", "poisson"])
+    scoring.add_argument("--statistic", default="scan", choices=list(STATISTICS))
+    scoring.add_argument("--out", required=True)
+
+    p = sub.add_parser("calibrate", parents=[scoring],
+                       help="empirical null quantile of a statistic")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--tm", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("test", help="run a thresholded test on a saved field")
-    p.add_argument("--net", required=True)
-    p.add_argument("--clusters")
+    p = sub.add_parser("test", parents=[scoring], help="run a thresholded test on a saved field")
     p.add_argument("--field", required=True)
-    p.add_argument("--model", default="gaussian",
-                   choices=["gaussian", "bernoulli", "poisson"])
-    p.add_argument("--statistic", default="scan",
-                   choices=["scan", "average", "cylinder-scan"])
     p.add_argument("--threshold", type=float)
     p.add_argument("--calibration")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("grow", help="generate a cluster sequence")

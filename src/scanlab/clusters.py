@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -22,10 +22,11 @@ from .network import EUCLIDEAN, LATTICE, NodeSet, ball_ids
 from .rng import rng_from_seed
 
 BALLS = "balls"
-THICK = "thick-blobs"
-TUBES = "thin-tubes"
+THICK = "thick"
+TUBES = "tubes"
 BANDS = "bands"
 ANIMALS = "animals"
+PATH_MODES = ("nondecreasing", "self-avoiding")
 
 
 @dataclass(frozen=True)
@@ -414,7 +415,7 @@ class BandParams:
             raise ValueError("width must be >= 1")
         if self.length < self.width:
             raise ValueError("need length >= width")
-        if self.path_mode not in ("nondecreasing", "self-avoiding"):
+        if self.path_mode not in PATH_MODES:
             raise ValueError(f"unknown path mode {self.path_mode!r}")
 
 
@@ -616,7 +617,25 @@ def sample_animal(net: NodeSet, k: int, seed: int) -> Cluster:
 # cluster list files
 
 
-def write_clusters(clusters: Iterable[Cluster], fh, meta: dict | None = None) -> None:
+def read_headed(path) -> tuple[dict[str, str], list[str]]:
+    """A cluster or sequence file's `# key=value` header, and its other nonblank lines."""
+    meta: dict[str, str] = {}
+    body: list[str] = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+                continue
+            body.append(line)
+    return meta, body
+
+
+def write_clusters(clusters: Iterable[Cluster], fh, meta: Mapping | None = None) -> None:
     """One cluster per line (space-separated ids) under # key=value headers."""
     for key, value in (meta or {}).items():
         fh.write(f"# {key}={value}\n")
@@ -630,47 +649,62 @@ def save_clusters(clusters: Iterable[Cluster], path, meta: dict | None = None) -
 
 
 def load_clusters(path) -> tuple[list[Cluster], dict[str, str]]:
-    meta: dict[str, str] = {}
-    out: list[Cluster] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            out.append(Cluster(tuple(int(v) for v in line.split())))
-    return out, meta
+    meta, body = read_headed(path)
+    return [Cluster(tuple(int(v) for v in line.split())) for line in body], meta
+
+
+# family -> (its parameter keys, its parameter record built from their
+# values).  The keys are also the `scan.*` config keys; `size_cap` applies
+# to every family.
+FAMILIES = {
+    BALLS: (("lambda",), lambda v: v["lambda"]),
+    THICK: (("lambda_lo", "lambda_hi", "kappa", "grid_eps"),
+            lambda v: ThickParams(v["lambda_lo"], v["lambda_hi"], v["kappa"],
+                                  grid_eps=v["grid_eps"])),
+    TUBES: (("r", "alpha", "kappa", "n_control", "value_pitch"),
+            lambda v: ThinParams(v["r"], v["alpha"], v["kappa"], v["n_control"],
+                                 v.get("value_pitch"))),
+    BANDS: (("ell", "h", "path_mode", "budget"),
+            lambda v: BandParams(v["ell"], v["h"], v["path_mode"])),
+    ANIMALS: (("kmax",), lambda v: AnimalParams(v["kmax"])),
+}
 
 
 @dataclass(frozen=True)
 class ClusterClass:
-    """A family tag plus its parameter record; dispatches to the generator.
+    """A cluster family: its tag, parameter record, path budget and size cap.
 
-    params: a radius for balls, else the family's params dataclass.
+    params: a radius for balls, else the family's params dataclass; `budget`
+    is the number of paths sampled for bands.  This is the one dispatch from
+    a family tag to its enumerator, which is looked up when `stream` runs.
     """
 
     family: str
     params: object
+    budget: int = 2000
+    size_cap: int | None = None
 
-    def stream(
-        self, net: NodeSet, budget: int = 2000, seed: int = 0,
-        size_cap: int | None = None,
-    ) -> Iterator[Cluster]:
+    @classmethod
+    def of(cls, family: str, values: Mapping[str, object]) -> "ClusterClass":
+        """The class from parameter values keyed as in FAMILIES (plus size_cap)."""
+        if family not in FAMILIES:
+            raise ValueError(f"unknown cluster family {family!r}")
+        params = FAMILIES[family][1](values)
+        return cls(family, params, values.get("budget", 2000), values.get("size_cap"))
+
+    def stream(self, net: NodeSet, seed: int = 0) -> Iterator[Cluster]:
+        """The family's clusters on `net`; `seed` keys the sampled band paths."""
+        cap = self.size_cap
         if self.family == BALLS:
-            return enumerate_balls(net, float(self.params), size_cap=size_cap)
+            return enumerate_balls(net, float(self.params), size_cap=cap)
         if self.family == THICK:
-            return enumerate_thick(net, self.params, size_cap=size_cap)
+            return enumerate_thick(net, self.params, size_cap=cap)
         if self.family == TUBES:
-            return enumerate_tubes(net, self.params, size_cap=size_cap)
+            return enumerate_tubes(net, self.params, size_cap=cap)
         if self.family == BANDS:
-            return enumerate_bands(net, self.params, budget, seed, size_cap=size_cap)
+            return enumerate_bands(net, self.params, self.budget, seed, size_cap=cap)
         if self.family == ANIMALS:
-            return enumerate_animals(net, self.params.k_max, size_cap=size_cap)
+            return enumerate_animals(net, self.params.k_max, size_cap=cap)
         raise ValueError(f"unknown cluster family {self.family!r}")
 
 

@@ -135,32 +135,36 @@ def oracle_test(field: Field, k: Cluster, lam: float, model: NoiseModel) -> Test
     return TestResult(statistic=value, threshold=lam / 2.0, argmax=k)
 
 
+def scale_term(m: int, d: int, scale: int, c: float = 1.0) -> float:
+    """sqrt(2*logdag(m * 2**(-scale*d) * c)), the size term of one scale."""
+    return math.sqrt(2.0 * log_dagger(m * 2.0 ** (-scale * d) * c))
+
+
 def default_scale_thresholds(
     m: int, d: int, scales: Iterable[int], c: float = 1.0
 ) -> dict[int, float]:
     """Conservative per-scale thresholds: a scale term plus a union-bound term.
 
-    sqrt(2*logdag(m * 2**(-scale*d) * c)) + sqrt(2*log(scale**2 + e)); meant
-    for running multiscale tests without calibration, and deliberately slack.
+    scale_term(m, d, scale, c) + sqrt(2*log(scale**2 + e)); meant for
+    running multiscale tests without calibration, and deliberately slack.
     """
-    out = {}
-    for scale in scales:
-        base = math.sqrt(2.0 * log_dagger(m * 2.0 ** (-scale * d) * c))
-        union = math.sqrt(2.0 * math.log(scale * scale + math.e))
-        out[scale] = base + union
-    return out
+    return {
+        scale: scale_term(m, d, scale, c) + math.sqrt(2.0 * math.log(scale * scale + math.e))
+        for scale in scales
+    }
 
 
 def multiscale_test(
     field: Field,
-    nets: Mapping[int, EpsNet],
+    nets: Mapping[int, EpsNet | ScanTable],
     thresholds: Mapping[int, float] | None,
     model: NoiseModel,
 ) -> TestResult:
     """Reject iff some scale's eps-scan exceeds its threshold.
 
     The reported statistic is the maximum threshold excess, so the TestResult
-    invariant holds with threshold 0.  Scales with empty nets are skipped.
+    invariant holds with threshold 0.  Scales with empty nets are skipped;
+    a scale given as a ScanTable is scored without rebuilding it.
     """
     active = {s: net for s, net in nets.items() if len(net)}
     if not active:
@@ -170,9 +174,10 @@ def multiscale_test(
     best: tuple[float, int, TestResult] | None = None
     details = []
     for scale in sorted(active):
-        result = eps_scan(field, active[scale], model)
+        net = active[scale]
+        result = scan(field, net if isinstance(net, ScanTable) else net.members, model)
         tau = thresholds[scale]
-        details.append(ScaleDetail(scale, result.statistic, tau, len(active[scale])))
+        details.append(ScaleDetail(scale, result.statistic, tau, len(net)))
         excess = result.statistic - tau
         if best is None or excess > best[0]:
             best = (excess, scale, result)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clusters import EMPTY_CLUSTER, Cluster, _cached_adjacency, cluster_from_ids
+from .clusters import EMPTY_CLUSTER, Cluster, _cached_adjacency, cluster_from_ids, read_headed
 from .detect import ScanTable, TestResult
 from .metric import SQRT2, EpsNet, delta
 from .models import Field, NoiseModel
@@ -382,22 +382,11 @@ def save_sequence(seq: ClusterSequence, path, meta: dict | None = None) -> None:
 
 
 def load_sequence(path) -> tuple[ClusterSequence, dict[str, str]]:
-    meta: dict[str, str] = {}
+    meta, body = read_headed(path)
     slices: dict[int, Cluster] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            head, _, rest = line.partition(":")
-            ids = tuple(int(v) for v in rest.split())
-            slices[int(head)] = Cluster(ids)
+    for line in body:
+        head, _, rest = line.partition(":")
+        slices[int(head)] = Cluster(tuple(int(v) for v in rest.split()))
     if not slices:
         raise ValueError("empty sequence file")
     t_m = max(slices)

@@ -239,15 +239,36 @@ def save_field(field: Field, path) -> None:
 
 
 def load_field(net: NodeSet, path) -> Field:
+    """Read a `node,t,value` CSV holding every (node, t) pair once.
+
+    A row whose node id is outside 0..m-1, whose time is negative or whose
+    value is not finite is a ValueError that names it; so are duplicate and
+    missing pairs.
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "node,t,value":
+        if fh.readline().strip() != "node,t,value":
             raise ValueError("field file must have header node,t,value")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    t_m = max(int(r[1]) for r in rows)
-    values = np.full((t_m + 1, net.m), np.nan)
-    for node, t, value in rows:
-        values[int(t), int(node)] = float(value)
-    if np.isnan(values).any():
+        rows = np.loadtxt(fh, delimiter=",", ndmin=1,
+                          dtype=[("node", np.int64), ("t", np.int64), ("value", float)])
+    if not rows.size:
+        raise ValueError("field file has no rows")
+    node, t, value = rows["node"], rows["t"], rows["value"]
+    out_of_range = (node < 0) | (node >= net.m) | (t < 0)
+    for bad, problem in (
+        (out_of_range, f"is out of range (node ids 0..{net.m - 1}, t >= 0)"),
+        (~np.isfinite(value), "has a non-finite value"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"field file row {node[i]},{t[i]},{float(value[i])!r} {problem}")
+    t_m = int(t.max())
+    if rows.size < (t_m + 1) * net.m:
         raise ValueError("field file is incomplete")
-    return Field(net=net, values=values)
+    flat = t * net.m + node
+    counts = np.bincount(flat)
+    if (counts > 1).any():
+        t_dup, node_dup = divmod(int(np.argmax(counts > 1)), net.m)
+        raise ValueError(f"field file has duplicate rows for node {node_dup}, t {t_dup}")
+    values = np.empty((t_m + 1) * net.m)
+    values[flat] = value
+    return Field(net=net, values=values.reshape(t_m + 1, net.m))

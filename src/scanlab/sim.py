@@ -18,18 +18,19 @@ import numpy as np
 
 from .clusters import Cluster
 from .detect import (
-    Calibration,
     ScanTable,
     _map_indexed,
     average_test,
     calibrate,
-    log_dagger,
+    multiscale_test,
+    scale_term,
+    scan,
 )
 from .growth import ClusterSequence, scan_spacetime_cylinders
 from .metric import EpsNet
 from .models import Field, NoiseModel, SignalSpec, plant, sample_null, standardized_sum
 from .network import NodeSet
-from .rng import derive_seed
+from .rng import derive_seed, rng_from_seed
 
 Truth = Union[Cluster, ClusterSequence]
 
@@ -49,7 +50,7 @@ class MultiscaleScanTest:
     """Calibrated multiscale: statistic is max over scales of S_l - w_l.
 
     The weights w_l equalize scales before the single calibrated cut; by
-    default sqrt(2 * logdag(m * 2**(-l*d))).
+    default detect.scale_term, sqrt(2 * logdag(m * 2**(-l*d))).
     """
 
     nets: Mapping[int, EpsNet]
@@ -142,7 +143,7 @@ def _resolve_truths(cfg: ExperimentConfig) -> list[Truth]:
             raise ValueError("truth class is empty")
         if len(truths) > EXHAUSTIVE_TRUTH_MAX:
             rng_idx = np.sort(
-                np.random.Generator(np.random.Philox(key=derive_seed(cfg.seed, "truthsel")))
+                rng_from_seed(derive_seed(cfg.seed, "truthsel"))
                 .choice(len(truths), size=DEFAULT_TRUTH_SAMPLE, replace=False)
             )
             truths = [truths[i] for i in rng_idx]
@@ -155,82 +156,65 @@ def _resolve_truths(cfg: ExperimentConfig) -> list[Truth]:
     ]
 
 
-def _statistic_fn(cfg: ExperimentConfig) -> Callable[[Field], float]:
-    test = cfg.test
+def scorer(
+    test: TestSpec, net: NodeSet, model: NoiseModel, t_m: int = 0,
+    truth: Truth | None = None,
+) -> Callable[[Field], tuple[float, Truth | None]]:
+    """score(field) -> (statistic, argmax) for a test specification.
+
+    The one place a TestSpec becomes a per-field statistic: estimate_risk,
+    `scanlab calibrate` and `scanlab test` all score through it.  Cluster
+    tables are built here, once; the oracle scores its one `truth`.  The
+    argmax is the maximizing cluster (None for the average test).
+    """
+    if isinstance(test, (EpsScanTest, MultiscaleScanTest)) and t_m != 0:
+        raise ValueError(
+            f"{type(test).__name__} needs a static field (t_m = 0); use CylinderScanTest"
+        )
+
+    def pair(result):
+        return result.statistic, result.argmax
+
     if isinstance(test, EpsScanTest):
-        if cfg.t_m != 0:
-            raise ValueError("EpsScanTest needs a static field; use CylinderScanTest")
-        table = ScanTable(test.net.members, cfg.model)
-        return lambda fld: table.max_score(fld.values[0])[0]
+        table = ScanTable(test.net.members, model)
+        return lambda fld: pair(scan(fld, table, model))
     if isinstance(test, MultiscaleScanTest):
-        if cfg.t_m != 0:
-            raise ValueError("MultiscaleScanTest needs a static field")
-        active = {s: n for s, n in test.nets.items() if len(n)}
-        if not active:
-            raise ValueError("all scale nets are empty")
-        if test.weights is not None:
-            weights = dict(test.weights)
-        else:
-            weights = {
-                s: math.sqrt(2.0 * log_dagger(cfg.net.m * 2.0 ** (-s * cfg.net.dim)))
-                for s in active
-            }
-        tables = [(ScanTable(n.members, cfg.model), weights[s]) for s, n in sorted(active.items())]
-
-        def stat(fld: Field) -> float:
-            row = fld.values[0]
-            return max(t.max_score(row)[0] - w for t, w in tables)
-
-        return stat
+        tables = {s: ScanTable(n.members, model) for s, n in test.nets.items() if len(n)}
+        weights = test.weights
+        if weights is None:
+            weights = {s: scale_term(net.m, net.dim, s) for s in tables}
+        return lambda fld: pair(multiscale_test(fld, tables, weights, model))
     if isinstance(test, AverageTest):
-        return lambda fld: average_test(fld, cfg.model).statistic
+        return lambda fld: pair(average_test(fld, model))
+    if isinstance(test, OracleTest):
+        if truth is None:
+            raise ValueError("the oracle test scores a known truth; none was given")
+        return lambda fld: (standardized_sum(fld, truth, model), truth)
     if isinstance(test, CylinderScanTest):
-        table = ScanTable(test.base.members, cfg.model)
-        windows = test.windows
-
-        def stat(fld: Field) -> float:
-            return scan_spacetime_cylinders(fld, table, cfg.model, windows).statistic
-
-        return stat
-    raise ValueError(f"no generic statistic for {type(test).__name__}")
+        table = ScanTable(test.base.members, model)
+        return lambda fld: pair(scan_spacetime_cylinders(fld, table, model, test.windows))
+    raise ValueError(f"no statistic for {type(test).__name__}")
 
 
 def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
-    """Calibrate once, then estimate risk at every lambda on the grid."""
+    """Calibrate once (the oracle cuts at lam/2 instead), then estimate risk at every lambda."""
     truths = _resolve_truths(cfg)
     oracle = isinstance(cfg.test, OracleTest)
     if oracle and len(truths) != 1:
         raise ValueError(
             "the oracle test is simple-vs-simple: supply exactly one truth"
         )
+    score = scorer(cfg.test, cfg.net, cfg.model, cfg.t_m, truths[0] if oracle else None)
+    calib = None if oracle else calibrate(
+        lambda fld: score(fld)[0], cfg.net, cfg.model, cfg.alpha, cfg.calib_b,
+        derive_seed(cfg.seed, "calibration"), t_m=cfg.t_m, threads=cfg.threads,
+    )
 
-    if oracle:
-        truth = truths[0]
+    def null_stat(i: int) -> float:
+        fld = sample_null(cfg.net, cfg.model, cfg.t_m, derive_seed(cfg.seed, "null", i))
+        return score(fld)[0]
 
-        def null_stat(i: int) -> float:
-            fld = sample_null(cfg.net, cfg.model, cfg.t_m, derive_seed(cfg.seed, "null", i))
-            return standardized_sum(fld, truth, cfg.model)
-
-        null_stats = _map_indexed(null_stat, cfg.n_null, cfg.threads)
-        calib: Calibration | None = None
-    else:
-        stat_fn = _statistic_fn(cfg)
-        calib = calibrate(
-            stat_fn,
-            cfg.net,
-            cfg.model,
-            cfg.alpha,
-            cfg.calib_b,
-            derive_seed(cfg.seed, "calibration"),
-            t_m=cfg.t_m,
-            threads=cfg.threads,
-        )
-
-        def null_stat(i: int) -> float:
-            fld = sample_null(cfg.net, cfg.model, cfg.t_m, derive_seed(cfg.seed, "null", i))
-            return stat_fn(fld)
-
-        null_stats = _map_indexed(null_stat, cfg.n_null, cfg.threads)
+    null_stats = _map_indexed(null_stat, cfg.n_null, cfg.threads)
 
     rows: list[RiskEstimate] = []
     for pt, lam in enumerate(cfg.lambdas):
@@ -248,11 +232,7 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
                 planted = plant(
                     fld, _truth, sig, cfg.model, derive_seed(cfg.seed, "h1", pt, k, i, 1)
                 )
-                if oracle:
-                    s = standardized_sum(planted, _truth, cfg.model)
-                else:
-                    s = stat_fn(planted)
-                return 1.0 if s <= threshold else 0.0
+                return 1.0 if score(planted)[0] <= threshold else 0.0
 
             miss_rate = float(np.mean(_map_indexed(h1_miss, cfg.trials, cfg.threads)))
             worst = max(worst, miss_rate)
@@ -275,11 +255,6 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
             )
         )
     return rows
-
-
-def sweep(cfg: ExperimentConfig) -> list[RiskEstimate]:
-    """estimate_risk over the grid (shared calibration); see write_sweep_csv."""
-    return estimate_risk(cfg)
 
 
 SWEEP_COLUMNS = "lambda,theory_threshold,type1,type2_worst,risk,se,trials,seed"

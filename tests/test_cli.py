@@ -1,9 +1,24 @@
 import math
+import time
 
 import pytest
 
-from scanlab.cli import main, parse_config
+from scanlab.cli import build_experiment, build_parser, main, parse_config
+from scanlab.clusters import (
+    FAMILIES,
+    THICK,
+    TUBES,
+    AnimalParams,
+    BandParams,
+    ClusterClass,
+    ThickParams,
+    ThinParams,
+    enumerate_bands,
+)
 from scanlab.errors import ConfigError
+from scanlab.metric import build_net
+from scanlab.network import load_nodeset, make_lattice
+from scanlab.rng import derive_seed
 
 
 def run(args):
@@ -302,3 +317,266 @@ seed = 9
                     "--lam-hi", "0.15", "--kappa", "2.0", "--net", str(cloud),
                     "--out", str(thick)]) == 0
         assert "# kappa=2.0" in thick.read_text()
+
+
+def _lattice(tmp_path, side=8):
+    net = tmp_path / "net.csv"
+    assert run(["net", "--mode", "lattice", "--d", "2", "--side", str(side),
+                "--out", str(net)]) == 0
+    return net
+
+
+def _null_field(tmp_path, net, t_m=0):
+    from scanlab.models import noise_model, sample_null, save_field
+    from scanlab.network import load_nodeset
+
+    path = tmp_path / "field.csv"
+    save_field(sample_null(load_nodeset(net), noise_model("gaussian"), t_m, 11), path)
+    return path
+
+
+def _body(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+class TestOneFamilyTable:
+    """enumerate, the sweep config and the library build the same classes."""
+
+    CASES = {
+        "balls": (False, ["--lam", "1.5"], 1.5),
+        "thick": (True, ["--lam-lo", "0.15", "--lam-hi", "0.3", "--kappa", "2.0"],
+                  ThickParams(0.15, 0.3, kappa=2.0)),
+        "tubes": (True, ["--r", "0.2", "--kappa", "0.5"], ThinParams(0.2, kappa=0.5, n_control=3)),
+        "bands": (False, ["--ell", "8", "--h", "2", "--path-mode", "self-avoiding",
+                          "--budget", "40", "--seed", "4"],
+                  BandParams(8, 2, "self-avoiding")),
+        "animals": (False, ["--kmax", "3"], AnimalParams(3)),
+    }
+
+    @pytest.mark.parametrize("family", list(CASES))
+    def test_enumerate_body_equals_stream(self, tmp_path, family):
+        cloud, flags, params = self.CASES[family]
+        if cloud:
+            net = tmp_path / "cloud.csv"
+            run(["net", "--mode", "cloud", "--d", "2", "--m", "200", "--seed", "2",
+                 "--out", str(net)])
+        else:
+            net = _lattice(tmp_path, side=10)
+        out = tmp_path / "clusters.txt"
+        assert run(["enumerate", "--net", str(net), "--family", family, *flags,
+                    "--out", str(out)]) == 0
+        budget = 40 if family == "bands" else 2000
+        want = ClusterClass(family, params, budget=budget).stream(load_nodeset(net), seed=4)
+        assert _body(out) == [" ".join(map(str, c.ids)) for c in want]
+        assert f"# family={family}" in out.read_text()
+
+    def test_family_choices_are_the_cluster_classes(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        family = next(a for a in sub.choices["enumerate"]._actions if a.dest == "family")
+        assert set(family.choices) == set(FAMILIES)
+        assert {THICK, TUBES} == {"thick", "tubes"}
+
+    def test_sweep_scan_net_equals_library_net(self):
+        exp, _ = build_experiment(parse_config(
+            "net.mode = lattice\nnet.side = 12\nscan.family = bands\nscan.ell = 6\n"
+            "scan.h = 2\nscan.path_mode = self-avoiding\nscan.budget = 60\n"
+            "scan.epsilon = 0.5\ntest = cylinders\ntm = 2\nlambda.grid = 1\nseed = 12\n"
+        ))
+        lattice = make_lattice(2, 12)
+        stream = enumerate_bands(lattice, BandParams(6, 2, "self-avoiding"), budget=60,
+                                 seed=derive_seed(12, "scanpaths"))
+        assert exp.test.base.members == build_net(stream, 0.5).members
+
+    def test_size_cap_caps_the_sweep_net(self):
+        text = ("net.mode = lattice\nnet.side = 8\nscan.family = balls\nscan.lambda = 2.5\n"
+                "lambda.grid = 1\n")
+        uncapped, _ = build_experiment(parse_config(text))
+        capped, echo = build_experiment(parse_config(text + "scan.size_cap = 8\n"))
+        assert max(c.size for c in uncapped.test.net.members) == 13
+        assert max(c.size for c in capped.test.net.members) <= 8
+        assert echo["scan.size_cap"] == "8"
+
+    def test_calibrate_scan_refuses_temporal_fields(self, tmp_path, capsys):
+        net = _lattice(tmp_path)
+        balls = tmp_path / "balls.txt"
+        run(["enumerate", "--net", str(net), "--family", "balls", "--lam", "1.5",
+             "--out", str(balls)])
+        code = run(["calibrate", "--net", str(net), "--clusters", str(balls),
+                    "--statistic", "scan", "--tm", "4", "--alpha", "0.05", "--b", "99",
+                    "--out", str(tmp_path / "calib.csv")])
+        assert code == 2
+        assert "static field" in capsys.readouterr().err
+
+
+class TestCalibrationIdentity:
+    def _calibrate(self, tmp_path, net, clusters, statistic, tm, model="gaussian"):
+        out = tmp_path / f"calib_{statistic}_{tm}_{model}.csv"
+        assert run(["calibrate", "--net", str(net), "--clusters", str(clusters),
+                    "--statistic", statistic, "--tm", str(tm), "--model", model,
+                    "--alpha", "0.05", "--b", "99", "--seed", "7", "--out", str(out)]) == 0
+        return out
+
+    def _test(self, tmp_path, net, clusters, field, statistic, calib, model="gaussian"):
+        return run(["test", "--net", str(net), "--clusters", str(clusters),
+                    "--field", str(field), "--statistic", statistic, "--model", model,
+                    "--calibration", str(calib), "--out", str(tmp_path / "r.csv")])
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        net = _lattice(tmp_path)
+        balls = tmp_path / "balls.txt"
+        run(["enumerate", "--net", str(net), "--family", "balls", "--lam", "1.5",
+             "--out", str(balls)])
+        return net, balls
+
+    def test_columns_record_what_was_calibrated(self, tmp_path, setup):
+        net, balls = setup
+        calib = self._calibrate(tmp_path, net, balls, "cylinder-scan", 3)
+        header, row = calib.read_text().splitlines()
+        assert header == "alpha,b,threshold,seed,statistic,tm,model"
+        assert row.split(",")[4:] == ["cylinder-scan", "3", "gaussian"]
+
+    def test_scan_calibration_refused_by_cylinder_test(self, tmp_path, setup, capsys):
+        net, balls = setup
+        calib = self._calibrate(tmp_path, net, balls, "scan", 0)
+        field = _null_field(tmp_path, net, t_m=0)
+        assert self._test(tmp_path, net, balls, field, "cylinder-scan", calib) == 2
+        err = capsys.readouterr().err
+        assert "statistic scan" in err and "statistic cylinder-scan" in err
+        assert self._test(tmp_path, net, balls, field, "scan", calib) == 0
+
+    def test_tm_and_model_mismatch_refused(self, tmp_path, setup, capsys):
+        net, balls = setup
+        calib = self._calibrate(tmp_path, net, balls, "cylinder-scan", 2)
+        field = _null_field(tmp_path, net, t_m=3)
+        assert self._test(tmp_path, net, balls, field, "cylinder-scan", calib) == 2
+        assert "tm 2" in capsys.readouterr().err
+        calib = self._calibrate(tmp_path, net, balls, "cylinder-scan", 3, model="poisson")
+        assert self._test(tmp_path, net, balls, field, "cylinder-scan", calib) == 2
+        assert "model poisson" in capsys.readouterr().err
+
+    def test_calibration_without_identity_columns_refused(self, tmp_path, setup, capsys):
+        net, balls = setup
+        calib = tmp_path / "old.csv"
+        calib.write_text("alpha,b,threshold,seed\n0.05,99,3.1,7\n")
+        field = _null_field(tmp_path, net)
+        assert self._test(tmp_path, net, balls, field, "scan", calib) == 2
+        assert "lacks the columns" in capsys.readouterr().err
+
+
+class TestFileInputs:
+    """Bad field and cluster files end in exit 2 with a named problem."""
+
+    def _test(self, tmp_path, net, field, clusters=None, statistic="average"):
+        argv = ["test", "--net", str(net), "--field", str(field), "--statistic", statistic,
+                "--threshold", "3.0", "--out", str(tmp_path / "r.csv")]
+        if clusters is not None:
+            argv += ["--clusters", str(clusters)]
+        return run(argv)
+
+    def _edited_field(self, tmp_path, net, edit):
+        path = _null_field(tmp_path, net)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path
+
+    def test_duplicate_row(self, tmp_path, capsys):
+        net = _lattice(tmp_path)
+        field = self._edited_field(tmp_path, net, lambda ls: ls + ["5,0,57.0"])
+        assert self._test(tmp_path, net, field) == 2
+        assert "duplicate rows for node 5, t 0" in capsys.readouterr().err
+
+    def test_node_out_of_range(self, tmp_path, capsys):
+        net = _lattice(tmp_path)
+        field = self._edited_field(tmp_path, net, lambda ls: ls[:-1] + ["999,0,0.5"])
+        assert self._test(tmp_path, net, field) == 2
+        assert "row 999,0,0.5 is out of range" in capsys.readouterr().err
+
+    def test_negative_time(self, tmp_path, capsys):
+        net = _lattice(tmp_path)
+        field = self._edited_field(tmp_path, net, lambda ls: ls[:-1] + ["63,-1,0.5"])
+        assert self._test(tmp_path, net, field) == 2
+        assert "row 63,-1,0.5 is out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_value(self, tmp_path, capsys, value):
+        net = _lattice(tmp_path)
+        field = self._edited_field(tmp_path, net, lambda ls: ls[:-1] + [f"63,0,{value}"])
+        assert self._test(tmp_path, net, field) == 2
+        assert f"row 63,0,{value} has a non-finite value" in capsys.readouterr().err
+
+    def test_cluster_ids_out_of_range(self, tmp_path, capsys):
+        net = _lattice(tmp_path)
+        clusters = tmp_path / "clusters.txt"
+        clusters.write_text("1 2 3\n4 5 999\n")
+        assert self._test(tmp_path, net, _null_field(tmp_path, net), clusters, "scan") == 2
+        assert "node id 999 outside 0..63" in capsys.readouterr().err
+        code = run(["calibrate", "--net", str(net), "--clusters", str(clusters),
+                    "--alpha", "0.05", "--b", "99", "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "node id 999" in capsys.readouterr().err
+
+
+class TestConfigBounds:
+    def test_fractional_integer_key_rejected(self):
+        exp_text = "net.mode = lattice\nnet.side = 8\nscan.lambda = 1.5\nlambda.grid = 1\n"
+        with pytest.raises(ConfigError, match="'trials'"):
+            build_experiment(parse_config(exp_text + "trials = 50.7\n"))
+        exp, _ = build_experiment(parse_config(exp_text + "trials = 50.0\n"))
+        assert exp.trials == 50
+
+    def _sweep(self, tmp_path, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        start = time.perf_counter()
+        code = run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        return code, time.perf_counter() - start
+
+    def test_ball_margin_without_center_exits_2(self, tmp_path, capsys):
+        code, elapsed = self._sweep(tmp_path, """
+net.mode = lattice
+net.side = 16
+net.rescale = true
+scan.family = balls
+scan.lambda = 0.13
+truth.margin = 0.6
+lambda.grid = 0,4
+trials = 50
+calibration.b = 99
+n_null = 100
+""")
+        assert code == 2 and elapsed < 1.0
+        assert "truth.margin" in capsys.readouterr().err
+
+    def test_richardson_radius_without_center_exits_2(self, tmp_path, capsys):
+        code, elapsed = self._sweep(tmp_path, """
+net.mode = lattice
+net.side = 8
+tm = 2
+test = average
+truth.family = richardson
+truth.limit_radius = 3
+lambda.grid = 4
+trials = 50
+calibration.b = 99
+n_null = 100
+""")
+        assert code == 2 and elapsed < 1.0
+        assert "truth.limit_radius" in capsys.readouterr().err
+
+    def test_thick_truth_retries_are_bounded(self, tmp_path, capsys):
+        code, _ = self._sweep(tmp_path, """
+net.mode = lattice
+net.side = 8
+test = average
+truth.family = thick
+scan.lambda_lo = 1e-6
+scan.lambda_hi = 1e-6
+lambda.grid = 4
+trials = 50
+calibration.b = 99
+n_null = 100
+""")
+        assert code == 2
+        assert "no thick truth" in capsys.readouterr().err

@@ -326,7 +326,7 @@ class TestClusterClass:
     def test_band_dispatch_uses_budget_and_seed(self):
         net = make_lattice(2, 40)
         params = BandParams(length=30, width=2)
-        got = [c.ids for c in cl_class("bands", params).stream(net, budget=10, seed=3)]
+        got = [c.ids for c in cl_class("bands", params, budget=10).stream(net, seed=3)]
         want = [c.ids for c in enumerate_bands(net, params, budget=10, seed=3)]
         assert got == want
 
@@ -336,10 +336,10 @@ class TestClusterClass:
             list(cl_class("blobs", 1.0).stream(net))
 
 
-def cl_class(family, params):
+def cl_class(family, params, **kw):
     from scanlab.clusters import ClusterClass
 
-    return ClusterClass(family=family, params=params)
+    return ClusterClass(family=family, params=params, **kw)
 
 
 class TestClusterFiles:

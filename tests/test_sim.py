@@ -4,18 +4,22 @@ import math
 import pytest
 
 from scanlab.clusters import Cluster, enumerate_balls
+from scanlab.detect import eps_scan, scale_term
+from scanlab.growth import make_cylinder, scan_spacetime_cylinders
 from scanlab.metric import build_net
-from scanlab.models import noise_model
+from scanlab.models import noise_model, sample_null, standardized_sum
 from scanlab.network import ball_nodes, make_lattice, rescale_lattice
 from scanlab.sim import (
     AverageTest,
+    CylinderScanTest,
     EpsScanTest,
     ExperimentConfig,
     FixedTruths,
+    MultiscaleScanTest,
     OracleTest,
     SampledTruths,
     estimate_risk,
-    sweep,
+    scorer,
     write_sweep_csv,
 )
 
@@ -196,7 +200,7 @@ class TestConfigValidation:
 
 class TestSweepCsv:
     def test_format_and_echo(self):
-        rows = sweep(small_oracle_cfg((1.0, 2.0), trials=100))
+        rows = estimate_risk(small_oracle_cfg((1.0, 2.0), trials=100))
         buf = io.StringIO()
         write_sweep_csv(rows, buf, echo={"seed": 13, "alpha": "0.05"})
         lines = buf.getvalue().splitlines()
@@ -207,3 +211,60 @@ class TestSweepCsv:
         first = lines[3].split(",")
         assert first[0] == "1.0"
         assert first[1] == "nan"  # no theory value configured
+
+
+class TestScorer:
+    """scorer is the one map from a test specification to a statistic."""
+
+    def setup_method(self):
+        self.net = rescale_lattice(make_lattice(2, 16))
+        self.nets = {s: build_net(enumerate_balls(self.net, 2.0 ** (-s)), 0.5) for s in (2, 3, 4)}
+
+    def test_multiscale_is_the_max_excess_over_scales(self):
+        score = scorer(MultiscaleScanTest(nets=self.nets), self.net, GAUSS)
+        for seed in range(5):
+            fld = sample_null(self.net, GAUSS, 0, seed)
+            want = max(
+                eps_scan(fld, n, GAUSS).statistic - scale_term(self.net.m, self.net.dim, s)
+                for s, n in self.nets.items()
+            )
+            value, argmax = score(fld)
+            assert value == want
+            assert argmax is not None
+
+    def test_scan_and_oracle_statistics(self):
+        truth = ball_nodes(self.net, (0.5, 0.5), 0.2)
+        fld = sample_null(self.net, GAUSS, 0, 3)
+        scan = eps_scan(fld, self.nets[3], GAUSS)
+        assert scorer(EpsScanTest(self.nets[3]), self.net, GAUSS)(fld) == (
+            scan.statistic, scan.argmax
+        )
+        assert scorer(OracleTest(), self.net, GAUSS, truth=truth)(fld) == (
+            standardized_sum(fld, truth, GAUSS), truth
+        )
+        assert scorer(AverageTest(), self.net, GAUSS)(fld)[1] is None
+
+    def test_cylinder_statistic_uses_the_windows(self):
+        fld = sample_null(self.net, GAUSS, 3, 5)
+        want = scan_spacetime_cylinders(fld, self.nets[3], GAUSS, (1, 2))
+        got = scorer(CylinderScanTest(self.nets[3], (1, 2)), self.net, GAUSS, 3)(fld)
+        assert got == (want.statistic, want.argmax)
+
+    def test_static_tests_refuse_temporal_fields(self):
+        for spec in (EpsScanTest(self.nets[3]), MultiscaleScanTest(nets=self.nets)):
+            with pytest.raises(ValueError, match="static field"):
+                scorer(spec, self.net, GAUSS, t_m=2)
+
+    def test_oracle_needs_its_truth(self):
+        with pytest.raises(ValueError, match="truth"):
+            scorer(OracleTest(), self.net, GAUSS)
+
+    def test_cylinder_truths_in_estimate_risk(self):
+        seqs = (make_cylinder(self.net, (0.5, 0.5), 0.2, 1, 3),)
+        cfg = ExperimentConfig(
+            net=self.net, model=GAUSS, test=CylinderScanTest(self.nets[3]),
+            truth=FixedTruths(seqs), lambdas=(0.0, 12.0), trials=50, calib_b=99,
+            n_null=100, seed=2, t_m=3,
+        )
+        low, high = estimate_risk(cfg)
+        assert high.risk < low.risk
