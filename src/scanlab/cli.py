@@ -336,6 +336,11 @@ def _cfg_value(cfg, key: str, kind: type):
         raise ConfigError(f"missing required config key {key!r}")
     if kind is str:
         return value
+    if kind is int:
+        try:
+            return int(value)  # exact, also above 2**53
+        except ValueError:
+            pass
     try:
         number = float(value)
     except ValueError as exc:
@@ -676,7 +681,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"scanlab: capacity error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
+        print(f"scanlab: file error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"scanlab: config error: {exc}", file=sys.stderr)
         return 2
 

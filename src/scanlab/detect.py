@@ -19,9 +19,9 @@ import numpy as np
 
 from .clusters import Cluster
 from .metric import EpsNet
-from .models import Field, NoiseModel, sample_null
+from .models import Field, NoiseModel, sample_null_block
 from .network import NodeSet
-from .rng import derive_seed
+from .rng import derive_seeds
 
 
 def log_dagger(x: float) -> float:
@@ -115,12 +115,16 @@ def eps_scan(field: Field, net: EpsNet, model: NoiseModel) -> TestResult:
     return scan(field, net.members, model)
 
 
+def average_statistics(values: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """The average test's statistic for every field of a (B, t_m + 1, m) block."""
+    n = values[0].size
+    total = values.reshape(len(values), n).sum(axis=1)
+    return (total - n * model.null_mean) / (model.sigma * math.sqrt(n))
+
+
 def average_test(field: Field, model: NoiseModel) -> TestResult:
     """Standardized sum over every (node, time) pair (threshold separate)."""
-    n = field.values.size
-    total = float(field.values.sum())
-    value = (total - n * model.null_mean) / (model.sigma * math.sqrt(n))
-    return TestResult(statistic=value)
+    return TestResult(statistic=float(average_statistics(field.values[None], model)[0]))
 
 
 def oracle_test(field: Field, k: Cluster, lam: float, model: NoiseModel) -> TestResult:
@@ -207,17 +211,32 @@ class Calibration:
         object.__setattr__(self, "null_stats", stats)
 
 
-def _map_indexed(fn: Callable[[int], float], n: int, threads: int) -> np.ndarray:
-    """fn(0..n-1) into an array; thread count never changes the result."""
-    out = np.empty(n)
-    if threads <= 1:
-        for i in range(n):
-            out[i] = fn(i)
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, value in enumerate(pool.map(fn, range(n), chunksize=64)):
-            out[i] = value
-    return out
+# Monte Carlo passes draw and score their fields in blocks of about this many
+# values, so a block's arrays stay small whatever the field size.
+BLOCK_VALUES = 1 << 16
+
+
+def block_size(t_m: int, m: int) -> int:
+    """Fields per block: floor(BLOCK_VALUES / ((t_m + 1) m)), at least 1."""
+    return max(1, BLOCK_VALUES // ((t_m + 1) * m))
+
+
+def map_blocks(
+    fn: Callable[[int, int], np.ndarray], n: int, size: int, threads: int
+) -> np.ndarray:
+    """fn(lo, hi) over consecutive blocks of range(n), concatenated in order.
+
+    Each block's values depend only on its span (every trial is keyed by its
+    own seed) and land at fixed positions, so any thread count gives the
+    same array.
+    """
+    spans = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    if threads <= 1 or len(spans) <= 1:
+        parts = [fn(lo, hi) for lo, hi in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda span: fn(*span), spans))
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def calibrate(
@@ -239,11 +258,12 @@ def calibrate(
     if rank > b:
         raise ValueError(f"alpha={alpha} needs more than b={b} null samples")
 
-    def one(i: int) -> float:
-        field = sample_null(net, model, t_m, derive_seed(seed, "calib", i))
-        return statistic(field)
+    def block(lo: int, hi: int) -> np.ndarray:
+        seeds = derive_seeds(seed, ("calib",), ((i,) for i in range(lo, hi)))
+        rows = sample_null_block(net, model, t_m, seeds)
+        return np.fromiter((statistic(Field._wrap(net, row)) for row in rows), float, hi - lo)
 
-    stats = _map_indexed(one, b, threads)
+    stats = map_blocks(block, b, block_size(t_m, net.m), threads)
     threshold = float(np.sort(stats)[rank - 1])
     return Calibration(alpha=alpha, b=b, threshold=threshold, seed=seed, null_stats=stats)
 

@@ -53,13 +53,6 @@ class NoiseModel:
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
 
-    def sample_null_values(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.family == GAUSSIAN:
-            return rng.standard_normal(size)
-        if self.family == BERNOULLI:
-            return (rng.random(size) < 0.5).astype(float)
-        return rng.poisson(1.0, size).astype(float)
-
     def tilted_mean(self, theta: float) -> float:
         if self.family == GAUSSIAN:
             return theta
@@ -67,17 +60,20 @@ class NoiseModel:
             return 1.0 / (1.0 + math.exp(-theta))
         return math.exp(theta)
 
-    def sample_tilted(
-        self, rng: np.random.Generator, theta: float, size: int
-    ) -> np.ndarray:
+    def fill(self, rng: np.random.Generator, out: np.ndarray, theta: float | None = None) -> None:
+        """Overwrite `out` with i.i.d. draws from F0 (theta None) or F_theta."""
         if self.family == GAUSSIAN:
-            return rng.standard_normal(size) + theta
-        if self.family == BERNOULLI:
-            p = self.tilted_mean(theta)
+            rng.standard_normal(out=out)
+            if theta is not None:
+                out += theta
+        elif self.family == BERNOULLI:
+            p = 0.5 if theta is None else self.tilted_mean(theta)
             if p >= 1.0:
                 raise ValueError(f"bernoulli tilt saturates: p={p} >= 1")
-            return (rng.random(size) < p).astype(float)
-        return rng.poisson(self.tilted_mean(theta), size).astype(float)
+            rng.random(out=out)
+            np.less(out, p, out=out)
+        else:
+            out[...] = rng.poisson(1.0 if theta is None else self.tilted_mean(theta), out.shape)
 
 
 def noise_model(family: str) -> NoiseModel:
@@ -135,13 +131,19 @@ class SignalSpec:
         return model.sigma * self.lam / math.sqrt(total_pairs)
 
 
-def sample_null(net: NodeSet, model: NoiseModel, t_m: int, seed: int) -> Field:
-    """i.i.d. F0 draws at every (node, time); t_m = 0 gives a static field."""
+def sample_null_block(net: NodeSet, model: NoiseModel, t_m: int, seeds) -> np.ndarray:
+    """(len(seeds), t_m + 1, m) null values; row r is drawn from seeds[r] alone."""
     if t_m < 0:
         raise ValueError("t_m must be >= 0")
-    rng = _fast_rng(seed)
-    values = model.sample_null_values(rng, (t_m + 1) * net.m).reshape(t_m + 1, net.m)
-    return Field._wrap(net, values)
+    values = np.empty((len(seeds), t_m + 1, net.m))
+    for row, seed in zip(values, seeds):
+        model.fill(_fast_rng(seed), row)
+    return values
+
+
+def sample_null(net: NodeSet, model: NoiseModel, t_m: int, seed: int) -> Field:
+    """i.i.d. F0 draws at every (node, time); t_m = 0 gives a static field."""
+    return Field._wrap(net, sample_null_block(net, model, t_m, (seed,))[0])
 
 
 def _anomalous_slices(
@@ -160,6 +162,55 @@ def _anomalous_slices(
     return slices
 
 
+def plant_block(
+    values: np.ndarray,
+    target: Union[Cluster, "ClusterSequence"],
+    sig: SignalSpec,
+    model: NoiseModel,
+    seeds,
+) -> None:
+    """Plant the target in every row of a (B, t_m + 1, m) block, in place.
+
+    Row r's F_theta draws come from seeds[r] alone, slice by slice; a node
+    with a per_node_theta override takes one further draw at its own theta
+    right after its slice's draws.  Off-target values are untouched.
+    """
+    slices = _anomalous_slices(target, values.shape[1] - 1)
+    times = np.concatenate([np.full(k.size, t) for t, k in slices])
+    nodes = np.concatenate([k.idarray for _, k in slices])
+    theta = sig.theta(model, nodes.size)
+    if model.family != GAUSSIAN and nodes.size < model.min_cluster_warn:
+        warnings.warn(
+            f"planting {nodes.size} anomalous pairs in a {model.family} field; "
+            f"normal approximations assume at least {model.min_cluster_warn}",
+            stacklevel=3,
+        )
+    overrides = sig.per_node_theta or {}
+    for node, th in overrides.items():
+        if th < theta - 1e-12:
+            raise ValueError(
+                f"override theta for node {node} is below the implied {theta:.6g}"
+            )
+    draws = np.empty((len(seeds), nodes.size))
+    if overrides:
+        redraw = [(pos, overrides[int(node)]) for pos, node in enumerate(nodes)
+                  if int(node) in overrides]
+        ends = np.cumsum([k.size for _, k in slices])
+    for row, seed in zip(draws, seeds):
+        rng = _fast_rng(seed)
+        if not overrides:
+            model.fill(rng, row, theta)
+            continue
+        start = 0
+        for end in ends:
+            model.fill(rng, row[start:end], theta)
+            for pos, th in redraw:
+                if start <= pos < end:
+                    model.fill(rng, row[pos : pos + 1], th)
+            start = end
+    values[:, times, nodes] = draws
+
+
 def plant(
     field: Field,
     target: Union[Cluster, "ClusterSequence"],
@@ -168,32 +219,9 @@ def plant(
     seed: int,
 ) -> Field:
     """Replace values on the target by F_theta draws; off-target untouched."""
-    slices = _anomalous_slices(target, field.t_m)
-    total = sum(k.size for _, k in slices)
-    theta = sig.theta(model, total)
-    if model.family != GAUSSIAN and total < model.min_cluster_warn:
-        warnings.warn(
-            f"planting {total} anomalous pairs in a {model.family} field; "
-            f"normal approximations assume at least {model.min_cluster_warn}",
-            stacklevel=2,
-        )
-    overrides = sig.per_node_theta
-    if overrides:
-        for node, th in overrides.items():
-            if th < theta - 1e-12:
-                raise ValueError(
-                    f"override theta for node {node} is below the implied {theta:.6g}"
-                )
-    rng = _fast_rng(seed)
-    values = field.values.copy()
-    for t, k in slices:
-        draws = model.sample_tilted(rng, theta, k.size)
-        if overrides:
-            for pos, node in enumerate(k.ids):
-                if node in overrides:
-                    draws[pos] = model.sample_tilted(rng, overrides[node], 1)[0]
-        values[t, k.idarray] = draws
-    return Field._wrap(field.net, values)
+    values = field.values[None].copy()
+    plant_block(values, target, sig, model, (seed,))
+    return Field._wrap(field.net, values[0])
 
 
 def mad_variance(field: Field) -> float:
@@ -204,6 +232,26 @@ def mad_variance(field: Field) -> float:
     med = np.median(values)
     mad = np.median(np.abs(values - med))
     return float((mad / _MAD_CONSISTENCY) ** 2)
+
+
+def standardized_sums(
+    values: np.ndarray, target: Union[Cluster, "ClusterSequence"], model: NoiseModel
+) -> np.ndarray:
+    """standardized_sum of every field in a (B, t_m + 1, m) block, bit for bit."""
+    if isinstance(target, Cluster):
+        if not target:
+            raise ValueError("standardized_sum needs a nonempty cluster")
+        if values.shape[1] != 1:
+            raise ValueError("pass a ClusterSequence for temporal fields")
+        slices = [(0, target)]
+    else:
+        slices = _anomalous_slices(target, values.shape[1] - 1)
+    # take() gathers C-ordered rows, so each row sums in the order of a 1-D sum
+    total = 0
+    for t, k in slices:
+        total = total + values[:, t].take(k.idarray, axis=1).sum(axis=1)
+    n = sum(k.size for _, k in slices)
+    return (total - n * model.null_mean) / (model.sigma * math.sqrt(n))
 
 
 def standardized_sum(

@@ -211,16 +211,31 @@ def save_nodeset(net: NodeSet, path) -> None:
 
 
 def load_nodeset(path) -> NodeSet:
+    """Read a node set file; each row is placed by its `id` column.
+
+    The ids must be 0..m-1, each exactly once (m from the metadata line);
+    an id out of range, repeated or missing is a ValueError that names it.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError("node set file must start with a # metadata line")
         meta = json.loads(header[1:].strip())
+        d = int(meta["d"])
+        coord = np.int64 if meta["mode"] == LATTICE else float
         fh.readline()  # column header
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    d = int(meta["d"])
+        rows = np.loadtxt(fh, delimiter=",", ndmin=1,
+                          dtype=[("id", np.int64), ("x", coord, (d,))])
+    ids = rows["id"]
+    m = int(meta.get("m", len(ids)))
+    outside = ids[(ids < 0) | (ids >= m)]
+    if outside.size:
+        raise ValueError(f"node set file: id {outside[0]} is out of range 0..{m - 1}")
+    counts = np.bincount(ids, minlength=m)
+    for bad, problem in ((counts > 1, "appears more than once"), (counts == 0, "is missing")):
+        if bad.any():
+            raise ValueError(f"node set file: id {np.argmax(bad)} {problem}")
+    coords = rows["x"][np.argsort(ids)]
     if meta["mode"] == LATTICE:
-        coords = np.array([[int(v) for v in row[1:]] for row in rows], dtype=np.int64)
         return NodeSet(mode=LATTICE, dim=d, coords=coords, side=int(meta["side"]))
-    coords = np.array([[float(v) for v in row[1:]] for row in rows], dtype=float)
     return NodeSet(mode=EUCLIDEAN, dim=d, coords=coords)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
+from typing import Iterable
 
 import numpy as np
 
@@ -39,13 +40,11 @@ def _fast_rng(seed: int) -> np.random.Generator:
     pair = getattr(_local, "pair", None)
     if pair is None:
         bitgen = np.random.Philox(key=0)
+        # plain lists: the state setter reads them ~3x faster than uint64 arrays
         state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.zeros(2, dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -58,20 +57,42 @@ def _fast_rng(seed: int) -> np.random.Generator:
     return gen
 
 
+def _encode(part: int | str) -> bytes:
+    if isinstance(part, int):
+        return b"i" + part.to_bytes(16, "little", signed=True) + b"\x00"
+    return b"s" + part.encode("utf-8") + b"\x00"
+
+
+def derive_seeds(
+    master: int, head: tuple[int | str, ...], tails: Iterable[tuple[int | str, ...]]
+) -> list[int]:
+    """derive_seed(master, *head, *tail) for every tail, hashing the head once.
+
+    Each tail resumes a copy of the blake2b state left after the packed
+    master seed and the head, so a block of per-trial seeds costs one hash
+    of the shared prefix plus one short update per trial.
+    """
+    base = hashlib.blake2b(digest_size=8)
+    base.update(struct.pack("<Q", master & _MASK64) + b"".join(map(_encode, head)))
+    encoded: dict[int | str, bytes] = {}
+    out = []
+    for tail in tails:
+        key = b""
+        for part in tail:
+            code = encoded.get(part)
+            if code is None:
+                code = encoded[part] = _encode(part)
+            key += code
+        h = base.copy()
+        h.update(key)
+        out.append(int.from_bytes(h.digest(), "little"))
+    return out
+
+
 def derive_seed(master: int, *path: int | str) -> int:
     """Stable 64-bit seed for the sub-stream identified by `path`.
 
     blake2b over the packed master seed and the path components; identical
     (master, path) give identical seeds on every platform.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<Q", master & _MASK64))
-    for part in path:
-        if isinstance(part, int):
-            h.update(b"i")
-            h.update(part.to_bytes(16, "little", signed=True))
-        else:
-            h.update(b"s")
-            h.update(part.encode("utf-8"))
-        h.update(b"\x00")
-    return int.from_bytes(h.digest(), "little")
+    return derive_seeds(master, path, ((),))[0]

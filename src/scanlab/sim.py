@@ -19,18 +19,26 @@ import numpy as np
 from .clusters import Cluster
 from .detect import (
     ScanTable,
-    _map_indexed,
-    average_test,
+    average_statistics,
+    block_size,
     calibrate,
+    map_blocks,
     multiscale_test,
     scale_term,
     scan,
 )
 from .growth import ClusterSequence, scan_spacetime_cylinders
 from .metric import EpsNet
-from .models import Field, NoiseModel, SignalSpec, plant, sample_null, standardized_sum
+from .models import (
+    Field,
+    NoiseModel,
+    SignalSpec,
+    plant_block,
+    sample_null_block,
+    standardized_sums,
+)
 from .network import NodeSet
-from .rng import derive_seed, rng_from_seed
+from .rng import derive_seed, derive_seeds, rng_from_seed
 
 Truth = Union[Cluster, ClusterSequence]
 
@@ -156,13 +164,41 @@ def _resolve_truths(cfg: ExperimentConfig) -> list[Truth]:
     ]
 
 
+@dataclass(frozen=True)
+class Scorer:
+    """A test's statistic: score(field) -> (statistic, argmax) for one field,
+    score.block(values) -> the statistics of a (B, t_m + 1, m) block.
+
+    A test scored by a numpy expression (`block_fn`) scores one field as a
+    one-row block; a test scored field by field (`field_fn`) scores a block
+    row by row, so either way there is one path per test.
+    """
+
+    net: NodeSet
+    field_fn: Callable[[Field], tuple[float, Truth | None]] | None = None
+    block_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    argmax: Truth | None = None
+
+    def __call__(self, fld: Field) -> tuple[float, Truth | None]:
+        if self.field_fn is None:
+            return float(self.block_fn(fld.values[None])[0]), self.argmax
+        return self.field_fn(fld)
+
+    def block(self, values: np.ndarray) -> np.ndarray:
+        if self.field_fn is None:
+            return self.block_fn(values)
+        return np.fromiter(
+            (self.field_fn(Field._wrap(self.net, row))[0] for row in values), float, len(values)
+        )
+
+
 def scorer(
     test: TestSpec, net: NodeSet, model: NoiseModel, t_m: int = 0,
     truth: Truth | None = None,
-) -> Callable[[Field], tuple[float, Truth | None]]:
-    """score(field) -> (statistic, argmax) for a test specification.
+) -> Scorer:
+    """The Scorer of a test specification.
 
-    The one place a TestSpec becomes a per-field statistic: estimate_risk,
+    The one place a TestSpec becomes a statistic: estimate_risk,
     `scanlab calibrate` and `scanlab test` all score through it.  Cluster
     tables are built here, once; the oracle scores its one `truth`.  The
     argmax is the maximizing cluster (None for the average test).
@@ -177,27 +213,38 @@ def scorer(
 
     if isinstance(test, EpsScanTest):
         table = ScanTable(test.net.members, model)
-        return lambda fld: pair(scan(fld, table, model))
+        return Scorer(net, field_fn=lambda fld: pair(scan(fld, table, model)))
     if isinstance(test, MultiscaleScanTest):
         tables = {s: ScanTable(n.members, model) for s, n in test.nets.items() if len(n)}
         weights = test.weights
         if weights is None:
             weights = {s: scale_term(net.m, net.dim, s) for s in tables}
-        return lambda fld: pair(multiscale_test(fld, tables, weights, model))
+        return Scorer(net, field_fn=lambda fld: pair(multiscale_test(fld, tables, weights, model)))
     if isinstance(test, AverageTest):
-        return lambda fld: pair(average_test(fld, model))
+        return Scorer(net, block_fn=lambda values: average_statistics(values, model))
     if isinstance(test, OracleTest):
         if truth is None:
             raise ValueError("the oracle test scores a known truth; none was given")
-        return lambda fld: (standardized_sum(fld, truth, model), truth)
+        return Scorer(
+            net, block_fn=lambda values: standardized_sums(values, truth, model), argmax=truth
+        )
     if isinstance(test, CylinderScanTest):
         table = ScanTable(test.base.members, model)
-        return lambda fld: pair(scan_spacetime_cylinders(fld, table, model, test.windows))
+        return Scorer(
+            net,
+            field_fn=lambda fld: pair(scan_spacetime_cylinders(fld, table, model, test.windows)),
+        )
     raise ValueError(f"no statistic for {type(test).__name__}")
 
 
 def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
-    """Calibrate once (the oracle cuts at lam/2 instead), then estimate risk at every lambda."""
+    """Calibrate once (the oracle cuts at lam/2 instead), then estimate risk at every lambda.
+
+    The null pass and each (lambda, truth) pass run over blocks of fields
+    (detect.block_size); trial i of a pass draws from its own seed,
+    derive_seed(seed, "null", i) or derive_seed(seed, "h1", pt, k, i, 0)
+    for the null field and (..., i, 1) for the planted values.
+    """
     truths = _resolve_truths(cfg)
     oracle = isinstance(cfg.test, OracleTest)
     if oracle and len(truths) != 1:
@@ -209,12 +256,13 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
         lambda fld: score(fld)[0], cfg.net, cfg.model, cfg.alpha, cfg.calib_b,
         derive_seed(cfg.seed, "calibration"), t_m=cfg.t_m, threads=cfg.threads,
     )
+    size = block_size(cfg.t_m, cfg.net.m)
 
-    def null_stat(i: int) -> float:
-        fld = sample_null(cfg.net, cfg.model, cfg.t_m, derive_seed(cfg.seed, "null", i))
-        return score(fld)[0]
+    def null_block(lo: int, hi: int) -> np.ndarray:
+        seeds = derive_seeds(cfg.seed, ("null",), ((i,) for i in range(lo, hi)))
+        return score.block(sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds))
 
-    null_stats = _map_indexed(null_stat, cfg.n_null, cfg.threads)
+    null_stats = map_blocks(null_block, cfg.n_null, size, cfg.threads)
 
     rows: list[RiskEstimate] = []
     for pt, lam in enumerate(cfg.lambdas):
@@ -225,16 +273,14 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
         worst = -1.0
         for k, truth in enumerate(truths):
 
-            def h1_miss(i: int, _truth=truth) -> float:
-                fld = sample_null(
-                    cfg.net, cfg.model, cfg.t_m, derive_seed(cfg.seed, "h1", pt, k, i, 0)
-                )
-                planted = plant(
-                    fld, _truth, sig, cfg.model, derive_seed(cfg.seed, "h1", pt, k, i, 1)
-                )
-                return 1.0 if score(planted)[0] <= threshold else 0.0
+            def miss_block(lo: int, hi: int, head=("h1", pt, k), truth=truth) -> np.ndarray:
+                tails = ((i, j) for i in range(lo, hi) for j in (0, 1))
+                seeds = derive_seeds(cfg.seed, head, tails)
+                values = sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds[0::2])
+                plant_block(values, truth, sig, cfg.model, seeds[1::2])
+                return score.block(values) <= threshold
 
-            miss_rate = float(np.mean(_map_indexed(h1_miss, cfg.trials, cfg.threads)))
+            miss_rate = float(np.mean(map_blocks(miss_block, cfg.trials, size, cfg.threads)))
             worst = max(worst, miss_rate)
         se1 = _binom_se(type1, cfg.n_null)
         se2 = _binom_se(worst, cfg.trials)

@@ -506,6 +506,19 @@ class TestFileInputs:
         assert self._test(tmp_path, net, field) == 2
         assert f"row 63,0,{value} has a non-finite value" in capsys.readouterr().err
 
+    def test_missing_net_file_is_a_file_error(self, tmp_path, capsys):
+        field = tmp_path / "field.csv"
+        assert self._test(tmp_path, tmp_path / "absent.csv", field) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scanlab: file error:") and "absent.csv" in err
+
+    def test_repeated_node_id_exits_2(self, tmp_path, capsys):
+        net = _lattice(tmp_path)
+        lines = net.read_text().splitlines()
+        net.write_text("\n".join(lines[:-1] + ["5" + lines[-1][2:]]) + "\n")
+        assert self._test(tmp_path, net, tmp_path / "field.csv") == 2
+        assert "id 5 appears more than once" in capsys.readouterr().err
+
     def test_cluster_ids_out_of_range(self, tmp_path, capsys):
         net = _lattice(tmp_path)
         clusters = tmp_path / "clusters.txt"
@@ -519,6 +532,30 @@ class TestFileInputs:
 
 
 class TestConfigBounds:
+    def test_integer_keys_are_exact_above_2_53(self, tmp_path):
+        text = """
+net.mode = lattice
+net.side = 8
+test = average
+truth.family = animals
+truth.k = 16
+lambda.grid = 0,20
+trials = 50
+calibration.b = 99
+n_null = 100
+"""
+        rows = {}
+        for seed in (2**53, 2**53 + 1):
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(text + f"seed = {seed}\n")
+            out = tmp_path / f"{seed}.csv"
+            assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            rows[seed] = [line for line in out.read_text().splitlines()
+                          if line and not line.startswith(("#", "lambda,"))]
+            assert all(row.endswith(f",{seed}") for row in rows[seed])
+        strip = [[row.rsplit(",", 1)[0] for row in r] for r in rows.values()]
+        assert strip[0] != strip[1]
+
     def test_fractional_integer_key_rejected(self):
         exp_text = "net.mode = lattice\nnet.side = 8\nscan.lambda = 1.5\nlambda.grid = 1\n"
         with pytest.raises(ConfigError, match="'trials'"):

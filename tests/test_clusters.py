@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -25,9 +26,17 @@ from scanlab.clusters import (
     sample_band,
     sample_thick_shape,
     save_clusters,
+    write_clusters,
 )
 from scanlab.errors import CapacityError
-from scanlab.network import ball_ids, ball_nodes, make_lattice, make_uniform_cloud
+from scanlab.network import (
+    ball_ids,
+    ball_nodes,
+    load_nodeset,
+    make_lattice,
+    make_uniform_cloud,
+    save_nodeset,
+)
 
 
 def assert_stream_invariants(clusters, m):
@@ -179,6 +188,20 @@ class TestTubes:
 
 
 class TestBands:
+    def test_loaded_lattice_gives_the_same_bands(self, tmp_path):
+        # make_lattice keeps its coordinates column-major, load_nodeset row-major
+        net = make_lattice(2, 64)
+        save_nodeset(net, tmp_path / "net.csv")
+        loaded = load_nodeset(tmp_path / "net.csv")
+        params = BandParams(length=16, width=3, path_mode="self-avoiding")
+        bodies = []
+        for nodes in (net, loaded):
+            buf = io.StringIO()
+            write_clusters(enumerate_bands(nodes, params, budget=40, seed=7), buf)
+            bodies.append(buf.getvalue())
+        assert bodies[0] == bodies[1]
+        assert bodies[0].count("\n") == 40
+
     def test_length_two_exhaustive(self):
         net = make_lattice(2, 4)
         params = BandParams(length=2, width=1)

@@ -195,3 +195,25 @@ class TestNodeSetFiles:
         save_nodeset(net, path)
         back = load_nodeset(path)
         assert np.array_equal(back.coords, net.coords)
+
+    def _write(self, path, ids, m=3):
+        lines = [f'# {{"mode": "lattice-l1", "d": 1, "m": {m}, "side": 3}}', "id,x0"]
+        lines += [f"{i},{x}" for i, x in zip(ids, range(len(ids)))]
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_rows_are_placed_by_id(self, tmp_path):
+        path = tmp_path / "net.csv"
+        self._write(path, [2, 0, 1])  # node 2 at x0 = 0, node 0 at 1, node 1 at 2
+        assert load_nodeset(path).coords[:, 0].tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize("ids, m, problem", [
+        ([0, 1, 3], 3, "id 3 is out of range 0..2"),
+        ([0, -1, 2], 3, "id -1 is out of range 0..2"),
+        ([0, 1, 1], 3, "id 1 appears more than once"),
+        ([0, 2], 3, "id 1 is missing"),
+    ])
+    def test_bad_ids_are_named(self, tmp_path, ids, m, problem):
+        path = tmp_path / "net.csv"
+        self._write(path, ids, m)
+        with pytest.raises(ValueError, match=problem):
+            load_nodeset(path)
