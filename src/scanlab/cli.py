@@ -160,7 +160,7 @@ def _cmd_calibrate(args) -> int:
     model = models.noise_model(args.model)
     score = sim.scorer(_test_spec(args, net), net, model, args.tm)
     calib = detect.calibrate(
-        lambda fld: score(fld)[0], net, model, args.alpha, args.b, args.seed,
+        score.block, net, model, args.alpha, args.b, args.seed,
         t_m=args.tm, threads=args.threads,
     )
     with _open_out(args.out) as fh:

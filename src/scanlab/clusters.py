@@ -38,6 +38,8 @@ class Cluster:
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.ids, self.ids[1:])):
             raise ValueError("cluster ids must be strictly increasing")
+        if self.ids and self.ids[0] < 0:
+            raise ValueError(f"node id {self.ids[0]} is negative")
 
     @property
     def size(self) -> int:
@@ -624,12 +626,13 @@ def sample_animal(net: NodeSet, k: int, seed: int) -> Cluster:
 # cluster list files
 
 
-def read_headed(path) -> tuple[dict[str, str], list[str]]:
-    """A cluster or sequence file's `# key=value` header, and its other nonblank lines."""
+def read_headed(path) -> tuple[dict[str, str], list[tuple[int, str]]]:
+    """A cluster or sequence file's `# key=value` header, and its other
+    nonblank lines with their line numbers."""
     meta: dict[str, str] = {}
-    body: list[str] = []
+    body: list[tuple[int, str]] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -638,7 +641,7 @@ def read_headed(path) -> tuple[dict[str, str], list[str]]:
                 if eq:
                     meta[key.strip()] = value.strip()
                 continue
-            body.append(line)
+            body.append((lineno, line))
     return meta, body
 
 
@@ -656,8 +659,15 @@ def save_clusters(clusters: Iterable[Cluster], path, meta: dict | None = None) -
 
 
 def load_clusters(path) -> tuple[list[Cluster], dict[str, str]]:
+    """A cluster file's clusters and header; a bad line is a ValueError naming path:line."""
     meta, body = read_headed(path)
-    return [Cluster(tuple(int(v) for v in line.split())) for line in body], meta
+    clusters = []
+    for lineno, line in body:
+        try:
+            clusters.append(Cluster(tuple(int(v) for v in line.split())))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return clusters, meta
 
 
 # family -> (its parameter keys, its parameter record built from their

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .clusters import Cluster
-from .metric import EpsNet
+from .metric import EpsNet, ScanTable
 from .models import Field, NoiseModel, sample_null_block
 from .network import NodeSet
 from .rng import derive_seeds
@@ -62,57 +62,21 @@ class TestResult:
         return replace(self, threshold=threshold)
 
 
-class ScanTable:
-    """Flattened cluster stream for repeated fast scoring.
-
-    Stores the concatenated member ids with offsets so every evaluation is a
-    single gather + reduceat; build once, score many fields.
-    """
-
-    def __init__(self, members: Sequence[Cluster], model: NoiseModel):
-        members = tuple(members)
-        if not members:
-            raise ValueError("empty cluster stream")
-        if any(not c for c in members):
-            raise ValueError("clusters must be nonempty")
-        self.members = members
-        self.model = model
-        self.sizes = np.array([c.size for c in members], dtype=np.int64)
-        self.concat = np.concatenate([c.idarray for c in members])
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
-        self._denom = model.sigma * np.sqrt(self.sizes)
-        self._center = self.sizes * model.null_mean
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def scores(self, row: np.ndarray) -> np.ndarray:
-        sums = np.add.reduceat(row[self.concat], self.offsets)
-        return (sums - self._center) / self._denom
-
-    def member_sums_temporal(self, values: np.ndarray) -> np.ndarray:
-        """Raw per-member sums for each time row: (T, n_members)."""
-        return np.add.reduceat(values[:, self.concat], self.offsets, axis=1)
-
-    def max_score(self, row: np.ndarray) -> tuple[float, int]:
-        scores = self.scores(row)
-        j = int(np.argmax(scores))  # first max: enumeration-order tie-break
-        return float(scores[j]), j
-
-
-def scan(
-    field: Field, clusters: Iterable[Cluster] | ScanTable, model: NoiseModel
-) -> TestResult:
+def scan(field: Field, clusters: Iterable[Cluster], model: NoiseModel) -> TestResult:
     """Maximum standardized sum over the stream, with the first argmax."""
-    if not field.static:
-        raise ValueError("scan takes a static field; see scan_spacetime_cylinders")
-    table = clusters if isinstance(clusters, ScanTable) else ScanTable(list(clusters), model)
-    value, j = table.max_score(field.values[0])
-    return TestResult(statistic=value, argmax=table.members[j], argmax_index=j)
+    return _table_scan(field, ScanTable(clusters), model)
 
 
 def eps_scan(field: Field, net: EpsNet, model: NoiseModel) -> TestResult:
-    return scan(field, net.members, model)
+    """scan over the net's members, through the table kept with the net."""
+    return _table_scan(field, net.table, model)
+
+
+def _table_scan(field: Field, table: ScanTable, model: NoiseModel) -> TestResult:
+    if not field.static:
+        raise ValueError("scan takes a static field; see scan_spacetime_cylinders")
+    (stat,), (j,) = table.max_scores(field.values, model)
+    return TestResult(statistic=float(stat), argmax=table.members[j], argmax_index=int(j))
 
 
 def average_statistics(values: np.ndarray, model: NoiseModel) -> np.ndarray:
@@ -158,9 +122,38 @@ def default_scale_thresholds(
     }
 
 
+def scale_offsets(
+    nets: Mapping[int, EpsNet], offsets: Mapping[int, float]
+) -> tuple[list[int], list[ScanTable], np.ndarray]:
+    """The nonempty scales in increasing order, their tables and offsets
+    (thresholds or weights); a ValueError names a nonempty scale without one."""
+    scales = sorted(s for s, net in nets.items() if len(net))
+    if not scales:
+        raise ValueError("all scale nets are empty")
+    missing = [s for s in scales if s not in offsets]
+    if missing:
+        raise ValueError(f"no multiscale threshold or weight for scale {missing[0]}")
+    return scales, [nets[s].table for s in scales], np.array([offsets[s] for s in scales])
+
+
+def multiscale_statistics(
+    values: np.ndarray, tables: Sequence[ScanTable], offsets: np.ndarray, model: NoiseModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """max over scales of S_l - offset_l for every field of a (B, 1, m) block:
+    the statistics, the maximizing scale's row in `tables`, its first argmax
+    member, and every scale's statistic (scales x B).  Ties go to the first
+    member, then the earliest scale."""
+    per_scale = [table.max_scores(values[:, 0], model) for table in tables]
+    stats = np.array([s for s, _ in per_scale])
+    excess = stats - offsets[:, None]
+    row = excess.argmax(axis=0)
+    cols = np.arange(len(values))
+    return excess[row, cols], row, np.array([j for _, j in per_scale])[row, cols], stats
+
+
 def multiscale_test(
     field: Field,
-    nets: Mapping[int, EpsNet | ScanTable],
+    nets: Mapping[int, EpsNet],
     thresholds: Mapping[int, float] | None,
     model: NoiseModel,
 ) -> TestResult:
@@ -168,30 +161,23 @@ def multiscale_test(
 
     The reported statistic is the maximum threshold excess, so the TestResult
     invariant holds with threshold 0.  Scales with empty nets are skipped;
-    a scale given as a ScanTable is scored without rebuilding it.
+    each net's table is built once and kept with the net.
     """
-    active = {s: net for s, net in nets.items() if len(net)}
-    if not active:
-        raise ValueError("all scale nets are empty")
+    if not field.static:
+        raise ValueError("multiscale_test takes a static field")
     if thresholds is None:
-        thresholds = default_scale_thresholds(field.net.m, field.net.dim, active)
-    best: tuple[float, int, TestResult] | None = None
-    details = []
-    for scale in sorted(active):
-        net = active[scale]
-        result = scan(field, net if isinstance(net, ScanTable) else net.members, model)
-        tau = thresholds[scale]
-        details.append(ScaleDetail(scale, result.statistic, tau, len(net)))
-        excess = result.statistic - tau
-        if best is None or excess > best[0]:
-            best = (excess, scale, result)
-    excess, _, inner = best
+        thresholds = default_scale_thresholds(field.net.m, field.net.dim, nets)
+    scales, tables, taus = scale_offsets(nets, thresholds)
+    excess, row, j, stats = multiscale_statistics(field.values[None], tables, taus, model)
     return TestResult(
-        statistic=excess,
+        statistic=float(excess[0]),
         threshold=0.0,
-        argmax=inner.argmax,
-        argmax_index=inner.argmax_index,
-        per_scale=tuple(details),
+        argmax=tables[row[0]].members[j[0]],
+        argmax_index=int(j[0]),
+        per_scale=tuple(
+            ScaleDetail(s, float(stats[i, 0]), float(taus[i]), len(tables[i]))
+            for i, s in enumerate(scales)
+        ),
     )
 
 
@@ -240,7 +226,7 @@ def map_blocks(
 
 
 def calibrate(
-    statistic: Callable[[Field], float],
+    statistic: Callable[[np.ndarray], np.ndarray],
     net: NodeSet,
     model: NoiseModel,
     alpha: float,
@@ -249,7 +235,11 @@ def calibrate(
     t_m: int = 0,
     threads: int = 1,
 ) -> Calibration:
-    """Threshold = ceil((1-alpha)(b+1))-th order statistic of b null draws."""
+    """Threshold = ceil((1-alpha)(b+1))-th order statistic of b null draws.
+
+    statistic maps a (B, t_m + 1, m) block of null fields to their B
+    statistics, as sim.Scorer.block does.
+    """
     if b < 99:
         raise ValueError("need b >= 99 null samples")
     if not 0 < alpha < 1:
@@ -260,8 +250,7 @@ def calibrate(
 
     def block(lo: int, hi: int) -> np.ndarray:
         seeds = derive_seeds(seed, ("calib",), ((i,) for i in range(lo, hi)))
-        rows = sample_null_block(net, model, t_m, seeds)
-        return np.fromiter((statistic(Field._wrap(net, row)) for row in rows), float, hi - lo)
+        return statistic(sample_null_block(net, model, t_m, seeds))
 
     stats = map_blocks(block, b, block_size(t_m, net.m), threads)
     threshold = float(np.sort(stats)[rank - 1])

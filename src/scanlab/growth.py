@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clusters import EMPTY_CLUSTER, Cluster, _cached_adjacency, cluster_from_ids, read_headed
-from .detect import ScanTable, TestResult
-from .metric import SQRT2, EpsNet, delta
+from .detect import TestResult
+from .metric import SQRT2, EpsNet, ScanTable, delta
 from .models import Field, NoiseModel
 from .network import LATTICE, NodeSet, ball_nodes, closed_ball_ids
 from .rng import rng_from_seed
@@ -325,46 +325,45 @@ def dyadic_windows(horizon: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def scan_spacetime_cylinders(
-    field: Field,
-    base: EpsNet | Sequence[Cluster] | ScanTable,
-    model: NoiseModel,
-    windows: Sequence[int] | None = None,
-) -> TestResult:
-    """Max standardized sum over base clusters crossed with trailing windows.
+def cylinder_statistics(
+    values: np.ndarray, table: ScanTable, model: NoiseModel, windows: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max standardized sum over base clusters crossed with trailing windows,
+    for every field of a (B, t_m + 1, m) block.
 
-    Windows are anchored at the last time step: window w covers times
-    [t_m - w + 1, t_m], with w running over the dyadic grid by default.  The
-    pair count normalizing a (base, w) statistic is |base| * w.  Ties break
+    Window w covers times [t_m - w + 1, t_m], over the dyadic grid by
+    default; a (base, w) statistic is normalized by its |base| * w pairs.
+    Returns the statistics, the argmax members and their windows; ties break
     to the smallest member index, then the earliest window in grid order.
     """
-    horizon = field.t_m + 1
-    if windows is None:
-        windows = dyadic_windows(horizon)
-    windows = tuple(int(w) for w in windows)
-    if not windows or any(not 1 <= w <= horizon for w in windows):
+    n_fields, horizon, m = values.shape
+    windows = np.array(dyadic_windows(horizon) if windows is None else windows, dtype=int)
+    if not windows.size or ((windows < 1) | (windows > horizon)).any():
         raise ValueError("windows must lie in 1..t_m+1")
-    if isinstance(base, ScanTable):
-        table = base
-    else:
-        members = base.members if isinstance(base, EpsNet) else list(base)
-        table = ScanTable(members, model)
-    per_t = table.member_sums_temporal(field.values)  # (T, n)
-    cum = np.cumsum(per_t, axis=0)
-    stats = np.empty((len(table), len(windows)))
-    for col, w in enumerate(windows):
-        tail = cum[-1] - (cum[horizon - w - 1] if w < horizon else 0.0)
-        n_pairs = table.sizes * w
-        stats[:, col] = (tail - n_pairs * model.null_mean) / (
-            model.sigma * np.sqrt(n_pairs)
-        )
-    flat = int(np.argmax(stats))  # row-major: member-major tie-break
-    j, col = divmod(flat, len(windows))
+    per_t = table.member_sums_temporal(values.reshape(n_fields * horizon, m))
+    cum = np.zeros((n_fields, horizon + 1, len(table)))
+    np.cumsum(per_t.reshape(n_fields, horizon, len(table)), axis=1, out=cum[:, 1:])
+    n_pairs = table.sizes * windows[:, None]  # (windows, members)
+    tails = cum[:, -1:] - cum[:, horizon - windows]
+    stats = (tails - n_pairs * model.null_mean) / (model.sigma * np.sqrt(n_pairs))
+    flat = stats.transpose(0, 2, 1).reshape(n_fields, -1).argmax(axis=1)  # member-major
+    j, col = np.divmod(flat, len(windows))
+    return stats[np.arange(n_fields), col, j], j, windows[col]
+
+
+def scan_spacetime_cylinders(
+    field: Field, base: EpsNet | Sequence[Cluster], model: NoiseModel,
+    windows: Sequence[int] | None = None,
+) -> TestResult:
+    """cylinder_statistics of one field, with its argmax cluster and window;
+    a net is scored through the table kept with it."""
+    table = base.table if isinstance(base, EpsNet) else ScanTable(base)
+    stats, j, window = cylinder_statistics(field.values[None], table, model, windows)
     return TestResult(
-        statistic=float(stats[j, col]),
-        argmax=table.members[j],
-        argmax_index=j,
-        argmax_window=windows[col],
+        statistic=float(stats[0]),
+        argmax=table.members[j[0]],
+        argmax_index=int(j[0]),
+        argmax_window=int(window[0]),
     )
 
 
@@ -384,7 +383,7 @@ def save_sequence(seq: ClusterSequence, path, meta: dict | None = None) -> None:
 def load_sequence(path) -> tuple[ClusterSequence, dict[str, str]]:
     meta, body = read_headed(path)
     slices: dict[int, Cluster] = {}
-    for line in body:
+    for _, line in body:
         head, _, rest = line.partition(":")
         slices[int(head)] = Cluster(tuple(int(v) for v in rest.split()))
     if not slices:

@@ -18,16 +18,19 @@ import numpy as np
 
 from .clusters import Cluster
 from .detect import (
-    ScanTable,
+    TestResult,
     average_statistics,
+    average_test,
     block_size,
     calibrate,
+    eps_scan,
     map_blocks,
+    multiscale_statistics,
     multiscale_test,
+    scale_offsets,
     scale_term,
-    scan,
 )
-from .growth import ClusterSequence, scan_spacetime_cylinders
+from .growth import ClusterSequence, cylinder_statistics, scan_spacetime_cylinders
 from .metric import EpsNet
 from .models import (
     Field,
@@ -35,6 +38,7 @@ from .models import (
     SignalSpec,
     plant_block,
     sample_null_block,
+    standardized_sum,
     standardized_sums,
 )
 from .network import NodeSet
@@ -166,30 +170,17 @@ def _resolve_truths(cfg: ExperimentConfig) -> list[Truth]:
 
 @dataclass(frozen=True)
 class Scorer:
-    """A test's statistic: score(field) -> (statistic, argmax) for one field,
-    score.block(values) -> the statistics of a (B, t_m + 1, m) block.
+    """A test's statistic, through one kernel two ways: score.block(values)
+    maps a (B, t_m + 1, m) block of fields to their statistics, and
+    score(field) -> (statistic, argmax) is the test's one-row call, whose
+    statistic equals the block's bit for bit."""
 
-    A test scored by a numpy expression (`block_fn`) scores one field as a
-    one-row block; a test scored field by field (`field_fn`) scores a block
-    row by row, so either way there is one path per test.
-    """
-
-    net: NodeSet
-    field_fn: Callable[[Field], tuple[float, Truth | None]] | None = None
-    block_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    argmax: Truth | None = None
+    block: Callable[[np.ndarray], np.ndarray]
+    one_row: Callable[[Field], TestResult]
 
     def __call__(self, fld: Field) -> tuple[float, Truth | None]:
-        if self.field_fn is None:
-            return float(self.block_fn(fld.values[None])[0]), self.argmax
-        return self.field_fn(fld)
-
-    def block(self, values: np.ndarray) -> np.ndarray:
-        if self.field_fn is None:
-            return self.block_fn(values)
-        return np.fromiter(
-            (self.field_fn(Field._wrap(self.net, row))[0] for row in values), float, len(values)
-        )
+        result = self.one_row(fld)
+        return result.statistic, result.argmax
 
 
 def scorer(
@@ -200,40 +191,36 @@ def scorer(
 
     The one place a TestSpec becomes a statistic: estimate_risk,
     `scanlab calibrate` and `scanlab test` all score through it.  Cluster
-    tables are built here, once; the oracle scores its one `truth`.  The
-    argmax is the maximizing cluster (None for the average test).
+    tables are the nets' own, built once; the oracle scores its one `truth`.
+    The argmax is the maximizing cluster (None for the average test).
     """
     if isinstance(test, (EpsScanTest, MultiscaleScanTest)) and t_m != 0:
         raise ValueError(
             f"{type(test).__name__} needs a static field (t_m = 0); use CylinderScanTest"
         )
-
-    def pair(result):
-        return result.statistic, result.argmax
-
     if isinstance(test, EpsScanTest):
-        table = ScanTable(test.net.members, model)
-        return Scorer(net, field_fn=lambda fld: pair(scan(fld, table, model)))
+        table = test.net.table
+        return Scorer(lambda values: table.max_scores(values[:, 0], model)[0],
+                      lambda fld: eps_scan(fld, test.net, model))
     if isinstance(test, MultiscaleScanTest):
-        tables = {s: ScanTable(n.members, model) for s, n in test.nets.items() if len(n)}
         weights = test.weights
         if weights is None:
-            weights = {s: scale_term(net.m, net.dim, s) for s in tables}
-        return Scorer(net, field_fn=lambda fld: pair(multiscale_test(fld, tables, weights, model)))
+            weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
+        _, tables, offsets = scale_offsets(test.nets, weights)
+        return Scorer(lambda values: multiscale_statistics(values, tables, offsets, model)[0],
+                      lambda fld: multiscale_test(fld, test.nets, weights, model))
     if isinstance(test, AverageTest):
-        return Scorer(net, block_fn=lambda values: average_statistics(values, model))
+        return Scorer(lambda values: average_statistics(values, model),
+                      lambda fld: average_test(fld, model))
     if isinstance(test, OracleTest):
         if truth is None:
             raise ValueError("the oracle test scores a known truth; none was given")
-        return Scorer(
-            net, block_fn=lambda values: standardized_sums(values, truth, model), argmax=truth
-        )
+        return Scorer(lambda values: standardized_sums(values, truth, model),
+                      lambda fld: TestResult(standardized_sum(fld, truth, model), argmax=truth))
     if isinstance(test, CylinderScanTest):
-        table = ScanTable(test.base.members, model)
-        return Scorer(
-            net,
-            field_fn=lambda fld: pair(scan_spacetime_cylinders(fld, table, model, test.windows)),
-        )
+        table = test.base.table
+        return Scorer(lambda values: cylinder_statistics(values, table, model, test.windows)[0],
+                      lambda fld: scan_spacetime_cylinders(fld, test.base, model, test.windows))
     raise ValueError(f"no statistic for {type(test).__name__}")
 
 
@@ -253,7 +240,7 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
         )
     score = scorer(cfg.test, cfg.net, cfg.model, cfg.t_m, truths[0] if oracle else None)
     calib = None if oracle else calibrate(
-        lambda fld: score(fld)[0], cfg.net, cfg.model, cfg.alpha, cfg.calib_b,
+        score.block, cfg.net, cfg.model, cfg.alpha, cfg.calib_b,
         derive_seed(cfg.seed, "calibration"), t_m=cfg.t_m, threads=cfg.threads,
     )
     size = block_size(cfg.t_m, cfg.net.m)

@@ -530,6 +530,28 @@ class TestFileInputs:
         assert code == 2
         assert "node id 999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, problem", [
+        ("-1 0 1", "node id -1 is negative"),
+        ("3 1 2", "cluster ids must be strictly increasing"),
+        ("1 x 2", "invalid literal for int()"),
+    ])
+    def test_bad_cluster_line_names_path_and_line(self, tmp_path, capsys, line, problem):
+        net = _lattice(tmp_path)
+        clusters = tmp_path / "clusters.txt"
+        clusters.write_text(f"# family=balls\n1 2 3\n\n{line}\n4 5\n")
+        where = f"{clusters}:4: {problem}"
+        out = tmp_path / "eps.txt"
+        assert run(["netbuild", "--in", str(clusters), "--epsilon", "0.5",
+                    "--out", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+        assert self._test(tmp_path, net, _null_field(tmp_path, net), clusters, "scan") == 2
+        assert where in capsys.readouterr().err
+        code = run(["calibrate", "--net", str(net), "--clusters", str(clusters),
+                    "--alpha", "0.05", "--b", "99", "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert where in capsys.readouterr().err
+
 
 class TestConfigBounds:
     def test_integer_keys_are_exact_above_2_53(self, tmp_path):

@@ -178,13 +178,13 @@ class TestCalibrate:
     def test_order_statistic_rank(self):
         net = make_lattice(2, 4)
         calib = calibrate(
-            lambda f: float(f.values[0, 0]), net, GAUSS, alpha=0.01, b=99, seed=3
+            lambda v: v[:, 0, 0], net, GAUSS, alpha=0.01, b=99, seed=3
         )
         assert calib.threshold == float(np.max(calib.null_stats))
 
     def test_degenerate_statistic(self):
         net = make_lattice(2, 4)
-        calib = calibrate(lambda f: 0.0, net, GAUSS, alpha=0.05, b=99, seed=4)
+        calib = calibrate(lambda v: np.zeros(len(v)), net, GAUSS, alpha=0.05, b=99, seed=4)
         assert calib.threshold == 0.0
         # any positive observed value rejects
         assert 0.5 > calib.threshold
@@ -192,17 +192,17 @@ class TestCalibrate:
     def test_b_floor(self):
         net = make_lattice(2, 4)
         with pytest.raises(ValueError):
-            calibrate(lambda f: 0.0, net, GAUSS, alpha=0.05, b=50, seed=0)
+            calibrate(lambda v: np.zeros(len(v)), net, GAUSS, alpha=0.05, b=50, seed=0)
 
     def test_alpha_needs_enough_samples(self):
         net = make_lattice(2, 4)
         with pytest.raises(ValueError):
-            calibrate(lambda f: 0.0, net, GAUSS, alpha=0.005, b=99, seed=0)
+            calibrate(lambda v: np.zeros(len(v)), net, GAUSS, alpha=0.005, b=99, seed=0)
 
     def test_threads_match_single(self):
         net = make_lattice(2, 6)
         table = ScanTable(list(enumerate_balls(net, 1.5)), GAUSS)
-        stat = lambda f: table.max_score(f.values[0])[0]
+        stat = lambda v: table.max_scores(v[:, 0], GAUSS)[0]
         a = calibrate(stat, net, GAUSS, alpha=0.05, b=120, seed=5, threads=1)
         b = calibrate(stat, net, GAUSS, alpha=0.05, b=120, seed=5, threads=4)
         assert a.threshold == b.threshold
@@ -214,7 +214,8 @@ class TestCalibrate:
         net = make_lattice(2, 64)
         table = ScanTable(list(enumerate_balls(net, 2.5)), GAUSS)
         stat = lambda f: table.max_score(f.values[0])[0]
-        calib = calibrate(stat, net, GAUSS, alpha=0.05, b=400, seed=6)
+        block = lambda v: table.max_scores(v[:, 0], GAUSS)[0]
+        calib = calibrate(block, net, GAUSS, alpha=0.05, b=400, seed=6)
         hits = sum(
             stat(sample_null(net, GAUSS, 0, derive_seed(71, i))) > calib.threshold
             for i in range(400)
@@ -254,6 +255,16 @@ class TestMultiscale:
         assert r.threshold == 0.0
         assert r.decision == (r.statistic > 0.0)
         assert r.per_scale is not None and len(r.per_scale) == 2
+
+    def test_thresholds_missing_a_scale_are_named(self):
+        net = make_lattice(2, 8)
+        nets = self._nets(net, {2: 2.5, 3: 1.5})
+        nets[4] = EpsNet(epsilon=0.5, members=())
+        f = sample_null(net, GAUSS, 0, seed=9)
+        with pytest.raises(ValueError, match="scale 3"):
+            multiscale_test(f, nets, {2: 1.0}, GAUSS)
+        # an empty scale needs no threshold
+        assert multiscale_test(f, nets, {2: 1.0, 3: 1.0}, GAUSS).per_scale[-1].scale == 3
 
     def test_default_thresholds_false_alarm_rate(self):
         # H0 on the rescaled 64^2 lattice, ball nets at 4 dyadic scales

@@ -1,10 +1,14 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scanlab.clusters import Cluster, enumerate_balls
+from scanlab.clusters import Cluster, cluster_from_ids, enumerate_balls
+from scanlab import metric
 from scanlab.metric import SQRT2, build_net, delta, verify_cover
 from scanlab.network import ball_nodes, make_lattice, rescale_lattice
 
@@ -126,3 +130,55 @@ class TestVerifyCover:
 
         with pytest.raises(ValueError):
             verify_cover(EpsNet(0.5, ()), [Cluster((0,))])
+
+
+# Streams of random subsets of at most 40 nodes, empties included (both
+# build_net and verify_cover skip them), and epsilon anywhere in (0, sqrt 2].
+subsets = st.integers(1, 40).flatmap(
+    lambda m: st.lists(
+        st.lists(st.integers(0, m - 1), max_size=m).map(cluster_from_ids), max_size=80
+    )
+)
+epsilons = st.one_of(
+    st.floats(0.0, SQRT2, exclude_min=True), st.just(SQRT2), st.sampled_from((0.5, 1.0))
+)
+
+
+def _greedy_reference(stream, epsilon):
+    """Admit a cluster iff every member admitted so far is more than epsilon away."""
+    members = []
+    for cluster in stream:
+        if cluster and all(delta(cluster, k) > epsilon for k in members):
+            members.append(cluster)
+    return members
+
+
+def _cover_reference(members, stream):
+    """(max over the stream of the min distance to the members, first witness, count)."""
+    worst, worst_dist, checked = None, -1.0, 0
+    for cluster in stream:
+        if not cluster:
+            continue
+        checked += 1
+        dmin = min(delta(cluster, k) for k in members)
+        if dmin > worst_dist:
+            worst, worst_dist = cluster, dmin
+    return max(worst_dist, 0.0), worst, checked
+
+
+@settings(max_examples=300, deadline=None)
+@given(subsets, subsets, epsilons, st.sampled_from((1, 3, 16, metric.NET_BLOCK)))
+def test_block_greedy_matches_pairwise_reference(stream, probes, epsilon, block):
+    with mock.patch.object(metric, "NET_BLOCK", block):
+        net = build_net(stream, epsilon)
+        report = verify_cover(net, stream + probes) if net.members else None
+    want = _greedy_reference(stream, epsilon)
+    assert [c.ids for c in net.members] == [c.ids for c in want]
+    for i, a in enumerate(net.members):
+        for b in net.members[i + 1 :]:
+            assert delta(a, b) > epsilon
+    if net.members:
+        dist, worst, checked = _cover_reference(net.members, stream + probes)
+        assert report.max_min_dist == dist
+        assert report.worst == worst
+        assert report.checked == checked

@@ -255,6 +255,11 @@ class TestScorer:
             with pytest.raises(ValueError, match="static field"):
                 scorer(spec, self.net, GAUSS, t_m=2)
 
+    def test_weights_missing_a_scale_are_named(self):
+        spec = MultiscaleScanTest(nets=self.nets, weights={2: 1.0, 3: 1.0})
+        with pytest.raises(ValueError, match="scale 4"):
+            scorer(spec, self.net, GAUSS)
+
     def test_oracle_needs_its_truth(self):
         with pytest.raises(ValueError, match="truth"):
             scorer(OracleTest(), self.net, GAUSS)
