@@ -30,10 +30,6 @@ def _open_out(path: str):
             yield fh
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
 # ---------------------------------------------------------------------------
 # net
 
@@ -100,8 +96,8 @@ def cluster_class(family: str, values: dict, name) -> tuple[cl.ClusterClass, dic
 def _scan_class(cfg, family: str) -> cl.ClusterClass:
     """cluster_class over the scan.* config keys."""
     values = {
-        key: _cfg_value(cfg, f"scan.{key}", kind)
-        for key, (kind, _) in FAMILY_FLAGS.items()
+        key: _cfg(cfg, f"scan.{key}")
+        for key in FAMILY_FLAGS
         if f"scan.{key}" in _CONFIG_DEFAULTS and _cfg_get(cfg, f"scan.{key}")
     }
     return cluster_class(family, values, lambda key: f"config key 'scan.{key}'")[0]
@@ -148,7 +144,7 @@ def _test_spec(args, net) -> sim.TestSpec:
     if args.clusters is None:
         raise ConfigError(f"--statistic {args.statistic} requires --clusters")
     members, meta = cl.load_clusters(args.clusters)
-    bad = [i for c in members for i in (c.ids[0], c.ids[-1]) if not 0 <= i < net.m]
+    bad = [int(c.idarray[-1]) for c in members if c.idarray[-1] >= net.m]
     if bad:
         raise ConfigError(f"cluster file {args.clusters}: node id {bad[0]} outside 0..{net.m - 1}")
     epsilon = float(meta.get("epsilon", 0.0))
@@ -218,16 +214,16 @@ def _cmd_grow(args) -> int:
     net = network.load_nodeset(args.net)
     meta = {"kind": args.kind, "tm": args.tm}
     if args.kind == "cylinder":
-        spec = growth.GrowthSpec(kind="cylinder", center=_parse_floats(args.center),
+        spec = growth.GrowthSpec(kind="cylinder", center=_floats(args.center),
                                  radius=args.r0, onset=args.t0)
         meta.update(center=args.center, r0=args.r0, t0=args.t0)
     elif args.kind == "cone":
-        spec = growth.GrowthSpec(kind="cone", center=_parse_floats(args.center),
+        spec = growth.GrowthSpec(kind="cone", center=_floats(args.center),
                                  speed=args.speed, onset=args.t0)
         meta.update(center=args.center, speed=args.speed, t0=args.t0)
     elif args.kind == "holder":
         controls = tuple(
-            _parse_floats(part) for part in args.controls.split(";") if part.strip()
+            _floats(part) for part in args.controls.split(";") if part.strip()
         )
         end = args.tm if args.end is None else args.end
         spec = growth.GrowthSpec(kind="holder-trajectory", controls=controls,
@@ -237,8 +233,7 @@ def _cmd_grow(args) -> int:
     elif args.kind == "richardson":
         within = None
         if args.within_radius is not None:
-            ids = network.closed_ball_ids(net, net.coords[args.x0], args.within_radius)
-            within = cl.cluster_from_ids(int(i) for i in ids)
+            within = cl.Cluster(network.closed_ball_ids(net, net.coords[args.x0], args.within_radius))
         spec = growth.GrowthSpec(kind="richardson", node=args.x0, p=args.p,
                                  onset=args.t0, seed=args.seed, within=within)
         meta.update(x0=args.x0, p=args.p, t0=args.t0, seed=args.seed)
@@ -253,61 +248,104 @@ def _cmd_grow(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep config
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+
+
+def _int(text: str) -> int:
+    """An integer, exact also above 2**53; '50.0' and '1e3' count as integers."""
+    try:
+        return int(text)
+    except ValueError:
+        number = _float(text)
+    if not number.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(number)
+
+
+def _threads(text: str) -> int:
+    count = _int(text)
+    if count < 1:
+        raise ValueError(f"not at least 1: {text!r}")
+    return count
+
+
+def _bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_float(v) for v in text.split(",") if v.strip())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(_int(v) for v in text.split(",") if v.strip())
+
+
+# key -> (default, kind): the kind turns a set value into its type; "" is unset
 _CONFIG_DEFAULTS = {
-    "net.mode": "lattice",
-    "net.d": "2",
-    "net.side": "",
-    "net.m": "",
-    "net.seed": "0",
-    "net.rescale": "false",
-    "model": "gaussian",
-    "tm": "0",
-    "test": "eps-scan",
-    "scan.family": "balls",
-    "scan.lambda": "",
-    "scan.epsilon": "0.5",
-    "scan.kappa": "1.0",
-    "scan.lambda_lo": "",
-    "scan.lambda_hi": "",
-    "scan.grid_eps": "0.5",
-    "scan.r": "",
-    "scan.alpha": "1.0",
-    "scan.n_control": "3",
-    "scan.ell": "",
-    "scan.h": "",
-    "scan.path_mode": "nondecreasing",
-    "scan.budget": "2000",
-    "scan.kmax": "",
-    "scan.size_cap": "",
-    "multiscale.scales": "",
-    "truth.family": "",
-    "truth.lambda": "",
-    "truth.count": "5",
-    "truth.margin": "",
-    "truth.k": "",
-    "truth.p": "0.7",
-    "truth.limit_radius": "",
-    "truth.warmup": "0",
-    "truth.onset": "0",
-    "lambda.grid": "",
-    "trials": "200",
-    "alpha": "0.05",
-    "calibration.b": "199",
-    "n_null": "400",
-    "seed": "0",
-    "threads": "1",
-    "theory.formula": "",
-    "theory.m": "",
-    "theory.k": "",
-    "theory.d": "",
-    "theory.lam": "",
-    "theory.ell": "",
-    "theory.h": "",
+    "net.mode": ("lattice", str),
+    "net.d": ("2", _int),
+    "net.side": ("", _int),
+    "net.m": ("", _int),
+    "net.seed": ("0", _int),
+    "net.rescale": ("false", _bool),
+    "model": ("gaussian", str),
+    "tm": ("0", _int),
+    "test": ("eps-scan", str),
+    "scan.family": ("balls", str),
+    "scan.lambda": ("", _float),
+    "scan.epsilon": ("0.5", _float),
+    "scan.kappa": ("1.0", _float),
+    "scan.lambda_lo": ("", _float),
+    "scan.lambda_hi": ("", _float),
+    "scan.grid_eps": ("0.5", _float),
+    "scan.r": ("", _float),
+    "scan.alpha": ("1.0", _float),
+    "scan.n_control": ("3", _int),
+    "scan.ell": ("", _int),
+    "scan.h": ("", _int),
+    "scan.path_mode": ("nondecreasing", str),
+    "scan.budget": ("2000", _int),
+    "scan.kmax": ("", _int),
+    "scan.size_cap": ("", _int),
+    "multiscale.scales": ("", _ints),
+    "truth.family": ("", str),
+    "truth.lambda": ("", _float),
+    "truth.count": ("5", _int),
+    "truth.margin": ("", _float),
+    "truth.k": ("", _int),
+    "truth.p": ("0.7", _float),
+    "truth.limit_radius": ("", _int),
+    "truth.warmup": ("0", _int),
+    "truth.onset": ("0", _int),
+    "lambda.grid": ("", _floats),
+    "trials": ("200", _int),
+    "alpha": ("0.05", _float),
+    "calibration.b": ("199", _int),
+    "n_null": ("400", _int),
+    "seed": ("0", _int),
+    "threads": ("1", _threads),
+    "theory.formula": ("", str),
+    "theory.m": ("", _float),
+    "theory.k": ("", _float),
+    "theory.d": ("", _int),
+    "theory.lam": ("", _float),
+    "theory.ell": ("", _float),
+    "theory.h": ("", _float),
 }
 
 
 def parse_config(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; # comments; unknown keys rejected by name."""
+    """Flat `key = value` lines; # comments; unknown keys and values not of
+    their key's kind are rejected by name.  Values are kept as text."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -321,64 +359,38 @@ def parse_config(text: str) -> dict[str, str]:
         if key in out:
             raise ConfigError(f"duplicate config key {key!r}")
         out[key] = value
+        _cfg(out, key, None)
     return out
 
 
 def _cfg_get(cfg: dict, key: str) -> str:
-    return cfg.get(key, _CONFIG_DEFAULTS[key])
+    return cfg.get(key, _CONFIG_DEFAULTS[key][0])
 
 
-def _cfg_value(cfg, key: str, kind: type):
-    """A config value as str, float or int; unset, non-numeric and (for int)
-    non-integral values are named errors."""
+def _cfg(cfg, key: str, *default):
+    """A config value as its key's kind; when unset, `default` if given,
+    else a named error."""
     value = _cfg_get(cfg, key)
     if value == "":
+        if default:
+            return default[0]
         raise ConfigError(f"missing required config key {key!r}")
-    if kind is str:
-        return value
-    if kind is int:
-        try:
-            return int(value)  # exact, also above 2**53
-        except ValueError:
-            pass
     try:
-        number = float(value)
+        return _CONFIG_DEFAULTS[key][1](value)
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not a number: {value!r}") from exc
-    if kind is float:
-        return number
-    if not number.is_integer():
-        raise ConfigError(f"config key {key!r}: not an integer: {value!r}")
-    return int(number)
-
-
-def _cfg_float(cfg, key) -> float:
-    return _cfg_value(cfg, key, float)
-
-
-def _cfg_int(cfg, key) -> int:
-    return _cfg_value(cfg, key, int)
-
-
-def _cfg_bool(cfg, key) -> bool:
-    value = _cfg_get(cfg, key).lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"config key {key!r}: expected true/false, got {value!r}")
+        raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
 def _build_net_from_config(cfg) -> network.NodeSet:
-    mode = _cfg_get(cfg, "net.mode")
-    d = _cfg_int(cfg, "net.d")
+    mode = _cfg(cfg, "net.mode")
+    d = _cfg(cfg, "net.d")
     if mode == "lattice":
-        net = network.make_lattice(d, _cfg_int(cfg, "net.side"))
-        if _cfg_bool(cfg, "net.rescale"):
+        net = network.make_lattice(d, _cfg(cfg, "net.side"))
+        if _cfg(cfg, "net.rescale"):
             net = network.rescale_lattice(net)
         return net
     if mode == "cloud":
-        return network.make_uniform_cloud(d, _cfg_int(cfg, "net.m"), _cfg_int(cfg, "net.seed"))
+        return network.make_uniform_cloud(d, _cfg(cfg, "net.m"), _cfg(cfg, "net.seed"))
     raise ConfigError(f"config key 'net.mode': unknown mode {mode!r}")
 
 
@@ -410,8 +422,8 @@ def _center_sampler(net: network.NodeSet, lo: float, hi: float, what: str):
 def _truth_sampler_from_config(cfg, net, t_m):
     family = _cfg_get(cfg, "truth.family") or _cfg_get(cfg, "scan.family")
     if family == cl.BALLS:
-        lam = _cfg_float(cfg, "truth.lambda" if _cfg_get(cfg, "truth.lambda") else "scan.lambda")
-        margin = float(_cfg_get(cfg, "truth.margin") or lam)
+        lam = _cfg(cfg, "truth.lambda" if _cfg_get(cfg, "truth.lambda") else "scan.lambda")
+        margin = _cfg(cfg, "truth.margin", lam)
         extent = 1.0 if net.mode == network.EUCLIDEAN else float(net.side - 1)
         draw = _center_sampler(net, margin, extent - margin, "truth.margin")
 
@@ -429,29 +441,27 @@ def _truth_sampler_from_config(cfg, net, t_m):
         def sample(seed: int):
             for _ in range(TRUTH_RETRIES):
                 ids = cl.sample_thick_shape(net, params, seed, rotate=rotate).member_ids(net)
-                if ids:
+                if ids.size:
                     return cl.Cluster(ids)
                 seed = derive_seed(seed, "retry")
             raise ConfigError(f"no thick truth holding a node in {TRUTH_RETRIES} draws")
 
         return sample
     if family == cl.ANIMALS:
-        k = _cfg_int(cfg, "truth.k" if _cfg_get(cfg, "truth.k") else "scan.kmax")
+        k = _cfg(cfg, "truth.k" if _cfg_get(cfg, "truth.k") else "scan.kmax")
         return lambda seed: cl.sample_animal(net, k, seed)
     if family == "richardson":
         if net.mode != network.LATTICE:
             raise ConfigError("truth.family = richardson needs a lattice (net.rescale = false)")
-        radius = _cfg_int(cfg, "truth.limit_radius")
-        p = _cfg_float(cfg, "truth.p")
-        warmup = _cfg_int(cfg, "truth.warmup")
-        onset = _cfg_int(cfg, "truth.onset")
+        radius = _cfg(cfg, "truth.limit_radius")
+        p = _cfg(cfg, "truth.p")
+        warmup = _cfg(cfg, "truth.warmup")
+        onset = _cfg(cfg, "truth.onset")
         draw = _center_sampler(net, radius + 1, net.side - 2 - radius, "truth.limit_radius")
 
         def sample(seed: int):
             node = draw(rng_from_seed(seed))
-            limit = cl.cluster_from_ids(
-                int(i) for i in network.closed_ball_ids(net, net.coords[node], radius)
-            )
+            limit = cl.Cluster(network.closed_ball_ids(net, net.coords[node], radius))
             horizon = warmup + t_m
             seq = growth.richardson_grow(
                 net, node, p, onset, horizon, derive_seed(seed, "grow"), within=limit
@@ -466,11 +476,8 @@ def _theory_from_config(cfg) -> float | None:
     formula = _cfg_get(cfg, "theory.formula")
     if not formula:
         return None
-    params = {}
-    for key in ("m", "k", "d", "lam", "ell", "h"):
-        value = _cfg_get(cfg, f"theory.{key}")
-        if value:
-            params[key] = int(value) if key == "d" else float(value)
+    params = {key: _cfg(cfg, f"theory.{key}") for key in ("m", "k", "d", "lam", "ell", "h")
+              if _cfg_get(cfg, f"theory.{key}")}
     return detect.rate(formula, **params)
 
 
@@ -478,19 +485,18 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
     """Resolve a parsed config into an ExperimentConfig plus the echo map."""
     net = _build_net_from_config(cfg)
     model = models.noise_model(_cfg_get(cfg, "model"))
-    seed = _cfg_int(cfg, "seed")
-    t_m = _cfg_int(cfg, "tm")
-    epsilon = _cfg_float(cfg, "scan.epsilon")
+    seed = _cfg(cfg, "seed")
+    t_m = _cfg(cfg, "tm")
+    epsilon = _cfg(cfg, "scan.epsilon")
     test_name = _cfg_get(cfg, "test")
 
     if test_name not in CONFIG_TESTS:
         raise ConfigError(f"config key 'test': unknown test {test_name!r}")
     spec = CONFIG_TESTS[test_name]
     if spec is sim.MultiscaleScanTest:
-        scales_text = _cfg_get(cfg, "multiscale.scales")
-        if not scales_text:
+        if not _cfg_get(cfg, "multiscale.scales"):
             raise ConfigError("test=multiscale requires multiscale.scales")
-        scales = [int(s) for s in scales_text.split(",") if s.strip()]
+        scales = _cfg(cfg, "multiscale.scales")
         extent = 1.0 if net.mode == network.EUCLIDEAN else float(net.side)
         nets = {
             s: metric.build_net(
@@ -506,11 +512,8 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
         test = spec()
 
     sampler = _truth_sampler_from_config(cfg, net, t_m)
-    truth = sim.SampledTruths(sampler=sampler, count=_cfg_int(cfg, "truth.count"))
-    grid_text = _cfg_get(cfg, "lambda.grid")
-    if not grid_text:
-        raise ConfigError("missing required config key 'lambda.grid'")
-    lambdas = _parse_floats(grid_text)
+    truth = sim.SampledTruths(sampler=sampler, count=_cfg(cfg, "truth.count"))
+    lambdas = _cfg(cfg, "lambda.grid")
 
     exp = sim.ExperimentConfig(
         net=net,
@@ -518,16 +521,16 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
         test=test,
         truth=truth,
         lambdas=lambdas,
-        trials=_cfg_int(cfg, "trials"),
-        alpha=_cfg_float(cfg, "alpha"),
-        calib_b=_cfg_int(cfg, "calibration.b"),
+        trials=_cfg(cfg, "trials"),
+        alpha=_cfg(cfg, "alpha"),
+        calib_b=_cfg(cfg, "calibration.b"),
         seed=seed,
         t_m=t_m,
-        n_null=_cfg_int(cfg, "n_null"),
-        threads=threads if threads is not None else _cfg_int(cfg, "threads"),
+        n_null=_cfg(cfg, "n_null"),
+        threads=threads if threads is not None else _cfg(cfg, "threads"),
         theory=_theory_from_config(cfg),
     )
-    echo = dict(_CONFIG_DEFAULTS)
+    echo = {key: default for key, (default, _) in _CONFIG_DEFAULTS.items()}
     echo.update(cfg)
     # thread count never changes results, so it is not part of the echoed
     # experiment identity (outputs stay byte-identical across --threads)
@@ -587,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--family", required=True, choices=list(cl.FAMILIES))
     for key, (kind, flag) in FAMILY_FLAGS.items():
-        default = _CONFIG_DEFAULTS.get(f"scan.{key}", "")
+        default = _CONFIG_DEFAULTS.get(f"scan.{key}", ("",))[0]
         p.add_argument(flag, dest=key, type=kind, default=kind(default) if default else None,
                        choices=cl.PATH_MODES if key == "path_mode" else None)
     p.add_argument("--seed", type=int, default=0)

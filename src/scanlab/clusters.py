@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -27,63 +26,73 @@ TUBES = "tubes"
 BANDS = "bands"
 ANIMALS = "animals"
 PATH_MODES = ("nondecreasing", "self-avoiding")
+ID_MAX = np.iinfo(np.int32).max  # node ids are below network.MAX_NODES = 2**26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cluster:
-    """A set of node ids, stored strictly increasing."""
+    """A set of node ids: one read-only, strictly increasing int32 array.
 
-    ids: tuple[int, ...]
+    `ids` is the same set as a tuple of Python ints, built on each access."""
+
+    idarray: np.ndarray
 
     def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.ids, self.ids[1:])):
+        arr = np.asarray(self.idarray)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError(f"node ids must be integers in 0..{ID_MAX}")
+        if np.count_nonzero(arr[1:] <= arr[:-1]):
             raise ValueError("cluster ids must be strictly increasing")
-        if self.ids and self.ids[0] < 0:
-            raise ValueError(f"node id {self.ids[0]} is negative")
+        if arr.size and arr[0] < 0:
+            raise ValueError(f"node id {arr[0]} is negative")
+        if arr.size and arr[-1] > ID_MAX:
+            raise ValueError(f"node id {arr[-1]} is above {ID_MAX}")
+        arr = arr.astype(np.int32)
+        arr.flags.writeable = False
+        object.__setattr__(self, "idarray", arr)
+
+    def __reduce__(self):
+        return Cluster, (self.idarray,)
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(self.idarray.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.ids)
+        return self.idarray.size
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    def __len__(self) -> int:  # also the truth value: empty clusters are false
+        return self.idarray.size
 
-    def __bool__(self) -> bool:
-        return bool(self.ids)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Cluster) and np.array_equal(self.idarray, other.idarray)
 
-    @cached_property
-    def idset(self) -> frozenset[int]:
-        return frozenset(self.ids)
-
-    @cached_property
-    def idarray(self) -> np.ndarray:
-        arr = np.asarray(self.ids, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+    def __hash__(self) -> int:
+        return hash(self.idarray.tobytes())
 
 
 EMPTY_CLUSTER = Cluster(())
 
 
 def cluster_from_ids(ids: Iterable[int]) -> Cluster:
-    return Cluster(tuple(sorted(int(i) for i in set(ids))))
+    return Cluster(np.unique(np.fromiter(ids, np.int64)))
 
 
 def default_size_cap(m: int) -> int:
     return max(1, -(-m // 4))
 
 
-def _emit(
-    raw: Iterator[tuple[int, ...]], m: int, size_cap: int | None
-) -> Iterator[Cluster]:
+def _emit(raw: Iterator, m: int, size_cap: int | None) -> Iterator[Cluster]:
     """Shared stream postprocessing: drop empties/oversize, dedup as id sets."""
     cap = default_size_cap(m) if size_cap is None else size_cap
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     for ids in raw:
-        if not ids or len(ids) > cap or ids in seen:
-            continue
-        seen.add(ids)
-        yield Cluster(ids)
+        if 0 < len(ids) <= cap:
+            cluster = Cluster(ids)
+            if (key := cluster.idarray.tobytes()) not in seen:
+                seen.add(key)
+                yield cluster
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +106,7 @@ def enumerate_balls(net: NodeSet, lam: float, size_cap: int | None = None):
 
     def raw():
         for i in range(net.m):
-            yield tuple(int(v) for v in ball_ids(net, net.coords[i], lam))
+            yield ball_ids(net, net.coords[i], lam)
 
     return _emit(raw(), net.m, size_cap)
 
@@ -125,7 +134,7 @@ class ShapeSpec:
     def inner_radius(self) -> float:
         return min(self.half_axes)
 
-    def member_ids(self, net: NodeSet) -> tuple[int, ...]:
+    def member_ids(self, net: NodeSet) -> np.ndarray:
         z = net.coords - np.asarray(self.center)
         if self.rotation is not None:
             if net.mode != EUCLIDEAN:
@@ -138,7 +147,7 @@ class ShapeSpec:
             inside = np.abs(scaled).sum(axis=1) < 1.0
         else:
             inside = (scaled * scaled).sum(axis=1) < 1.0
-        return tuple(int(v) for v in np.flatnonzero(inside))
+        return np.flatnonzero(inside)
 
 
 def _outer_scale(kind: str, half_axes: np.ndarray, mode: str) -> float:
@@ -232,7 +241,7 @@ def _domain_extent(net: NodeSet) -> float:
 
 def enumerate_thick_shapes(
     net: NodeSet, params: ThickParams
-) -> Iterator[tuple[ShapeSpec, tuple[int, ...]]]:
+) -> Iterator[tuple[ShapeSpec, np.ndarray]]:
     """(shape, raw member ids) pairs over the scale/center/template grid."""
     d = net.dim
     extent = _domain_extent(net)
@@ -393,8 +402,7 @@ def enumerate_tube_curves(net: NodeSet, params: ThinParams):
     for gs in itertools.product(per_coord, repeat=d - 1):
         vertices = curve_vertices(xs, gs)
         dist = polyline_distances(net.coords, vertices)
-        ids = tuple(int(v) for v in np.flatnonzero(dist < params.r))
-        yield vertices, ids
+        yield vertices, np.flatnonzero(dist < params.r)
 
 
 def enumerate_tubes(net: NodeSet, params: ThinParams, size_cap: int | None = None):
@@ -441,7 +449,7 @@ def lattice_adjacency(net: NodeSet) -> list[list[int]]:
     return adj
 
 
-def _path_band_ids(net: NodeSet, path_coords: np.ndarray, width: int) -> tuple[int, ...]:
+def _path_band_ids(net: NodeSet, path_coords: np.ndarray, width: int) -> np.ndarray:
     """Nodes within open l1 distance `width` of the path.
 
     The distance adds one coordinate column at a time, which is as fast on
@@ -454,7 +462,7 @@ def _path_band_ids(net: NodeSet, path_coords: np.ndarray, width: int) -> tuple[i
         for col, c in zip(columns[1:], p[1:]):
             dist += np.abs(col - c)
         best = dist if best is None else np.minimum(best, dist)
-    return tuple(int(v) for v in np.flatnonzero(best < width))
+    return np.flatnonzero(best < width)
 
 
 def _nondecreasing_path(net: NodeSet, steps) -> np.ndarray | None:
@@ -503,7 +511,7 @@ def enumerate_bands(
         while len(seen_paths) < budget and attempts < max_attempts:
             attempts += 1
             if params.path_mode == "nondecreasing":
-                steps = tuple(int(s) for s in rng.integers(0, d, size=params.length))
+                steps = tuple(rng.integers(0, d, size=params.length).tolist())
                 if steps in seen_paths:
                     continue
                 path = _nondecreasing_path(net, steps)
@@ -650,12 +658,20 @@ def write_clusters(clusters: Iterable[Cluster], fh, meta: Mapping | None = None)
     for key, value in (meta or {}).items():
         fh.write(f"# {key}={value}\n")
     for cluster in clusters:
-        fh.write(" ".join(str(i) for i in cluster.ids) + "\n")
+        fh.write(" ".join(map(str, cluster.idarray.tolist())) + "\n")
 
 
 def save_clusters(clusters: Iterable[Cluster], path, meta: dict | None = None) -> None:
     with open(path, "w") as fh:
         write_clusters(clusters, fh, meta)
+
+
+def parse_cluster(text: str) -> Cluster:
+    """The cluster of a line of space-separated ids."""
+    try:
+        return Cluster(np.array(text.split(), dtype=np.int64))
+    except OverflowError:
+        raise ValueError(f"a node id is above {ID_MAX}") from None
 
 
 def load_clusters(path) -> tuple[list[Cluster], dict[str, str]]:
@@ -664,7 +680,7 @@ def load_clusters(path) -> tuple[list[Cluster], dict[str, str]]:
     clusters = []
     for lineno, line in body:
         try:
-            clusters.append(Cluster(tuple(int(v) for v in line.split())))
+            clusters.append(parse_cluster(line))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return clusters, meta
@@ -730,9 +746,9 @@ def connectivity_check(net: NodeSet, cluster: Cluster) -> bool:
     if not cluster:
         return False
     adj = _cached_adjacency(net)
-    ids = cluster.idset
-    stack = [cluster.ids[0]]
-    seen = {cluster.ids[0]}
+    ids = set(cluster.idarray.tolist())
+    stack = [int(cluster.idarray[0])]
+    seen = set(stack)
     while stack:
         v = stack.pop()
         for u in adj[v]:

@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clusters import EMPTY_CLUSTER, Cluster, _cached_adjacency, cluster_from_ids, read_headed
+from .clusters import (EMPTY_CLUSTER, Cluster, _cached_adjacency, cluster_from_ids,
+                       parse_cluster, read_headed)
 from .detect import TestResult
 from .metric import SQRT2, EpsNet, ScanTable, delta
 from .models import Field, NoiseModel
@@ -97,8 +98,7 @@ def make_cone(
         if t < t0:
             slices.append(EMPTY_CLUSTER)
         else:
-            ids = closed_ball_ids(net, x0, speed * (t - t0))
-            slices.append(Cluster(tuple(int(i) for i in ids)))
+            slices.append(Cluster(closed_ball_ids(net, x0, speed * (t - t0))))
     return ClusterSequence(tuple(slices))
 
 
@@ -182,8 +182,8 @@ def richardson_grow(
         raise ValueError("need 0 <= t0 <= t_m")
     if not 0 <= x0 < net.m:
         raise ValueError("x0 must be a node id")
-    allowed = within.idset if within is not None else None
-    if allowed is not None and x0 not in allowed:
+    allowed = range(net.m) if within is None else set(within.idarray.tolist())
+    if x0 not in allowed:
         raise ValueError("x0 must belong to the growth restriction")
     adj = _cached_adjacency(net)
     rng = rng_from_seed(seed)
@@ -191,14 +191,7 @@ def richardson_grow(
     slices: list[Cluster] = [EMPTY_CLUSTER] * t0
     slices.append(cluster_from_ids(occupied))
     for _ in range(t0 + 1, t_m + 1):
-        frontier = sorted(
-            {
-                u
-                for v in occupied
-                for u in adj[v]
-                if u not in occupied and (allowed is None or u in allowed)
-            }
-        )
+        frontier = sorted({u for v in occupied for u in adj[v] if u in allowed} - occupied)
         if frontier:
             draws = rng.random(len(frontier)) < p
             occupied.update(u for u, hit in zip(frontier, draws) if hit)
@@ -372,7 +365,7 @@ def write_sequence(seq: ClusterSequence, fh, meta: dict | None = None) -> None:
     for key, value in (meta or {}).items():
         fh.write(f"# {key}={value}\n")
     for t, k in enumerate(seq.slices):
-        fh.write(f"{t}: " + " ".join(str(i) for i in k.ids) + "\n")
+        fh.write(f"{t}: " + " ".join(map(str, k.idarray.tolist())) + "\n")
 
 
 def save_sequence(seq: ClusterSequence, path, meta: dict | None = None) -> None:
@@ -381,11 +374,20 @@ def save_sequence(seq: ClusterSequence, path, meta: dict | None = None) -> None:
 
 
 def load_sequence(path) -> tuple[ClusterSequence, dict[str, str]]:
+    """A sequence file's slices and header; a bad line is a ValueError naming path:line."""
     meta, body = read_headed(path)
     slices: dict[int, Cluster] = {}
-    for _, line in body:
+    for lineno, line in body:
         head, _, rest = line.partition(":")
-        slices[int(head)] = Cluster(tuple(int(v) for v in rest.split()))
+        try:
+            t = int(head)
+            if t < 0:
+                raise ValueError(f"time {t} is negative")
+            if t in slices:
+                raise ValueError(f"time {t} appears twice")
+            slices[t] = parse_cluster(rest)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not slices:
         raise ValueError("empty sequence file")
     t_m = max(slices)

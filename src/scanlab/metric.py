@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,7 +45,7 @@ def delta(k: Cluster, l: Cluster) -> float:
     """Dissimilarity in [0, sqrt(2)]; both clusters must be nonempty."""
     if not k or not l:
         raise ValueError("delta is undefined for empty clusters")
-    inter = len(k.idset & l.idset)
+    inter = np.intersect1d(k.idarray, l.idarray, assume_unique=True).size
     return math.sqrt(max(2.0 * (1.0 - inter / math.sqrt(k.size * l.size)), 0.0))
 
 
@@ -68,8 +68,7 @@ class ScanTable:
             raise ValueError("clusters must be nonempty")
         self.indptr = np.zeros(len(self.sizes) + 1, dtype=np.int32)
         np.cumsum(self.sizes, out=self.indptr[1:])
-        ids = chain.from_iterable(c.ids for c in self.members)
-        self.concat = np.fromiter(ids, np.int32, int(self.indptr[-1]))
+        self.concat = np.concatenate([c.idarray for c in self.members])
         self.width = int(self.concat.max()) + 1
 
     def __len__(self) -> int:

@@ -126,7 +126,7 @@ def ball_nodes(net: NodeSet, center, r: float) -> "Cluster":
     """The open ball around `center` as a Cluster (possibly empty)."""
     from .clusters import Cluster  # import here: clusters builds on network
 
-    return Cluster(tuple(int(i) for i in ball_ids(net, center, r)))
+    return Cluster(ball_ids(net, center, r))
 
 
 @dataclass(frozen=True)

@@ -534,6 +534,9 @@ class TestFileInputs:
         ("-1 0 1", "node id -1 is negative"),
         ("3 1 2", "cluster ids must be strictly increasing"),
         ("1 x 2", "invalid literal for int()"),
+        ("1 3000000000", "node id 3000000000 is above 2147483647"),
+        ("1 99999999999999999999", "a node id is above 2147483647"),
+        ("1.5 2", "invalid literal for int()"),
     ])
     def test_bad_cluster_line_names_path_and_line(self, tmp_path, capsys, line, problem):
         net = _lattice(tmp_path)
@@ -623,6 +626,37 @@ n_null = 100
 """)
         assert code == 2 and elapsed < 1.0
         assert "truth.limit_radius" in capsys.readouterr().err
+
+    AVERAGE = """
+net.mode = lattice
+net.side = 8
+test = average
+truth.family = balls
+truth.lambda = 1.5
+lambda.grid = 4
+trials = 50
+calibration.b = 99
+n_null = 100
+"""
+
+    @pytest.mark.parametrize("line", [
+        "scan.lambda = abc", "truth.p = abc", "truth.k = 1.5", "multiscale.scales = 2,x",
+        "truth.limit_radius = 2.5", "threads = -3", "threads = 0", "theory.d = 2.5",
+        "theory.k = 2.5x", "truth.margin = abc", "net.rescale = maybe", "lambda.grid = 1,y",
+    ])
+    def test_every_key_typed_when_parsed(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            parse_config(self.AVERAGE + line + "\n")
+        code, _ = self._sweep(tmp_path, self.AVERAGE + line + "\n")
+        assert code == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_echo_stays_raw(self, tmp_path):
+        text = self.AVERAGE + "truth.p = 0.70\ntheory.k = 1e1\nseed = 3.0\n"
+        exp, echo = build_experiment(parse_config(text))
+        assert exp.seed == 3
+        assert (echo["truth.p"], echo["theory.k"], echo["seed"]) == ("0.70", "1e1", "3.0")
 
     def test_thick_truth_retries_are_bounded(self, tmp_path, capsys):
         code, _ = self._sweep(tmp_path, """

@@ -1,12 +1,17 @@
+import copy
 import io
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scanlab.clusters import (
     AnimalParams,
+    _emit,
     BandParams,
     Cluster,
     ThickParams,
@@ -29,6 +34,7 @@ from scanlab.clusters import (
     write_clusters,
 )
 from scanlab.errors import CapacityError
+from scanlab.metric import ScanTable, delta
 from scanlab.network import (
     ball_ids,
     ball_nodes,
@@ -59,6 +65,28 @@ class TestCluster:
     def test_empty_cluster_is_falsy(self):
         assert not Cluster(())
         assert Cluster((0,))
+
+    @pytest.mark.parametrize("ids, problem", [
+        ((1.5, 2), "must be integers"),
+        ((1.0, 2.0), "must be integers"),
+        ((1, 2**70), "must be integers"),
+        ((1, 3_000_000_000), "node id 3000000000 is above 2147483647"),
+        (np.array([2, 2**31], dtype=np.int64), "is above 2147483647"),
+        (((1, 2),), "must be integers"),
+        ((-1, 0), "node id -1 is negative"),
+    ])
+    def test_bad_ids_refused(self, ids, problem):
+        with pytest.raises(ValueError, match=problem):
+            Cluster(ids)
+
+    def test_ids_are_one_read_only_int32_array(self):
+        source = np.array([1, 4, 9], dtype=np.int64)
+        c = Cluster(source)
+        source[0] = 0
+        assert c.idarray.dtype == np.int32 and not c.idarray.flags.writeable
+        assert c.ids == (1, 4, 9) and all(type(i) is int for i in c.ids)
+        with pytest.raises(AttributeError):
+            c.idarray = np.arange(3)
 
 
 class TestEnumerateBalls:
@@ -156,7 +184,7 @@ class TestTubes:
             want = tuple(
                 int(i) for i in np.flatnonzero(np.abs(cloud.coords[:, 1] - level) < 0.2)
             )
-            assert ids == want
+            assert tuple(ids.tolist()) == want
 
     def test_sizes_within_density_bounds(self):
         cloud = make_uniform_cloud(2, 2000, seed=6)
@@ -374,3 +402,43 @@ class TestClusterFiles:
         back, meta = load_clusters(path)
         assert [c.ids for c in back] == [c.ids for c in clusters]
         assert meta == {"family": "animals", "kmax": "2"}
+
+
+id_subsets = st.lists(
+    st.integers(0, 64)
+    .flatmap(lambda m: st.frozensets(st.integers(0, 200), min_size=m, max_size=m))
+    .map(lambda s: tuple(sorted(s))),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_subsets, st.data())
+def test_array_representation_matches_tuple_reference(subsets, data):
+    """One int32 array per cluster gives what sorted tuples and frozensets gave."""
+    clusters = [Cluster(ids) for ids in subsets]
+    for ids, c in zip(subsets, clusters):
+        assert c.ids == ids and len(c) == c.size == len(ids) and bool(c) == bool(ids)
+        assert copy.deepcopy(c) == c and pickle.loads(pickle.dumps(c)) == c
+        assert not copy.deepcopy(c).idarray.flags.writeable
+    for (a, ka), (b, kb) in itertools.product(zip(subsets, clusters), repeat=2):
+        assert (ka == kb) == (a == b)
+        if a == b:
+            assert hash(ka) == hash(kb)
+        if a and b:
+            inter = len(frozenset(a) & frozenset(b))
+            want = math.sqrt(max(2.0 * (1.0 - inter / math.sqrt(len(a) * len(b))), 0.0))
+            assert delta(ka, kb) == want
+    nonempty = [c for c in clusters if c]
+    if nonempty:
+        table = ScanTable(nonempty)
+        assert table.concat.tolist() == [i for c in nonempty for i in c.ids]
+    stream = data.draw(st.lists(st.sampled_from(subsets), max_size=30))
+    cap = data.draw(st.integers(1, 64))
+    seen, want = set(), []
+    for ids in stream:
+        if ids and len(ids) <= cap and ids not in seen:
+            seen.add(ids)
+            want.append(ids)
+    raw = (np.array(ids, dtype=np.int64) for ids in stream)
+    assert [c.ids for c in _emit(raw, 256, cap)] == want

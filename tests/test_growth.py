@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,20 @@ class TestSequenceFiles:
         back, meta = load_sequence(path)
         assert [k.ids for k in back.slices] == [k.ids for k in seq.slices]
         assert meta["kind"] == "richardson"
+
+    @pytest.mark.parametrize("lines, problem", [
+        ("0: 1 2\n0: 3\n", "time 0 appears twice"),
+        ("0: 1 2\n-1: 5\n", "time -1 is negative"),
+        ("0: 1 2\n2: x\n", "invalid literal for int()"),
+        ("0: 1 2\nx: 3\n", "invalid literal for int()"),
+        ("0: 1 2\n1: 4 3\n", "cluster ids must be strictly increasing"),
+        ("0: 1 2\n1: 3000000000\n", "node id 3000000000 is above"),
+    ])
+    def test_bad_line_names_path_and_line(self, tmp_path, lines, problem):
+        path = tmp_path / "seq.txt"
+        path.write_text("# kind=cone\n" + lines)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {problem}")):
+            load_sequence(path)
 
     def test_window(self):
         seq = ClusterSequence((Cluster(()), Cluster((1,)), Cluster((1, 2))))
