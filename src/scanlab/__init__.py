@@ -39,7 +39,6 @@ from .detect import (
 from .errors import CapacityError, ConfigError
 from .growth import (
     ClusterSequence,
-    GrowthSpec,
     make_cone,
     make_cylinder,
     make_holder_trajectory,

@@ -210,36 +210,45 @@ def _cmd_test(args) -> int:
 # grow
 
 
+# grow kind -> the flags it cannot do without
+GROW_NEEDS = {"cylinder": ("center", "r0"), "cone": ("center", "speed"),
+              "holder": ("controls", "r"), "richardson": ("x0",)}
+
+
+def _grow_center(args, net) -> tuple[float, ...]:
+    center = _floats(args.center)
+    if len(center) != net.dim:
+        raise ConfigError(f"--center has {len(center)} coordinates; "
+                          f"the node set has d = {net.dim}")
+    return center
+
+
 def _cmd_grow(args) -> int:
     net = network.load_nodeset(args.net)
+    for name in GROW_NEEDS[args.kind]:
+        if getattr(args, name) is None:
+            raise ConfigError(f"grow --kind {args.kind} requires --{name}")
     meta = {"kind": args.kind, "tm": args.tm}
     if args.kind == "cylinder":
-        spec = growth.GrowthSpec(kind="cylinder", center=_floats(args.center),
-                                 radius=args.r0, onset=args.t0)
+        seq = growth.make_cylinder(net, _grow_center(args, net), args.r0, args.t0, args.tm)
         meta.update(center=args.center, r0=args.r0, t0=args.t0)
     elif args.kind == "cone":
-        spec = growth.GrowthSpec(kind="cone", center=_floats(args.center),
-                                 speed=args.speed, onset=args.t0)
+        seq = growth.make_cone(net, _grow_center(args, net), args.speed, args.t0, args.tm)
         meta.update(center=args.center, speed=args.speed, t0=args.t0)
     elif args.kind == "holder":
-        controls = tuple(
-            _floats(part) for part in args.controls.split(";") if part.strip()
-        )
+        controls = [_floats(part) for part in args.controls.split(";") if part.strip()]
         end = args.tm if args.end is None else args.end
-        spec = growth.GrowthSpec(kind="holder-trajectory", controls=controls,
-                                 alpha=args.alpha, kappa=args.kappa, radius=args.r,
-                                 xi=args.xi, onset=args.start, end=end)
+        seq = growth.make_holder_trajectory(net, controls, args.alpha, args.kappa, args.r,
+                                            args.xi, args.start, end, args.tm)
         meta.update(alpha=args.alpha, kappa=args.kappa, r=args.r, xi=args.xi)
-    elif args.kind == "richardson":
-        within = None
-        if args.within_radius is not None:
-            within = cl.Cluster(network.closed_ball_ids(net, net.coords[args.x0], args.within_radius))
-        spec = growth.GrowthSpec(kind="richardson", node=args.x0, p=args.p,
-                                 onset=args.t0, seed=args.seed, within=within)
-        meta.update(x0=args.x0, p=args.p, t0=args.t0, seed=args.seed)
     else:
-        raise ConfigError(f"unknown grow kind {args.kind!r}")
-    seq = spec.build(net, args.tm)
+        within = None
+        # an --x0 that is no node id is left for richardson_grow to refuse
+        if args.within_radius is not None and 0 <= args.x0 < net.m:
+            within = cl.Cluster(network.closed_ball_ids(net, net.coords[args.x0], args.within_radius))
+        seq = growth.richardson_grow(net, args.x0, args.p, args.t0, args.tm, args.seed,
+                                     within=within)
+        meta.update(x0=args.x0, p=args.p, t0=args.t0, seed=args.seed)
     with _open_out(args.out) as fh:
         growth.write_sequence(seq, fh, meta)
     return 0
@@ -552,16 +561,13 @@ def _cmd_sweep(args) -> int:
 # rates
 
 
+# every parameter of a rates formula; its flag is its name without "_"
+RATE_PARAMS = tuple(dict.fromkeys(
+    key for _, keys in detect.RATE_FORMULAS.values() for key in keys))
+
+
 def _cmd_rates(args) -> int:
-    params = {}
-    for key in ("m", "k", "eps", "log_n", "lam", "r", "x", "ell", "h"):
-        value = getattr(args, key.replace("log_n", "logn"), None)
-        if value is not None:
-            params["log_n" if key == "log_n" else key] = value
-    if args.d is not None:
-        params["d"] = args.d
-    if args.p is not None:
-        params["p"] = args.p
+    params = {key: getattr(args, key) for key in RATE_PARAMS if getattr(args, key) is not None}
     value = detect.rate(args.formula, **params)
     print(f"{value:.4f}")
     return 0
@@ -617,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--tm", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("test", parents=[scoring], help="run a thresholded test on a saved field")
@@ -651,23 +657,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Monte Carlo risk sweep from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=_threads)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("rates", help="closed-form detection thresholds")
     p.add_argument("--formula", required=True)
-    p.add_argument("--m", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--logn", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--ell", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--x", type=float)
+    for key in RATE_PARAMS:
+        p.add_argument("--" + key.replace("_", ""), dest=key,
+                       type=int if key in ("d", "p") else float)
     p.set_defaults(func=_cmd_rates)
 
     return parser

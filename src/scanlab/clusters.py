@@ -429,40 +429,17 @@ class BandParams:
             raise ValueError(f"unknown path mode {self.path_mode!r}")
 
 
-def lattice_adjacency(net: NodeSet) -> list[list[int]]:
-    """Neighbor lists (l1 distance 1) for a lattice NodeSet, by node id."""
-    if net.mode != LATTICE:
-        raise ValueError("adjacency is defined for lattice mode")
-    side, d = net.side, net.dim
-    strides = [side ** (d - 1 - i) for i in range(d)]
-    adj: list[list[int]] = []
-    for i in range(net.m):
-        coords = net.coords[i]
-        nbrs = []
-        for axis in range(d):
-            c = coords[axis]
-            if c > 0:
-                nbrs.append(i - strides[axis])
-            if c < side - 1:
-                nbrs.append(i + strides[axis])
-        adj.append(sorted(nbrs))
-    return adj
+def _l1_offsets(d: int, width: int) -> np.ndarray:
+    """The integer vectors of l1 norm below `width`, shape (n, d)."""
+    box = np.indices((2 * width - 1,) * d).reshape(d, -1).T - (width - 1)
+    return box[np.abs(box).sum(axis=1) < width]
 
 
-def _path_band_ids(net: NodeSet, path_coords: np.ndarray, width: int) -> np.ndarray:
-    """Nodes within open l1 distance `width` of the path.
-
-    The distance adds one coordinate column at a time, which is as fast on
-    row-major coordinates (a loaded node set) as on column-major ones.
-    """
-    columns = [net.coords[:, j] for j in range(net.dim)]
-    best = None
-    for p in path_coords:
-        dist = np.abs(columns[0] - p[0])
-        for col, c in zip(columns[1:], p[1:]):
-            dist += np.abs(col - c)
-        best = dist if best is None else np.minimum(best, dist)
-    return np.flatnonzero(best < width)
+def _path_band_ids(net: NodeSet, path_coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Nodes within open l1 distance h of the path: the nodes at a path point
+    plus one of the `offsets`, which are _l1_offsets(d, h)."""
+    ids = net.node_at(path_coords[:, None] + offsets)
+    return np.unique(ids[ids >= 0])
 
 
 def _nondecreasing_path(net: NodeSet, steps) -> np.ndarray | None:
@@ -496,13 +473,14 @@ def enumerate_bands(
     if params.length > net.side:
         raise ValueError("need side >= length (m**(1/d) >= ell)")
     d = net.dim
+    offsets = _l1_offsets(d, params.width)
 
     def raw():
         if params.path_mode == "nondecreasing" and d == 2 and params.length <= 20:
             for steps in itertools.product(range(d), repeat=params.length):
                 path = _nondecreasing_path(net, steps)
                 if path is not None:
-                    yield _path_band_ids(net, path, params.width)
+                    yield _path_band_ids(net, path, offsets)
             return
         rng = rng_from_seed(seed)
         seen_paths: set[tuple] = set()
@@ -518,20 +496,19 @@ def enumerate_bands(
                 if path is None:
                     continue
                 seen_paths.add(steps)
-                yield _path_band_ids(net, path, params.width)
+                yield _path_band_ids(net, path, offsets)
             else:
                 path_ids = _sample_self_avoiding(net, params.length, rng)
                 if path_ids is None or path_ids in seen_paths:
                     continue
                 seen_paths.add(path_ids)
-                coords = net.coords[list(path_ids)]
-                yield _path_band_ids(net, coords, params.width)
+                yield _path_band_ids(net, net.coords[list(path_ids)], offsets)
 
     return _emit(raw(), net.m, size_cap)
 
 
 def _sample_self_avoiding(net: NodeSet, length: int, rng) -> tuple[int, ...] | None:
-    adj = _cached_adjacency(net)
+    adj = net.neighbors
     current = int(rng.integers(0, net.m))
     visited = [current]
     taken = {current}
@@ -545,19 +522,6 @@ def _sample_self_avoiding(net: NodeSet, length: int, rng) -> tuple[int, ...] | N
     return tuple(visited)
 
 
-_ADJ_CACHE: dict[tuple[int, int], list[list[int]]] = {}
-
-
-def _cached_adjacency(net: NodeSet) -> list[list[int]]:
-    # lattice adjacency is a pure function of (side, dim)
-    key = (net.side, net.dim)
-    if key not in _ADJ_CACHE:
-        if len(_ADJ_CACHE) > 8:
-            _ADJ_CACHE.clear()
-        _ADJ_CACHE[key] = lattice_adjacency(net)
-    return _ADJ_CACHE[key]
-
-
 def sample_band(net: NodeSet, params: BandParams, seed: int) -> Cluster:
     """One random band from the same distribution enumerate_bands samples."""
     stream = enumerate_bands(net, params, budget=1, seed=seed, size_cap=net.m)
@@ -567,7 +531,7 @@ def sample_band(net: NodeSet, params: BandParams, seed: int) -> Cluster:
 
 
 # ---------------------------------------------------------------------------
-# animals (connected components of the lattice)
+# animals (connected node sets of the lattice graph)
 
 ANIMAL_KMAX_GUARD = 12
 
@@ -593,7 +557,7 @@ def enumerate_animals(net: NodeSet, k_max: int, size_cap: int | None = None):
             "counts grow exponentially - sample random animals instead "
             "(sample_animal)"
         )
-    adj = _cached_adjacency(net)
+    adj = net.neighbors
 
     def extensions(root, current, pool, visited):
         yield tuple(sorted(current))
@@ -622,10 +586,13 @@ def sample_animal(net: NodeSet, k: int, seed: int) -> Cluster:
     if not 1 <= k <= net.m:
         raise ValueError("need 1 <= k <= m")
     rng = rng_from_seed(seed)
-    adj = _cached_adjacency(net)
-    current = {int(rng.integers(0, net.m))}
+    adj = net.neighbors
+    start = int(rng.integers(0, net.m))
+    current = {start}
     while len(current) < k:
         boundary = sorted({u for v in current for u in adj[v]} - current)
+        if not boundary:
+            raise ValueError(f"the component of node {start} holds fewer than {k} nodes")
         current.add(boundary[int(rng.integers(len(boundary)))])
     return cluster_from_ids(current)
 
@@ -742,10 +709,10 @@ class ClusterClass:
 
 
 def connectivity_check(net: NodeSet, cluster: Cluster) -> bool:
-    """True iff the cluster is connected in the lattice adjacency."""
+    """True iff the cluster is connected in the lattice graph."""
     if not cluster:
         return False
-    adj = _cached_adjacency(net)
+    adj = net.neighbors
     ids = set(cluster.idarray.tolist())
     stack = [int(cluster.idarray[0])]
     seen = set(stack)

@@ -15,8 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clusters import (EMPTY_CLUSTER, Cluster, _cached_adjacency, cluster_from_ids,
-                       parse_cluster, read_headed)
+from .clusters import EMPTY_CLUSTER, Cluster, cluster_from_ids, parse_cluster, read_headed
 from .detect import TestResult
 from .metric import SQRT2, EpsNet, ScanTable, delta
 from .models import Field, NoiseModel
@@ -168,11 +167,11 @@ def richardson_grow(
     """Richardson growth: each vacant neighbor is occupied w.p. p per step.
 
     Starts from node x0 at time t0; occupied sets are nondecreasing, and at
-    p=1 the occupied set after s steps is exactly the closed l1 ball of
-    radius s around x0 (intersected with the lattice).  `within` restricts
-    growth to a node subset (used for capped limit shapes); warmup before the
-    observation window is done by growing over a longer horizon and calling
-    .window().
+    p=1 the occupied set after s steps is exactly the ball of graph radius s
+    around x0 (the closed l1 ball, on a lattice without holes).  `within`
+    restricts growth to a node subset (used for capped limit shapes); warmup
+    before the observation window is done by growing over a longer horizon
+    and calling .window().
     """
     if net.mode != LATTICE:
         raise ValueError("richardson growth runs on lattices")
@@ -185,7 +184,7 @@ def richardson_grow(
     allowed = range(net.m) if within is None else set(within.idarray.tolist())
     if x0 not in allowed:
         raise ValueError("x0 must belong to the growth restriction")
-    adj = _cached_adjacency(net)
+    adj = net.neighbors
     rng = rng_from_seed(seed)
     occupied = {x0}
     slices: list[Cluster] = [EMPTY_CLUSTER] * t0
@@ -258,50 +257,6 @@ def verify_bounded_variation(
                 worst_pair = (t, s)
     worst = max(worst, 0.0)
     return BoundedVariationReport(eta, xi, worst_pair, worst, worst <= eta + 1e-12)
-
-
-@dataclass(frozen=True)
-class GrowthSpec:
-    """Keyed description of a cluster-sequence generator.
-
-    kind selects the constructor; only that kind's fields are read.  `nu` is
-    carried along for limit-shape checks (verify_limit_shape), not used by
-    the generators themselves.
-    """
-
-    kind: str  # "cylinder" | "cone" | "holder-trajectory" | "richardson"
-    center: tuple[float, ...] | None = None
-    radius: float | None = None  # cylinder base / trajectory tube radius
-    speed: float | None = None  # cone
-    onset: int = 0
-    end: int | None = None  # trajectory window end (defaults to t_m)
-    controls: tuple[tuple[float, ...], ...] | None = None
-    alpha: float = 1.0
-    kappa: float = 0.0
-    xi: float = 1.0
-    node: int | None = None  # richardson seed node
-    p: float = 1.0
-    seed: int = 0
-    within: Cluster | None = None
-    nu: Callable[[float], float] | None = None
-
-    def build(self, net: NodeSet, t_m: int) -> ClusterSequence:
-        if self.kind == "cylinder":
-            return make_cylinder(net, self.center, self.radius, self.onset, t_m)
-        if self.kind == "cone":
-            return make_cone(net, self.center, self.speed, self.onset, t_m)
-        if self.kind == "holder-trajectory":
-            end = t_m if self.end is None else self.end
-            return make_holder_trajectory(
-                net, np.asarray(self.controls, dtype=float), self.alpha,
-                self.kappa, self.radius, self.xi, self.onset, end, t_m,
-            )
-        if self.kind == "richardson":
-            return richardson_grow(
-                net, self.node, self.p, self.onset, t_m, self.seed,
-                within=self.within,
-            )
-        raise ValueError(f"unknown growth kind {self.kind!r}")
 
 
 def dyadic_windows(horizon: int) -> tuple[int, ...]:

@@ -1,15 +1,17 @@
 """Node sets: lattices and uniform clouds, balls, and the even-spread check.
 
-Two geometries are supported.  Lattice mode places nodes on the integer grid
-{0..side-1}^d and measures distance in l1 (the shortest-path metric of the
-grid graph).  Euclidean mode places nodes in [0,1]^d and measures distance
-in l2.  Balls are open everywhere: a node at distance exactly r is excluded.
+Two geometries are supported.  Lattice mode places nodes on integer points
+of {0..side-1}^d, in any id order and with holes allowed, and measures
+distance in l1 (the shortest-path metric of the full grid graph).  Euclidean
+mode places nodes in [0,1]^d and measures distance in l2.  Balls are open
+everywhere: a node at distance exactly r is excluded.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,9 +29,19 @@ EUCLIDEAN = "euclidean-l2"
 MAX_NODES = 1 << 26
 
 
+def _check_lattice_size(d: int, side: int) -> None:
+    if side**d > MAX_NODES:
+        raise CapacityError(f"lattice of {side**d} points exceeds the {MAX_NODES} node guard")
+
+
 @dataclass(frozen=True)
 class NodeSet:
-    """An immutable set of m nodes with ids 0..m-1 and coordinates in R^d."""
+    """An immutable set of m nodes with ids 0..m-1 and coordinates in R^d.
+
+    A lattice is indexed by its coordinates: `grid` holds the node id at
+    each point of {0..side-1}^d and `neighbors` the graph it spans, so ids
+    may come in any order and points may be missing.
+    """
 
     mode: str
     dim: int
@@ -45,8 +57,12 @@ class NodeSet:
         if self.mode == LATTICE:
             if self.side is None or self.side < 1:
                 raise ValueError("lattice mode requires a positive side")
+            _check_lattice_size(self.dim, self.side)
+            if coords.dtype.kind not in "iu" and not np.array_equal(coords, np.floor(coords)):
+                raise ValueError("lattice coordinates must be integers")
             if coords.min() < 0 or coords.max() > self.side - 1:
                 raise ValueError("lattice coordinates out of range")
+            coords = coords.astype(np.int64, copy=False)
         else:
             if coords.size and (coords.min() < 0.0 or coords.max() > 1.0):
                 raise ValueError("euclidean coordinates must lie in [0,1]^d")
@@ -58,6 +74,31 @@ class NodeSet:
     @property
     def m(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Lattice mode: the node id at each point of {0..side-1}^d, -1 at a hole."""
+        if self.mode != LATTICE:
+            raise ValueError("the node grid is defined for lattice mode")
+        grid = np.full((self.side,) * self.dim, -1, dtype=np.int64)
+        grid[tuple(self.coords.T)] = np.arange(self.m)
+        grid.flags.writeable = False
+        return grid
+
+    def node_at(self, points) -> np.ndarray:
+        """Node ids at the integer points (..., d), -1 where no node sits."""
+        grid, points = self.grid, np.asarray(points)
+        inside = ((points >= 0) & (points < self.side)).all(axis=-1)
+        ids = np.full(points.shape[:-1], -1, dtype=np.int64)
+        ids[inside] = grid[tuple(points[inside].T)]
+        return ids
+
+    @cached_property
+    def neighbors(self) -> list[list[int]]:
+        """Lattice mode: the ids at l1 distance 1 of each node, increasing."""
+        unit = np.eye(self.dim, dtype=np.int64)
+        near = np.sort(self.node_at(self.coords[:, None] + np.vstack([unit, -unit])), axis=1)
+        return [[u for u in row if u >= 0] for row in near.tolist()]
 
     def distances(self, center) -> np.ndarray:
         """Distance from `center` to every node, in the mode's norm."""
@@ -77,9 +118,7 @@ def make_lattice(d: int, side: int) -> NodeSet:
         raise ValueError("d must be >= 1")
     if side < 2:
         raise ValueError("side must be >= 2")
-    m = side**d
-    if m > MAX_NODES:
-        raise CapacityError(f"lattice of {m} nodes exceeds the {MAX_NODES} node guard")
+    _check_lattice_size(d, side)
     coords = np.indices((side,) * d).reshape(d, -1).T.astype(np.int64)
     return NodeSet(mode=LATTICE, dim=d, coords=coords, side=side)
 
@@ -213,14 +252,23 @@ def save_nodeset(net: NodeSet, path) -> None:
 def load_nodeset(path) -> NodeSet:
     """Read a node set file; each row is placed by its `id` column.
 
-    The ids must be 0..m-1, each exactly once (m from the metadata line);
-    an id out of range, repeated or missing is a ValueError that names it.
+    The metadata line needs `mode` and `d`, and `side` in lattice mode; a
+    missing key or an unknown mode is a ValueError that names the key.  The
+    ids must be 0..m-1, each exactly once (m from the metadata line); an id
+    out of range, repeated or missing is a ValueError that names it.
     """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError("node set file must start with a # metadata line")
         meta = json.loads(header[1:].strip())
+        need = ("mode", "d", "side") if meta.get("mode") == LATTICE else ("mode", "d")
+        for key in need:
+            if key not in meta:
+                raise ValueError(f"node set file: the metadata line lacks {key!r}")
+        if meta["mode"] not in (LATTICE, EUCLIDEAN):
+            raise ValueError(f"node set file: unknown 'mode' {meta['mode']!r}; "
+                             f"known: {LATTICE!r}, {EUCLIDEAN!r}")
         d = int(meta["d"])
         coord = np.int64 if meta["mode"] == LATTICE else float
         fh.readline()  # column header
@@ -235,7 +283,5 @@ def load_nodeset(path) -> NodeSet:
     for bad, problem in ((counts > 1, "appears more than once"), (counts == 0, "is missing")):
         if bad.any():
             raise ValueError(f"node set file: id {np.argmax(bad)} {problem}")
-    coords = rows["x"][np.argsort(ids)]
-    if meta["mode"] == LATTICE:
-        return NodeSet(mode=LATTICE, dim=d, coords=coords, side=int(meta["side"]))
-    return NodeSet(mode=EUCLIDEAN, dim=d, coords=coords)
+    side = int(meta["side"]) if meta["mode"] == LATTICE else None
+    return NodeSet(mode=meta["mode"], dim=d, coords=rows["x"][np.argsort(ids)], side=side)

@@ -1,6 +1,9 @@
+import itertools
+import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from scanlab.cli import build_experiment, build_parser, main, parse_config
@@ -82,6 +85,19 @@ class TestRates:
         assert run(["rates", "--formula", "thick", "--m", "16384"]) == 2
         assert "k" in capsys.readouterr().err
 
+    def test_flags_are_the_formula_parameters(self):
+        from scanlab.detect import RATE_FORMULAS
+
+        params = {key for _, keys in RATE_FORMULAS.values() for key in keys}
+        argv = ["rates", "--formula", "thin"]
+        for key in params:
+            argv += ["--" + key.replace("_", ""), "2"]
+        args = build_parser().parse_args(argv)
+        assert {key: getattr(args, key) for key in params} == dict.fromkeys(params, 2)
+        assert {key for key in params if isinstance(getattr(args, key), int)} == {"d", "p"}
+        assert run(["rates", "--formula", "thin", "--eps", "0.1", "--logn", "3", "--d", "2",
+                    "--lam", "0.2"]) == 0
+
 
 class TestNetbuildCalibrateTest:
     def test_pipeline(self, tmp_path):
@@ -141,17 +157,98 @@ class TestGrow:
         assert meta["kind"] == "richardson"
         assert [k.size for k in loaded.slices] == [1, 5, 13, 25]
 
-    def test_cylinder_and_cone(self, tmp_path):
+    def test_every_kind(self, tmp_path):
         net = tmp_path / "net.csv"
         run(["net", "--mode", "lattice", "--d", "2", "--side", "8", "--out", str(net)])
-        for kind, extra in (
-            ("cylinder", ["--center", "4,4", "--r0", "1.5", "--t0", "1"]),
-            ("cone", ["--center", "4,4", "--speed", "1.0"]),
+        from scanlab.growth import load_sequence
+
+        for kind, extra, sizes in (
+            ("cylinder", ["--center", "4,4", "--r0", "1.5", "--t0", "1"], [0, 5, 5, 5, 5]),
+            ("cone", ["--center", "4,4", "--speed", "1.0"], [1, 5, 13, 25, 39]),
+            ("holder", ["--controls", "2,2;3,3", "--r", "1.5", "--kappa", "1", "--start", "2"],
+             [0, 0, 4, 3, 5]),
+            ("richardson", ["--x0", "36", "--within-radius", "1"], [1, 5, 5, 5, 5]),
         ):
             out = tmp_path / f"{kind}.txt"
             assert run(["grow", "--net", str(net), "--kind", kind, "--tm", "4",
                         "--out", str(out)] + extra) == 0
-            assert out.exists()
+            seq, meta = load_sequence(out)
+            assert meta["kind"] == kind
+            assert [k.size for k in seq.slices] == sizes, kind
+
+    @pytest.mark.parametrize("kind, extra, problem", [
+        ("cylinder", ["--r0", "2"], "requires --center"),
+        ("cylinder", ["--center", "4,4"], "requires --r0"),
+        ("cone", ["--center", "4,4"], "requires --speed"),
+        ("holder", ["--r", "1.5"], "requires --controls"),
+        ("holder", ["--controls", "2,2;3,3"], "requires --r"),
+        ("richardson", [], "requires --x0"),
+        ("cylinder", ["--center", "4,4,4", "--r0", "2"], "--center has 3 coordinates"),
+        ("cone", ["--center", "4", "--speed", "1"], "--center has 1 coordinates"),
+        ("richardson", ["--x0", "64", "--within-radius", "2"], "x0 must be a node id"),
+    ])
+    def test_missing_or_bad_flag_exits_2(self, tmp_path, capsys, kind, extra, problem):
+        net = tmp_path / "net.csv"
+        run(["net", "--mode", "lattice", "--d", "2", "--side", "8", "--out", str(net)])
+        out = tmp_path / "seq.txt"
+        assert run(["grow", "--net", str(net), "--kind", kind, "--tm", "3",
+                    "--out", str(out)] + extra) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestLatticeFiles:
+    """Lattice node files whose ids are not row-major, or that have holes."""
+
+    def _write(self, path, points, side, seed):
+        """`points` under a seeded random id order; returns the coordinates by id."""
+        coords = np.asarray(points)[np.random.default_rng(seed).permutation(len(points))]
+        meta = {"mode": "lattice-l1", "d": coords.shape[1], "m": len(coords), "side": side}
+        header = "id," + ",".join(f"x{j}" for j in range(coords.shape[1]))
+        lines = ["# " + json.dumps(meta), header]
+        lines += [f"{i}," + ",".join(map(str, c)) for i, c in enumerate(coords)]
+        path.write_text("\n".join(lines) + "\n")
+        return coords
+
+    def _files(self, tmp_path):
+        full = list(itertools.product(range(6), repeat=2))
+        holed = [c for c in full if c not in ((1, 1), (2, 3), (4, 4))]
+        for name, points in (("permuted", full), ("holes", holed)):
+            path = tmp_path / f"{name}.csv"
+            yield path, self._write(path, points, 6, seed=0)
+
+    def test_richardson_at_p1_grows_graph_balls(self, tmp_path):
+        from scanlab.growth import load_sequence
+
+        for path, coords in self._files(tmp_path):
+            out = tmp_path / "seq.txt"
+            assert run(["grow", "--net", str(path), "--kind", "richardson", "--x0", "14",
+                        "--p", "1", "--tm", "3", "--out", str(out)]) == 0
+            ball = {14}
+            for k in load_sequence(out)[0].slices:
+                assert k.ids == tuple(sorted(ball))
+                near = np.abs(coords[:, None] - coords[sorted(ball)]).sum(axis=2).min(axis=1)
+                ball = set(np.flatnonzero(near <= 1).tolist())
+
+    def test_every_2_animal_is_an_adjacent_pair(self, tmp_path):
+        for path, coords in self._files(tmp_path):
+            out = tmp_path / "animals.txt"
+            assert run(["enumerate", "--net", str(path), "--family", "animals", "--kmax", "2",
+                        "--size-cap", "4", "--out", str(out)]) == 0
+            pairs = [tuple(map(int, l.split())) for l in out.read_text().splitlines()
+                     if not l.startswith("#") and len(l.split()) == 2]
+            adjacent = np.abs(coords[:, None] - coords[None]).sum(axis=2) == 1
+            assert len(pairs) == adjacent.sum() // 2
+            assert all(adjacent[a, b] for a, b in pairs)
+
+    def test_no_lattice_family_fails(self, tmp_path):
+        for path, _ in self._files(tmp_path):
+            for flags in (["--family", "animals", "--kmax", "3"],
+                          ["--family", "bands", "--ell", "4", "--h", "2"],
+                          ["--family", "bands", "--ell", "4", "--h", "2", "--path-mode",
+                           "self-avoiding", "--budget", "20"]):
+                assert run(["enumerate", "--net", str(path), "--out", str(tmp_path / "c.txt")]
+                           + flags) == 0
 
 
 class TestSweepConfig:
@@ -651,6 +748,23 @@ n_null = 100
         code, _ = self._sweep(tmp_path, self.AVERAGE + line + "\n")
         assert code == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "sweep"])
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_threads_flag_below_1_exits_2(self, tmp_path, capsys, command, value):
+        net = tmp_path / "net.csv"
+        run(["net", "--mode", "lattice", "--d", "2", "--side", "4", "--out", str(net)])
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.AVERAGE)
+        flags = {"calibrate": ["--net", str(net), "--statistic", "average", "--alpha", "0.05",
+                               "--b", "99"],
+                 "sweep": ["--config", str(cfg)]}[command]
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run([command, *flags, "--threads", value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --threads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_echo_stays_raw(self, tmp_path):
         text = self.AVERAGE + "truth.p = 0.70\ntheory.k = 1e1\nseed = 3.0\n"

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from scanlab.clusters import (
     AnimalParams,
     _emit,
+    _l1_offsets,
+    _path_band_ids,
     BandParams,
     Cluster,
     ThickParams,
@@ -35,7 +37,10 @@ from scanlab.clusters import (
 )
 from scanlab.errors import CapacityError
 from scanlab.metric import ScanTable, delta
+from scanlab.growth import richardson_grow
 from scanlab.network import (
+    LATTICE,
+    NodeSet,
     ball_ids,
     ball_nodes,
     load_nodeset,
@@ -364,6 +369,16 @@ class TestAnimals:
         assert a.size == 7
         assert connectivity_check(net, a)
 
+    def test_lattice_with_a_hole(self):
+        # 4 x 4 without (1, 1); ids row-major over the 15 remaining points
+        coords = np.array([c for c in np.ndindex(4, 4) if c != (1, 1)])
+        net = NodeSet(mode=LATTICE, dim=2, coords=coords, side=4)
+        grown = richardson_grow(net, 0, 1.0, 0, 3, seed=0)
+        assert [k.size for k in grown.slices] == [1, 3, 5, 9]
+        animals = list(enumerate_animals(net, 2, size_cap=2))
+        assert len(animals) == 15 + 20
+        assert all(connectivity_check(net, a) for a in animals)
+
 
 class TestClusterClass:
     def test_dispatch_matches_generators(self):
@@ -442,3 +457,88 @@ def test_array_representation_matches_tuple_reference(subsets, data):
             want.append(ids)
     raw = (np.array(ids, dtype=np.int64) for ids in stream)
     assert [c.ids for c in _emit(raw, 256, cap)] == want
+
+
+# ---------------------------------------------------------------------------
+# the lattice index against coordinates, on permuted ids and with holes
+
+
+def brute_neighbors(coords):
+    dist = np.abs(coords[:, None] - coords[None]).sum(axis=2)
+    return [np.flatnonzero(row == 1).tolist() for row in dist]
+
+
+def brute_band_ids(coords, path_coords, width):
+    """Nodes within open l1 distance `width` of the path, from the distance
+    of every path point to every node."""
+    best = np.abs(coords[:, None] - path_coords[None]).sum(axis=2).min(axis=1)
+    return np.flatnonzero(best < width)
+
+
+def graph_balls(adj, x0, t_m):
+    balls, ball = [], {x0}
+    for _ in range(t_m + 1):
+        balls.append(tuple(sorted(ball)))
+        ball = ball | {u for v in ball for u in adj[v]}
+    return balls
+
+
+lattice_shapes = st.sampled_from([(1, 2), (1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+
+
+@st.composite
+def holed_lattices(draw, holes=True):
+    """A lattice NodeSet with its points under a random id order, some of
+    them missing; also returns the row-major index of each id's point."""
+    d, side = draw(lattice_shapes)
+    full = np.indices((side,) * d).reshape(d, -1).T
+    keep = np.ones(len(full), dtype=bool)
+    if holes:
+        keep = np.array(draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full))))
+        keep[draw(st.integers(0, len(full) - 1))] = True
+    order = np.flatnonzero(keep)[draw(st.permutations(range(int(keep.sum()))))]
+    return NodeSet(mode=LATTICE, dim=d, coords=full[order], side=side), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(holed_lattices(), st.data())
+def test_lattice_index_matches_coordinates(lattice, data):
+    net, _ = lattice
+    adj = brute_neighbors(net.coords)
+    assert net.neighbors == adj
+    width = data.draw(st.integers(1, 3))
+    points = st.lists(st.integers(0, net.side - 1), min_size=net.dim, max_size=net.dim)
+    path = np.array(data.draw(st.lists(points, min_size=1, max_size=6)))
+    got = _path_band_ids(net, path, _l1_offsets(net.dim, width))
+    assert got.tolist() == brute_band_ids(net.coords, path, width).tolist()
+    x0 = data.draw(st.integers(0, net.m - 1))
+    grown = richardson_grow(net, x0, 1.0, 0, 3, seed=0)
+    assert [k.ids for k in grown.slices] == graph_balls(adj, x0, 3)
+    pairs = [c.ids for c in enumerate_animals(net, 2, size_cap=2) if c.size == 2]
+    assert sorted(pairs) == [(a, b) for a in range(net.m) for b in adj[a] if a < b]
+    k = data.draw(st.integers(1, min(4, net.m)))
+    try:
+        animal = sample_animal(net, k, seed=data.draw(st.integers(0, 99)))
+    except ValueError as exc:  # its start node's component is too small
+        assert f"holds fewer than {k} nodes" in str(exc)
+    else:
+        inside = {v: [u for u in adj[v] if u in animal.ids] for v in animal.ids}
+        assert animal.size == k and graph_balls(inside, animal.ids[0], k)[-1] == animal.ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(holed_lattices(holes=False), st.data())
+def test_permuted_lattice_maps_row_major_results(lattice, data):
+    net, order = lattice
+    row_major = make_lattice(net.dim, net.side)
+    to_id = np.argsort(order)  # row-major index -> id in `net`
+
+    def mapped(cluster):
+        return tuple(sorted(to_id[cluster.idarray].tolist()))
+
+    want = {mapped(c) for c in enumerate_animals(row_major, 3, size_cap=3)}
+    assert {c.ids for c in enumerate_animals(net, 3, size_cap=3)} == want
+    x0 = data.draw(st.integers(0, net.m - 1))
+    grown = richardson_grow(row_major, x0, 1.0, 0, 3, seed=0)
+    permuted = richardson_grow(net, int(to_id[x0]), 1.0, 0, 3, seed=0)
+    assert [k.ids for k in permuted.slices] == [mapped(k) for k in grown.slices]

@@ -265,32 +265,6 @@ class TestSpacetimeScan:
             scan_spacetime_cylinders(f, [Cluster((0,))], GAUSS, windows=[9])
 
 
-class TestGrowthSpec:
-    def test_kinds_match_constructors(self):
-        net = make_lattice(2, 16)
-        from scanlab.growth import GrowthSpec
-
-        cyl = GrowthSpec(kind="cylinder", center=(8, 8), radius=2.5, onset=1)
-        assert [k.ids for k in cyl.build(net, 5).slices] == [
-            k.ids for k in make_cylinder(net, (8, 8), 2.5, 1, 5).slices
-        ]
-        cone = GrowthSpec(kind="cone", center=(8, 8), speed=1.0)
-        assert [k.ids for k in cone.build(net, 4).slices] == [
-            k.ids for k in make_cone(net, (8, 8), 1.0, 0, 4).slices
-        ]
-        rich = GrowthSpec(kind="richardson", node=8 * 16 + 8, p=0.5, seed=4)
-        assert [k.ids for k in rich.build(net, 6).slices] == [
-            k.ids for k in richardson_grow(net, 8 * 16 + 8, 0.5, 0, 6, seed=4).slices
-        ]
-
-    def test_unknown_kind(self):
-        from scanlab.growth import GrowthSpec
-
-        net = make_lattice(2, 8)
-        with pytest.raises(ValueError):
-            GrowthSpec(kind="spiral").build(net, 3)
-
-
 class TestSequenceFiles:
     def test_roundtrip(self, tmp_path):
         net = make_lattice(2, 8)

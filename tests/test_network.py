@@ -217,3 +217,50 @@ class TestNodeSetFiles:
         self._write(path, ids, m)
         with pytest.raises(ValueError, match=problem):
             load_nodeset(path)
+
+    @pytest.mark.parametrize("meta, problem", [
+        ('{"d": 1, "m": 3, "side": 3}', "lacks 'mode'"),
+        ('{"mode": "lattice-l1", "m": 3, "side": 3}', "lacks 'd'"),
+        ('{"mode": "lattice-l1", "d": 1, "m": 3}', "lacks 'side'"),
+        ('{"mode": "euclidean-l2", "m": 3}', "lacks 'd'"),
+        ('{"mode": "grid", "d": 1, "m": 3, "side": 3}', "unknown 'mode' 'grid'"),
+    ])
+    def test_bad_metadata_is_named(self, tmp_path, meta, problem):
+        path = tmp_path / "net.csv"
+        path.write_text(f"# {meta}\nid,x0\n0,0\n1,1\n2,2\n")
+        with pytest.raises(ValueError, match=problem):
+            load_nodeset(path)
+
+
+class TestLatticeIndex:
+    def test_neighbors_come_from_coordinates(self):
+        # ids not row-major, and no node at (1, 1)
+        coords = np.array([[2, 2], [0, 0], [1, 0], [0, 1], [2, 1], [1, 2]])
+        net = NodeSet(mode=LATTICE, dim=2, coords=coords, side=3)
+        assert net.grid.tolist() == [[1, 3, -1], [2, -1, 5], [-1, 4, 0]]
+        assert net.neighbors == [[4, 5], [2, 3], [1], [1], [0], [0]]
+        assert net.node_at([[1, 1], [-1, 0], [0, 3], [2, 2]]).tolist() == [-1, -1, -1, 0]
+
+    def test_index_is_built_once(self):
+        net = make_lattice(2, 4)
+        assert net.neighbors is net.neighbors and net.grid is net.grid
+        assert not net.grid.flags.writeable
+
+    def test_non_integer_coordinates_refused(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            NodeSet(mode=LATTICE, dim=1, coords=np.array([[0.0], [1.5]]), side=3)
+        net = NodeSet(mode=LATTICE, dim=1, coords=np.array([[0.0], [2.0]]), side=3)
+        assert net.coords.dtype == np.int64 and net.neighbors == [[], []]
+
+    def test_capacity_refused_where_the_lattice_enters(self, tmp_path):
+        with pytest.raises(CapacityError):
+            NodeSet(mode=LATTICE, dim=2, coords=np.array([[0, 0]]), side=10_000)
+        path = tmp_path / "net.csv"
+        path.write_text('# {"mode": "lattice-l1", "d": 3, "m": 1, "side": 1000}\n'
+                        "id,x0,x1,x2\n0,0,0,0\n")
+        with pytest.raises(CapacityError):
+            load_nodeset(path)
+
+    def test_euclidean_mode_has_no_grid(self):
+        with pytest.raises(ValueError, match="lattice mode"):
+            make_uniform_cloud(2, 5, seed=0).neighbors
