@@ -198,13 +198,18 @@ class Calibration:
 
 
 # Monte Carlo passes draw and score their fields in blocks of about this many
-# values, so a block's arrays stay small whatever the field size.
+# values, so a block's arrays stay small whatever the field size.  A block
+# still holds at least KERNEL_ROWS field rows (fields x time steps): the sparse
+# product of ScanTable.member_sums_temporal is slow per row with fewer columns,
+# and no sum depends on the width.
 BLOCK_VALUES = 1 << 16
+KERNEL_ROWS = 16
 
 
 def block_size(t_m: int, m: int) -> int:
-    """Fields per block: floor(BLOCK_VALUES / ((t_m + 1) m)), at least 1."""
-    return max(1, BLOCK_VALUES // ((t_m + 1) * m))
+    """Fields per block: floor(BLOCK_VALUES / ((t_m + 1) m)), but at least
+    ceil(KERNEL_ROWS / (t_m + 1)), so never fewer than 1."""
+    return max(BLOCK_VALUES // ((t_m + 1) * m), -(-KERNEL_ROWS // (t_m + 1)))
 
 
 def map_blocks(

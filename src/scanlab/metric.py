@@ -83,7 +83,9 @@ class ScanTable:
 
     def member_sums_temporal(self, rows: np.ndarray) -> np.ndarray:
         """(B, members) sums of a (B, m) block of rows, fields or one field's
-        time steps, by one sparse product: the one scoring kernel."""
+        time steps, by one sparse product: the one scoring kernel.  The
+        product adds 1.0 * value per (member, row) in id order, so no sum
+        depends on B; it is fastest per row from about 16 rows up."""
         return (self.incidence(rows.shape[1]) @ rows.T).T
 
     def max_scores(self, rows: np.ndarray, model) -> tuple[np.ndarray, np.ndarray]:

@@ -249,13 +249,23 @@ def save_nodeset(net: NodeSet, path) -> None:
         write_nodeset(net, fh)
 
 
+def _positive_int(meta: dict, key: str) -> int:
+    """meta[key] as an int; a ValueError names the key unless it is an integer >= 1."""
+    value = meta[key]
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < 1:
+        raise ValueError(f"node set file: {key!r} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def load_nodeset(path) -> NodeSet:
     """Read a node set file; each row is placed by its `id` column.
 
     The metadata line needs `mode` and `d`, and `side` in lattice mode; a
-    missing key or an unknown mode is a ValueError that names the key.  The
-    ids must be 0..m-1, each exactly once (m from the metadata line); an id
-    out of range, repeated or missing is a ValueError that names it.
+    missing key, an unknown mode, or a `d`, `side` or `m` that is not an
+    integer >= 1 is a ValueError that names the key.  The ids must be 0..m-1,
+    each exactly once (m from the metadata line); an id out of range,
+    repeated or missing is a ValueError that names it.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -269,13 +279,14 @@ def load_nodeset(path) -> NodeSet:
         if meta["mode"] not in (LATTICE, EUCLIDEAN):
             raise ValueError(f"node set file: unknown 'mode' {meta['mode']!r}; "
                              f"known: {LATTICE!r}, {EUCLIDEAN!r}")
-        d = int(meta["d"])
+        d = _positive_int(meta, "d")
+        side = _positive_int(meta, "side") if meta["mode"] == LATTICE else None
         coord = np.int64 if meta["mode"] == LATTICE else float
         fh.readline()  # column header
         rows = np.loadtxt(fh, delimiter=",", ndmin=1,
                           dtype=[("id", np.int64), ("x", coord, (d,))])
     ids = rows["id"]
-    m = int(meta.get("m", len(ids)))
+    m = _positive_int(meta, "m") if "m" in meta else len(ids)
     outside = ids[(ids < 0) | (ids >= m)]
     if outside.size:
         raise ValueError(f"node set file: id {outside[0]} is out of range 0..{m - 1}")
@@ -283,5 +294,4 @@ def load_nodeset(path) -> NodeSet:
     for bad, problem in ((counts > 1, "appears more than once"), (counts == 0, "is missing")):
         if bad.any():
             raise ValueError(f"node set file: id {np.argmax(bad)} {problem}")
-    side = int(meta["side"]) if meta["mode"] == LATTICE else None
     return NodeSet(mode=meta["mode"], dim=d, coords=rows["x"][np.argsort(ids)], side=side)

@@ -120,6 +120,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 50:
             raise ValueError("need trials >= 50")
+        if self.n_null < 1:
+            raise ValueError(f"need n_null >= 1, got {self.n_null}")
         if any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ValueError("lambda grid must be strictly increasing")
         if not self.lambdas:

@@ -766,6 +766,23 @@ n_null = 100
         assert "argument --threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_null", ["0", "-5"])
+    def test_n_null_below_1_exits_2(self, tmp_path, capsys, n_null):
+        text = TestSweepConfig.CFG.replace("n_null = 100", f"n_null = {n_null}")
+        code, _ = self._sweep(tmp_path, text)
+        assert code == 2
+        assert "n_null" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_fractional_node_set_metadata_exits_2(self, tmp_path, capsys):
+        net = tmp_path / "net.csv"
+        net.write_text('# {"mode": "lattice-l1", "d": 1.5, "m": 3, "side": 3.9}\n'
+                       "id,x0\n0,0\n1,1\n2,2\n")
+        code = run(["enumerate", "--net", str(net), "--family", "animals", "--kmax", "2",
+                    "--out", str(tmp_path / "c.txt")])
+        assert code == 2
+        assert "'d' must be an integer >= 1, got 1.5" in capsys.readouterr().err
+
     def test_echo_stays_raw(self, tmp_path):
         text = self.AVERAGE + "truth.p = 0.70\ntheory.k = 1e1\nseed = 3.0\n"
         exp, echo = build_experiment(parse_config(text))

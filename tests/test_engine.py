@@ -142,9 +142,13 @@ def test_block_engine_matches_per_field_reference(family, truth_tm, lam, master,
 
 
 def test_block_size_counts_values_not_fields():
+    # about 2**16 values a block: 9-node fields and 33-step 64^2 fields
     assert block_size(0, 9) == 7281
-    assert block_size(0, 128 * 128) == 4
     assert block_size(32, 4096) == 1
+    # but at least 16 field rows, fields x time steps
+    assert block_size(0, 128 * 128) == 16
+    assert block_size(0, 512 * 512) == 16
+    assert block_size(1, 16384) == 8
 
 
 @settings(max_examples=4, deadline=None)

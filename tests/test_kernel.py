@@ -3,10 +3,12 @@
 A block of fields must score as its fields do one at a time, bit for bit;
 statistics must agree with plain numpy sums over member ids; exact ties
 break to the first cluster, then the earliest scale, then member-major
-before window order; and risk rows must not depend on the thread count.
+before window order; and null statistics and risk rows must not depend on
+the thread count or the block width.
 """
 
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -14,19 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanlab import detect
+from scanlab import detect, sim
 from scanlab.clusters import Cluster, enumerate_balls
-from scanlab.detect import eps_scan, multiscale_test, scale_term, scan
+from scanlab.detect import calibrate, eps_scan, multiscale_test, scale_term, scan
 from scanlab.growth import dyadic_windows, make_cylinder, scan_spacetime_cylinders
 from scanlab.metric import EpsNet, ScanTable, build_net
 from scanlab.models import Field, noise_model
 from scanlab.network import ball_nodes, make_lattice, rescale_lattice
 from scanlab.sim import (
+    AverageTest,
     CylinderScanTest,
     EpsScanTest,
     ExperimentConfig,
     FixedTruths,
     MultiscaleScanTest,
+    OracleTest,
     estimate_risk,
     scorer,
 )
@@ -157,16 +161,30 @@ def test_cylinder_ties_are_member_major_then_window_order():
     assert (given.statistic, given.argmax_window) == (2.0, 4)
 
 
+@contextmanager
+def blocks_of(width):
+    """Every Monte Carlo pass in blocks of `width` fields."""
+    def rule(t_m, m):
+        return width
+
+    with mock.patch.object(detect, "block_size", rule), \
+            mock.patch.object(sim, "block_size", rule):
+        yield
+
+
+def _truth(horizon):
+    if horizon == 1:
+        return ball_nodes(NET, (0.5, 0.5), 0.2)
+    return make_cylinder(NET, (0.5, 0.5), 0.2, 1, horizon - 1)
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_risk_rows_do_not_depend_on_threads(name):
     spec, horizon, _ = SPECS[name]
-    if horizon == 1:
-        truths = (ball_nodes(NET, (0.5, 0.5), 0.2),)
-    else:
-        truths = (make_cylinder(NET, (0.5, 0.5), 0.2, 1, horizon - 1),)
+    truths = (_truth(horizon),)
     rows = []
     # blocks of 7 fields, so three threads share each pass
-    with mock.patch.object(detect, "BLOCK_VALUES", 7 * horizon * NET.m):
+    with blocks_of(7):
         for threads in (1, 3):
             cfg = ExperimentConfig(
                 net=NET, model=GAUSS, test=spec, truth=FixedTruths(truths),
@@ -175,6 +193,33 @@ def test_risk_rows_do_not_depend_on_threads(name):
             )
             rows.append(estimate_risk(cfg))
     assert rows[0] == rows[1]
+
+
+WIDTH_SPECS = {name: (spec, horizon) for name, (spec, horizon, _) in SPECS.items()} | {
+    "average": (AverageTest(), 5),
+    "oracle": (OracleTest(), 1),
+}
+
+
+@pytest.mark.filterwarnings("ignore:planting")
+@settings(max_examples=3, deadline=None)
+@given(st.sampled_from(MODELS), st.integers(0, 2**32 - 1))
+def test_results_do_not_depend_on_block_width(model, seed):
+    """Null statistics in trial order and risk rows, bit for bit, at any width."""
+    want = {}
+    for width in (1, 2, 3, 7, 16, 17, 64):
+        with blocks_of(width):
+            for name, (spec, horizon) in WIDTH_SPECS.items():
+                truth = _truth(horizon)
+                score = scorer(spec, NET, model, horizon - 1, truth)
+                null = calibrate(score.block, NET, model, 0.05, 99, seed, t_m=horizon - 1)
+                cfg = ExperimentConfig(
+                    net=NET, model=model, test=spec, truth=FixedTruths((truth,)),
+                    lambdas=(1.0, 4.0), trials=50, calib_b=99, n_null=60, seed=seed,
+                    t_m=horizon - 1,
+                )
+                got = null.null_stats.tobytes(), estimate_risk(cfg)
+                assert want.setdefault(name, got) == got, (width, name)
 
 
 def test_a_nets_table_is_built_once():

@@ -231,6 +231,25 @@ class TestNodeSetFiles:
         with pytest.raises(ValueError, match=problem):
             load_nodeset(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", "1.5"), ("d", "0"), ("d", "true"), ('d', '"1"'), ("side", "3.9"),
+        ("side", "0"), ("m", "3.7"), ("m", "-3"), ("m", "null"), ("side", "NaN"),
+    ])
+    def test_counts_must_be_integers_at_least_1(self, tmp_path, key, value):
+        meta = {"mode": '"lattice-l1"', "d": "1", "m": "3", "side": "3"} | {key: value}
+        path = tmp_path / "net.csv"
+        path.write_text("# {" + ", ".join(f'"{k}": {v}' for k, v in meta.items())
+                        + "}\nid,x0\n0,0\n1,1\n2,2\n")
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer >= 1"):
+            load_nodeset(path)
+
+    def test_integral_float_counts_load(self, tmp_path):
+        path = tmp_path / "net.csv"
+        path.write_text('# {"mode": "lattice-l1", "d": 1.0, "m": 3.0, "side": 3.0}\n'
+                        "id,x0\n0,0\n1,1\n2,2\n")
+        net = load_nodeset(path)
+        assert (net.dim, net.m, net.side) == (1, 3, 3) and type(net.side) is int
+
 
 class TestLatticeIndex:
     def test_neighbors_come_from_coordinates(self):

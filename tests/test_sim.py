@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -179,6 +180,11 @@ class TestConfigValidation:
     def test_trial_floor(self):
         with pytest.raises(ValueError):
             small_oracle_cfg((1.0,), trials=10)
+
+    @pytest.mark.parametrize("n_null", [0, -5])
+    def test_null_pass_needs_a_field(self, n_null):
+        with pytest.raises(ValueError, match="n_null"):
+            replace(small_oracle_cfg((1.0,), trials=50), n_null=n_null)
 
     def test_grid_strictly_increasing(self):
         with pytest.raises(ValueError):
