@@ -11,6 +11,7 @@ the output as # comment lines.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -31,20 +32,81 @@ def _open_out(path: str):
 
 
 # ---------------------------------------------------------------------------
+# values of flags and config keys
+
+def _float(text: str) -> float:
+    """A finite number: every float flag and config value parses through it."""
+    try:
+        number = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {text!r}")
+    return number
+
+
+def _int(text: str) -> int:
+    """An integer, exact also above 2**53; '50.0' and '1e3' count as integers."""
+    try:
+        return int(text)
+    except ValueError:
+        number = _float(text)
+    if not number.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(number)
+
+
+def _threads(text: str) -> int:
+    count = _int(text)
+    if count < 1:
+        raise ValueError(f"not at least 1: {text!r}")
+    return count
+
+
+def _bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_float(v) for v in text.split(",") if v.strip())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(_int(v) for v in text.split(",") if v.strip())
+
+
+# ---------------------------------------------------------------------------
 # net
 
 
+NET_KEYS = ("mode", "d", "side", "m", "seed", "rescale")  # net flags and net.* keys
+
+
+def nodeset(values: dict, name) -> network.NodeSet:
+    """The node set of `net` flags or net.* config keys.
+
+    `values` maps NET_KEYS to typed values (None when unset) and name(key)
+    is how the user sets one.
+    """
+    mode = values["mode"]
+    if mode == "lattice":
+        if values["side"] is None:
+            raise ConfigError(f"lattice mode requires {name('side')}")
+        net = network.make_lattice(values["d"], values["side"])
+        return network.rescale_lattice(net) if values["rescale"] else net
+    if mode == "cloud":
+        if values["m"] is None:
+            raise ConfigError(f"cloud mode requires {name('m')}")
+        return network.make_uniform_cloud(values["d"], values["m"], values["seed"])
+    raise ConfigError(f"{name('mode')}: unknown mode {mode!r}")
+
+
 def _cmd_net(args) -> int:
-    if args.mode == "lattice":
-        if args.side is None:
-            raise ConfigError("net --mode lattice requires --side")
-        net = network.make_lattice(args.d, args.side)
-        if args.rescale:
-            net = network.rescale_lattice(net)
-    else:
-        if args.m is None:
-            raise ConfigError("net --mode cloud requires --m")
-        net = network.make_uniform_cloud(args.d, args.m, args.seed)
+    net = nodeset(vars(args), lambda key: f"--{key}")
     with _open_out(args.out) as fh:
         network.write_nodeset(net, fh)
     return 0
@@ -53,25 +115,25 @@ def _cmd_net(args) -> int:
 # ---------------------------------------------------------------------------
 # cluster families: enumerate flags and scan.* config keys
 
-# Each family parameter (a clusters.FAMILIES key, and its `scan.*` config
-# key) with its type and its `enumerate` flag; value_pitch has no config
-# key.  Flag defaults are the config defaults.
+# Each family parameter (a clusters.FAMILIES key) with its kind, its
+# `enumerate` flag and its default ("" for none).  Every one but value_pitch
+# is also the `scan.*` config key of its name, of the same kind and default.
 FAMILY_FLAGS = {
-    "lambda": (float, "--lam"),
-    "lambda_lo": (float, "--lam-lo"),
-    "lambda_hi": (float, "--lam-hi"),
-    "kappa": (float, "--kappa"),
-    "grid_eps": (float, "--grid-eps"),
-    "r": (float, "--r"),
-    "alpha": (float, "--alpha"),
-    "n_control": (int, "--ncontrol"),
-    "value_pitch": (float, "--value-pitch"),
-    "ell": (int, "--ell"),
-    "h": (int, "--h"),
-    "path_mode": (str, "--path-mode"),
-    "budget": (int, "--budget"),
-    "kmax": (int, "--kmax"),
-    "size_cap": (int, "--size-cap"),
+    "lambda": (_float, "--lam", ""),
+    "lambda_lo": (_float, "--lam-lo", ""),
+    "lambda_hi": (_float, "--lam-hi", ""),
+    "kappa": (_float, "--kappa", "1.0"),
+    "grid_eps": (_float, "--grid-eps", "0.5"),
+    "r": (_float, "--r", ""),
+    "alpha": (_float, "--alpha", "1.0"),
+    "n_control": (_int, "--ncontrol", "3"),
+    "value_pitch": (_float, "--value-pitch", ""),
+    "ell": (_int, "--ell", ""),
+    "h": (_int, "--h", ""),
+    "path_mode": (str, "--path-mode", "nondecreasing"),
+    "budget": (_int, "--budget", "2000"),
+    "kmax": (_int, "--kmax", ""),
+    "size_cap": (_int, "--size-cap", ""),
 }
 
 
@@ -95,11 +157,8 @@ def cluster_class(family: str, values: dict, name) -> tuple[cl.ClusterClass, dic
 
 def _scan_class(cfg, family: str) -> cl.ClusterClass:
     """cluster_class over the scan.* config keys."""
-    values = {
-        key: _cfg(cfg, f"scan.{key}")
-        for key in FAMILY_FLAGS
-        if f"scan.{key}" in _CONFIG_DEFAULTS and _cfg_get(cfg, f"scan.{key}")
-    }
+    values = {key: _cfg(cfg, f"scan.{key}", None)
+              for key in FAMILY_FLAGS if f"scan.{key}" in _CONFIG_DEFAULTS}
     return cluster_class(family, values, lambda key: f"config key 'scan.{key}'")[0]
 
 
@@ -179,7 +238,10 @@ def _read_calibration_threshold(path: str, **ours) -> float:
         if calib[key] != str(value):
             raise ConfigError(f"calibration file {path} is for {key} {calib[key]}, "
                               f"but this test has {key} {value}")
-    return float(calib["threshold"])
+    try:
+        return _float(calib["threshold"])
+    except ValueError as exc:
+        raise ConfigError(f"calibration file {path}: threshold: {exc}") from None
 
 
 def _cmd_test(args) -> int:
@@ -257,47 +319,6 @@ def _cmd_grow(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep config
 
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"not a number: {text!r}") from None
-
-
-def _int(text: str) -> int:
-    """An integer, exact also above 2**53; '50.0' and '1e3' count as integers."""
-    try:
-        return int(text)
-    except ValueError:
-        number = _float(text)
-    if not number.is_integer():
-        raise ValueError(f"not an integer: {text!r}")
-    return int(number)
-
-
-def _threads(text: str) -> int:
-    count = _int(text)
-    if count < 1:
-        raise ValueError(f"not at least 1: {text!r}")
-    return count
-
-
-def _bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(_float(v) for v in text.split(",") if v.strip())
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(_int(v) for v in text.split(",") if v.strip())
-
-
 # key -> (default, kind): the kind turns a set value into its type; "" is unset
 _CONFIG_DEFAULTS = {
     "net.mode": ("lattice", str),
@@ -310,21 +331,9 @@ _CONFIG_DEFAULTS = {
     "tm": ("0", _int),
     "test": ("eps-scan", str),
     "scan.family": ("balls", str),
-    "scan.lambda": ("", _float),
     "scan.epsilon": ("0.5", _float),
-    "scan.kappa": ("1.0", _float),
-    "scan.lambda_lo": ("", _float),
-    "scan.lambda_hi": ("", _float),
-    "scan.grid_eps": ("0.5", _float),
-    "scan.r": ("", _float),
-    "scan.alpha": ("1.0", _float),
-    "scan.n_control": ("3", _int),
-    "scan.ell": ("", _int),
-    "scan.h": ("", _int),
-    "scan.path_mode": ("nondecreasing", str),
-    "scan.budget": ("2000", _int),
-    "scan.kmax": ("", _int),
-    "scan.size_cap": ("", _int),
+    **{f"scan.{key}": (default, kind) for key, (kind, _, default) in FAMILY_FLAGS.items()
+       if key != "value_pitch"},
     "multiscale.scales": ("", _ints),
     "truth.family": ("", str),
     "truth.lambda": ("", _float),
@@ -388,19 +397,6 @@ def _cfg(cfg, key: str, *default):
         return _CONFIG_DEFAULTS[key][1](value)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
-
-
-def _build_net_from_config(cfg) -> network.NodeSet:
-    mode = _cfg(cfg, "net.mode")
-    d = _cfg(cfg, "net.d")
-    if mode == "lattice":
-        net = network.make_lattice(d, _cfg(cfg, "net.side"))
-        if _cfg(cfg, "net.rescale"):
-            net = network.rescale_lattice(net)
-        return net
-    if mode == "cloud":
-        return network.make_uniform_cloud(d, _cfg(cfg, "net.m"), _cfg(cfg, "net.seed"))
-    raise ConfigError(f"config key 'net.mode': unknown mode {mode!r}")
 
 
 TRUTH_RETRIES = 1000  # draws of a thick truth that holds no node, at most
@@ -492,7 +488,8 @@ def _theory_from_config(cfg) -> float | None:
 
 def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.ExperimentConfig, dict]:
     """Resolve a parsed config into an ExperimentConfig plus the echo map."""
-    net = _build_net_from_config(cfg)
+    net = nodeset({key: _cfg(cfg, f"net.{key}", None) for key in NET_KEYS},
+                  lambda key: f"config key 'net.{key}'")
     model = models.noise_model(_cfg_get(cfg, "model"))
     seed = _cfg(cfg, "seed")
     t_m = _cfg(cfg, "tm")
@@ -595,8 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate a cluster family")
     p.add_argument("--net", required=True)
     p.add_argument("--family", required=True, choices=list(cl.FAMILIES))
-    for key, (kind, flag) in FAMILY_FLAGS.items():
-        default = _CONFIG_DEFAULTS.get(f"scan.{key}", ("",))[0]
+    for key, (kind, flag, default) in FAMILY_FLAGS.items():
         p.add_argument(flag, dest=key, type=kind, default=kind(default) if default else None,
                        choices=cl.PATH_MODES if key == "path_mode" else None)
     p.add_argument("--seed", type=int, default=0)
@@ -605,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("netbuild", help="greedy epsilon-net from a cluster file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_float, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_netbuild)
 
@@ -619,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", parents=[scoring],
                        help="empirical null quantile of a statistic")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_float, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--tm", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
@@ -628,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", parents=[scoring], help="run a thresholded test on a saved field")
     p.add_argument("--field", required=True)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_float)
     p.add_argument("--calibration")
     p.set_defaults(func=_cmd_test)
 
@@ -637,18 +633,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["cylinder", "cone", "holder", "richardson"])
     p.add_argument("--center", help="comma-separated coordinates")
-    p.add_argument("--r0", type=float)
-    p.add_argument("--speed", type=float)
+    p.add_argument("--r0", type=_float)
+    p.add_argument("--speed", type=_float)
     p.add_argument("--controls", help="semicolon-separated coordinate tuples")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--r", type=float)
-    p.add_argument("--xi", type=float, default=1.0)
+    p.add_argument("--alpha", type=_float, default=1.0)
+    p.add_argument("--kappa", type=_float, default=1.0)
+    p.add_argument("--r", type=_float)
+    p.add_argument("--xi", type=_float, default=1.0)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--end", type=int)
     p.add_argument("--x0", type=int)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--within-radius", dest="within_radius", type=float)
+    p.add_argument("--p", type=_float, default=1.0)
+    p.add_argument("--within-radius", dest="within_radius", type=_float)
     p.add_argument("--t0", type=int, default=0)
     p.add_argument("--tm", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -665,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     for key in RATE_PARAMS:
         p.add_argument("--" + key.replace("_", ""), dest=key,
-                       type=int if key in ("d", "p") else float)
+                       type=int if key in ("d", "p") else _float)
     p.set_defaults(func=_cmd_rates)
 
     return parser

@@ -190,8 +190,8 @@ class ThickParams:
     grid_eps: float = 0.5  # center grid pitch, in units of lam
 
     def __post_init__(self) -> None:
-        if not 0 < self.lam_lo <= self.lam_hi:
-            raise ValueError("need 0 < lam_lo <= lam_hi")
+        if not 0 < self.lam_lo <= self.lam_hi < math.inf:
+            raise ValueError("need 0 < lam_lo <= lam_hi < inf")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
         if not 0 < self.grid_eps <= 1:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .clusters import Cluster
 from .metric import EpsNet, ScanTable
-from .models import Field, NoiseModel, sample_null_block
+from .models import Field, NoiseModel, sample_null_block, standardized_sum
 from .network import NodeSet
 from .rng import derive_seeds
 
@@ -82,8 +82,7 @@ def _table_scan(field: Field, table: ScanTable, model: NoiseModel) -> TestResult
 def average_statistics(values: np.ndarray, model: NoiseModel) -> np.ndarray:
     """The average test's statistic for every field of a (B, t_m + 1, m) block."""
     n = values[0].size
-    total = values.reshape(len(values), n).sum(axis=1)
-    return (total - n * model.null_mean) / (model.sigma * math.sqrt(n))
+    return model.standardize(values.reshape(len(values), n).sum(axis=1), n)
 
 
 def average_test(field: Field, model: NoiseModel) -> TestResult:
@@ -91,16 +90,19 @@ def average_test(field: Field, model: NoiseModel) -> TestResult:
     return TestResult(statistic=float(average_statistics(field.values[None], model)[0]))
 
 
-def oracle_test(field: Field, k: Cluster, lam: float, model: NoiseModel) -> TestResult:
-    """Likelihood-ratio cutoff for a known cluster: reject iff S_K > lam/2.
+def oracle_cutoff(lam: float) -> float:
+    """The oracle's cutoff on S_K at signal strength lam: lam/2.
 
     Risk-minimizing for the gaussian shift; for bernoulli/poisson the same
     cutoff is only a large-cluster approximation.
     """
-    from .models import standardized_sum
+    return lam / 2.0
 
+
+def oracle_test(field: Field, k: Cluster, lam: float, model: NoiseModel) -> TestResult:
+    """Likelihood-ratio test for a known cluster: reject iff S_K > oracle_cutoff(lam)."""
     value = standardized_sum(field, k, model)
-    return TestResult(statistic=value, threshold=lam / 2.0, argmax=k)
+    return TestResult(statistic=value, threshold=oracle_cutoff(lam), argmax=k)
 
 
 def scale_term(m: int, d: int, scale: int, c: float = 1.0) -> float:

@@ -293,7 +293,7 @@ def cylinder_statistics(
     np.cumsum(per_t.reshape(n_fields, horizon, len(table)), axis=1, out=cum[:, 1:])
     n_pairs = table.sizes * windows[:, None]  # (windows, members)
     tails = cum[:, -1:] - cum[:, horizon - windows]
-    stats = (tails - n_pairs * model.null_mean) / (model.sigma * np.sqrt(n_pairs))
+    stats = model.standardize(tails, n_pairs)
     flat = stats.transpose(0, 2, 1).reshape(n_fields, -1).argmax(axis=1)  # member-major
     j, col = np.divmod(flat, len(windows))
     return stats[np.arange(n_fields), col, j], j, windows[col]

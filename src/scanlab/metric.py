@@ -55,14 +55,12 @@ class ScanTable:
     Member j's ids are concat[indptr[j]:indptr[j + 1]].  The one scoring
     kernel, `member_sums_temporal`, adds each member's values left to right
     in every row of a block, so a block sums as its rows do one at a time.
-    `model` is the one the one-row `max_score` standardizes by.
     """
 
-    def __init__(self, members: Iterable[Cluster], model=None):
+    def __init__(self, members: Iterable[Cluster]):
         self.members = tuple(members)
         if not self.members:
             raise ValueError("empty cluster stream")
-        self.model = model
         self.sizes = np.array([c.size for c in self.members], dtype=np.int64)
         if not self.sizes.min():
             raise ValueError("clusters must be nonempty")
@@ -90,13 +88,11 @@ class ScanTable:
 
     def max_scores(self, rows: np.ndarray, model) -> tuple[np.ndarray, np.ndarray]:
         """Each row's maximum standardized sum and its first argmax member."""
-        scores = (self.member_sums_temporal(rows) - self.sizes * model.null_mean) / (
-            model.sigma * np.sqrt(self.sizes)
-        )
+        scores = model.standardize(self.member_sums_temporal(rows), self.sizes)
         return scores.max(axis=1), scores.argmax(axis=1)
 
-    def max_score(self, row: np.ndarray) -> tuple[float, int]:
-        stats, j = self.max_scores(row[None], self.model)
+    def max_score(self, row: np.ndarray, model) -> tuple[float, int]:
+        stats, j = self.max_scores(row[None], model)
         return float(stats[0]), int(j[0])
 
     @cached_property

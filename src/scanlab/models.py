@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from dataclasses import field as _field  # `field` names Field arguments below
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -31,27 +32,31 @@ POISSON = "poisson"
 
 _MAD_CONSISTENCY = float(norm.ppf(0.75))  # 0.6744897501960817
 
+# family -> (mean, variance) of its base law F0
+_MOMENTS = {GAUSSIAN: (0.0, 1.0), BERNOULLI: (0.5, 0.25), POISSON: (1.0, 1.0)}
+
 
 @dataclass(frozen=True)
 class NoiseModel:
     family: str
     min_cluster_warn: int = 30  # non-gaussian planting below this is suspect
+    null_mean: float = _field(init=False, repr=False, compare=False)
+    sigma2: float = _field(init=False, repr=False, compare=False)
+    sigma: float = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.family not in (GAUSSIAN, BERNOULLI, POISSON):
+        if self.family not in _MOMENTS:
             raise ValueError(f"unknown family {self.family!r}")
+        mean, var = _MOMENTS[self.family]
+        object.__setattr__(self, "null_mean", mean)
+        object.__setattr__(self, "sigma2", var)
+        object.__setattr__(self, "sigma", math.sqrt(var))
 
-    @property
-    def null_mean(self) -> float:
-        return {GAUSSIAN: 0.0, BERNOULLI: 0.5, POISSON: 1.0}[self.family]
-
-    @property
-    def sigma2(self) -> float:
-        return {GAUSSIAN: 1.0, BERNOULLI: 0.25, POISSON: 1.0}[self.family]
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
+    def standardize(self, total, n):
+        """(total - n*null_mean) / (sigma*sqrt(n)): a sum of n values as a
+        statistic of mean 0 and variance 1 under H0; arrays broadcast.  The
+        one standardization every statistic uses."""
+        return (total - n * self.null_mean) / (self.sigma * np.sqrt(n))
 
     def tilted_mean(self, theta: float) -> float:
         if self.family == GAUSSIAN:
@@ -102,19 +107,10 @@ class Field:
     def static(self) -> bool:
         return self.t_m == 0
 
-    @classmethod
-    def _wrap(cls, net: NodeSet, values: np.ndarray) -> "Field":
-        """Internal: adopt a known-good (t_m+1, m) array without re-checks."""
-        obj = object.__new__(cls)
-        values.flags.writeable = False
-        object.__setattr__(obj, "net", net)
-        object.__setattr__(obj, "values", values)
-        return obj
-
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Signal strength lam (>= 0; 0 plants a null-distributed redraw).
+    """Signal strength lam (finite, >= 0; 0 plants a null-distributed redraw).
 
     per_node_theta optionally overrides the natural parameter node by node;
     overrides must not fall below the implied theta_K.
@@ -124,8 +120,8 @@ class SignalSpec:
     per_node_theta: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
 
     def theta(self, model: NoiseModel, total_pairs: int) -> float:
         return model.sigma * self.lam / math.sqrt(total_pairs)
@@ -143,20 +139,27 @@ def sample_null_block(net: NodeSet, model: NoiseModel, t_m: int, seeds) -> np.nd
 
 def sample_null(net: NodeSet, model: NoiseModel, t_m: int, seed: int) -> Field:
     """i.i.d. F0 draws at every (node, time); t_m = 0 gives a static field."""
-    return Field._wrap(net, sample_null_block(net, model, t_m, (seed,))[0])
+    return Field(net, sample_null_block(net, model, t_m, (seed,))[0])
 
 
 def _anomalous_slices(
     target: Union[Cluster, "ClusterSequence"], t_m: int
 ) -> list[tuple[int, Cluster]]:
-    """(time, cluster) pairs carrying signal; validates the time horizon."""
+    """The target's nonempty (time, cluster) slices in a field of times 0..t_m.
+
+    The one check of a target against a field horizon: a Cluster addresses
+    a static field, and a ClusterSequence no longer than the horizon a
+    temporal one.  An empty target is refused too.
+    """
     if isinstance(target, Cluster):
         if not target:
-            raise ValueError("cannot plant an empty cluster")
+            raise ValueError("the target is an empty cluster")
+        if t_m != 0:
+            raise ValueError("pass a ClusterSequence for temporal fields")
         return [(0, target)]
     slices = [(t, k) for t, k in enumerate(target.slices) if k]
     if not slices:
-        raise ValueError("cannot plant an empty cluster sequence")
+        raise ValueError("the target is an empty cluster sequence")
     if target.t_m > t_m:
         raise ValueError("cluster sequence is longer than the field horizon")
     return slices
@@ -221,7 +224,7 @@ def plant(
     """Replace values on the target by F_theta draws; off-target untouched."""
     values = field.values[None].copy()
     plant_block(values, target, sig, model, (seed,))
-    return Field._wrap(field.net, values[0])
+    return Field(field.net, values[0])
 
 
 def mad_variance(field: Field) -> float:
@@ -238,20 +241,12 @@ def standardized_sums(
     values: np.ndarray, target: Union[Cluster, "ClusterSequence"], model: NoiseModel
 ) -> np.ndarray:
     """standardized_sum of every field in a (B, t_m + 1, m) block, bit for bit."""
-    if isinstance(target, Cluster):
-        if not target:
-            raise ValueError("standardized_sum needs a nonempty cluster")
-        if values.shape[1] != 1:
-            raise ValueError("pass a ClusterSequence for temporal fields")
-        slices = [(0, target)]
-    else:
-        slices = _anomalous_slices(target, values.shape[1] - 1)
+    slices = _anomalous_slices(target, values.shape[1] - 1)
     # take() gathers C-ordered rows, so each row sums in the order of a 1-D sum
     total = 0
     for t, k in slices:
         total = total + values[:, t].take(k.idarray, axis=1).sum(axis=1)
-    n = sum(k.size for _, k in slices)
-    return (total - n * model.null_mean) / (model.sigma * math.sqrt(n))
+    return model.standardize(total, sum(k.size for _, k in slices))
 
 
 def standardized_sum(
@@ -263,18 +258,9 @@ def standardized_sum(
     static field; temporal fields take a ClusterSequence and n counts the
     (node, time) pairs.
     """
-    if isinstance(target, Cluster):
-        if not target:
-            raise ValueError("standardized_sum needs a nonempty cluster")
-        if not field.static:
-            raise ValueError("pass a ClusterSequence for temporal fields")
-        total = float(field.values[0].take(target.idarray).sum())
-        n = target.size
-    else:
-        slices = _anomalous_slices(target, field.t_m)
-        total = float(sum(field.values[t, k.idarray].sum() for t, k in slices))
-        n = sum(k.size for _, k in slices)
-    return (total - n * model.null_mean) / (model.sigma * math.sqrt(n))
+    slices = _anomalous_slices(target, field.t_m)
+    total = sum(field.values[t].take(k.idarray).sum() for t, k in slices)
+    return float(model.standardize(total, sum(k.size for _, k in slices)))
 
 
 def save_field(field: Field, path) -> None:

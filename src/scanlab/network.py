@@ -54,6 +54,8 @@ class NodeSet:
             raise ValueError(f"coords must be (m, {self.dim})")
         if self.mode not in (LATTICE, EUCLIDEAN):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not np.isfinite(coords).all():
+            raise ValueError("node coordinates must be finite")
         if self.mode == LATTICE:
             if self.side is None or self.side < 1:
                 raise ValueError("lattice mode requires a positive side")

@@ -27,6 +27,7 @@ from .detect import (
     map_blocks,
     multiscale_statistics,
     multiscale_test,
+    oracle_cutoff,
     scale_offsets,
     scale_term,
 )
@@ -36,6 +37,7 @@ from .models import (
     Field,
     NoiseModel,
     SignalSpec,
+    _anomalous_slices,
     plant_block,
     sample_null_block,
     standardized_sum,
@@ -76,7 +78,7 @@ class AverageTest:
 
 @dataclass(frozen=True)
 class OracleTest:
-    """Known-cluster likelihood-ratio cutoff lam/2; no calibration step."""
+    """Known-cluster likelihood-ratio test cut at oracle_cutoff(lam); no calibration step."""
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ def scorer(
 
 
 def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
-    """Calibrate once (the oracle cuts at lam/2 instead), then estimate risk at every lambda.
+    """Calibrate once (the oracle cuts at oracle_cutoff), then estimate risk at every lambda.
 
     The null pass and each (lambda, truth) pass run over blocks of fields
     (detect.block_size); trial i of a pass draws from its own seed,
@@ -235,6 +237,8 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
     for the null field and (..., i, 1) for the planted values.
     """
     truths = _resolve_truths(cfg)
+    for truth in truths:  # refuse a truth the fields cannot hold before any pass
+        _anomalous_slices(truth, cfg.t_m)
     oracle = isinstance(cfg.test, OracleTest)
     if oracle and len(truths) != 1:
         raise ValueError(
@@ -256,7 +260,7 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
     rows: list[RiskEstimate] = []
     for pt, lam in enumerate(cfg.lambdas):
         start = time.perf_counter()
-        threshold = lam / 2.0 if oracle else calib.threshold
+        threshold = oracle_cutoff(lam) if oracle else calib.threshold
         type1 = float(np.mean(null_stats > threshold))
         sig = SignalSpec(lam)
         worst = -1.0

@@ -804,3 +804,113 @@ n_null = 100
 """)
         assert code == 2
         assert "no thick truth" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """main's exit code, also when argparse refuses a flag (SystemExit)."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNonFiniteInputs:
+    """nan and ±inf are refused where they enter, with exit 2 and the name."""
+
+    @pytest.mark.parametrize("line", ["lambda.grid = nan", "lambda.grid = 1,inf",
+                                      "truth.p = nan", "scan.lambda = -inf", "alpha = inf"])
+    def test_config_value(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        base = [l for l in TestConfigBounds.AVERAGE.splitlines() if not l.startswith(key)]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("\n".join(base + [line]) + "\n")
+        out = tmp_path / "o.csv"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config key '{key}': not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["enumerate", "--family", "balls", "--lam", "nan"], "--lam"),
+        (["enumerate", "--family", "thick", "--lam-lo", "1", "--lam-hi", "inf"], "--lam-hi"),
+        (["grow", "--kind", "cone", "--center", "3,3", "--speed", "nan", "--tm", "2"],
+         "--speed"),
+        (["grow", "--kind", "cylinder", "--center", "3,nan", "--r0", "2", "--tm", "2"], None),
+        (["netbuild", "--epsilon", "nan"], "--epsilon"),
+        (["test", "--statistic", "average", "--threshold", "nan"], "--threshold"),
+        (["calibrate", "--statistic", "average", "--alpha", "nan", "--b", "99"], "--alpha"),
+        (["rates", "--formula", "thick", "--m", "inf", "--k", "4"], "--m"),
+    ])
+    def test_flag(self, tmp_path, capsys, argv, flag):
+        net = _lattice(tmp_path)
+        files = {"enumerate": ["--net", str(net)], "grow": ["--net", str(net)],
+                 "netbuild": ["--in", str(tmp_path / "in.txt")], "rates": [],
+                 "test": ["--net", str(net), "--field", str(_null_field(tmp_path, net))],
+                 "calibrate": ["--net", str(net)]}[argv[0]]
+        out = [] if argv[0] == "rates" else ["--out", str(tmp_path / "o.txt")]
+        assert _exit_code(argv + files + out) == 2
+        err = capsys.readouterr().err
+        assert (f"argument {flag}" if flag else "not a finite number") in err
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_calibration_threshold(self, tmp_path, capsys):
+        net = _lattice(tmp_path)
+        calib = tmp_path / "calib.csv"
+        calib.write_text("alpha,b,threshold,seed,statistic,tm,model\n"
+                         "0.05,99,nan,7,average,0,gaussian\n")
+        out = tmp_path / "r.csv"
+        assert run(["test", "--net", str(net), "--field", str(_null_field(tmp_path, net)),
+                    "--statistic", "average", "--calibration", str(calib),
+                    "--out", str(out)]) == 2
+        assert f"calibration file {calib}: threshold: not a finite number" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_node_set_coordinate(self, tmp_path, capsys):
+        net = tmp_path / "net.csv"
+        net.write_text('# {"mode": "euclidean-l2", "d": 2, "m": 2}\n'
+                       "id,x0,x1\n0,0.25,0.5\n1,0.75,nan\n")
+        assert run(["enumerate", "--net", str(net), "--family", "balls", "--lam", "0.5",
+                    "--out", str(tmp_path / "c.txt")]) == 2
+        assert "node coordinates must be finite" in capsys.readouterr().err
+
+
+class TestOneTargetRule:
+    def test_static_truth_on_temporal_fields_exits_2(self, tmp_path, capsys):
+        # ball truths (the default family) are static clusters; with tm = 7
+        # they used to be planted in the first of 8 steps only
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("net.side = 16\ntm = 7\ntest = cylinders\nscan.family = balls\n"
+                       "scan.lambda = 3\ntruth.count = 2\nlambda.grid = 4,8\n")
+        out = tmp_path / "o.csv"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "pass a ClusterSequence for temporal fields" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNetBuilder:
+    @pytest.mark.parametrize("mode, key", [("lattice", "side"), ("cloud", "m")])
+    def test_errors_name_the_flag_or_key(self, tmp_path, capsys, mode, key):
+        assert run(["net", "--mode", mode, "--d", "2", "--out", str(tmp_path / "n.csv")]) == 2
+        assert f"{mode} mode requires --{key}" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=f"{mode} mode requires config key 'net.{key}'"):
+            build_experiment(parse_config(f"net.mode = {mode}\nlambda.grid = 1\n"))
+
+    def test_unknown_config_mode(self):
+        with pytest.raises(ConfigError, match="config key 'net.mode': unknown mode 'grid'"):
+            build_experiment(parse_config("net.mode = grid\nlambda.grid = 1\n"))
+
+    @pytest.mark.parametrize("flags, text", [
+        (["--mode", "lattice", "--d", "2", "--side", "5"], "net.side = 5"),
+        (["--mode", "lattice", "--d", "1", "--side", "6", "--rescale"],
+         "net.d = 1\nnet.side = 6\nnet.rescale = true"),
+        (["--mode", "cloud", "--d", "3", "--m", "20", "--seed", "4"],
+         "net.mode = cloud\nnet.d = 3\nnet.m = 20\nnet.seed = 4"),
+    ])
+    def test_flags_and_keys_build_the_same_net(self, tmp_path, flags, text):
+        path = tmp_path / "n.csv"
+        assert run(["net", *flags, "--out", str(path)]) == 0
+        exp, _ = build_experiment(parse_config(
+            text + "\ntest = average\ntruth.family = animals\ntruth.k = 2\nlambda.grid = 1\n"))
+        got = load_nodeset(path)
+        assert (got.mode, got.side) == (exp.net.mode, exp.net.side)
+        assert np.array_equal(got.coords, exp.net.coords)

@@ -153,6 +153,12 @@ class TestThick:
         with pytest.raises(ValueError):
             make_shape("ellipsoid", (0.5, 0.5), (0.4, 0.1), kappa=2.0, mode="euclidean-l2")
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)])
+    def test_scale_range_finite(self, lo, hi):
+        # an infinite lam_hi halved forever in the scale grid, without end
+        with pytest.raises(ValueError, match="lam_hi < inf"):
+            ThickParams(lam_lo=lo, lam_hi=hi)
+
     def test_lattice_sandwich_counts(self):
         # every emitted cluster sits between its inner and outer ball node sets
         net = make_lattice(2, 64)

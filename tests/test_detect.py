@@ -56,12 +56,20 @@ class TestScan:
         r = scan(f, [Cluster((0,)), Cluster((1,))], GAUSS)
         assert r.argmax_index == 0
 
+    def test_table_takes_no_model(self):
+        # the model is an argument of scoring, not of the table
+        members = [Cluster((0,)), Cluster((0, 1))]
+        with pytest.raises(TypeError):
+            ScanTable(members, GAUSS)
+        table = ScanTable(members)
+        assert table.max_score(np.array([1.0, 2.0, 0.0]), GAUSS) == (3.0 / math.sqrt(2), 1)
+
     def test_null_concentration(self):
         # max over 1e4 disjoint singletons concentrates near sqrt(2 log N)
         net = make_lattice(2, 100)
-        table = ScanTable([Cluster((i,)) for i in range(10_000)], GAUSS)
+        table = ScanTable([Cluster((i,)) for i in range(10_000)])
         maxima = [
-            table.max_score(sample_null(net, GAUSS, 0, derive_seed(21, i)).values[0])[0]
+            table.max_score(sample_null(net, GAUSS, 0, derive_seed(21, i)).values[0], GAUSS)[0]
             for i in range(100)
         ]
         target = math.sqrt(2 * math.log(10_000))
@@ -111,7 +119,7 @@ class TestEpsScan:
         net = rescale_lattice(make_lattice(2, 32))
         r = 3.1 / 32
         netE = build_net(enumerate_balls(net, r), 0.5)
-        table = ScanTable(netE.members, GAUSS)
+        table = ScanTable(netE.members)
         lam = 4.0
         from scanlab.network import ball_nodes
         from scanlab.models import standardized_sum
@@ -120,7 +128,7 @@ class TestEpsScan:
         for i in range(100):
             f = sample_null(net, GAUSS, 0, derive_seed(51, i))
             pf = plant(f, k, SignalSpec(lam), GAUSS, derive_seed(52, i))
-            assert table.max_score(pf.values[0])[0] >= (
+            assert table.max_score(pf.values[0], GAUSS)[0] >= (
                 standardized_sum(pf, k, GAUSS) - lam * 0.5 - 3.0
             )
 
@@ -201,7 +209,7 @@ class TestCalibrate:
 
     def test_threads_match_single(self):
         net = make_lattice(2, 6)
-        table = ScanTable(list(enumerate_balls(net, 1.5)), GAUSS)
+        table = ScanTable(list(enumerate_balls(net, 1.5)))
         stat = lambda v: table.max_scores(v[:, 0], GAUSS)[0]
         a = calibrate(stat, net, GAUSS, alpha=0.05, b=120, seed=5, threads=1)
         b = calibrate(stat, net, GAUSS, alpha=0.05, b=120, seed=5, threads=4)
@@ -212,8 +220,8 @@ class TestCalibrate:
         # ball scan on the 64x64 lattice, alpha=0.05, B=400:
         # fresh-null rejection rate within the binomial CI
         net = make_lattice(2, 64)
-        table = ScanTable(list(enumerate_balls(net, 2.5)), GAUSS)
-        stat = lambda f: table.max_score(f.values[0])[0]
+        table = ScanTable(list(enumerate_balls(net, 2.5)))
+        stat = lambda f: table.max_score(f.values[0], GAUSS)[0]
         block = lambda v: table.max_scores(v[:, 0], GAUSS)[0]
         calib = calibrate(block, net, GAUSS, alpha=0.05, b=400, seed=6)
         hits = sum(

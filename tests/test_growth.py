@@ -252,7 +252,7 @@ class TestSpacetimeScan:
         members = list(enumerate_balls(net, 1.5))
         f = sample_null(net, GAUSS, 5, seed=6)
         full = scan_spacetime_cylinders(f, members, GAUSS)
-        table = ScanTable(members, GAUSS)
+        table = ScanTable(members)
         per_t = table.member_sums_temporal(f.values)
         # single (member, window) pair: member 3, last 2 steps
         pair = (per_t[-2:, 3].sum()) / math.sqrt(members[3].size * 2)

@@ -12,9 +12,11 @@ from scanlab.models import (
     mad_variance,
     noise_model,
     plant,
+    plant_block,
     sample_null,
     save_field,
     standardized_sum,
+    standardized_sums,
 )
 from scanlab.network import make_lattice
 from scanlab.rng import derive_seed
@@ -134,6 +136,26 @@ class TestPlant:
         assert np.mean(vals) > 6.0
 
 
+    def test_static_cluster_refused_on_temporal_field(self):
+        # a Cluster addresses a static field; it used to plant at t = 0 only
+        net = make_lattice(2, 6)
+        f = sample_null(net, GAUSS, 3, 1)
+        k = Cluster((0, 1, 2))
+        with pytest.raises(ValueError, match="pass a ClusterSequence for temporal fields"):
+            plant(f, k, SignalSpec(50.0), GAUSS, 2)
+        block = f.values[None].copy()
+        for call in (lambda: plant_block(block, k, SignalSpec(50.0), GAUSS, (2,)),
+                     lambda: standardized_sums(block, k, GAUSS)):
+            with pytest.raises(ValueError, match="pass a ClusterSequence for temporal fields"):
+                call()
+        assert np.array_equal(block[0], f.values)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_signal_strength_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            SignalSpec(lam)
+
+
 class TestMadVariance:
     def test_constant_field_is_zero(self):
         net = make_lattice(2, 4)
@@ -215,6 +237,13 @@ class TestNoiseModel:
         assert GAUSS.sigma2 == 1.0
         assert BERN.sigma2 == 0.25
         assert POIS.sigma2 == 1.0
+
+    @pytest.mark.parametrize("model, mean, var, sigma", [
+        (GAUSS, 0.0, 1.0, 1.0), (BERN, 0.5, 0.25, 0.5), (POIS, 1.0, 1.0, 1.0),
+    ])
+    def test_moments(self, model, mean, var, sigma):
+        assert (model.null_mean, model.sigma2, model.sigma) == (mean, var, sigma)
+        assert model.standardize(4 * mean + 2 * sigma, 4) == 1.0
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,14 @@ class TestNodeSetValidation:
         with pytest.raises(ValueError):
             NodeSet(mode=EUCLIDEAN, dim=2, coords=np.array([[0.5, 1.5]]))
 
+    @pytest.mark.parametrize("mode, side, bad", [
+        (EUCLIDEAN, None, math.nan), (EUCLIDEAN, None, math.inf), (LATTICE, 3, math.nan),
+    ])
+    def test_coordinates_must_be_finite(self, mode, side, bad):
+        coords = np.array([[0.0, 1.0], [1.0, bad]])
+        with pytest.raises(ValueError, match="must be finite"):
+            NodeSet(mode=mode, dim=2, coords=coords, side=side)
+
     def test_coords_immutable(self):
         net = make_lattice(2, 3)
         with pytest.raises(ValueError):
@@ -249,6 +257,15 @@ class TestNodeSetFiles:
                         "id,x0\n0,0\n1,1\n2,2\n")
         net = load_nodeset(path)
         assert (net.dim, net.m, net.side) == (1, 3, 3) and type(net.side) is int
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_euclidean_coordinates_must_be_finite(self, tmp_path, value):
+        # a nan coordinate used to load, and its node then belonged to no ball
+        path = tmp_path / "net.csv"
+        path.write_text('# {"mode": "euclidean-l2", "d": 2, "m": 2}\n'
+                        f"id,x0,x1\n0,0.25,0.5\n1,0.75,{value}\n")
+        with pytest.raises(ValueError, match="node coordinates must be finite"):
+            load_nodeset(path)
 
 
 class TestLatticeIndex:

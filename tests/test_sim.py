@@ -192,6 +192,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_oracle_cfg((1.0, 1.0), trials=50)
 
+    def test_static_truth_refused_on_temporal_fields(self):
+        cfg = ExperimentConfig(
+            net=make_lattice(2, 4), model=GAUSS, test=AverageTest(),
+            truth=FixedTruths((Cluster((0, 1)),)), lambdas=(1.0,), trials=50, t_m=2,
+        )
+        with pytest.raises(ValueError, match="pass a ClusterSequence for temporal fields"):
+            estimate_risk(cfg)
+
     def test_static_test_rejects_temporal(self):
         net = make_lattice(2, 8)
         netE = build_net(enumerate_balls(net, 1.5), 0.5)
