@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 from . import clusters as cl
 from . import detect, growth, metric, models, network, sim
@@ -79,30 +80,57 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(_int(v) for v in text.split(",") if v.strip())
 
 
+class Value(NamedTuple):
+    """One value, declared once for each flag and config key that sets it.
+
+    `kind` parses its text: a function, a tuple of the words it may be, or
+    _bool, which makes its flag a switch.  `default` is text ("" for none);
+    `required` is for the flag only, as a config key falls back to its
+    default.  `flag` is given when it is not --name with "-" for "_".
+    """
+
+    kind: Callable | tuple[str, ...] = str
+    default: str = ""
+    required: bool = False
+    flag: str | None = None
+    help: str | None = None
+
+
+def flag(name: str, value: Value) -> str:
+    return value.flag or "--" + name.replace("_", "-")
+
+
+REQUIRED = Value(required=True)  # a text that must be given, such as a file name
+OUT = {"out": REQUIRED}
+SEED = Value(_int, "0")
+
+
 # ---------------------------------------------------------------------------
 # net
 
 
-NET_KEYS = ("mode", "d", "side", "m", "seed", "rescale")  # net flags and net.* keys
+NET_FLAGS = {  # also the net.* config keys
+    "mode": Value(("lattice", "cloud"), "lattice", required=True),
+    "d": Value(_int, "2", required=True), "side": Value(_int), "m": Value(_int), "seed": SEED,
+    "rescale": Value(_bool, "false",
+                     help="map the lattice to cell centers in [0,1]^d (euclidean mode)"),
+}
 
 
 def nodeset(values: dict, name) -> network.NodeSet:
     """The node set of `net` flags or net.* config keys.
 
-    `values` maps NET_KEYS to typed values (None when unset) and name(key)
-    is how the user sets one.
+    `values` maps NET_FLAGS keys to typed values (None when unset) and
+    name(key) is how the user sets one.
     """
-    mode = values["mode"]
-    if mode == "lattice":
+    if values["mode"] == "lattice":
         if values["side"] is None:
             raise ConfigError(f"lattice mode requires {name('side')}")
         net = network.make_lattice(values["d"], values["side"])
         return network.rescale_lattice(net) if values["rescale"] else net
-    if mode == "cloud":
-        if values["m"] is None:
-            raise ConfigError(f"cloud mode requires {name('m')}")
-        return network.make_uniform_cloud(values["d"], values["m"], values["seed"])
-    raise ConfigError(f"{name('mode')}: unknown mode {mode!r}")
+    if values["m"] is None:  # "cloud", the one other word the mode's kind admits
+        raise ConfigError(f"cloud mode requires {name('m')}")
+    return network.make_uniform_cloud(values["d"], values["m"], values["seed"])
 
 
 def _cmd_net(args) -> int:
@@ -115,26 +143,27 @@ def _cmd_net(args) -> int:
 # ---------------------------------------------------------------------------
 # cluster families: enumerate flags and scan.* config keys
 
-# Each family parameter (a clusters.FAMILIES key) with its kind, its
-# `enumerate` flag and its default ("" for none).  Every one but value_pitch
-# is also the `scan.*` config key of its name, of the same kind and default.
+# Each family parameter (a clusters.FAMILIES key) as its `enumerate` flag.
+# Every one but value_pitch is also the `scan.*` config key of its name.
 FAMILY_FLAGS = {
-    "lambda": (_float, "--lam", ""),
-    "lambda_lo": (_float, "--lam-lo", ""),
-    "lambda_hi": (_float, "--lam-hi", ""),
-    "kappa": (_float, "--kappa", "1.0"),
-    "grid_eps": (_float, "--grid-eps", "0.5"),
-    "r": (_float, "--r", ""),
-    "alpha": (_float, "--alpha", "1.0"),
-    "n_control": (_int, "--ncontrol", "3"),
-    "value_pitch": (_float, "--value-pitch", ""),
-    "ell": (_int, "--ell", ""),
-    "h": (_int, "--h", ""),
-    "path_mode": (str, "--path-mode", "nondecreasing"),
-    "budget": (_int, "--budget", "2000"),
-    "kmax": (_int, "--kmax", ""),
-    "size_cap": (_int, "--size-cap", ""),
+    "lambda": Value(_float, flag="--lam"),
+    "lambda_lo": Value(_float, flag="--lam-lo"),
+    "lambda_hi": Value(_float, flag="--lam-hi"),
+    "kappa": Value(_float, "1.0"),
+    "grid_eps": Value(_float, "0.5"),
+    "r": Value(_float),
+    "alpha": Value(_float, "1.0"),
+    "n_control": Value(_int, "3", flag="--ncontrol"),
+    "value_pitch": Value(_float),
+    "ell": Value(_int),
+    "h": Value(_int),
+    "path_mode": Value(cl.PATH_MODES, "nondecreasing"),
+    "budget": Value(_int, "2000"),
+    "kmax": Value(_int),
+    "size_cap": Value(_int),
 }
+ENUMERATE_FLAGS = {"net": REQUIRED, "family": Value(tuple(cl.FAMILIES), cl.BALLS, required=True),
+                   **FAMILY_FLAGS, "seed": SEED, **OUT}
 
 
 def cluster_class(family: str, values: dict, name) -> tuple[cl.ClusterClass, dict]:
@@ -144,8 +173,6 @@ def cluster_class(family: str, values: dict, name) -> tuple[cl.ClusterClass, dic
     name(key) is how the user sets one.  Also returns the values used, which
     head an enumerate output file.
     """
-    if family not in cl.FAMILIES:
-        raise ConfigError(f"unknown cluster family {family!r}; known: {list(cl.FAMILIES)}")
     used: dict = {"family": family}
     for key in cl.FAMILIES[family][0] + ("size_cap",):
         if values.get(key) is not None:
@@ -158,19 +185,24 @@ def cluster_class(family: str, values: dict, name) -> tuple[cl.ClusterClass, dic
 def _scan_class(cfg, family: str) -> cl.ClusterClass:
     """cluster_class over the scan.* config keys."""
     values = {key: _cfg(cfg, f"scan.{key}", None)
-              for key in FAMILY_FLAGS if f"scan.{key}" in _CONFIG_DEFAULTS}
+              for key in FAMILY_FLAGS if f"scan.{key}" in CONFIG_KEYS}
     return cluster_class(family, values, lambda key: f"config key 'scan.{key}'")[0]
 
 
 def _cmd_enumerate(args) -> int:
     net = network.load_nodeset(args.net)
-    cclass, meta = cluster_class(args.family, vars(args), lambda key: FAMILY_FLAGS[key][1])
+    cclass, meta = cluster_class(args.family, vars(args),
+                                 lambda key: flag(key, FAMILY_FLAGS[key]))
     if cclass.family == cl.BANDS:
         meta["seed"] = args.seed
     clusters = list(cclass.stream(net, seed=args.seed))
     with _open_out(args.out) as fh:
         cl.write_clusters(clusters, fh, meta)
     return 0
+
+
+NETBUILD_FLAGS = {"infile": Value(required=True, flag="--in"),
+                  "epsilon": Value(_float, "0.5", required=True), **OUT}
 
 
 def _cmd_netbuild(args) -> int:
@@ -193,6 +225,13 @@ CONFIG_TESTS = {"eps-scan": sim.EpsScanTest, "multiscale": sim.MultiscaleScanTes
                 "average": sim.AverageTest, "oracle": sim.OracleTest,
                 "cylinders": sim.CylinderScanTest}
 CALIBRATION_COLUMNS = ("alpha", "b", "threshold", "seed", "statistic", "tm", "model")
+
+SCORING_FLAGS = {"net": REQUIRED, "clusters": Value(),
+                 "model": Value(tuple(models.MOMENTS), models.GAUSSIAN),
+                 "statistic": Value(tuple(STATISTICS), "scan"), **OUT}
+CALIBRATE_FLAGS = {**SCORING_FLAGS, "alpha": Value(_float, "0.05", required=True),
+                   "b": Value(_int, "199", required=True), "tm": Value(_int, "0"),
+                   "seed": SEED, "threads": Value(_threads, "1")}
 
 
 def _test_spec(args, net) -> sim.TestSpec:
@@ -275,6 +314,15 @@ def _cmd_test(args) -> int:
 # grow kind -> the flags it cannot do without
 GROW_NEEDS = {"cylinder": ("center", "r0"), "cone": ("center", "speed"),
               "holder": ("controls", "r"), "richardson": ("x0",)}
+GROW_FLAGS = {
+    "net": REQUIRED, "kind": Value(tuple(GROW_NEEDS), required=True),
+    "center": Value(help="comma-separated coordinates"), "r0": Value(_float),
+    "speed": Value(_float), "controls": Value(help="semicolon-separated coordinate tuples"),
+    "alpha": Value(_float, "1.0"), "kappa": Value(_float, "1.0"), "r": Value(_float),
+    "xi": Value(_float, "1.0"), "start": Value(_int, "0"), "end": Value(_int),
+    "x0": Value(_int), "p": Value(_float, "1.0"), "within_radius": Value(_float),
+    "t0": Value(_int, "0"), "tm": Value(_int, required=True), "seed": SEED, **OUT,
+}
 
 
 def _grow_center(args, net) -> tuple[float, ...]:
@@ -317,47 +365,45 @@ def _cmd_grow(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# rates
+
+# every parameter of a rates formula; its flag is its name without "_" and
+# its theory.* config key is its name
+RATE_PARAMS = tuple(dict.fromkeys(
+    key for _, keys in detect.RATE_FORMULAS.values() for key in keys))
+RATE_FLAGS = {"formula": Value(required=True), **{
+    key: Value(_int if key in ("d", "p") else _float, flag="--" + key.replace("_", ""))
+    for key in RATE_PARAMS}}
+
+
+def _cmd_rates(args) -> int:
+    params = {key: getattr(args, key) for key in RATE_PARAMS if getattr(args, key) is not None}
+    value = detect.rate(args.formula, **params)
+    print(f"{value:.4f}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # sweep config
 
-# key -> (default, kind): the kind turns a set value into its type; "" is unset
-_CONFIG_DEFAULTS = {
-    "net.mode": ("lattice", str),
-    "net.d": ("2", _int),
-    "net.side": ("", _int),
-    "net.m": ("", _int),
-    "net.seed": ("0", _int),
-    "net.rescale": ("false", _bool),
-    "model": ("gaussian", str),
-    "tm": ("0", _int),
-    "test": ("eps-scan", str),
-    "scan.family": ("balls", str),
-    "scan.epsilon": ("0.5", _float),
-    **{f"scan.{key}": (default, kind) for key, (kind, _, default) in FAMILY_FLAGS.items()
-       if key != "value_pitch"},
-    "multiscale.scales": ("", _ints),
-    "truth.family": ("", str),
-    "truth.lambda": ("", _float),
-    "truth.count": ("5", _int),
-    "truth.margin": ("", _float),
-    "truth.k": ("", _int),
-    "truth.p": ("0.7", _float),
-    "truth.limit_radius": ("", _int),
-    "truth.warmup": ("0", _int),
-    "truth.onset": ("0", _int),
-    "lambda.grid": ("", _floats),
-    "trials": ("200", _int),
-    "alpha": ("0.05", _float),
-    "calibration.b": ("199", _int),
-    "n_null": ("400", _int),
-    "seed": ("0", _int),
-    "threads": ("1", _threads),
-    "theory.formula": ("", str),
-    "theory.m": ("", _float),
-    "theory.k": ("", _float),
-    "theory.d": ("", _int),
-    "theory.lam": ("", _float),
-    "theory.ell": ("", _float),
-    "theory.h": ("", _float),
+# every sweep config key; a key shares the declaration of its flag
+CONFIG_KEYS = {
+    **{f"net.{key}": value for key, value in NET_FLAGS.items()},
+    "model": SCORING_FLAGS["model"],
+    "tm": CALIBRATE_FLAGS["tm"],
+    "test": Value(tuple(CONFIG_TESTS), "eps-scan"),
+    "scan.family": ENUMERATE_FLAGS["family"],
+    "scan.epsilon": NETBUILD_FLAGS["epsilon"],
+    **{f"scan.{key}": value for key, value in FAMILY_FLAGS.items() if key != "value_pitch"},
+    "multiscale.scales": Value(_ints),
+    "truth.family": Value(), "truth.lambda": Value(_float), "truth.count": Value(_int, "5"),
+    "truth.margin": Value(_float), "truth.k": Value(_int), "truth.p": Value(_float, "0.7"),
+    "truth.limit_radius": Value(_int), "truth.warmup": Value(_int, "0"),
+    "truth.onset": Value(_int, "0"),
+    "lambda.grid": Value(_floats), "trials": Value(_int, "200"), "n_null": Value(_int, "400"),
+    "alpha": CALIBRATE_FLAGS["alpha"], "calibration.b": CALIBRATE_FLAGS["b"],
+    "seed": CALIBRATE_FLAGS["seed"], "threads": CALIBRATE_FLAGS["threads"],
+    **{f"theory.{key}": value for key, value in RATE_FLAGS.items()},
 }
 
 
@@ -372,7 +418,7 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_DEFAULTS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         if key in out:
             raise ConfigError(f"duplicate config key {key!r}")
@@ -382,7 +428,7 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def _cfg_get(cfg: dict, key: str) -> str:
-    return cfg.get(key, _CONFIG_DEFAULTS[key][0])
+    return cfg.get(key, CONFIG_KEYS[key].default)
 
 
 def _cfg(cfg, key: str, *default):
@@ -393,8 +439,13 @@ def _cfg(cfg, key: str, *default):
         if default:
             return default[0]
         raise ConfigError(f"missing required config key {key!r}")
+    kind = CONFIG_KEYS[key].kind
     try:
-        return _CONFIG_DEFAULTS[key][1](value)
+        if not isinstance(kind, tuple):
+            return kind(value)
+        if value in kind:
+            return value
+        raise ValueError(f"unknown {key.rsplit('.', 1)[-1]} {value!r}; known: {list(kind)}")
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
@@ -481,24 +532,20 @@ def _theory_from_config(cfg) -> float | None:
     formula = _cfg_get(cfg, "theory.formula")
     if not formula:
         return None
-    params = {key: _cfg(cfg, f"theory.{key}") for key in ("m", "k", "d", "lam", "ell", "h")
+    params = {key: _cfg(cfg, f"theory.{key}") for key in RATE_PARAMS
               if _cfg_get(cfg, f"theory.{key}")}
     return detect.rate(formula, **params)
 
 
 def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.ExperimentConfig, dict]:
     """Resolve a parsed config into an ExperimentConfig plus the echo map."""
-    net = nodeset({key: _cfg(cfg, f"net.{key}", None) for key in NET_KEYS},
+    net = nodeset({key: _cfg(cfg, f"net.{key}", None) for key in NET_FLAGS},
                   lambda key: f"config key 'net.{key}'")
-    model = models.noise_model(_cfg_get(cfg, "model"))
+    model = models.noise_model(_cfg(cfg, "model"))
     seed = _cfg(cfg, "seed")
     t_m = _cfg(cfg, "tm")
     epsilon = _cfg(cfg, "scan.epsilon")
-    test_name = _cfg_get(cfg, "test")
-
-    if test_name not in CONFIG_TESTS:
-        raise ConfigError(f"config key 'test': unknown test {test_name!r}")
-    spec = CONFIG_TESTS[test_name]
+    spec = CONFIG_TESTS[_cfg(cfg, "test")]
     if spec is sim.MultiscaleScanTest:
         if not _cfg_get(cfg, "multiscale.scales"):
             raise ConfigError("test=multiscale requires multiscale.scales")
@@ -512,7 +559,7 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
         }
         test = spec(nets=nets)
     elif spec in (sim.EpsScanTest, sim.CylinderScanTest):
-        cclass = _scan_class(cfg, _cfg_get(cfg, "scan.family"))
+        cclass = _scan_class(cfg, _cfg(cfg, "scan.family"))
         test = spec(metric.build_net(cclass.stream(net, derive_seed(seed, "scanpaths")), epsilon))
     else:
         test = spec()
@@ -536,7 +583,7 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
         threads=threads if threads is not None else _cfg(cfg, "threads"),
         theory=_theory_from_config(cfg),
     )
-    echo = {key: default for key, (default, _) in _CONFIG_DEFAULTS.items()}
+    echo = {key: value.default for key, value in CONFIG_KEYS.items()}
     echo.update(cfg)
     # thread count never changes results, so it is not part of the echoed
     # experiment identity (outputs stay byte-identical across --threads)
@@ -555,115 +602,37 @@ def _cmd_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rates
-
-
-# every parameter of a rates formula; its flag is its name without "_"
-RATE_PARAMS = tuple(dict.fromkeys(
-    key for _, keys in detect.RATE_FORMULAS.values() for key in keys))
-
-
-def _cmd_rates(args) -> int:
-    params = {key: getattr(args, key) for key in RATE_PARAMS if getattr(args, key) is not None}
-    value = detect.rate(args.formula, **params)
-    print(f"{value:.4f}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
+
+
+# subcommand -> (its function, its help, its flags in --help order)
+COMMANDS = {
+    "net": (_cmd_net, "construct and save a node set", {**NET_FLAGS, **OUT}),
+    "enumerate": (_cmd_enumerate, "enumerate a cluster family", ENUMERATE_FLAGS),
+    "netbuild": (_cmd_netbuild, "greedy epsilon-net from a cluster file", NETBUILD_FLAGS),
+    "calibrate": (_cmd_calibrate, "empirical null quantile of a statistic", CALIBRATE_FLAGS),
+    "test": (_cmd_test, "run a thresholded test on a saved field",
+             {**SCORING_FLAGS, "field": REQUIRED, "threshold": Value(_float),
+              "calibration": Value()}),
+    "grow": (_cmd_grow, "generate a cluster sequence", GROW_FLAGS),
+    "sweep": (_cmd_sweep, "Monte Carlo risk sweep from a config file",
+              {"config": REQUIRED, "threads": Value(_threads), **OUT}),
+    "rates": (_cmd_rates, "closed-form detection thresholds", RATE_FLAGS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scanlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("net", help="construct and save a node set")
-    p.add_argument("--mode", choices=["lattice", "cloud"], required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--side", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rescale", action="store_true",
-                   help="map the lattice to cell centers in [0,1]^d (euclidean mode)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_net)
-
-    p = sub.add_parser("enumerate", help="enumerate a cluster family")
-    p.add_argument("--net", required=True)
-    p.add_argument("--family", required=True, choices=list(cl.FAMILIES))
-    for key, (kind, flag, default) in FAMILY_FLAGS.items():
-        p.add_argument(flag, dest=key, type=kind, default=kind(default) if default else None,
-                       choices=cl.PATH_MODES if key == "path_mode" else None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("netbuild", help="greedy epsilon-net from a cluster file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--epsilon", type=_float, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_netbuild)
-
-    scoring = argparse.ArgumentParser(add_help=False)
-    scoring.add_argument("--net", required=True)
-    scoring.add_argument("--clusters")
-    scoring.add_argument("--model", default="gaussian",
-                         choices=["gaussian", "bernoulli", "poisson"])
-    scoring.add_argument("--statistic", default="scan", choices=list(STATISTICS))
-    scoring.add_argument("--out", required=True)
-
-    p = sub.add_parser("calibrate", parents=[scoring],
-                       help="empirical null quantile of a statistic")
-    p.add_argument("--alpha", type=_float, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--tm", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_threads, default=1)
-    p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("test", parents=[scoring], help="run a thresholded test on a saved field")
-    p.add_argument("--field", required=True)
-    p.add_argument("--threshold", type=_float)
-    p.add_argument("--calibration")
-    p.set_defaults(func=_cmd_test)
-
-    p = sub.add_parser("grow", help="generate a cluster sequence")
-    p.add_argument("--net", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=["cylinder", "cone", "holder", "richardson"])
-    p.add_argument("--center", help="comma-separated coordinates")
-    p.add_argument("--r0", type=_float)
-    p.add_argument("--speed", type=_float)
-    p.add_argument("--controls", help="semicolon-separated coordinate tuples")
-    p.add_argument("--alpha", type=_float, default=1.0)
-    p.add_argument("--kappa", type=_float, default=1.0)
-    p.add_argument("--r", type=_float)
-    p.add_argument("--xi", type=_float, default=1.0)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--end", type=int)
-    p.add_argument("--x0", type=int)
-    p.add_argument("--p", type=_float, default=1.0)
-    p.add_argument("--within-radius", dest="within_radius", type=_float)
-    p.add_argument("--t0", type=int, default=0)
-    p.add_argument("--tm", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_grow)
-
-    p = sub.add_parser("sweep", help="Monte Carlo risk sweep from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=_threads)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("rates", help="closed-form detection thresholds")
-    p.add_argument("--formula", required=True)
-    for key in RATE_PARAMS:
-        p.add_argument("--" + key.replace("_", ""), dest=key,
-                       type=int if key in ("d", "p") else _float)
-    p.set_defaults(func=_cmd_rates)
-
+    for command, (func, about, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for name, value in flags.items():
+            kind = ({"action": "store_true"} if value.kind is _bool else
+                    {"choices" if isinstance(value.kind, tuple) else "type": value.kind,
+                     "default": value.default or None})
+            p.add_argument(flag(name, value), dest=name, required=value.required,
+                           help=value.help, **kind)
+        p.set_defaults(func=func)
     return parser
 
 

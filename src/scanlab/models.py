@@ -33,7 +33,7 @@ POISSON = "poisson"
 _MAD_CONSISTENCY = float(norm.ppf(0.75))  # 0.6744897501960817
 
 # family -> (mean, variance) of its base law F0
-_MOMENTS = {GAUSSIAN: (0.0, 1.0), BERNOULLI: (0.5, 0.25), POISSON: (1.0, 1.0)}
+MOMENTS = {GAUSSIAN: (0.0, 1.0), BERNOULLI: (0.5, 0.25), POISSON: (1.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,9 @@ class NoiseModel:
     sigma: float = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.family not in _MOMENTS:
+        if self.family not in MOMENTS:
             raise ValueError(f"unknown family {self.family!r}")
-        mean, var = _MOMENTS[self.family]
+        mean, var = MOMENTS[self.family]
         object.__setattr__(self, "null_mean", mean)
         object.__setattr__(self, "sigma2", var)
         object.__setattr__(self, "sigma", math.sqrt(var))

@@ -6,7 +6,20 @@ import time
 import numpy as np
 import pytest
 
-from scanlab.cli import build_experiment, build_parser, main, parse_config
+from scanlab.cli import (
+    COMMANDS,
+    CONFIG_KEYS,
+    RATE_PARAMS,
+    _bool,
+    _cfg,
+    _float,
+    _int,
+    build_experiment,
+    build_parser,
+    flag,
+    main,
+    parse_config,
+)
 from scanlab.clusters import (
     FAMILIES,
     THICK,
@@ -18,6 +31,7 @@ from scanlab.clusters import (
     ThinParams,
     enumerate_bands,
 )
+from scanlab.detect import RATE_FORMULAS
 from scanlab.errors import ConfigError
 from scanlab.metric import build_net
 from scanlab.network import load_nodeset, make_lattice
@@ -740,6 +754,7 @@ n_null = 100
         "scan.lambda = abc", "truth.p = abc", "truth.k = 1.5", "multiscale.scales = 2,x",
         "truth.limit_radius = 2.5", "threads = -3", "threads = 0", "theory.d = 2.5",
         "theory.k = 2.5x", "truth.margin = abc", "net.rescale = maybe", "lambda.grid = 1,y",
+        "scan.path_mode = zigzag", "scan.family = blobs", "model = bogus",
     ])
     def test_every_key_typed_when_parsed(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
@@ -905,6 +920,7 @@ class TestNetBuilder:
          "net.d = 1\nnet.side = 6\nnet.rescale = true"),
         (["--mode", "cloud", "--d", "3", "--m", "20", "--seed", "4"],
          "net.mode = cloud\nnet.d = 3\nnet.m = 20\nnet.seed = 4"),
+        (["--mode", "lattice", "--d", "2.0", "--side", "8.0"], "net.d = 2.0\nnet.side = 8.0"),
     ])
     def test_flags_and_keys_build_the_same_net(self, tmp_path, flags, text):
         path = tmp_path / "n.csv"
@@ -914,3 +930,78 @@ class TestNetBuilder:
         got = load_nodeset(path)
         assert (got.mode, got.side) == (exp.net.mode, exp.net.side)
         assert np.array_equal(got.coords, exp.net.coords)
+
+
+def _shared_declarations():
+    """(subcommand, flag dest, config key) for every flag that takes a value
+    and shares its declaration with a config key."""
+    return [(command, name, key)
+            for command, (_, _, flags) in COMMANDS.items() for name, value in flags.items()
+            for key, declared in CONFIG_KEYS.items()
+            if declared is value and value.kind is not _bool]
+
+
+class TestOneDeclaration:
+    SPELLINGS = ["8", "8.0", "1e3", "8.5", "0", "-3", "nan", "inf", "-inf", "abc"]
+
+    def _flag_value(self, command, name, text):
+        """The parsed value of `--<name> text`, or None when argparse refuses it."""
+        flags = COMMANDS[command][2]
+        argv = [command]
+        for other, value in flags.items():
+            if value.required and other != name:
+                argv += [flag(other, value),
+                         value.kind[0] if isinstance(value.kind, tuple) else "1"]
+        try:
+            args = build_parser().parse_args(argv + [f"{flag(name, flags[name])}={text}"])
+            return getattr(args, name)
+        except SystemExit:
+            return None
+
+    def _key_value(self, key, text):
+        """The parsed value of `key = text`, or None when parse_config refuses it."""
+        try:
+            return _cfg(parse_config(f"{key} = {text}"), key)
+        except ConfigError:
+            return None
+
+    def test_flags_and_keys_share_their_kinds(self):
+        pairs = {(command, key) for command, _, key in _shared_declarations()}
+        assert {("net", "net.side"), ("net", "net.mode"), ("calibrate", "alpha"),
+                ("calibrate", "calibration.b"), ("calibrate", "tm"), ("calibrate", "seed"),
+                ("calibrate", "threads"), ("calibrate", "model"), ("enumerate", "scan.family"),
+                ("enumerate", "scan.path_mode"), ("netbuild", "scan.epsilon"),
+                ("rates", "theory.formula")} <= pairs
+        theory = {key for command, key in pairs if command == "rates"}
+        assert theory == {"theory.formula"} | {f"theory.{p}" for p in RATE_PARAMS}
+
+    @pytest.mark.parametrize("command, name, key", _shared_declarations())
+    def test_flag_and_key_accept_the_same_spellings(self, capsys, command, name, key):
+        kind = CONFIG_KEYS[key].kind
+        words = list(kind) if isinstance(kind, tuple) else []
+        for text in self.SPELLINGS + words:
+            got = self._flag_value(command, name, text)
+            assert got == self._key_value(key, text), (text, got)
+            if kind is _int:
+                assert got == {"8": 8, "8.0": 8, "1e3": 1000}.get(text, got)
+                assert text != "8.5" or got is None
+            if kind is _float and text in ("nan", "inf", "-inf"):
+                assert got is None
+
+    @pytest.mark.parametrize("formula", list(RATE_FORMULAS))
+    def test_theory_threshold_equals_rates(self, tmp_path, capsys, formula):
+        values = {"m": 4096, "k": 49, "d": 3, "lam": 0.2, "eps": 0.1, "log_n": 3, "p": 1,
+                  "r": 0.1, "ell": 16, "h": 2, "x": 20}
+        params = {key: values[key] for key in RATE_FORMULAS[formula][1]}
+        argv = ["rates", "--formula", formula]
+        for key, value in params.items():
+            argv += ["--" + key.replace("_", ""), str(value)]
+        assert run(argv) == 0
+        want = capsys.readouterr().out.strip()
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TestConfigBounds.AVERAGE + f"theory.formula = {formula}\n"
+                       + "".join(f"theory.{key} = {value}\n" for key, value in params.items()))
+        out = tmp_path / "o.csv"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if l and not l.startswith(("#", "lambda,"))]
+        assert f"{float(rows[0].split(',')[1]):.4f}" == want
