@@ -621,6 +621,16 @@ COMMANDS = {
 }
 
 
+def _flag_kind(kind: Callable) -> Callable:
+    """kind, refusing as argparse words it: "argument --side: not an integer: '8.5'"."""
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scanlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -628,8 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=about)
         for name, value in flags.items():
             kind = ({"action": "store_true"} if value.kind is _bool else
-                    {"choices" if isinstance(value.kind, tuple) else "type": value.kind,
-                     "default": value.default or None})
+                    {"default": value.default or None,
+                     **({"choices": value.kind} if isinstance(value.kind, tuple) else
+                        {"type": _flag_kind(value.kind)})})
             p.add_argument(flag(name, value), dest=name, required=value.required,
                            help=value.help, **kind)
         p.set_defaults(func=func)

@@ -103,12 +103,7 @@ def enumerate_balls(net: NodeSet, lam: float, size_cap: int | None = None):
     """One open ball of radius lam per node center, deduplicated."""
     if lam <= 0:
         raise ValueError("lam must be > 0")
-
-    def raw():
-        for i in range(net.m):
-            yield ball_ids(net, net.coords[i], lam)
-
-    return _emit(raw(), net.m, size_cap)
+    return _emit((ball_ids(net, x, lam) for x in net.coords), net.m, size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +278,8 @@ def sample_thick_shape(
     center = rng.uniform(margin, extent - margin, size=d)
     rotation = None
     if rotate and net.mode == EUCLIDEAN:
-        mat = rng.standard_normal((d, d))
-        q, r = np.linalg.qr(mat)
-        q *= np.sign(np.diag(r))
-        rotation = q
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        rotation = q * np.sign(np.diag(r))
     return make_shape(kind, center, half_axes, params.kappa, net.mode, rotation)
 
 
@@ -336,12 +329,10 @@ class ThinParams:
 
 
 def _holder_ok(xs, values, alpha, kappa) -> bool:
-    n = len(values)
-    j = n - 1
-    for i in range(j):
-        if abs(values[j] - values[i]) > kappa * abs(xs[j] - xs[i]) ** alpha + 1e-12:
-            return False
-    return True
+    """The last value against every earlier one."""
+    j = len(values) - 1
+    return not any(abs(values[j] - values[i]) > kappa * abs(xs[j] - xs[i]) ** alpha + 1e-12
+                   for i in range(j))
 
 
 def _holder_sequences(xs, levels, alpha, kappa, cap: int):
@@ -378,8 +369,7 @@ def polyline_distances(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 
 
 def curve_vertices(xs: np.ndarray, gs: tuple[tuple[float, ...], ...]) -> np.ndarray:
-    cols = [xs] + [np.asarray(g) for g in gs]
-    return np.column_stack(cols)
+    return np.column_stack([xs, *(np.asarray(g) for g in gs)])
 
 
 def enumerate_tube_curves(net: NodeSet, params: ThinParams):

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .clusters import Cluster
-from .metric import EpsNet, ScanTable
+from .metric import EpsNet, Rows, ScanTable
 from .models import Field, NoiseModel, sample_null_block, standardized_sum
 from .network import NodeSet
 from .rng import derive_seeds
@@ -144,8 +144,10 @@ def multiscale_statistics(
     """max over scales of S_l - offset_l for every field of a (B, 1, m) block:
     the statistics, the maximizing scale's row in `tables`, its first argmax
     member, and every scale's statistic (scales x B).  Ties go to the first
-    member, then the earliest scale."""
-    per_scale = [table.max_scores(values[:, 0], model) for table in tables]
+    member, then the earliest scale.  The scales share one transpose and one
+    running sum of the block."""
+    rows = Rows(values[:, 0])
+    per_scale = [table.max_scores(rows, model) for table in tables]
     stats = np.array([s for s, _ in per_scale])
     excess = stats - offsets[:, None]
     row = excess.argmax(axis=0)
@@ -331,10 +333,6 @@ def _rate_poisson_mu(m: float, k: float) -> float:
     return 1.0 + math.sqrt(2.0 * math.log(m / k)) / math.sqrt(k)
 
 
-def _rate_logdag(x: float) -> float:
-    return log_dagger(x)
-
-
 RATE_FORMULAS: dict[str, tuple[Callable, tuple[str, ...]]] = {
     "thick": (_rate_thick, ("m", "k")),
     "ball": (_rate_ball, ("d", "lam")),
@@ -346,7 +344,7 @@ RATE_FORMULAS: dict[str, tuple[Callable, tuple[str, ...]]] = {
     "animal": (_rate_animal, ("m",)),
     "bernoulli_p": (_rate_bernoulli_p, ("m", "k")),
     "poisson_mu": (_rate_poisson_mu, ("m", "k")),
-    "logdag": (_rate_logdag, ("x",)),
+    "logdag": (log_dagger, ("x",)),
 }
 
 

@@ -40,18 +40,12 @@ class ClusterSequence:
     @property
     def onset(self) -> int | None:
         """t_K: first nonempty slice, or None for an all-empty sequence."""
-        for t, k in enumerate(self.slices):
-            if k:
-                return t
-        return None
+        return next((t for t, k in enumerate(self.slices) if k), None)
 
     @property
     def t_end(self) -> int | None:
         """t_K+: last nonempty slice."""
-        for t in range(len(self.slices) - 1, -1, -1):
-            if self.slices[t]:
-                return t
-        return None
+        return next((t for t in range(self.t_m, -1, -1) if self.slices[t]), None)
 
     @property
     def total_pairs(self) -> int:
@@ -78,10 +72,7 @@ def make_cylinder(
     base = ball_nodes(net, x0, r0)
     if not base:
         raise ValueError("cylinder base ball is empty; onset undefined")
-    slices = tuple(
-        base if t >= t0 else EMPTY_CLUSTER for t in range(t_m + 1)
-    )
-    return ClusterSequence(slices)
+    return ClusterSequence(tuple(base if t >= t0 else EMPTY_CLUSTER for t in range(t_m + 1)))
 
 
 def make_cone(
@@ -92,13 +83,8 @@ def make_cone(
         raise ValueError("speed must be > 0")
     if not 0 <= t0 <= t_m:
         raise ValueError("need 0 <= t0 <= t_m")
-    slices = []
-    for t in range(t_m + 1):
-        if t < t0:
-            slices.append(EMPTY_CLUSTER)
-        else:
-            slices.append(Cluster(closed_ball_ids(net, x0, speed * (t - t0))))
-    return ClusterSequence(tuple(slices))
+    return ClusterSequence(tuple(Cluster(closed_ball_ids(net, x0, speed * (t - t0)))
+                                 if t >= t0 else EMPTY_CLUSTER for t in range(t_m + 1)))
 
 
 def make_holder_trajectory(
@@ -145,13 +131,10 @@ def make_holder_trajectory(
                         f"bound between grid points {a} and {b}: "
                         f"|{g[b]:.4g} - {g[a]:.4g}| > {bound:.4g}"
                     )
-    slices = []
-    for t in range(t_m + 1):
-        if t < t_start or t > t_end:
-            slices.append(EMPTY_CLUSTER)
-            continue
+    slices = [EMPTY_CLUSTER] * (t_m + 1)
+    for t in range(t_start, t_end + 1):
         center = [float(np.interp(t / xi, xs, controls[:, j])) for j in range(net.dim)]
-        slices.append(ball_nodes(net, center, r))
+        slices[t] = ball_nodes(net, center, r)
     return ClusterSequence(tuple(slices))
 
 

@@ -195,15 +195,16 @@ def scorer(
 
     The one place a TestSpec becomes a statistic: estimate_risk,
     `scanlab calibrate` and `scanlab test` all score through it.  Cluster
-    tables are the nets' own, built once; the oracle scores its one `truth`.
-    The argmax is the maximizing cluster (None for the average test).
+    tables are the nets' own, built once and encoded here, before threads
+    share them; the oracle scores its one `truth`.  The argmax is the
+    maximizing cluster (None for the average test).
     """
     if isinstance(test, (EpsScanTest, MultiscaleScanTest)) and t_m != 0:
         raise ValueError(
             f"{type(test).__name__} needs a static field (t_m = 0); use CylinderScanTest"
         )
     if isinstance(test, EpsScanTest):
-        table = test.net.table
+        table = test.net.table.encoded()
         return Scorer(lambda values: table.max_scores(values[:, 0], model)[0],
                       lambda fld: eps_scan(fld, test.net, model))
     if isinstance(test, MultiscaleScanTest):
@@ -211,6 +212,7 @@ def scorer(
         if weights is None:
             weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
         _, tables, offsets = scale_offsets(test.nets, weights)
+        tables = [table.encoded() for table in tables]
         return Scorer(lambda values: multiscale_statistics(values, tables, offsets, model)[0],
                       lambda fld: multiscale_test(fld, test.nets, weights, model))
     if isinstance(test, AverageTest):
@@ -222,7 +224,7 @@ def scorer(
         return Scorer(lambda values: standardized_sums(values, truth, model),
                       lambda fld: TestResult(standardized_sum(fld, truth, model), argmax=truth))
     if isinstance(test, CylinderScanTest):
-        table = test.base.table
+        table = test.base.table.encoded()
         return Scorer(lambda values: cylinder_statistics(values, table, model, test.windows)[0],
                       lambda fld: scan_spacetime_cylinders(fld, test.base, model, test.windows))
     raise ValueError(f"no statistic for {type(test).__name__}")

@@ -829,6 +829,22 @@ def _exit_code(argv):
         return exc.code
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["net", "--mode", "lattice", "--d", "2", "--side", "8.5"],
+     "argument --side: not an integer: '8.5'"),
+    (["calibrate", "--net", "n.csv", "--statistic", "average", "--alpha", "nan", "--b", "99"],
+     "argument --alpha: not a finite number: 'nan'"),
+    (["sweep", "--config", "exp.cfg", "--threads", "0"], "argument --threads: not at least 1: '0'"),
+])
+def test_flag_refusals_name_the_problem_not_the_parser(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.txt"
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "invalid" not in err and " _" not in err and "'_" not in err
+    assert not out.exists()
+
+
 class TestNonFiniteInputs:
     """nan and ±inf are refused where they enter, with exit 2 and the name."""
 

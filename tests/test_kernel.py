@@ -1,10 +1,11 @@
 """The CSR scoring kernel behind scan, multiscale and cylinder statistics.
 
 A block of fields must score as its fields do one at a time, bit for bit;
-statistics must agree with plain numpy sums over member ids; exact ties
-break to the first cluster, then the earliest scale, then member-major
-before window order; and null statistics and risk rows must not depend on
-the thread count or the block width.
+statistics must agree with plain numpy sums over member ids, in either
+encoding of a table (indicator or prefix); exact ties break to the first
+cluster, then the earliest scale, then member-major before window order;
+and null statistics and risk rows must not depend on the thread count or
+the block width.
 """
 
 import math
@@ -16,13 +17,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanlab import detect, sim
-from scanlab.clusters import Cluster, enumerate_balls
+from scanlab import detect, metric, sim
+from scanlab.clusters import (
+    BandParams,
+    Cluster,
+    ThickParams,
+    enumerate_balls,
+    enumerate_bands,
+    enumerate_thick,
+)
 from scanlab.detect import calibrate, eps_scan, multiscale_test, scale_term, scan
 from scanlab.growth import dyadic_windows, make_cylinder, scan_spacetime_cylinders
 from scanlab.metric import EpsNet, ScanTable, build_net
 from scanlab.models import Field, noise_model
-from scanlab.network import ball_nodes, make_lattice, rescale_lattice
+from scanlab.network import (
+    LATTICE,
+    NodeSet,
+    ball_nodes,
+    load_nodeset,
+    make_lattice,
+    rescale_lattice,
+    save_nodeset,
+)
 from scanlab.sim import (
     AverageTest,
     CylinderScanTest,
@@ -37,6 +53,8 @@ from scanlab.sim import (
 
 NET = rescale_lattice(make_lattice(2, 12))
 NETS = {s: build_net(enumerate_balls(NET, 2.0 ** (-s)), 0.5) for s in (2, 3, 4)}
+# every table of this multiscale test takes the prefix form, as the scorer test checks
+PREFIX_NETS = {2: NETS[2], 3: build_net(enumerate_balls(NET, 0.2), 0.3)}
 WEIGHTS = {2: 0.3, 3: 1.1, 4: -0.4}
 DEFAULT_WEIGHTS = {s: scale_term(NET.m, NET.dim, s) for s in NETS}
 MODELS = [noise_model(f) for f in ("gaussian", "bernoulli", "poisson")]
@@ -48,6 +66,8 @@ SPECS = {
                    lambda f, model: multiscale_test(f, NETS, DEFAULT_WEIGHTS, model)),
     "multiscale-weights": (MultiscaleScanTest(NETS, WEIGHTS), 1,
                            lambda f, model: multiscale_test(f, NETS, WEIGHTS, model)),
+    "multiscale-prefix": (MultiscaleScanTest(PREFIX_NETS, WEIGHTS), 1,
+                          lambda f, model: multiscale_test(f, PREFIX_NETS, WEIGHTS, model)),
     "cylinders": (CylinderScanTest(NETS[3]), 5,
                   lambda f, model: scan_spacetime_cylinders(f, NETS[3], model)),
     "cylinder-windows": (CylinderScanTest(NETS[3], (4, 1, 2)), 5,
@@ -124,6 +144,94 @@ def test_statistics_match_plain_sums(model):
             )
             assert abs(got.statistic - z) <= 1e-12
             assert (got.argmax_index, got.argmax_window) == (j, w)
+
+
+@contextmanager
+def encoding(prefix):
+    """Tables encoded inside take the prefix form (True) or the indicator (False)."""
+    with mock.patch.object(metric, "PREFIX_COST", -(1 << 40) if prefix else 1 << 40):
+        yield
+
+
+@st.composite
+def member_lists(draw):
+    """(width, members): drawn runs and scattered sets, single ids at both
+    ends, a gapless and a gapped member, and a duplicate of the first."""
+    width = draw(st.integers(1, 40))
+    ids = st.integers(0, width - 1)
+    runs = st.tuples(ids, ids).map(lambda ab: set(range(min(ab), max(ab) + 1)))
+    drawn = draw(st.lists(st.one_of(runs, st.sets(ids, min_size=1)), min_size=1, max_size=12))
+    members = [Cluster(np.array(sorted(m))) for m in drawn]
+    ends = [Cluster(np.array([0])), Cluster(np.array([width - 1]))]
+    whole = [Cluster(np.arange(width)), Cluster(np.arange(0, width, 2))]
+    return width, members + ends + whole + members[:1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(member_lists(), st.sampled_from(MODELS), st.integers(1, 5), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_both_encodings_match_plain_sums(drawn, model, n_rows, extra, seed):
+    width, members = drawn
+    rows = _draw(model, seed, (n_rows, width + extra))
+    plain = np.array([rows[:, c.idarray].sum(axis=1) for c in members]).T
+    want = model.standardize(plain, np.array([c.size for c in members]))
+    for prefix in (False, True):
+        with encoding(prefix):
+            table = ScanTable(members).encoded()
+        assert (table.runs is not None) == prefix
+        got = table.member_sums_temporal(rows)
+        if model.family == "gaussian":
+            assert (np.abs(got - plain) <= 1e-12 * (1 + np.abs(rows).sum(axis=1))[:, None]).all()
+        else:  # integer running sums are exact in float64
+            assert np.array_equal(got, plain)
+        _, j = table.max_scores(rows, model)
+        assert np.array_equal(j, want.argmax(axis=1))  # identical members tie to the first
+
+
+def _crit5_nets():
+    """Criterion 5's multiscale ball nets on the 128^2 rescaled lattice."""
+    lat = rescale_lattice(make_lattice(2, 128))
+    r5 = 4.1 / 128
+    centers = [((x + 0.5) / 128, (y + 0.5) / 128)
+               for x in range(0, 128, 4) for y in range(0, 128, 4)]
+    nets = {5: build_net([b for b in (ball_nodes(lat, c, r5) for c in centers) if b], 0.5)}
+    for scale in (4, 3, 2):
+        r = r5 * 2 ** (5 - scale)
+        params = ThickParams(lam_lo=r, lam_hi=r, kappa=1.0, shapes=("ball",), grid_eps=0.25)
+        nets[scale] = build_net(enumerate_thick(lat, params), 0.5)
+    return nets
+
+
+def test_prefix_rule():
+    """Coarse ball scales take the prefix form; the finest ball scale and the
+    band net do not.  The choice is made on first scoring, not on building."""
+    nets = _crit5_nets()
+    assert all("runs" not in vars(net.table) for net in nets.values())
+    assert {s: net.table.encoded().runs is not None for s, net in nets.items()} == {
+        5: False, 4: True, 3: True, 2: True}
+    lat = make_lattice(2, 64)
+    bands = enumerate_bands(lat, BandParams(16, 3, "self-avoiding"), budget=500, seed=5)
+    assert build_net(bands, 0.5).table.encoded().runs is None
+
+
+def test_permuted_ids_break_runs_not_statistics(tmp_path):
+    """A lattice file with permuted ids: its ball net keeps the indicator, and
+    scores as the same net on row-major ids, which takes the prefix form."""
+    side = 16
+    perm = np.random.default_rng(3).permutation(side * side)  # row-major id -> file id
+    coords = np.empty((side * side, 2), dtype=np.int64)
+    coords[perm] = make_lattice(2, side).coords
+    save_nodeset(NodeSet(mode=LATTICE, dim=2, coords=coords, side=side), tmp_path / "net.csv")
+    shuffled = load_nodeset(tmp_path / "net.csv")
+    net = build_net(enumerate_balls(shuffled, 5.0), 0.3)
+    to_row_major = np.argsort(perm)
+    row_major = ScanTable(Cluster(np.sort(to_row_major[c.idarray])) for c in net.members)
+    assert net.table.encoded().runs is None and row_major.encoded().runs is not None
+    for model in MODELS:
+        rows = _draw(model, 9, (4, side * side))
+        got, j = net.table.max_scores(rows[:, to_row_major], model)
+        want, i = row_major.max_scores(rows, model)
+        assert np.abs(got - want).max() <= 1e-12 and np.array_equal(j, i)
 
 
 GAUSS = MODELS[0]
@@ -242,3 +350,15 @@ def test_a_nets_table_is_built_once():
         scorer(EpsScanTest(nets[2]), NET, GAUSS)(fld)
         assert built == []
     assert all(net.table.concat is ids[s] for s, net in nets.items())
+
+
+def test_the_scorer_encodes_its_tables_before_blocks_run():
+    """A Scorer's tables are encoded when it is made, so the threads of
+    map_blocks only read them."""
+    for kind, t_m in ((MultiscaleScanTest, 0), (EpsScanTest, 0), (CylinderScanTest, 4)):
+        nets = {s: EpsNet(net.epsilon, net.members) for s, net in PREFIX_NETS.items()}
+        used = list(nets.values()) if kind is MultiscaleScanTest else [nets[2]]
+        spec = kind(nets) if kind is MultiscaleScanTest else kind(nets[2])
+        assert not any("runs" in vars(net.table) for net in used)
+        scorer(spec, NET, GAUSS, t_m)
+        assert all(vars(net.table).get("runs") is not None for net in used)
