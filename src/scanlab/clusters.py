@@ -130,19 +130,20 @@ class ShapeSpec:
         return min(self.half_axes)
 
     def member_ids(self, net: NodeSet) -> np.ndarray:
-        z = net.coords - np.asarray(self.center)
+        ids, rows = net.near(self.center, self.lam)
+        z = rows - np.asarray(self.center)[:, None]
         if self.rotation is not None:
             if net.mode != EUCLIDEAN:
                 raise ValueError("rotations require euclidean mode")
-            z = z @ np.asarray(self.rotation)
-        scaled = z / np.asarray(self.half_axes)
+            z = (z.T @ np.asarray(self.rotation)).T
+        scaled = z / np.asarray(self.half_axes)[:, None]
         if self.kind == "rect":
-            inside = np.abs(scaled).max(axis=1) < 1.0
+            inside = np.abs(scaled).max(axis=0) < 1.0
         elif net.mode == LATTICE:
-            inside = np.abs(scaled).sum(axis=1) < 1.0
+            inside = np.abs(scaled).sum(axis=0) < 1.0
         else:
-            inside = (scaled * scaled).sum(axis=1) < 1.0
-        return np.flatnonzero(inside)
+            inside = (scaled * scaled).sum(axis=0) < 1.0
+        return np.sort(ids[inside])
 
 
 def _outer_scale(kind: str, half_axes: np.ndarray, mode: str) -> float:
@@ -242,13 +243,13 @@ def enumerate_thick_shapes(
     extent = _domain_extent(net)
     for lam in _scale_grid(params.lam_lo, params.lam_hi):
         pitch = lam * params.grid_eps
-        axis = np.arange(pitch / 2, extent + 1e-9, pitch)
-        if len(axis) == 0:
-            axis = np.array([extent / 2])
-        templates = thick_templates(d, lam, params.kappa, params.shapes, net.mode)
+        axis = np.arange(pitch / 2, extent + 1e-9, pitch).tolist() or [extent / 2]
+        # the aspect and sandwich checks do not depend on the center: run them once
+        shapes = thick_templates(d, lam, params.kappa, params.shapes, net.mode)
+        templates = [make_shape(k, (0.0,) * d, a, params.kappa, net.mode) for k, a in shapes]
         for center in itertools.product(axis, repeat=d):
-            for kind, half_axes in templates:
-                spec = make_shape(kind, center, half_axes, params.kappa, net.mode)
+            for t in templates:
+                spec = ShapeSpec(t.kind, center, t.half_axes, t.lam)
                 yield spec, spec.member_ids(net)
 
 

@@ -4,7 +4,8 @@ Two geometries are supported.  Lattice mode places nodes on integer points
 of {0..side-1}^d, in any id order and with holes allowed, and measures
 distance in l1 (the shortest-path metric of the full grid graph).  Euclidean
 mode places nodes in [0,1]^d and measures distance in l2.  Balls are open
-everywhere: a node at distance exactly r is excluded.
+everywhere: a node at distance exactly r is excluded.  A ball or blob query
+tests only the slab of nodes that `NodeSet.near` finds by binary search.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class NodeSet:
 
     A lattice is indexed by its coordinates: `grid` holds the node id at
     each point of {0..side-1}^d and `neighbors` the graph it spans, so ids
-    may come in any order and points may be missing.
+    may come in any order and points may be missing.  `near` reads an index
+    built on first use: ids in stable first-coordinate order, coordinates as (d, m) rows.
     """
 
     mode: str
@@ -102,13 +104,23 @@ class NodeSet:
         near = np.sort(self.node_at(self.coords[:, None] + np.vstack([unit, -unit])), axis=1)
         return [[u for u in row if u >= 0] for row in near.tolist()]
 
-    def distances(self, center) -> np.ndarray:
-        """Distance from `center` to every node, in the mode's norm."""
+    @cached_property
+    def _by_first(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.coords[:, 0], kind="stable")
+        return order, np.ascontiguousarray(self.coords[order].T, dtype=float)
+
+    def near(self, center, reach: float) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and (d, n) coordinates of the slab |x_0 - center_0| <= reach, widened by a
+        relative 1e-9 so that it holds every node a ball of radius `reach` (or a blob of
+        outer scale `reach`) around `center` can hold under rounding."""
         center = np.asarray(center, dtype=float)
-        diff = self.coords - center
-        if self.mode == LATTICE:
-            return np.abs(diff).sum(axis=1)
-        return np.sqrt((diff * diff).sum(axis=1))
+        if center.shape != (self.dim,) or not (np.isfinite(center).all() and np.isfinite(reach)):
+            raise ValueError(f"need a finite center of shape ({self.dim},) and a finite reach, "
+                             f"got {center.tolist()} and {reach!r}")
+        order, rows = self._by_first
+        first, pad = rows[0], reach + 1e-9 * (abs(reach) + abs(center[0]))
+        lo, hi = first.searchsorted(center[0] - pad), first.searchsorted(center[0] + pad, "right")
+        return order[lo:hi], rows[:, lo:hi]
 
 
 def make_lattice(d: int, side: int) -> NodeSet:
@@ -149,18 +161,19 @@ def rescale_lattice(net: NodeSet) -> NodeSet:
     return NodeSet(mode=EUCLIDEAN, dim=net.dim, coords=coords)
 
 
-def ball_ids(net: NodeSet, center, r: float) -> np.ndarray:
-    """Sorted ids of nodes strictly within distance r of center."""
-    if r <= 0:
-        raise ValueError("r must be > 0")
-    return np.flatnonzero(net.distances(center) < r)
+def ball_ids(net: NodeSet, center, r: float, closed: bool = False) -> np.ndarray:
+    """Sorted ids of nodes strictly within distance r > 0 of center (<= r >= 0 if `closed`)."""
+    if r < 0 or (r == 0 and not closed):
+        raise ValueError(f"r must be {'>=' if closed else '>'} 0")
+    ids, rows = net.near(center, r)
+    diff = rows - np.asarray(center, dtype=float)[:, None]
+    dist = np.abs(diff).sum(axis=0) if net.mode == LATTICE else np.sqrt((diff * diff).sum(axis=0))
+    return np.sort(ids[dist <= r if closed else dist < r])
 
 
 def closed_ball_ids(net: NodeSet, center, r: float) -> np.ndarray:
     """Sorted ids of nodes within distance <= r of center (r >= 0)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return np.flatnonzero(net.distances(center) <= r)
+    return ball_ids(net, center, r, closed=True)
 
 
 def ball_nodes(net: NodeSet, center, r: float) -> "Cluster":

@@ -1,9 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from scanlab.clusters import (
+    ShapeSpec,
+    ThickParams,
+    _domain_extent,
+    _scale_grid,
+    enumerate_thick_shapes,
+    make_shape,
+    sample_thick_shape,
+    thick_templates,
+)
 from scanlab.errors import CapacityError
 from scanlab.network import (
     EUCLIDEAN,
@@ -12,6 +25,7 @@ from scanlab.network import (
     ball_ids,
     ball_nodes,
     check_spread,
+    closed_ball_ids,
     load_nodeset,
     make_lattice,
     make_uniform_cloud,
@@ -300,3 +314,155 @@ class TestLatticeIndex:
     def test_euclidean_mode_has_no_grid(self):
         with pytest.raises(ValueError, match="lattice mode"):
             make_uniform_cloud(2, 5, seed=0).neighbors
+
+
+# ---------------------------------------------------------------------------
+# ball and blob queries read the first-coordinate slab; the references below
+# are the full scans over all m nodes that the slab replaced, kept as written
+
+
+def full_ball(net, center, r, closed):
+    diff = net.coords - np.asarray(center, dtype=float)
+    dist = np.abs(diff).sum(axis=1) if net.mode == LATTICE else np.sqrt((diff * diff).sum(axis=1))
+    return np.flatnonzero(dist <= r if closed else dist < r)
+
+
+def full_members(spec, net):
+    z = net.coords - np.asarray(spec.center)
+    if spec.rotation is not None:
+        z = z @ np.asarray(spec.rotation)
+    scaled = z / np.asarray(spec.half_axes)
+    if spec.kind == "rect":
+        inside = np.abs(scaled).max(axis=1) < 1.0
+    elif net.mode == LATTICE:
+        inside = np.abs(scaled).sum(axis=1) < 1.0
+    else:
+        inside = (scaled * scaled).sum(axis=1) < 1.0
+    return np.flatnonzero(inside)
+
+
+def full_enumeration(net, params):
+    """The thick enumeration with make_shape run for every center."""
+    d, extent = net.dim, _domain_extent(net)
+    for lam in _scale_grid(params.lam_lo, params.lam_hi):
+        pitch = lam * params.grid_eps
+        axis = np.arange(pitch / 2, extent + 1e-9, pitch)
+        if len(axis) == 0:
+            axis = np.array([extent / 2])
+        templates = thick_templates(d, lam, params.kappa, params.shapes, net.mode)
+        for center in itertools.product(axis, repeat=d):
+            for kind, half_axes in templates:
+                spec = make_shape(kind, center, half_axes, params.kappa, net.mode)
+                yield spec, full_members(spec, net)
+
+
+@st.composite
+def node_sets(draw):
+    """Row-major lattices, lattices with permuted ids and holes, rescaled
+    lattices and uniform clouds, in d = 1, 2, 3."""
+    d = draw(st.integers(1, 3))
+    side = draw(st.integers(2, (40, 12, 6)[d - 1]))
+    kind = draw(st.sampled_from(["lattice", "holed", "rescaled", "cloud"]))
+    if kind == "cloud":
+        return make_uniform_cloud(d, draw(st.integers(1, 400)), seed=draw(st.integers(0, 999)))
+    net = make_lattice(d, side)
+    if kind == "rescaled":
+        return rescale_lattice(net)
+    if kind == "holed":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        keep = rng.random(net.m) < draw(st.floats(0.2, 1.0))
+        keep[rng.integers(net.m)] = True
+        order = rng.permutation(np.flatnonzero(keep))
+        return NodeSet(mode=LATTICE, dim=d, coords=net.coords[order], side=side)
+    return net
+
+
+def centers(net, data):
+    """A node, a half-integer or arbitrary point, or a point outside the domain."""
+    extent = 1.0 if net.mode == EUCLIDEAN else float(net.side - 1)
+    where = data.draw(st.sampled_from(["node", "half", "any", "outside"]))
+    if where == "node":
+        return net.coords[data.draw(st.integers(0, net.m - 1))]
+    coord = {
+        "half": st.integers(0, 2 * max(1, int(extent))).map(lambda k: k / 2),
+        "any": st.floats(0.0, extent),
+        "outside": st.floats(-extent - 1.0, 2.0 * extent + 1.0),
+    }[where]
+    return tuple(data.draw(coord) for _ in range(net.dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_sets(), st.data())
+def test_balls_match_the_full_scan(net, data):
+    center = centers(net, data)
+    if net.mode == LATTICE and data.draw(st.booleans()):
+        r = float(data.draw(st.integers(1, 2 * net.side)))  # nodes sit exactly at r
+    else:
+        r = data.draw(st.floats(1e-3, 1.5 * (net.side or 1)))
+    for closed in (False, True):
+        got = closed_ball_ids(net, center, r) if closed else ball_ids(net, center, r)
+        assert np.array_equal(got, full_ball(net, center, r, closed))
+    assert np.array_equal(closed_ball_ids(net, center, 0.0), full_ball(net, center, 0.0, True))
+    assert np.array_equal(ball_nodes(net, center, r).idarray, full_ball(net, center, r, False))
+
+
+def test_integer_radii_split_open_and_closed_balls():
+    net = make_lattice(2, 9)
+    for r in (1, 2, 3, 4):
+        shell = np.setdiff1d(closed_ball_ids(net, (4, 4), r), ball_ids(net, (4, 4), r))
+        assert shell.size == 4 * r  # the l1 sphere, all of it inside the grid
+        assert (np.abs(net.coords[shell] - 4).sum(axis=1) == r).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_sets(), st.data())
+def test_shapes_match_the_full_scan(net, data):
+    extent = 1.0 if net.mode == EUCLIDEAN else float(net.side - 1)
+    kappa = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    lam = data.draw(st.floats(0.05, 0.8)) * max(extent, 1.0)
+    params = ThickParams(lam_lo=lam, lam_hi=lam, kappa=kappa)
+    center = centers(net, data)
+    for kind, half_axes in thick_templates(net.dim, lam, kappa, params.shapes, net.mode):
+        spec = make_shape(kind, center, half_axes, kappa, net.mode)
+        assert np.array_equal(spec.member_ids(net), full_members(spec, net))
+    if net.mode == EUCLIDEAN:
+        spec = sample_thick_shape(net, params, data.draw(st.integers(0, 999)), rotate=True)
+        assert spec.rotation is not None
+        assert np.array_equal(spec.member_ids(net), full_members(spec, net))
+
+
+@pytest.mark.parametrize("net, params", [
+    (make_lattice(2, 24), ThickParams(lam_lo=2.0, lam_hi=8.0, kappa=2.0)),
+    (make_lattice(1, 40), ThickParams(lam_lo=3.0, lam_hi=6.0, kappa=1.5)),
+    (make_uniform_cloud(2, 500, seed=3), ThickParams(lam_lo=0.1, lam_hi=0.4, kappa=3.0)),
+    (rescale_lattice(make_lattice(3, 8)), ThickParams(lam_lo=0.3, lam_hi=0.6, kappa=2.0)),
+])
+def test_thick_enumeration_equals_per_center_shapes(net, params):
+    got = list(enumerate_thick_shapes(net, params))
+    want = list(full_enumeration(net, params))
+    assert [spec for spec, _ in got] == [spec for spec, _ in want]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+class TestBadQueries:
+    NET = rescale_lattice(make_lattice(2, 8))
+
+    @pytest.mark.parametrize("center, r", [
+        ((0.5,), 0.2), ((0.5, 0.5, 0.5), 0.2), ([[0.5, 0.5]], 0.2), (0.5, 0.2),
+        ((0.5, math.nan), 0.2), ((math.inf, 0.5), 0.2), ((0.5, 0.5), math.nan),
+        ((0.5, 0.5), math.inf),
+    ])
+    def test_refused_where_they_enter(self, center, r):
+        net = self.NET
+        for query in (ball_ids, closed_ball_ids, ball_nodes, NodeSet.near):
+            with pytest.raises(ValueError, match="finite center of shape"):
+                query(net, center, r)
+        spec = ShapeSpec("ball", center, (0.3, 0.3), 0.3 if math.isfinite(r) else r)
+        with pytest.raises(ValueError, match="finite center of shape"):
+            spec.member_ids(net)
+
+    def test_radius_bounds_are_unchanged(self):
+        with pytest.raises(ValueError, match="r must be > 0"):
+            ball_ids(self.NET, (0.5, 0.5), 0.0)
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            closed_ball_ids(self.NET, (0.5, 0.5), -0.1)
