@@ -104,9 +104,10 @@ class ScanTable:
         return sp.csr_array((data, self.concat, self.indptr), shape=(len(self), width))
 
     def encoded(self) -> "ScanTable":
-        """The table with `runs` set, on first call: None, or the (members,
-        width + 1) matrix of -1 at a and +1 at b per run [a, b).  Scorer calls
-        it before threads share the table."""
+        """The table with `runs` and `indicator` set, on first call: either
+        `runs`, the (members, width + 1) matrix of -1 at a and +1 at b per run
+        [a, b), or `indicator`, the (members, width) incidence; the other is
+        None.  Scorer calls it before threads share the table."""
         if "runs" not in vars(self):
             ids, start = self.concat, np.ones(self.concat.size, dtype=bool)
             start[1:] = ids[1:] != ids[:-1] + 1
@@ -117,7 +118,9 @@ class ScanTable:
                 indptr = (2 * np.append(0, np.cumsum(start))[self.indptr]).astype(np.int32)
                 runs = sp.csr_array((np.tile([-1.0, 1.0], n), cols.ravel(), indptr),
                                     shape=(len(self), self.width + 1))
-            self.runs = runs  # assigned whole, so a concurrent first call sees no partial state
+            # each assigned whole, runs last, so a concurrent first call sees no partial state
+            self.indicator = self.incidence(self.width) if runs is None else None
+            self.runs = runs
         return self
 
     def member_sums_temporal(self, rows: np.ndarray | Rows) -> np.ndarray:
@@ -129,7 +132,7 @@ class ScanTable:
         if m < self.width:
             raise ValueError(f"cluster id {self.width - 1} outside 0..{m - 1}")
         if self.encoded().runs is None:
-            return (self.incidence(m) @ block.t).T
+            return (self.indicator @ block.t[: self.width]).T
         return (self.runs @ block.prefix[: self.width + 1]).T
 
     def max_scores(self, rows: np.ndarray | Rows, model) -> tuple[np.ndarray, np.ndarray]:

@@ -120,8 +120,13 @@ class SignalSpec:
     per_node_theta: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        self.check(self.lam)
+
+    @staticmethod
+    def check(lam: float) -> None:
+        """The rule of a signal strength: refuse lam unless finite and >= 0."""
+        if not 0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
 
     def theta(self, model: NoiseModel, total_pairs: int) -> float:
         return model.sigma * self.lam / math.sqrt(total_pairs)

@@ -69,22 +69,22 @@ def derive_seeds(
     """derive_seed(master, *head, *tail) for every tail, hashing the head once.
 
     Each tail resumes a copy of the blake2b state left after the packed
-    master seed and the head, so a block of per-trial seeds costs one hash
-    of the shared prefix plus one short update per trial.
+    master seed and the head and feeds it the tail's encoded parts one by
+    one (the hash streams, so this is the digest of their concatenation):
+    a block of per-trial seeds costs one hash of the shared prefix plus one
+    short update per part.
     """
     base = hashlib.blake2b(digest_size=8)
     base.update(struct.pack("<Q", master & _MASK64) + b"".join(map(_encode, head)))
     encoded: dict[int | str, bytes] = {}
     out = []
     for tail in tails:
-        key = b""
+        h = base.copy()
         for part in tail:
             code = encoded.get(part)
             if code is None:
                 code = encoded[part] = _encode(part)
-            key += code
-        h = base.copy()
-        h.update(key)
+            h.update(code)
         out.append(int.from_bytes(h.digest(), "little"))
     return out
 

@@ -124,12 +124,16 @@ class ExperimentConfig:
             raise ValueError("need trials >= 50")
         if self.n_null < 1:
             raise ValueError(f"need n_null >= 1, got {self.n_null}")
-        if any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
-            raise ValueError("lambda grid must be strictly increasing")
         if not self.lambdas:
             raise ValueError("lambda grid is empty")
+        for lam in self.lambdas:
+            SignalSpec.check(lam)
+        if any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
+            raise ValueError("lambda grid must be strictly increasing")
         if self.t_m < 0:
             raise ValueError("t_m must be >= 0")
+        if self.threads < 1:
+            raise ValueError(f"need threads >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,10 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
     The null pass and each (lambda, truth) pass run over blocks of fields
     (detect.block_size); trial i of a pass draws from its own seed,
     derive_seed(seed, "null", i) or derive_seed(seed, "h1", pt, k, i, 0)
-    for the null field and (..., i, 1) for the planted values.
+    for the null field and (..., i, 1) for the planted values.  The
+    oracle's statistic reads only the target cells, which planting
+    overwrites, so its H1 trials key only (..., i, 1) and plant into zeros:
+    the same statistics as planting into the (..., i, 0) null field.
     """
     truths = _resolve_truths(cfg)
     for truth in truths:  # refuse a truth the fields cannot hold before any pass
@@ -269,10 +276,15 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
         for k, truth in enumerate(truths):
 
             def miss_block(lo: int, hi: int, head=("h1", pt, k), truth=truth) -> np.ndarray:
-                tails = ((i, j) for i in range(lo, hi) for j in (0, 1))
-                seeds = derive_seeds(cfg.seed, head, tails)
-                values = sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds[0::2])
-                plant_block(values, truth, sig, cfg.model, seeds[1::2])
+                if oracle:  # S_K reads only the target cells, and plant_block assigns them all
+                    seeds = derive_seeds(cfg.seed, head, ((i, 1) for i in range(lo, hi)))
+                    values = np.zeros((hi - lo, cfg.t_m + 1, cfg.net.m))
+                else:
+                    tails = ((i, j) for i in range(lo, hi) for j in (0, 1))
+                    seeds = derive_seeds(cfg.seed, head, tails)
+                    values = sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds[0::2])
+                    seeds = seeds[1::2]
+                plant_block(values, truth, sig, cfg.model, seeds)
                 return score.block(values) <= threshold
 
             miss_rate = float(np.mean(map_blocks(miss_block, cfg.trials, size, cfg.threads)))

@@ -5,13 +5,18 @@ Each reference draws one field at a time from a freshly keyed generator
 per-trial loop did; the engine must match it bit for bit.
 """
 
+import hashlib
 import math
+import struct
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scanlab.detect
+import scanlab.sim
 from scanlab.clusters import Cluster
 from scanlab.detect import block_size, map_blocks
 from scanlab.growth import ClusterSequence
@@ -44,6 +49,24 @@ paths = st.lists(parts, max_size=4).map(tuple)
 @given(st.integers(-(2**70), 2**70), paths, st.lists(paths, max_size=6))
 def test_block_seeds_equal_derive_seed(master, head, tails):
     want = [derive_seed(master, *head, *tail) for tail in tails]
+    assert derive_seeds(master, head, tails) == want
+
+
+def _packed(part):
+    """A path part as the seed hash reads it: tag, little-endian int128 or UTF-8, NUL."""
+    if isinstance(part, int):
+        return b"i" + part.to_bytes(16, "little", signed=True) + b"\x00"
+    return b"s" + part.encode("utf-8") + b"\x00"
+
+
+@given(st.integers(-(2**70), 2**70), paths, st.lists(paths, max_size=6))
+def test_block_seeds_hash_the_whole_path(master, head, tails):
+    key = struct.pack("<Q", master % 2**64)
+    want = [
+        int.from_bytes(hashlib.blake2b(key + b"".join(map(_packed, head + tail)),
+                                       digest_size=8).digest(), "little")
+        for tail in tails
+    ]
     assert derive_seeds(master, head, tails) == want
 
 
@@ -173,24 +196,62 @@ def test_estimate_risk_rows_do_not_depend_on_threads(family, seed):
         assert rows[1, test] == rows[3, test]
 
 
-def test_estimate_risk_keys_every_trial_by_its_path():
-    """Trial i of the null pass uses ("null", i); of (pt, k) the pair ("h1", pt, k, i, 0|1)."""
-    net, model, truth = make_lattice(2, 3), noise_model("gaussian"), Cluster((1, 3, 4, 5))
+def _check_keys(family, t_m, truth):
+    net, model = make_lattice(2, 3), noise_model(family)
     cfg = ExperimentConfig(
         net=net, model=model, test=OracleTest(), truth=FixedTruths((truth,)),
-        lambdas=(1.0, 2.0), trials=60, n_null=70, seed=21,
+        lambdas=(1.0, 2.0), trials=60, n_null=70, seed=21, t_m=t_m,
     )
     null = [
-        _reference_oracle(model, _draw(model, rng_from_seed(derive_seed(21, "null", i)), 9)
-                          .reshape(1, 9), truth)
+        _reference_oracle(model, _draw(model, rng_from_seed(derive_seed(21, "null", i)),
+                                       (t_m + 1) * 9).reshape(t_m + 1, 9), truth)
         for i in range(70)
     ]
-    for pt, row in enumerate(estimate_risk(cfg)):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # few planted pairs for bernoulli and poisson
+        rows = estimate_risk(cfg)
+    for pt, row in enumerate(rows):
         assert row.type1 == float(np.mean(np.array(null) > row.lam / 2))
         miss = [
             _reference_oracle(model, _reference_field(
-                model, 9, 0, truth, row.lam, {}, derive_seed(21, "h1", pt, 0, i, 0),
+                model, 9, t_m, truth, row.lam, {}, derive_seed(21, "h1", pt, 0, i, 0),
                 derive_seed(21, "h1", pt, 0, i, 1)), truth) <= row.lam / 2
             for i in range(60)
         ]
         assert row.type2_worst == float(np.mean(miss))
+
+
+def test_estimate_risk_keys_every_trial_by_its_path():
+    """Trial i of the null pass uses ("null", i); of (pt, k) the pair ("h1", pt, k, i, 0|1).
+
+    The reference draws the (..., i, 0) null field of every H1 trial; the oracle's
+    engine never does, and its rows must still match bit for bit.
+    """
+    temporal = ClusterSequence((Cluster((1, 3)), Cluster(()), Cluster((4, 5, 7))))
+    for family in FAMILIES:
+        _check_keys(family, 0, Cluster((1, 3, 4, 5)))
+        _check_keys(family, 2, temporal)
+
+
+@pytest.mark.parametrize("test", [OracleTest(), AverageTest()])
+def test_estimate_risk_draws_null_fields_only_where_read(monkeypatch, test):
+    """The oracle draws only its null pass; a test that reads every cell draws every field."""
+    drawn = []
+
+    def counted(net, model, t_m, seeds):
+        drawn.append(len(seeds))
+        return sample_null_block(net, model, t_m, seeds)
+
+    for module in (scanlab.sim, scanlab.detect):  # estimate_risk and calibrate
+        monkeypatch.setattr(module, "sample_null_block", counted)
+    truths = (Cluster((1, 3, 4, 5)), Cluster((0, 1)))[: 1 if isinstance(test, OracleTest) else 2]
+    cfg = ExperimentConfig(
+        net=make_lattice(2, 3), model=noise_model("gaussian"), test=test,
+        truth=FixedTruths(truths), lambdas=(1.0, 2.0, 3.0), trials=60, n_null=70,
+        calib_b=99, seed=5,
+    )
+    estimate_risk(cfg)
+    if isinstance(test, OracleTest):
+        assert sum(drawn) == cfg.n_null
+    else:
+        assert sum(drawn) == cfg.calib_b + cfg.n_null + cfg.trials * 3 * len(truths)

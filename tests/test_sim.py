@@ -192,6 +192,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_oracle_cfg((1.0, 1.0), trials=50)
 
+    @pytest.mark.parametrize(
+        "lambdas", [(1.0, math.nan), (-1.0, 2.0), (1.0, math.inf), (math.nan,), (2.0, -math.inf)]
+    )
+    def test_every_grid_point_is_a_signal_strength(self, lambdas):
+        # refused at construction, before any calibration or null pass runs
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            small_oracle_cfg(lambdas, trials=50)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_at_least_one(self, threads):
+        with pytest.raises(ValueError, match="threads >= 1"):
+            small_oracle_cfg((1.0,), trials=50, threads=threads)
+
     def test_static_truth_refused_on_temporal_fields(self):
         cfg = ExperimentConfig(
             net=make_lattice(2, 4), model=GAUSS, test=AverageTest(),
