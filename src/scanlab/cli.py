@@ -396,7 +396,8 @@ CONFIG_KEYS = {
     "scan.epsilon": NETBUILD_FLAGS["epsilon"],
     **{f"scan.{key}": value for key, value in FAMILY_FLAGS.items() if key != "value_pitch"},
     "multiscale.scales": Value(_ints),
-    "truth.family": Value(), "truth.lambda": Value(_float), "truth.count": Value(_int, "5"),
+    "truth.family": Value((cl.BALLS, cl.THICK, cl.BANDS, cl.ANIMALS, "richardson")),
+    "truth.lambda": Value(_float), "truth.count": Value(_int, "5"),
     "truth.margin": Value(_float), "truth.k": Value(_int), "truth.p": Value(_float, "0.7"),
     "truth.limit_radius": Value(_int), "truth.warmup": Value(_int, "0"),
     "truth.onset": Value(_int, "0"),

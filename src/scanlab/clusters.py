@@ -329,11 +329,12 @@ class ThinParams:
         return self.r / 2 if self.value_pitch is None else self.value_pitch
 
 
-def _holder_ok(xs, values, alpha, kappa) -> bool:
-    """The last value against every earlier one."""
+def holder_violation(xs, values, alpha, kappa) -> int | None:
+    """The Hölder rule, last value j against each earlier i: the first i with
+    |values[j] - values[i]| > kappa*|xs[j] - xs[i]|**alpha + 1e-12, or None."""
     j = len(values) - 1
-    return not any(abs(values[j] - values[i]) > kappa * abs(xs[j] - xs[i]) ** alpha + 1e-12
-                   for i in range(j))
+    return next((i for i in range(j) if abs(values[j] - values[i])
+                 > kappa * abs(xs[j] - xs[i]) ** alpha + 1e-12), None)
 
 
 def _holder_sequences(xs, levels, alpha, kappa, cap: int):
@@ -348,7 +349,7 @@ def _holder_sequences(xs, levels, alpha, kappa, cap: int):
             return
         for v in levels:
             prefix.append(v)
-            if _holder_ok(xs, prefix, alpha, kappa):
+            if holder_violation(xs, prefix, alpha, kappa) is None:
                 rec(prefix)
             prefix.pop()
 

@@ -105,21 +105,19 @@ def oracle_test(field: Field, k: Cluster, lam: float, model: NoiseModel) -> Test
     return TestResult(statistic=value, threshold=oracle_cutoff(lam), argmax=k)
 
 
-def scale_term(m: int, d: int, scale: int, c: float = 1.0) -> float:
-    """sqrt(2*logdag(m * 2**(-scale*d) * c)), the size term of one scale."""
-    return math.sqrt(2.0 * log_dagger(m * 2.0 ** (-scale * d) * c))
+def scale_term(m: int, d: int, scale: int) -> float:
+    """sqrt(2*logdag(m * 2**(-scale*d))), the size term of one scale."""
+    return math.sqrt(2.0 * log_dagger(m * 2.0 ** (-scale * d)))
 
 
-def default_scale_thresholds(
-    m: int, d: int, scales: Iterable[int], c: float = 1.0
-) -> dict[int, float]:
+def default_scale_thresholds(m: int, d: int, scales: Iterable[int]) -> dict[int, float]:
     """Conservative per-scale thresholds: a scale term plus a union-bound term.
 
-    scale_term(m, d, scale, c) + sqrt(2*log(scale**2 + e)); meant for
+    scale_term(m, d, scale) + sqrt(2*log(scale**2 + e)); meant for
     running multiscale tests without calibration, and deliberately slack.
     """
     return {
-        scale: scale_term(m, d, scale, c) + math.sqrt(2.0 * math.log(scale * scale + math.e))
+        scale: scale_term(m, d, scale) + math.sqrt(2.0 * math.log(scale * scale + math.e))
         for scale in scales
     }
 
@@ -223,15 +221,30 @@ def map_blocks(
 
     Each block's values depend only on its span (every trial is keyed by its
     own seed) and land at fixed positions, so any thread count gives the
-    same array.
+    same array.  A thread count below 1 is a ValueError.
     """
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     spans = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-    if threads <= 1 or len(spans) <= 1:
+    if threads == 1 or len(spans) <= 1:
         parts = [fn(lo, hi) for lo, hi in spans]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda span: fn(*span), spans))
     return np.concatenate(parts) if parts else np.empty(0)
+
+
+def null_statistics(statistic: Callable[[np.ndarray], np.ndarray], net: NodeSet,
+                    model: NoiseModel, t_m: int, seed: int, head: str, n: int,
+                    threads: int) -> np.ndarray:
+    """statistic of n null fields in blocks; field i is drawn from
+    derive_seed(seed, head, i) alone."""
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        seeds = derive_seeds(seed, (head,), ((i,) for i in range(lo, hi)))
+        return statistic(sample_null_block(net, model, t_m, seeds))
+
+    return map_blocks(block, n, block_size(t_m, net.m), threads)
 
 
 def calibrate(
@@ -256,12 +269,7 @@ def calibrate(
     rank = math.ceil((1 - alpha) * (b + 1))
     if rank > b:
         raise ValueError(f"alpha={alpha} needs more than b={b} null samples")
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        seeds = derive_seeds(seed, ("calib",), ((i,) for i in range(lo, hi)))
-        return statistic(sample_null_block(net, model, t_m, seeds))
-
-    stats = map_blocks(block, b, block_size(t_m, net.m), threads)
+    stats = null_statistics(statistic, net, model, t_m, seed, "calib", b, threads)
     threshold = float(np.sort(stats)[rank - 1])
     return Calibration(alpha=alpha, b=b, threshold=threshold, seed=seed, null_stats=stats)
 

@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clusters import EMPTY_CLUSTER, Cluster, cluster_from_ids, parse_cluster, read_headed
+from .clusters import (EMPTY_CLUSTER, Cluster, cluster_from_ids, holder_violation,
+                       parse_cluster, read_headed)
 from .detect import TestResult
 from .metric import SQRT2, EpsNet, ScanTable, delta
 from .models import Field, NoiseModel
@@ -122,15 +123,13 @@ def make_holder_trajectory(
     xs = np.linspace(0.0, t_m / xi, len(controls))
     for j in range(net.dim):
         g = controls[:, j]
-        for a in range(len(xs)):
-            for b in range(a + 1, len(xs)):
-                bound = kappa * abs(xs[b] - xs[a]) ** alpha
-                if abs(g[b] - g[a]) > bound + 1e-12:
-                    raise ValueError(
-                        f"trajectory coordinate {j} violates the smoothness "
-                        f"bound between grid points {a} and {b}: "
-                        f"|{g[b]:.4g} - {g[a]:.4g}| > {bound:.4g}"
-                    )
+        for b in range(1, len(xs)):
+            if (a := holder_violation(xs, g[: b + 1], alpha, kappa)) is not None:
+                raise ValueError(
+                    f"trajectory coordinate {j} violates the smoothness "
+                    f"bound between grid points {a} and {b}: "
+                    f"|{g[b]:.4g} - {g[a]:.4g}| > {kappa * abs(xs[b] - xs[a]) ** alpha:.4g}"
+                )
     slices = [EMPTY_CLUSTER] * (t_m + 1)
     for t in range(t_start, t_end + 1):
         center = [float(np.interp(t / xi, xs, controls[:, j])) for j in range(net.dim)]
@@ -257,20 +256,18 @@ def dyadic_windows(horizon: int) -> tuple[int, ...]:
 
 
 def cylinder_statistics(
-    values: np.ndarray, table: ScanTable, model: NoiseModel, windows: Sequence[int] | None = None
+    values: np.ndarray, table: ScanTable, model: NoiseModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max standardized sum over base clusters crossed with trailing windows,
     for every field of a (B, t_m + 1, m) block.
 
-    Window w covers times [t_m - w + 1, t_m], over the dyadic grid by
-    default; a (base, w) statistic is normalized by its |base| * w pairs.
-    Returns the statistics, the argmax members and their windows; ties break
-    to the smallest member index, then the earliest window in grid order.
+    Window w covers times [t_m - w + 1, t_m], for every w of
+    dyadic_windows(t_m + 1); a (base, w) statistic is normalized by its
+    |base| * w pairs.  Returns the statistics, the argmax members and their
+    windows; ties break to the smallest member index, then the shorter window.
     """
     n_fields, horizon, m = values.shape
-    windows = np.array(dyadic_windows(horizon) if windows is None else windows, dtype=int)
-    if not windows.size or ((windows < 1) | (windows > horizon)).any():
-        raise ValueError("windows must lie in 1..t_m+1")
+    windows = np.array(dyadic_windows(horizon))
     per_t = table.member_sums_temporal(values.reshape(n_fields * horizon, m))
     cum = np.zeros((n_fields, horizon + 1, len(table)))
     np.cumsum(per_t.reshape(n_fields, horizon, len(table)), axis=1, out=cum[:, 1:])
@@ -282,14 +279,12 @@ def cylinder_statistics(
     return stats[np.arange(n_fields), col, j], j, windows[col]
 
 
-def scan_spacetime_cylinders(
-    field: Field, base: EpsNet | Sequence[Cluster], model: NoiseModel,
-    windows: Sequence[int] | None = None,
-) -> TestResult:
+def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
+                             model: NoiseModel) -> TestResult:
     """cylinder_statistics of one field, with its argmax cluster and window;
     a net is scored through the table kept with it."""
     table = base.table if isinstance(base, EpsNet) else ScanTable(base)
-    stats, j, window = cylinder_statistics(field.values[None], table, model, windows)
+    stats, j, window = cylinder_statistics(field.values[None], table, model)
     return TestResult(
         statistic=float(stats[0]),
         argmax=table.members[j[0]],

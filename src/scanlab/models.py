@@ -17,7 +17,6 @@ from dataclasses import field as _field  # `field` names Field arguments below
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy.stats import norm
 
 from .clusters import Cluster
 from .network import NodeSet
@@ -30,7 +29,8 @@ GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
 POISSON = "poisson"
 
-_MAD_CONSISTENCY = float(norm.ppf(0.75))  # 0.6744897501960817
+_MAD_CONSISTENCY = 0.6744897501960817  # Phi^-1(3/4), the normal law's MAD
+MIN_CLUSTER_WARN = 30  # non-gaussian planting below this many pairs is suspect
 
 # family -> (mean, variance) of its base law F0
 MOMENTS = {GAUSSIAN: (0.0, 1.0), BERNOULLI: (0.5, 0.25), POISSON: (1.0, 1.0)}
@@ -39,7 +39,6 @@ MOMENTS = {GAUSSIAN: (0.0, 1.0), BERNOULLI: (0.5, 0.25), POISSON: (1.0, 1.0)}
 @dataclass(frozen=True)
 class NoiseModel:
     family: str
-    min_cluster_warn: int = 30  # non-gaussian planting below this is suspect
     null_mean: float = _field(init=False, repr=False, compare=False)
     sigma2: float = _field(init=False, repr=False, compare=False)
     sigma: float = _field(init=False, repr=False, compare=False)
@@ -112,12 +111,11 @@ class Field:
 class SignalSpec:
     """Signal strength lam (finite, >= 0; 0 plants a null-distributed redraw).
 
-    per_node_theta optionally overrides the natural parameter node by node;
-    overrides must not fall below the implied theta_K.
+    Every planted (node, time) pair of a cluster K takes the one natural
+    parameter theta_K = sigma * lam / sqrt(|K|).
     """
 
     lam: float
-    per_node_theta: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
         self.check(self.lam)
@@ -179,43 +177,22 @@ def plant_block(
 ) -> None:
     """Plant the target in every row of a (B, t_m + 1, m) block, in place.
 
-    Row r's F_theta draws come from seeds[r] alone, slice by slice; a node
-    with a per_node_theta override takes one further draw at its own theta
-    right after its slice's draws.  Off-target values are untouched.
+    Row r's F_theta draws come from seeds[r] alone, in one fill over the
+    target's (time, node) pairs in slice order; off-target values are untouched.
     """
     slices = _anomalous_slices(target, values.shape[1] - 1)
     times = np.concatenate([np.full(k.size, t) for t, k in slices])
     nodes = np.concatenate([k.idarray for _, k in slices])
     theta = sig.theta(model, nodes.size)
-    if model.family != GAUSSIAN and nodes.size < model.min_cluster_warn:
+    if model.family != GAUSSIAN and nodes.size < MIN_CLUSTER_WARN:
         warnings.warn(
             f"planting {nodes.size} anomalous pairs in a {model.family} field; "
-            f"normal approximations assume at least {model.min_cluster_warn}",
+            f"normal approximations assume at least {MIN_CLUSTER_WARN}",
             stacklevel=3,
         )
-    overrides = sig.per_node_theta or {}
-    for node, th in overrides.items():
-        if th < theta - 1e-12:
-            raise ValueError(
-                f"override theta for node {node} is below the implied {theta:.6g}"
-            )
     draws = np.empty((len(seeds), nodes.size))
-    if overrides:
-        redraw = [(pos, overrides[int(node)]) for pos, node in enumerate(nodes)
-                  if int(node) in overrides]
-        ends = np.cumsum([k.size for _, k in slices])
     for row, seed in zip(draws, seeds):
-        rng = _fast_rng(seed)
-        if not overrides:
-            model.fill(rng, row, theta)
-            continue
-        start = 0
-        for end in ends:
-            model.fill(rng, row[start:end], theta)
-            for pos, th in redraw:
-                if start <= pos < end:
-                    model.fill(rng, row[pos : pos + 1], th)
-            start = end
+        model.fill(_fast_rng(seed), row, theta)
     values[:, times, nodes] = draws
 
 

@@ -27,6 +27,7 @@ from .detect import (
     map_blocks,
     multiscale_statistics,
     multiscale_test,
+    null_statistics,
     oracle_cutoff,
     scale_offsets,
     scale_term,
@@ -63,12 +64,11 @@ class EpsScanTest:
 class MultiscaleScanTest:
     """Calibrated multiscale: statistic is max over scales of S_l - w_l.
 
-    The weights w_l equalize scales before the single calibrated cut; by
-    default detect.scale_term, sqrt(2 * logdag(m * 2**(-l*d))).
+    The weights w_l = detect.scale_term, sqrt(2 * logdag(m * 2**(-l*d))),
+    equalize scales before the single calibrated cut.
     """
 
     nets: Mapping[int, EpsNet]
-    weights: Mapping[int, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class OracleTest:
 @dataclass(frozen=True)
 class CylinderScanTest:
     base: EpsNet
-    windows: tuple[int, ...] | None = None
 
 
 TestSpec = Union[EpsScanTest, MultiscaleScanTest, AverageTest, OracleTest, CylinderScanTest]
@@ -212,9 +211,7 @@ def scorer(
         return Scorer(lambda values: table.max_scores(values[:, 0], model)[0],
                       lambda fld: eps_scan(fld, test.net, model))
     if isinstance(test, MultiscaleScanTest):
-        weights = test.weights
-        if weights is None:
-            weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
+        weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
         _, tables, offsets = scale_offsets(test.nets, weights)
         tables = [table.encoded() for table in tables]
         return Scorer(lambda values: multiscale_statistics(values, tables, offsets, model)[0],
@@ -229,8 +226,8 @@ def scorer(
                       lambda fld: TestResult(standardized_sum(fld, truth, model), argmax=truth))
     if isinstance(test, CylinderScanTest):
         table = test.base.table.encoded()
-        return Scorer(lambda values: cylinder_statistics(values, table, model, test.windows)[0],
-                      lambda fld: scan_spacetime_cylinders(fld, test.base, model, test.windows))
+        return Scorer(lambda values: cylinder_statistics(values, table, model)[0],
+                      lambda fld: scan_spacetime_cylinders(fld, test.base, model))
     raise ValueError(f"no statistic for {type(test).__name__}")
 
 
@@ -258,13 +255,9 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
         score.block, cfg.net, cfg.model, cfg.alpha, cfg.calib_b,
         derive_seed(cfg.seed, "calibration"), t_m=cfg.t_m, threads=cfg.threads,
     )
+    null_stats = null_statistics(score.block, cfg.net, cfg.model, cfg.t_m, cfg.seed, "null",
+                                 cfg.n_null, cfg.threads)
     size = block_size(cfg.t_m, cfg.net.m)
-
-    def null_block(lo: int, hi: int) -> np.ndarray:
-        seeds = derive_seeds(cfg.seed, ("null",), ((i,) for i in range(lo, hi)))
-        return score.block(sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds))
-
-    null_stats = map_blocks(null_block, cfg.n_null, size, cfg.threads)
 
     rows: list[RiskEstimate] = []
     for pt, lam in enumerate(cfg.lambdas):

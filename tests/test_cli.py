@@ -764,6 +764,15 @@ n_null = 100
         assert code == 2
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    def test_truth_family_is_a_word(self):
+        # a family with no truth sampler is refused where the config is read
+        with pytest.raises(ConfigError, match="config key 'truth.family': unknown family 'tubes';"):
+            parse_config(self.AVERAGE.replace("truth.family = balls", "truth.family = tubes"))
+        # while scan.family, which it falls back to, is refused when the truths are built
+        cfg = parse_config(self.AVERAGE.replace("truth.family = balls", "scan.family = tubes"))
+        with pytest.raises(ConfigError, match="config key 'truth.family': unknown family 'tubes'"):
+            build_experiment(cfg)
+
     @pytest.mark.parametrize("command", ["calibrate", "sweep"])
     @pytest.mark.parametrize("value", ["-3", "0"])
     def test_threads_flag_below_1_exits_2(self, tmp_path, capsys, command, value):

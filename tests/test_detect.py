@@ -12,6 +12,7 @@ from scanlab.detect import (
     default_scale_thresholds,
     eps_scan,
     log_dagger,
+    map_blocks,
     multiscale_test,
     oracle_test,
     rate,
@@ -206,6 +207,15 @@ class TestCalibrate:
         net = make_lattice(2, 4)
         with pytest.raises(ValueError):
             calibrate(lambda v: np.zeros(len(v)), net, GAUSS, alpha=0.005, b=99, seed=0)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_1_refused(self, threads):
+        net = make_lattice(2, 4)
+        with pytest.raises(ValueError, match="threads >= 1"):
+            calibrate(lambda v: np.zeros(len(v)), net, GAUSS, alpha=0.05, b=99, seed=0,
+                      threads=threads)
+        with pytest.raises(ValueError, match="threads >= 1"):
+            map_blocks(lambda lo, hi: np.zeros(hi - lo), 10, 4, threads)
 
     def test_threads_match_single(self):
         net = make_lattice(2, 6)

@@ -81,18 +81,14 @@ def _draw(model, rng, size, theta=None):
     return rng.poisson(1.0 if theta is None else model.tilted_mean(theta), size).astype(float)
 
 
-def _reference_field(model, m, t_m, truth, lam, overrides, seed0, seed1):
+def _reference_field(model, m, t_m, truth, lam, seed0, seed1):
     rng = rng_from_seed(seed0)
     values = _draw(model, rng, (t_m + 1) * m).reshape(t_m + 1, m)
     slices = [(0, truth)] if isinstance(truth, Cluster) else truth.nonempty()
     theta = model.sigma * lam / math.sqrt(sum(k.size for _, k in slices))
     rng = rng_from_seed(seed1)
     for t, k in slices:
-        draws = _draw(model, rng, k.size, theta)
-        for pos, node in enumerate(k.ids):
-            if node in overrides:
-                draws[pos] = _draw(model, rng, 1, overrides[node])[0]
-        values[t, k.idarray] = draws
+        values[t, k.idarray] = _draw(model, rng, k.size, theta)
     return values
 
 
@@ -131,15 +127,12 @@ def truths(draw):
     st.integers(1, 23),
     st.integers(1, 7),
     st.integers(1, 3),
-    st.booleans(),
 )
 def test_block_engine_matches_per_field_reference(family, truth_tm, lam, master, n, size,
-                                                  threads, override):
+                                                  threads):
     t_m, truth = truth_tm
     model = noise_model(family)
-    first = (truth if isinstance(truth, Cluster) else truth.nonempty()[0][1]).ids[0]
-    overrides = {first: 4.0} if override else {}
-    sig = SignalSpec(lam, overrides or None)
+    sig = SignalSpec(lam)
     oracle = scorer(OracleTest(), NET, model, t_m, truth)
     average = scorer(AverageTest(), NET, model, t_m)
 
@@ -154,7 +147,7 @@ def test_block_engine_matches_per_field_reference(family, truth_tm, lam, master,
         parts = [block(lo, min(lo + size, n)) for lo in range(0, n, size)]
         stats = map_blocks(lambda lo, hi: block(lo, hi)[1], n, size, threads)
         for i in range(n):
-            ref = _reference_field(model, NET.m, t_m, truth, lam, overrides,
+            ref = _reference_field(model, NET.m, t_m, truth, lam,
                                    derive_seed(master, "h1", 2, 1, i, 0),
                                    derive_seed(master, "h1", 2, 1, i, 1))
             values, oracle_stats, average_stats = parts[i // size]
@@ -214,7 +207,7 @@ def _check_keys(family, t_m, truth):
         assert row.type1 == float(np.mean(np.array(null) > row.lam / 2))
         miss = [
             _reference_oracle(model, _reference_field(
-                model, 9, t_m, truth, row.lam, {}, derive_seed(21, "h1", pt, 0, i, 0),
+                model, 9, t_m, truth, row.lam, derive_seed(21, "h1", pt, 0, i, 0),
                 derive_seed(21, "h1", pt, 0, i, 1)), truth) <= row.lam / 2
             for i in range(60)
         ]

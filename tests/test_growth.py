@@ -258,12 +258,6 @@ class TestSpacetimeScan:
         pair = (per_t[-2:, 3].sum()) / math.sqrt(members[3].size * 2)
         assert full.statistic >= pair
 
-    def test_window_validation(self):
-        net = make_lattice(2, 4)
-        f = sample_null(net, GAUSS, 3, seed=7)
-        with pytest.raises(ValueError):
-            scan_spacetime_cylinders(f, [Cluster((0,))], GAUSS, windows=[9])
-
 
 class TestSequenceFiles:
     def test_roundtrip(self, tmp_path):

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scanlab
 from scanlab.clusters import Cluster
 from scanlab.models import (
+    _MAD_CONSISTENCY,
     Field,
     NoiseModel,
     SignalSpec,
@@ -117,24 +123,6 @@ class TestPlant:
         with pytest.warns(UserWarning):
             plant(f, Cluster((0, 1)), SignalSpec(1.0), BERN, seed=11)
 
-    def test_override_below_implied_rejected(self):
-        net = make_lattice(2, 4)
-        f = sample_null(net, GAUSS, 0, seed=12)
-        sig = SignalSpec(4.0, per_node_theta={0: 0.1})
-        with pytest.raises(ValueError):
-            plant(f, Cluster((0, 1, 2, 3)), sig, GAUSS, seed=13)
-
-    def test_override_applied(self):
-        net = make_lattice(2, 4)
-        k = Cluster((0, 1))
-        sig = SignalSpec(2.0, per_node_theta={0: 8.0})
-        vals = [
-            plant(sample_null(net, GAUSS, 0, derive_seed(5, i)), k, sig, GAUSS,
-                  derive_seed(6, i)).values[0, 0]
-            for i in range(500)
-        ]
-        assert np.mean(vals) > 6.0
-
 
     def test_static_cluster_refused_on_temporal_field(self):
         # a Cluster addresses a static field; it used to plant at t = 0 only
@@ -174,6 +162,19 @@ class TestMadVariance:
         lam = 10.0 * math.sqrt(k.size)  # per-node shift 10
         planted = plant(f, k, SignalSpec(lam), GAUSS, seed=5)
         assert abs(mad_variance(planted) - 1.0) <= 0.10
+
+    def test_consistency_constant_needs_no_scipy_stats(self):
+        """The constant is Phi^-1(3/4) written out, so importing scanlab loads no scipy.stats."""
+        from scipy.stats import norm
+
+        assert _MAD_CONSISTENCY == float(norm.ppf(0.75))
+        path = [str(Path(scanlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, scanlab; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestStandardizedSum:

@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 
 from scanlab.clusters import Cluster, enumerate_balls
-from scanlab.detect import eps_scan, scale_term
-from scanlab.growth import make_cylinder, scan_spacetime_cylinders
+from scanlab.detect import eps_scan, multiscale_test, scale_term
+from scanlab.growth import make_cylinder
 from scanlab.metric import build_net
 from scanlab.models import noise_model, sample_null, standardized_sum
 from scanlab.network import ball_nodes, make_lattice, rescale_lattice
@@ -271,21 +271,15 @@ class TestScorer:
         )
         assert scorer(AverageTest(), self.net, GAUSS)(fld)[1] is None
 
-    def test_cylinder_statistic_uses_the_windows(self):
-        fld = sample_null(self.net, GAUSS, 3, 5)
-        want = scan_spacetime_cylinders(fld, self.nets[3], GAUSS, (1, 2))
-        got = scorer(CylinderScanTest(self.nets[3], (1, 2)), self.net, GAUSS, 3)(fld)
-        assert got == (want.statistic, want.argmax)
-
     def test_static_tests_refuse_temporal_fields(self):
         for spec in (EpsScanTest(self.nets[3]), MultiscaleScanTest(nets=self.nets)):
             with pytest.raises(ValueError, match="static field"):
                 scorer(spec, self.net, GAUSS, t_m=2)
 
     def test_weights_missing_a_scale_are_named(self):
-        spec = MultiscaleScanTest(nets=self.nets, weights={2: 1.0, 3: 1.0})
+        fld = sample_null(self.net, GAUSS, 0, 1)
         with pytest.raises(ValueError, match="scale 4"):
-            scorer(spec, self.net, GAUSS)
+            multiscale_test(fld, self.nets, {2: 1.0, 3: 1.0}, GAUSS)
 
     def test_oracle_needs_its_truth(self):
         with pytest.raises(ValueError, match="truth"):
