@@ -255,7 +255,7 @@ def _cmd_calibrate(args) -> int:
     score = sim.scorer(_test_spec(args, net), net, model, args.tm)
     calib = detect.calibrate(
         score.block, net, model, args.alpha, args.b, args.seed,
-        t_m=args.tm, threads=args.threads,
+        groups=score.groups, threads=args.threads,
     )
     with _open_out(args.out) as fh:
         fh.write(",".join(CALIBRATION_COLUMNS) + "\n")
@@ -410,7 +410,9 @@ CONFIG_KEYS = {
 
 def parse_config(text: str) -> dict[str, str]:
     """Flat `key = value` lines; # comments; unknown keys and values not of
-    their key's kind are rejected by name.  Values are kept as text."""
+    their key's kind are rejected by name, and so is a scan.family with no
+    truth sampler when truth.family, which falls back to it, is unset.
+    Values are kept as text."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -425,6 +427,11 @@ def parse_config(text: str) -> dict[str, str]:
             raise ConfigError(f"duplicate config key {key!r}")
         out[key] = value
         _cfg(out, key, None)
+    truths = CONFIG_KEYS["truth.family"].kind
+    if not out.get("truth.family") and _cfg_get(out, "scan.family") not in truths:
+        raise ConfigError(
+            f"config key 'scan.family': truths cannot be drawn from family "
+            f"{_cfg_get(out, 'scan.family')!r}; set truth.family (one of {list(truths)})")
     return out
 
 

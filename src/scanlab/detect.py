@@ -201,17 +201,18 @@ class Calibration:
 
 # Monte Carlo passes draw and score their fields in blocks of about this many
 # values, so a block's arrays stay small whatever the field size.  A block
-# still holds at least KERNEL_ROWS field rows (fields x time steps): the sparse
-# product of ScanTable.member_sums_temporal is slow per row with fewer columns,
-# and no sum depends on the width.
+# still holds at least KERNEL_ROWS field rows (fields x time groups): the
+# sparse product of ScanTable.member_sums_temporal is slow per row with fewer
+# columns, and no sum depends on the width.
 BLOCK_VALUES = 1 << 16
 KERNEL_ROWS = 16
 
 
-def block_size(t_m: int, m: int) -> int:
-    """Fields per block: floor(BLOCK_VALUES / ((t_m + 1) m)), but at least
-    ceil(KERNEL_ROWS / (t_m + 1)), so never fewer than 1."""
-    return max(BLOCK_VALUES // ((t_m + 1) * m), -(-KERNEL_ROWS // (t_m + 1)))
+def block_size(rows: int, m: int) -> int:
+    """Fields per block, for fields drawn as `rows` rows (time groups) of m
+    values: floor(BLOCK_VALUES / (rows m)), but at least
+    ceil(KERNEL_ROWS / rows), so never fewer than 1."""
+    return max(BLOCK_VALUES // (rows * m), -(-KERNEL_ROWS // rows))
 
 
 def map_blocks(
@@ -235,16 +236,18 @@ def map_blocks(
 
 
 def null_statistics(statistic: Callable[[np.ndarray], np.ndarray], net: NodeSet,
-                    model: NoiseModel, t_m: int, seed: int, head: str, n: int,
+                    model: NoiseModel, groups: Sequence[int], seed: int, head: str, n: int,
                     threads: int) -> np.ndarray:
-    """statistic of n null fields in blocks; field i is drawn from
-    derive_seed(seed, head, i) alone."""
+    """statistic of n null fields in blocks, each field drawn as its per-node
+    sums over consecutive time groups of sizes `groups`; field i is drawn
+    from derive_seed(seed, head, i) alone."""
+    t_m = sum(groups) - 1
 
     def block(lo: int, hi: int) -> np.ndarray:
         seeds = derive_seeds(seed, (head,), ((i,) for i in range(lo, hi)))
-        return statistic(sample_null_block(net, model, t_m, seeds))
+        return statistic(sample_null_block(net, model, t_m, seeds, groups))
 
-    return map_blocks(block, n, block_size(t_m, net.m), threads)
+    return map_blocks(block, n, block_size(len(groups), net.m), threads)
 
 
 def calibrate(
@@ -254,13 +257,14 @@ def calibrate(
     alpha: float,
     b: int,
     seed: int,
-    t_m: int = 0,
+    groups: Sequence[int] = (1,),
     threads: int = 1,
 ) -> Calibration:
     """Threshold = ceil((1-alpha)(b+1))-th order statistic of b null draws.
 
-    statistic maps a (B, t_m + 1, m) block of null fields to their B
-    statistics, as sim.Scorer.block does.
+    statistic maps a (B, G, m) block of null fields, drawn as per-node sums
+    over consecutive time groups of sizes `groups` (default: one static
+    step), to their B statistics, as a sim.Scorer's block and groups do.
     """
     if b < 99:
         raise ValueError("need b >= 99 null samples")
@@ -269,7 +273,7 @@ def calibrate(
     rank = math.ceil((1 - alpha) * (b + 1))
     if rank > b:
         raise ValueError(f"alpha={alpha} needs more than b={b} null samples")
-    stats = null_statistics(statistic, net, model, t_m, seed, "calib", b, threads)
+    stats = null_statistics(statistic, net, model, groups, seed, "calib", b, threads)
     threshold = float(np.sort(stats)[rank - 1])
     return Calibration(alpha=alpha, b=b, threshold=threshold, seed=seed, null_stats=stats)
 

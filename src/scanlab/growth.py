@@ -255,36 +255,56 @@ def dyadic_windows(horizon: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def time_groups(horizon: int) -> tuple[int, ...]:
+    """The sizes of the consecutive time groups that the starts of the
+    trailing dyadic windows cut times 0..horizon - 1 into: window i of
+    dyadic_windows(horizon) is the union of the last i + 1 groups."""
+    starts = [horizon - w for w in dyadic_windows(horizon)[::-1]]
+    return tuple(np.diff(starts + [horizon]).tolist())
+
+
+def group_sums(values: np.ndarray, groups: Sequence[int]) -> np.ndarray:
+    """Per-node sums of (..., t_m + 1, m) values over consecutive time groups
+    of sizes `groups`: (..., G, m), each summed in time order."""
+    starts = np.cumsum((0,) + tuple(groups)[:-1])
+    return np.add.reduceat(values, starts, axis=-2)
+
+
 def cylinder_statistics(
-    values: np.ndarray, table: ScanTable, model: NoiseModel
+    sums: np.ndarray, table: ScanTable, model: NoiseModel, groups: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max standardized sum over base clusters crossed with trailing windows,
-    for every field of a (B, t_m + 1, m) block.
+    for every field of a (B, G, m) block of per-node sums over consecutive
+    time groups of sizes `groups`, time_groups(t_m + 1) for the scan.
 
-    Window w covers times [t_m - w + 1, t_m], for every w of
-    dyadic_windows(t_m + 1); a (base, w) statistic is normalized by its
-    |base| * w pairs.  Returns the statistics, the argmax members and their
-    windows; ties break to the smallest member index, then the shorter window.
+    Window i covers the last i + 1 groups, times [t_m - w + 1, t_m]: for
+    time_groups(t_m + 1), w runs over dyadic_windows(t_m + 1).  A (base, w)
+    statistic is normalized by its |base| * w pairs.  Returns the
+    statistics, the argmax members and their windows; ties break to the
+    smallest member index, then the shorter window.
     """
-    n_fields, horizon, m = values.shape
-    windows = np.array(dyadic_windows(horizon))
-    per_t = table.member_sums_temporal(values.reshape(n_fields * horizon, m))
-    cum = np.zeros((n_fields, horizon + 1, len(table)))
-    np.cumsum(per_t.reshape(n_fields, horizon, len(table)), axis=1, out=cum[:, 1:])
+    n_fields, n_groups, m = sums.shape
+    windows = np.cumsum(np.asarray(groups)[::-1])
+    per_group = table.member_sums_temporal(sums.reshape(n_fields * n_groups, m))
+    cum = np.zeros((n_fields, n_groups + 1, len(table)))
+    np.cumsum(per_group.reshape(n_fields, n_groups, len(table)), axis=1, out=cum[:, 1:])
     n_pairs = table.sizes * windows[:, None]  # (windows, members)
-    tails = cum[:, -1:] - cum[:, horizon - windows]
+    tails = cum[:, -1:] - cum[:, n_groups - 1 - np.arange(n_groups)]
     stats = model.standardize(tails, n_pairs)
     flat = stats.transpose(0, 2, 1).reshape(n_fields, -1).argmax(axis=1)  # member-major
-    j, col = np.divmod(flat, len(windows))
+    j, col = np.divmod(flat, n_groups)
     return stats[np.arange(n_fields), col, j], j, windows[col]
 
 
 def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
                              model: NoiseModel) -> TestResult:
-    """cylinder_statistics of one field, with its argmax cluster and window;
-    a net is scored through the table kept with it."""
+    """cylinder_statistics of one field, reduced to its time groups, with
+    its argmax cluster and window; a net is scored through the table kept
+    with it."""
     table = base.table if isinstance(base, EpsNet) else ScanTable(base)
-    stats, j, window = cylinder_statistics(field.values[None], table, model)
+    groups = time_groups(field.t_m + 1)
+    stats, j, window = cylinder_statistics(group_sums(field.values, groups)[None], table,
+                                           model, groups)
     return TestResult(
         statistic=float(stats[0]),
         argmax=table.members[j[0]],

@@ -64,20 +64,46 @@ class NoiseModel:
             return 1.0 / (1.0 + math.exp(-theta))
         return math.exp(theta)
 
-    def fill(self, rng: np.random.Generator, out: np.ndarray, theta: float | None = None) -> None:
-        """Overwrite `out` with i.i.d. draws from F0 (theta None) or F_theta."""
+    def draw_sums(self, seeds, n: np.ndarray, k: np.ndarray | None = None,
+                  theta: float = 0.0) -> np.ndarray:
+        """(len(seeds),) + n.shape sums; row r is drawn from seeds[r] alone.
+
+        Cell c is one draw of the sum of n[c] independent values, k[c] of
+        them from F_theta and the rest from F0 (k None: all from F0): of its
+        law N(k theta, n), Binomial(n - k, 1/2) + Binomial(k, p) or
+        Poisson(n - k + k e^theta), by one normal, one uniform (inverted
+        through the law's survival function) or one Poisson variate per
+        cell, in cell order.  A one-step cell (n = 1) is therefore the draw
+        of one value: z (+ theta), U < p or a Poisson variate of its mean.
+        """
+        out = np.empty((len(seeds),) + n.shape)
+        if self.family == POISSON:
+            mean = n if k is None else n - k + k * math.exp(theta)
+            for row, seed in zip(out, seeds):
+                row[...] = _fast_rng(seed).poisson(mean)
+            return out
         if self.family == GAUSSIAN:
-            rng.standard_normal(out=out)
-            if theta is not None:
-                out += theta
-        elif self.family == BERNOULLI:
-            p = 0.5 if theta is None else self.tilted_mean(theta)
-            if p >= 1.0:
-                raise ValueError(f"bernoulli tilt saturates: p={p} >= 1")
-            rng.random(out=out)
-            np.less(out, p, out=out)
-        else:
-            out[...] = rng.poisson(1.0 if theta is None else self.tilted_mean(theta), out.shape)
+            for row, seed in zip(out, seeds):
+                _fast_rng(seed).standard_normal(out=row)
+            out *= np.sqrt(n)
+            if k is not None:
+                out += k * theta
+            return out
+        p = 0.5 if k is None else self.tilted_mean(theta)
+        if p >= 1.0:
+            raise ValueError(f"bernoulli tilt saturates: p={p} >= 1")
+        for row, seed in zip(out, seeds):
+            _fast_rng(seed).random(out=row)
+        k = np.zeros_like(n) if k is None else k
+        base = int(n.max()) + 1
+        for ni, ki in (divmod(code, base) for code in np.unique(n * base + k).tolist()):
+            cells = (n == ni) & (k == ki)
+            pmf = np.ones(1)
+            for q in (0.5,) * (ni - ki) + (p,) * ki:  # the law of the sum, value by value
+                pmf = np.convolve(pmf, (1.0 - q, q))
+            survival = np.cumsum(pmf[::-1])[:ni]  # P(X >= x) for x = ni, ..., 1: ascending
+            out[:, cells] = ni - np.searchsorted(survival, out[:, cells], side="right")
+        return out
 
 
 def noise_model(family: str) -> NoiseModel:
@@ -130,14 +156,26 @@ class SignalSpec:
         return model.sigma * self.lam / math.sqrt(total_pairs)
 
 
-def sample_null_block(net: NodeSet, model: NoiseModel, t_m: int, seeds) -> np.ndarray:
-    """(len(seeds), t_m + 1, m) null values; row r is drawn from seeds[r] alone."""
+def _time_steps(groups, horizon: int) -> np.ndarray:
+    """The sizes of consecutive time groups partitioning `horizon` steps, as
+    an array; None is one step each.  A ValueError names groups that do not."""
+    if groups is None:
+        return np.ones(horizon, dtype=np.int64)
+    steps = np.asarray(groups, dtype=np.int64)
+    if steps.ndim != 1 or not steps.size or steps.min() < 1 or steps.sum() != horizon:
+        raise ValueError(f"time groups {tuple(groups)} do not partition {horizon} steps")
+    return steps
+
+
+def sample_null_block(net: NodeSet, model: NoiseModel, t_m: int, seeds,
+                      groups=None) -> np.ndarray:
+    """(len(seeds), G, m) null sums over the consecutive time groups of
+    times 0..t_m, of sizes `groups` (None: one step each, so G = t_m + 1 and
+    the sums are the values); row r is drawn from seeds[r] alone."""
     if t_m < 0:
         raise ValueError("t_m must be >= 0")
-    values = np.empty((len(seeds), t_m + 1, net.m))
-    for row, seed in zip(values, seeds):
-        model.fill(_fast_rng(seed), row)
-    return values
+    steps = _time_steps(groups, t_m + 1)
+    return model.draw_sums(seeds, np.broadcast_to(steps[:, None], (steps.size, net.m)))
 
 
 def sample_null(net: NodeSet, model: NoiseModel, t_m: int, seed: int) -> Field:
@@ -174,26 +212,34 @@ def plant_block(
     sig: SignalSpec,
     model: NoiseModel,
     seeds,
+    groups=None,
 ) -> None:
-    """Plant the target in every row of a (B, t_m + 1, m) block, in place.
+    """Plant the target in every row of a (B, G, m) block of sums over
+    consecutive time groups of sizes `groups` (None: one step each), in place.
 
-    Row r's F_theta draws come from seeds[r] alone, in one fill over the
-    target's (time, node) pairs in slice order; off-target values are untouched.
+    Each cell holding k > 0 of the target's (time, node) pairs is redrawn
+    whole, as the sum of its n - k F0 and k F_theta values, one draw per cell
+    in (group, node) order from seeds[r] alone for row r (with one-step
+    groups, the target's pairs in slice order); other cells are untouched.
     """
-    slices = _anomalous_slices(target, values.shape[1] - 1)
-    times = np.concatenate([np.full(k.size, t) for t, k in slices])
-    nodes = np.concatenate([k.idarray for _, k in slices])
-    theta = sig.theta(model, nodes.size)
-    if model.family != GAUSSIAN and nodes.size < MIN_CLUSTER_WARN:
+    steps = _time_steps(groups, values.shape[1] if groups is None else sum(groups))
+    if steps.size != values.shape[1]:
+        raise ValueError(f"{steps.size} time groups for a block of {values.shape[1]} rows")
+    slices = _anomalous_slices(target, int(steps.sum()) - 1)
+    group_of = np.repeat(np.arange(steps.size), steps)
+    m = values.shape[2]
+    cells, k = np.unique(np.concatenate([group_of[t] * m + c.idarray for t, c in slices]),
+                         return_counts=True)
+    group, nodes = np.divmod(cells, m)
+    pairs = int(k.sum())
+    theta = sig.theta(model, pairs)
+    if model.family != GAUSSIAN and pairs < MIN_CLUSTER_WARN:
         warnings.warn(
-            f"planting {nodes.size} anomalous pairs in a {model.family} field; "
+            f"planting {pairs} anomalous pairs in a {model.family} field; "
             f"normal approximations assume at least {MIN_CLUSTER_WARN}",
             stacklevel=3,
         )
-    draws = np.empty((len(seeds), nodes.size))
-    for row, seed in zip(draws, seeds):
-        model.fill(_fast_rng(seed), row, theta)
-    values[:, times, nodes] = draws
+    values[:, group, nodes] = model.draw_sums(seeds, steps[group], k, theta)
 
 
 def plant(

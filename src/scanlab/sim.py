@@ -32,7 +32,8 @@ from .detect import (
     scale_offsets,
     scale_term,
 )
-from .growth import ClusterSequence, cylinder_statistics, scan_spacetime_cylinders
+from .growth import (ClusterSequence, cylinder_statistics, scan_spacetime_cylinders,
+                     time_groups)
 from .metric import EpsNet
 from .models import (
     Field,
@@ -177,13 +178,15 @@ def _resolve_truths(cfg: ExperimentConfig) -> list[Truth]:
 
 @dataclass(frozen=True)
 class Scorer:
-    """A test's statistic, through one kernel two ways: score.block(values)
-    maps a (B, t_m + 1, m) block of fields to their statistics, and
+    """A test's statistic, through one kernel two ways: score.block(sums)
+    maps a (B, G, m) block of fields, given as per-node sums over the
+    consecutive time groups of sizes `groups`, to their statistics, and
     score(field) -> (statistic, argmax) is the test's one-row call, whose
-    statistic equals the block's bit for bit."""
+    statistic equals the block's on the field's group sums bit for bit."""
 
     block: Callable[[np.ndarray], np.ndarray]
     one_row: Callable[[Field], TestResult]
+    groups: tuple[int, ...]
 
     def __call__(self, fld: Field) -> tuple[float, Truth | None]:
         result = self.one_row(fld)
@@ -200,34 +203,39 @@ def scorer(
     `scanlab calibrate` and `scanlab test` all score through it.  Cluster
     tables are the nets' own, built once and encoded here, before threads
     share them; the oracle scores its one `truth`.  The argmax is the
-    maximizing cluster (None for the average test).
+    maximizing cluster (None for the average test).  The cylinder scan
+    reads its fields through the sums over time_groups(t_m + 1), the only
+    sums its windows take; every other statistic takes one-step groups, so
+    its block reads the values themselves.
     """
     if isinstance(test, (EpsScanTest, MultiscaleScanTest)) and t_m != 0:
         raise ValueError(
             f"{type(test).__name__} needs a static field (t_m = 0); use CylinderScanTest"
         )
+    steps = (1,) * (t_m + 1)
     if isinstance(test, EpsScanTest):
         table = test.net.table.encoded()
         return Scorer(lambda values: table.max_scores(values[:, 0], model)[0],
-                      lambda fld: eps_scan(fld, test.net, model))
+                      lambda fld: eps_scan(fld, test.net, model), steps)
     if isinstance(test, MultiscaleScanTest):
         weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
         _, tables, offsets = scale_offsets(test.nets, weights)
         tables = [table.encoded() for table in tables]
         return Scorer(lambda values: multiscale_statistics(values, tables, offsets, model)[0],
-                      lambda fld: multiscale_test(fld, test.nets, weights, model))
+                      lambda fld: multiscale_test(fld, test.nets, weights, model), steps)
     if isinstance(test, AverageTest):
         return Scorer(lambda values: average_statistics(values, model),
-                      lambda fld: average_test(fld, model))
+                      lambda fld: average_test(fld, model), steps)
     if isinstance(test, OracleTest):
         if truth is None:
             raise ValueError("the oracle test scores a known truth; none was given")
         return Scorer(lambda values: standardized_sums(values, truth, model),
-                      lambda fld: TestResult(standardized_sum(fld, truth, model), argmax=truth))
+                      lambda fld: TestResult(standardized_sum(fld, truth, model), argmax=truth),
+                      steps)
     if isinstance(test, CylinderScanTest):
-        table = test.base.table.encoded()
-        return Scorer(lambda values: cylinder_statistics(values, table, model)[0],
-                      lambda fld: scan_spacetime_cylinders(fld, test.base, model))
+        table, groups = test.base.table.encoded(), time_groups(t_m + 1)
+        return Scorer(lambda sums: cylinder_statistics(sums, table, model, groups)[0],
+                      lambda fld: scan_spacetime_cylinders(fld, test.base, model), groups)
     raise ValueError(f"no statistic for {type(test).__name__}")
 
 
@@ -235,9 +243,10 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
     """Calibrate once (the oracle cuts at oracle_cutoff), then estimate risk at every lambda.
 
     The null pass and each (lambda, truth) pass run over blocks of fields
-    (detect.block_size); trial i of a pass draws from its own seed,
+    (detect.block_size), each field drawn as the sums over the scorer's
+    time groups; trial i of a pass draws from its own seed,
     derive_seed(seed, "null", i) or derive_seed(seed, "h1", pt, k, i, 0)
-    for the null field and (..., i, 1) for the planted values.  The
+    for the null field and (..., i, 1) for the planted cells.  The
     oracle's statistic reads only the target cells, which planting
     overwrites, so its H1 trials key only (..., i, 1) and plant into zeros:
     the same statistics as planting into the (..., i, 0) null field.
@@ -251,13 +260,14 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
             "the oracle test is simple-vs-simple: supply exactly one truth"
         )
     score = scorer(cfg.test, cfg.net, cfg.model, cfg.t_m, truths[0] if oracle else None)
+    groups = score.groups
     calib = None if oracle else calibrate(
         score.block, cfg.net, cfg.model, cfg.alpha, cfg.calib_b,
-        derive_seed(cfg.seed, "calibration"), t_m=cfg.t_m, threads=cfg.threads,
+        derive_seed(cfg.seed, "calibration"), groups=groups, threads=cfg.threads,
     )
-    null_stats = null_statistics(score.block, cfg.net, cfg.model, cfg.t_m, cfg.seed, "null",
+    null_stats = null_statistics(score.block, cfg.net, cfg.model, groups, cfg.seed, "null",
                                  cfg.n_null, cfg.threads)
-    size = block_size(cfg.t_m, cfg.net.m)
+    size = block_size(len(groups), cfg.net.m)
 
     rows: list[RiskEstimate] = []
     for pt, lam in enumerate(cfg.lambdas):
@@ -271,13 +281,14 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
             def miss_block(lo: int, hi: int, head=("h1", pt, k), truth=truth) -> np.ndarray:
                 if oracle:  # S_K reads only the target cells, and plant_block assigns them all
                     seeds = derive_seeds(cfg.seed, head, ((i, 1) for i in range(lo, hi)))
-                    values = np.zeros((hi - lo, cfg.t_m + 1, cfg.net.m))
+                    values = np.zeros((hi - lo, len(groups), cfg.net.m))
                 else:
                     tails = ((i, j) for i in range(lo, hi) for j in (0, 1))
                     seeds = derive_seeds(cfg.seed, head, tails)
-                    values = sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds[0::2])
+                    values = sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds[0::2],
+                                               groups)
                     seeds = seeds[1::2]
-                plant_block(values, truth, sig, cfg.model, seeds)
+                plant_block(values, truth, sig, cfg.model, seeds, groups)
                 return score.block(values) <= threshold
 
             miss_rate = float(np.mean(map_blocks(miss_block, cfg.trials, size, cfg.threads)))

@@ -768,10 +768,17 @@ n_null = 100
         # a family with no truth sampler is refused where the config is read
         with pytest.raises(ConfigError, match="config key 'truth.family': unknown family 'tubes';"):
             parse_config(self.AVERAGE.replace("truth.family = balls", "truth.family = tubes"))
-        # while scan.family, which it falls back to, is refused when the truths are built
-        cfg = parse_config(self.AVERAGE.replace("truth.family = balls", "scan.family = tubes"))
-        with pytest.raises(ConfigError, match="config key 'truth.family': unknown family 'tubes'"):
-            build_experiment(cfg)
+
+    def test_scan_family_without_truths_needs_truth_family(self, tmp_path, capsys):
+        # unset, truth.family falls back to scan.family; tubes has no truth sampler
+        text = self.AVERAGE.replace("truth.family = balls", "scan.family = tubes")
+        want = "config key 'scan.family': truths cannot be drawn from family 'tubes'; set truth.family"
+        with pytest.raises(ConfigError, match=want):
+            parse_config(text)
+        code, _ = self._sweep(tmp_path, text)
+        assert code == 2
+        assert want in capsys.readouterr().err
+        parse_config(text + "truth.family = balls\n")
 
     @pytest.mark.parametrize("command", ["calibrate", "sweep"])
     @pytest.mark.parametrize("value", ["-3", "0"])
@@ -984,9 +991,12 @@ class TestOneDeclaration:
             return None
 
     def _key_value(self, key, text):
-        """The parsed value of `key = text`, or None when parse_config refuses it."""
+        """The parsed value of `key = text`, or None when parse_config refuses it.
+        A truth family is named beside it: scan.family alone is refused when it
+        has no truth sampler to fall back to."""
+        truth = "" if key == "truth.family" else "truth.family = balls\n"
         try:
-            return _cfg(parse_config(f"{key} = {text}"), key)
+            return _cfg(parse_config(f"{truth}{key} = {text}"), key)
         except ConfigError:
             return None
 

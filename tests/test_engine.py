@@ -15,23 +15,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.stats import ks_2samp
+
 import scanlab.detect
 import scanlab.sim
 from scanlab.clusters import Cluster
-from scanlab.detect import block_size, map_blocks
+from scanlab.detect import block_size, map_blocks, null_statistics
 from scanlab.growth import ClusterSequence
+from scanlab.metric import EpsNet
 from scanlab.models import (
     BERNOULLI,
     GAUSSIAN,
     SignalSpec,
     noise_model,
     plant_block,
+    sample_null,
     sample_null_block,
 )
 from scanlab.network import make_lattice
 from scanlab.rng import derive_seed, derive_seeds, rng_from_seed
 from scanlab.sim import (
     AverageTest,
+    CylinderScanTest,
     ExperimentConfig,
     FixedTruths,
     OracleTest,
@@ -157,14 +162,98 @@ def test_block_engine_matches_per_field_reference(family, truth_tm, lam, master,
             assert stats[i] == oracle_stats[i % size]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_step_groups_reproduce_the_per_field_stream(family):
+    """One-step time groups draw and plant exactly the per-field reference
+    values, whether given or left as the default."""
+    model = noise_model(family)
+    static = Cluster((1, 3, 4, 5, 9))
+    temporal = ClusterSequence((Cluster((1, 3)), Cluster(()), Cluster((4, 5, 7)), Cluster((0,))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # few planted pairs for bernoulli and poisson
+        for t_m, truth in ((0, static), (3, temporal)):
+            seeds = derive_seeds(17, ("h1", 0, 0), ((i, j) for i in range(6) for j in (0, 1)))
+            for groups in (None, (1,) * (t_m + 1)):
+                values = sample_null_block(NET, model, t_m, seeds[0::2], groups)
+                plant_block(values, truth, SignalSpec(2.5), model, seeds[1::2], groups)
+                for row, seed0, seed1 in zip(values, seeds[0::2], seeds[1::2]):
+                    ref = _reference_field(model, NET.m, t_m, truth, 2.5, seed0, seed1)
+                    assert np.array_equal(row, ref)
+
+
+SPACETIME = make_lattice(2, 4)
+SPACETIME_NET = EpsNet(0.5, (Cluster((0, 1, 4, 5)), Cluster((5, 6, 9, 10)), Cluster((15,)),
+                            Cluster(tuple(range(16)))))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_group_sum_nulls_score_as_full_fields(family):
+    """Null cylinder statistics at t_m = 32 from (B, 7, m) group-sum draws
+    against ones scored from full-resolution fields: a two-sample KS test."""
+    model = noise_model(family)
+    score = scorer(CylinderScanTest(SPACETIME_NET), SPACETIME, model, 32)
+    assert score.groups == (1, 16, 8, 4, 2, 1, 1)
+    grouped = null_statistics(score.block, SPACETIME, model, score.groups, 5, "null", 800, 1)
+    full = [score(sample_null(SPACETIME, model, 32, derive_seed(6, i)))[0] for i in range(800)]
+    assert ks_2samp(grouped, full).pvalue > 1e-3
+
+
+def _check_moments(sample, mean, var):
+    """Sample mean and variance within 4 standard errors of the law's."""
+    n = sample.size
+    central = sample - sample.mean()
+    se_var = math.sqrt(max((central**4).mean() - var**2, 0.0) / n)
+    assert abs(sample.mean() - mean) <= 4 * math.sqrt(var / n), (sample.mean(), mean)
+    assert abs(sample.var() - var) <= 4 * se_var, (sample.var(), var)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_group_cells_follow_their_exact_laws(family):
+    """Null group sums and planted cells at t_m = 32, group sizes 1, 16, 8, 4,
+    2, 1, 1: a cell of n steps, k of them planted, has the law of n - k F0
+    values plus k F_theta values, to its first two moments."""
+    model = noise_model(family)
+    groups = (1, 16, 8, 4, 2, 1, 1)
+    seeds = derive_seeds(23, ("law",), ((i,) for i in range(20_000)))
+    null = sample_null_block(SPACETIME, model, 32, seeds, groups)
+    mean0, var0 = model.null_mean, model.sigma2
+    for g, n in enumerate(groups):
+        _check_moments(null[:, g, 3], n * mean0, n * var0)
+    # node 0 at times 1..5 (k = 5 of n = 16), node 1 at times 1..16 (16 of 16),
+    # node 2 at time 0 (1 of 1), node 3 at times 25, 26 and 28 (3 of 4)
+    slices = [set() for _ in range(33)]
+    for node, times in ((0, range(1, 6)), (1, range(1, 17)), (2, (0,)), (3, (25, 26, 28))):
+        for t in times:
+            slices[t].add(node)
+    truth = ClusterSequence(tuple(Cluster(tuple(sorted(k))) for k in slices))
+    sig = SignalSpec(0.5 * math.sqrt(25) / model.sigma)  # theta = 0.5 over 25 pairs
+    theta = sig.theta(model, 25)
+    planted = np.zeros((len(seeds), len(groups), SPACETIME.m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 25 planted pairs for bernoulli and poisson
+        plant_block(planted, truth, sig, model, seeds, groups)
+    p = model.tilted_mean(theta)
+    for g, node, n, k in ((1, 0, 16, 5), (1, 1, 16, 16), (0, 2, 1, 1), (3, 3, 4, 3)):
+        if family == GAUSSIAN:
+            mean, var = k * theta, n
+        elif family == BERNOULLI:
+            mean, var = (n - k) / 2 + k * p, (n - k) / 4 + k * p * (1 - p)
+        else:
+            mean = var = n - k + k * math.exp(theta)
+        _check_moments(planted[:, g, node], mean, var)
+    untouched = np.ones(planted.shape[1:], dtype=bool)
+    untouched[[1, 1, 0, 3], [0, 1, 2, 3]] = False
+    assert not planted[:, untouched].any()
+
+
 def test_block_size_counts_values_not_fields():
-    # about 2**16 values a block: 9-node fields and 33-step 64^2 fields
-    assert block_size(0, 9) == 7281
-    assert block_size(32, 4096) == 1
-    # but at least 16 field rows, fields x time steps
-    assert block_size(0, 128 * 128) == 16
-    assert block_size(0, 512 * 512) == 16
-    assert block_size(1, 16384) == 8
+    # about 2**16 values a block: 9-node fields and 33-row 64^2 fields
+    assert block_size(1, 9) == 7281
+    assert block_size(33, 4096) == 1
+    # but at least 16 field rows, fields x time groups
+    assert block_size(1, 128 * 128) == 16
+    assert block_size(1, 512 * 512) == 16
+    assert block_size(2, 16384) == 8
 
 
 @settings(max_examples=4, deadline=None)
@@ -183,7 +272,7 @@ def test_estimate_risk_rows_do_not_depend_on_threads(family, seed):
                     lambdas=(1.0, 3.0), trials=130, n_null=150, calib_b=99, seed=seed,
                     t_m=3, threads=threads,
                 )
-                assert block_size(cfg.t_m, net.m) == 64
+                assert block_size(cfg.t_m + 1, net.m) == 64
                 rows[threads, type(test)] = estimate_risk(cfg)
     for test in (OracleTest, AverageTest):
         assert rows[1, test] == rows[3, test]
@@ -231,9 +320,9 @@ def test_estimate_risk_draws_null_fields_only_where_read(monkeypatch, test):
     """The oracle draws only its null pass; a test that reads every cell draws every field."""
     drawn = []
 
-    def counted(net, model, t_m, seeds):
+    def counted(net, model, t_m, seeds, groups=None):
         drawn.append(len(seeds))
-        return sample_null_block(net, model, t_m, seeds)
+        return sample_null_block(net, model, t_m, seeds, groups)
 
     for module in (scanlab.sim, scanlab.detect):  # estimate_risk and calibrate
         monkeypatch.setattr(module, "sample_null_block", counted)

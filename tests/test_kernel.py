@@ -27,7 +27,7 @@ from scanlab.clusters import (
     enumerate_thick,
 )
 from scanlab.detect import calibrate, eps_scan, multiscale_test, scale_term, scan
-from scanlab.growth import dyadic_windows, make_cylinder, scan_spacetime_cylinders
+from scanlab.growth import dyadic_windows, group_sums, make_cylinder, scan_spacetime_cylinders
 from scanlab.metric import EpsNet, ScanTable, build_net
 from scanlab.models import Field, noise_model
 from scanlab.network import (
@@ -68,6 +68,9 @@ SPECS = {
                           lambda f, model: multiscale_test(f, PREFIX_NETS, DEFAULT_WEIGHTS, model)),
     "cylinders": (CylinderScanTest(NETS[3]), 5,
                   lambda f, model: scan_spacetime_cylinders(f, NETS[3], model)),
+    # the benchmark's horizon: seven time groups of 1, 16, 8, 4, 2, 1 and 1 steps
+    "cylinders-33": (CylinderScanTest(NETS[3]), 33,
+                     lambda f, model: scan_spacetime_cylinders(f, NETS[3], model)),
 }
 
 
@@ -87,7 +90,7 @@ def test_block_equals_one_row_calls(name, model, n_fields, seed):
     spec, horizon, one_row = SPECS[name]
     values = _draw(model, seed, (n_fields, horizon, NET.m))
     score = scorer(spec, NET, model, horizon - 1)
-    block = score.block(values)
+    block = score.block(group_sums(values, score.groups))
     for row, value in zip(values, block):
         fld = Field(NET, row)
         stat, argmax = score(fld)
@@ -266,7 +269,7 @@ def test_cylinder_ties_are_member_major_then_window_order():
 @contextmanager
 def blocks_of(width):
     """Every Monte Carlo pass in blocks of `width` fields."""
-    def rule(t_m, m):
+    def rule(rows, m):
         return width
 
     with mock.patch.object(detect, "block_size", rule), \
@@ -314,7 +317,7 @@ def test_results_do_not_depend_on_block_width(model, seed):
             for name, (spec, horizon) in WIDTH_SPECS.items():
                 truth = _truth(horizon)
                 score = scorer(spec, NET, model, horizon - 1, truth)
-                null = calibrate(score.block, NET, model, 0.05, 99, seed, t_m=horizon - 1)
+                null = calibrate(score.block, NET, model, 0.05, 99, seed, groups=score.groups)
                 cfg = ExperimentConfig(
                     net=NET, model=model, test=spec, truth=FixedTruths((truth,)),
                     lambdas=(1.0, 4.0), trials=50, calib_b=99, n_null=60, seed=seed,

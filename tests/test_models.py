@@ -20,6 +20,7 @@ from scanlab.models import (
     plant,
     plant_block,
     sample_null,
+    sample_null_block,
     save_field,
     standardized_sum,
     standardized_sums,
@@ -110,6 +111,16 @@ class TestPlant:
         f = sample_null(net, BERN, 0, seed=6)
         with pytest.warns(UserWarning), pytest.raises(ValueError):
             plant(f, Cluster((0,)), SignalSpec(200.0), BERN, seed=7)
+
+    def test_time_groups_must_partition_the_block(self):
+        net = make_lattice(2, 4)
+        for groups in ((2, 1), (1, 1, 1), (4, 0), (2, -1, 3)):
+            with pytest.raises(ValueError, match="do not partition 4 steps"):
+                sample_null_block(net, GAUSS, 3, (1, 2), groups)
+        block = sample_null_block(net, GAUSS, 3, (1, 2), (1, 2, 1))
+        target = Cluster((0, 1))
+        with pytest.raises(ValueError, match="2 time groups for a block of 3 rows"):
+            plant_block(block, target, SignalSpec(1.0), GAUSS, (3, 4), (2, 2))
 
     def test_empty_cluster_rejected(self):
         net = make_lattice(2, 4)
