@@ -639,11 +639,15 @@ def _flag_kind(kind: Callable) -> Callable:
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The `scanlab` parser; when `only` names a subcommand, the others get no flags."""
     parser = argparse.ArgumentParser(prog="scanlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, about, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=about)
+        p.set_defaults(func=func)
+        if only in COMMANDS and only != command:
+            continue
         for name, value in flags.items():
             kind = ({"action": "store_true"} if value.kind is _bool else
                     {"default": value.default or None,
@@ -651,12 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
                         {"type": _flag_kind(value.kind)})})
             p.add_argument(flag(name, value), dest=name, required=value.required,
                            help=value.help, **kind)
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -26,6 +26,7 @@ TUBES = "tubes"
 BANDS = "bands"
 ANIMALS = "animals"
 PATH_MODES = ("nondecreasing", "self-avoiding")
+BAND_CHUNK = 256  # sampled paths whose bands one node_at call finds
 ID_MAX = np.iinfo(np.int32).max  # node ids are below network.MAX_NODES = 2**26
 
 
@@ -427,11 +428,13 @@ def _l1_offsets(d: int, width: int) -> np.ndarray:
     return box[np.abs(box).sum(axis=1) < width]
 
 
-def _path_band_ids(net: NodeSet, path_coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Nodes within open l1 distance h of the path: the nodes at a path point
-    plus one of the `offsets`, which are _l1_offsets(d, h)."""
-    ids = net.node_at(path_coords[:, None] + offsets)
-    return np.unique(ids[ids >= 0])
+def _path_band_ids(net: NodeSet, paths: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """For each path of `paths` (n, length+1, d), the sorted nodes at a path point
+    plus one of the `offsets`: with _l1_offsets(d, h), those within open l1 distance h."""
+    ids = np.sort(net.node_at(paths[:, :, None] + offsets).reshape(len(paths), -1), axis=1)
+    keep = ids >= 0
+    keep[:, 1:] &= ids[:, 1:] != ids[:, :-1]
+    return [row[k] for row, k in zip(ids, keep)]
 
 
 def _nondecreasing_path(net: NodeSet, steps) -> np.ndarray | None:
@@ -467,12 +470,12 @@ def enumerate_bands(
     d = net.dim
     offsets = _l1_offsets(d, params.width)
 
-    def raw():
+    def paths():
         if params.path_mode == "nondecreasing" and d == 2 and params.length <= 20:
             for steps in itertools.product(range(d), repeat=params.length):
                 path = _nondecreasing_path(net, steps)
                 if path is not None:
-                    yield _path_band_ids(net, path, offsets)
+                    yield path
             return
         rng = rng_from_seed(seed)
         seen_paths: set[tuple] = set()
@@ -488,15 +491,18 @@ def enumerate_bands(
                 if path is None:
                     continue
                 seen_paths.add(steps)
-                yield _path_band_ids(net, path, offsets)
+                yield path
             else:
                 path_ids = _sample_self_avoiding(net, params.length, rng)
                 if path_ids is None or path_ids in seen_paths:
                     continue
                 seen_paths.add(path_ids)
-                yield _path_band_ids(net, net.coords[list(path_ids)], offsets)
+                yield net.coords[list(path_ids)]
 
-    return _emit(raw(), net.m, size_cap)
+    sampled = paths()
+    chunks = iter(lambda: list(itertools.islice(sampled, BAND_CHUNK)), [])
+    raw = (ids for chunk in chunks for ids in _path_band_ids(net, np.array(chunk), offsets))
+    return _emit(raw, net.m, size_cap)
 
 
 def _sample_self_avoiding(net: NodeSet, length: int, rng) -> tuple[int, ...] | None:
@@ -614,10 +620,9 @@ def read_headed(path) -> tuple[dict[str, str], list[tuple[int, str]]]:
 
 def write_clusters(clusters: Iterable[Cluster], fh, meta: Mapping | None = None) -> None:
     """One cluster per line (space-separated ids) under # key=value headers."""
-    for key, value in (meta or {}).items():
-        fh.write(f"# {key}={value}\n")
-    for cluster in clusters:
-        fh.write(" ".join(map(str, cluster.idarray.tolist())) + "\n")
+    fh.write("".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
+             + "".join(" ".join(["%d"] * c.size) % tuple(c.idarray.tolist()) + "\n"
+                       for c in clusters))
 
 
 def save_clusters(clusters: Iterable[Cluster], path, meta: dict | None = None) -> None:
@@ -626,7 +631,7 @@ def save_clusters(clusters: Iterable[Cluster], path, meta: dict | None = None) -
 
 
 def parse_cluster(text: str) -> Cluster:
-    """The cluster of a line of space-separated ids."""
+    """The cluster of a line of whitespace-separated ids."""
     try:
         return Cluster(np.array(text.split(), dtype=np.int64))
     except OverflowError:
@@ -636,10 +641,16 @@ def parse_cluster(text: str) -> Cluster:
 def load_clusters(path) -> tuple[list[Cluster], dict[str, str]]:
     """A cluster file's clusters and header; a bad line is a ValueError naming path:line."""
     meta, body = read_headed(path)
+    tokens = [line.split() for _, line in body]
+    ends = list(itertools.accumulate(map(len, tokens)))
+    try:  # all ids at once, cut into clusters by the per-line counts
+        ids = np.fromiter(itertools.chain.from_iterable(tokens), np.int64)
+    except (ValueError, OverflowError):
+        ids = None  # a token is no int64: parse_cluster finds and words the first bad line
     clusters = []
-    for lineno, line in body:
+    for (lineno, line), start, end in zip(body, [0] + ends, ends):
         try:
-            clusters.append(parse_cluster(line))
+            clusters.append(parse_cluster(line) if ids is None else Cluster(ids[start:end]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return clusters, meta

@@ -93,8 +93,8 @@ def average_test(field: Field, model: NoiseModel) -> TestResult:
 def oracle_cutoff(lam: float) -> float:
     """The oracle's cutoff on S_K at signal strength lam: lam/2.
 
-    Risk-minimizing for the gaussian shift; for bernoulli/poisson the same
-    cutoff is only a large-cluster approximation.
+    This is the Neyman-Pearson cutoff for the gaussian shift only; for bernoulli
+    and poisson it is not (see the `FOUND:` note on `oracle_test` in CHANGES.md).
     """
     return lam / 2.0
 

@@ -67,10 +67,13 @@ class NodeSet:
             if coords.min() < 0 or coords.max() > self.side - 1:
                 raise ValueError("lattice coordinates out of range")
             coords = coords.astype(np.int64, copy=False)
+            points = np.ravel_multi_index(tuple(coords.T), (self.side,) * self.dim)
+            repeated = np.bincount(points).max() > 1
         else:
             if coords.size and (coords.min() < 0.0 or coords.max() > 1.0):
                 raise ValueError("euclidean coordinates must lie in [0,1]^d")
-        if len(np.unique(coords, axis=0)) != len(coords):
+            repeated = len(np.unique(coords, axis=0)) != len(coords)
+        if repeated:
             raise ValueError("node coordinates must be unique")
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
@@ -102,7 +105,8 @@ class NodeSet:
         """Lattice mode: the ids at l1 distance 1 of each node, increasing."""
         unit = np.eye(self.dim, dtype=np.int64)
         near = np.sort(self.node_at(self.coords[:, None] + np.vstack([unit, -unit])), axis=1)
-        return [[u for u in row if u >= 0] for row in near.tolist()]
+        holes = (near < 0).sum(axis=1)  # the -1 padding sorts first
+        return [row[k:] for row, k in zip(near.tolist(), holes.tolist())]
 
     @cached_property
     def _by_first(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,14 +253,10 @@ def write_nodeset(net: NodeSet, fh) -> None:
     meta = {"mode": net.mode, "d": net.dim, "m": net.m}
     if net.side is not None:
         meta["side"] = net.side
-    fh.write("# " + json.dumps(meta) + "\n")
-    fh.write("id," + ",".join(f"x{i}" for i in range(net.dim)) + "\n")
-    for i, row in enumerate(net.coords):
-        if net.mode == LATTICE:
-            vals = ",".join(str(int(v)) for v in row)
-        else:
-            vals = ",".join(repr(float(v)) for v in row)
-        fh.write(f"{i},{vals}\n")
+    coords = net.coords if net.mode == LATTICE else net.coords.astype(float)
+    rows = zip(map(str, range(net.m)), *(map(repr, column) for column in coords.T.tolist()))
+    fh.write(f"# {json.dumps(meta)}\nid,{','.join(f'x{i}' for i in range(net.dim))}\n"
+             + "".join(f"{','.join(row)}\n" for row in rows))
 
 
 def save_nodeset(net: NodeSet, path) -> None:

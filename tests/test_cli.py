@@ -1040,3 +1040,128 @@ class TestOneDeclaration:
         assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith(("#", "lambda,"))]
         assert f"{float(rows[0].split(',')[1]):.4f}" == want
+
+
+# ---------------------------------------------------------------------------
+# the file layer: bytes written, lines accepted and refused, nothing kept
+
+
+def per_row_nodeset(net):
+    """A node set file formatted one row at a time."""
+    from scanlab.network import LATTICE
+
+    meta = {"mode": net.mode, "d": net.dim, "m": net.m}
+    if net.side is not None:
+        meta["side"] = net.side
+    text = "# " + json.dumps(meta) + "\n" + "id," + ",".join(f"x{i}" for i in range(net.dim)) + "\n"
+    for i, row in enumerate(net.coords):
+        if net.mode == LATTICE:
+            text += f"{i}," + ",".join(str(int(v)) for v in row) + "\n"
+        else:
+            text += f"{i}," + ",".join(repr(float(v)) for v in row) + "\n"
+    return text
+
+
+def per_row_clusters(clusters, meta):
+    """A cluster file formatted one line at a time."""
+    text = "".join(f"# {key}={value}\n" for key, value in meta.items())
+    for cluster in clusters:
+        text += " ".join(str(i) for i in cluster.ids) + "\n"
+    return text
+
+
+class TestFileLayer:
+    def _nodesets(self):
+        from scanlab.network import EUCLIDEAN, LATTICE, NodeSet, make_uniform_cloud, rescale_lattice
+
+        rng = np.random.default_rng(2)
+        full = np.indices((9, 9)).reshape(2, -1).T
+        holed = full[rng.random(len(full)) < 0.7]
+        yield NodeSet(mode=LATTICE, dim=2, coords=holed[rng.permutation(len(holed))], side=9)
+        yield NodeSet(mode=LATTICE, dim=3, coords=np.indices((3, 3, 3)).reshape(3, -1).T[::2],
+                      side=3)
+        yield make_uniform_cloud(2, 300, seed=4)
+        yield make_uniform_cloud(3, 50, seed=5)
+        yield rescale_lattice(make_lattice(2, 7))
+        yield NodeSet(mode=EUCLIDEAN, dim=2, coords=np.array([[0, 1], [1, 0]]))  # integer dtype
+
+    def test_write_nodeset_matches_per_row_formatting(self):
+        import io
+
+        from scanlab.network import write_nodeset
+
+        for net in self._nodesets():
+            buf = io.StringIO()
+            write_nodeset(net, buf)
+            assert buf.getvalue() == per_row_nodeset(net)
+
+    def test_write_clusters_matches_per_line_formatting(self):
+        import io
+
+        from scanlab.clusters import EMPTY_CLUSTER, ID_MAX, Cluster, write_clusters
+
+        clusters = [Cluster((0,)), Cluster((3, 17, 250)), EMPTY_CLUSTER,
+                    Cluster(np.arange(0, 4000, 7)), Cluster((5, ID_MAX))]
+        for meta in ({}, {"family": "bands", "ell": 16, "epsilon": 0.5, "seed": 7}):
+            buf = io.StringIO()
+            write_clusters(iter(clusters), buf, meta)
+            assert buf.getvalue() == per_row_clusters(clusters, meta)
+
+    def test_load_clusters_accepts_any_whitespace_and_headers_anywhere(self, tmp_path):
+        from scanlab.clusters import load_clusters
+
+        path = tmp_path / "clusters.txt"
+        path.write_bytes(b"# family=balls\r\n1\t2  3\r\n\r\n   \t\n# epsilon = 0.5\n"
+                         b"4 5\t\t6 \n# a comment\n  7\r\n# lambda=2.5")
+        clusters, meta = load_clusters(path)
+        assert [c.ids for c in clusters] == [(1, 2, 3), (4, 5, 6), (7,)]
+        assert meta == {"family": "balls", "epsilon": "0.5", "lambda": "2.5"}
+        path.write_text("# family=balls\n")
+        assert load_clusters(path) == ([], {"family": "balls"})
+
+    @pytest.mark.parametrize("line, problem", [
+        ("1 x 2", "invalid literal for int() with base 10: 'x'"),
+        ("1 2.0", "invalid literal for int() with base 10: '2.0'"),
+        ("0 -4 9", "cluster ids must be strictly increasing"),
+        ("-4 0 9", "node id -4 is negative"),
+        ("1 2147483648", "node id 2147483648 is above 2147483647"),
+        ("1 99999999999999999999", "a node id is above 2147483647"),
+        ("5 4", "cluster ids must be strictly increasing"),
+        ("2 5 5", "cluster ids must be strictly increasing"),
+    ])
+    def test_load_clusters_refuses_the_first_bad_line(self, tmp_path, line, problem):
+        from scanlab.clusters import load_clusters
+
+        path = tmp_path / "clusters.txt"
+        # a later line that is no integer must not hide the first bad line
+        path.write_text(f"# family=balls\n0 1 2\n\n# epsilon=0.5\n{line}\n3 4\n1 y\n")
+        with pytest.raises(ValueError) as exc:
+            load_clusters(path)
+        assert str(exc.value) == f"{path}:5: {problem}"
+
+    def test_commands_read_their_files_anew(self, tmp_path):
+        clusters, out = tmp_path / "clusters.txt", tmp_path / "net.txt"
+        clusters.write_text("# family=balls\n1 2\n3 4\n")
+        assert run(["netbuild", "--in", str(clusters), "--epsilon", "0.5", "--out", str(out)]) == 0
+        assert _body(out) == ["1 2", "3 4"]
+        clusters.write_text("# family=balls\n5 6 7\n")
+        assert run(["netbuild", "--in", str(clusters), "--epsilon", "0.5", "--out", str(out)]) == 0
+        assert _body(out) == ["5 6 7"]
+        net, balls = tmp_path / "net.csv", tmp_path / "balls.txt"
+        for side in (4, 5):
+            assert run(["net", "--mode", "lattice", "--d", "2", "--side", str(side),
+                        "--out", str(net)]) == 0
+            assert run(["enumerate", "--net", str(net), "--family", "balls", "--lam", "1",
+                        "--size-cap", "1", "--out", str(balls)]) == 0
+            assert len(_body(balls)) == side * side
+
+    def test_one_subcommand_parser_parses_as_the_full_one(self, capsys):
+        argv = ["enumerate", "--net", "n.csv", "--family", "bands", "--ell", "8", "--h", "2",
+                "--path-mode", "self-avoiding", "--out", "-"]
+        assert vars(build_parser("enumerate").parse_args(argv)) == vars(
+            build_parser().parse_args(argv))
+        assert build_parser("net").format_help() == build_parser().format_help()
+        for argv in (["bogus"], ["--help"], []):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err

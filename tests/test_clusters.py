@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanlab.clusters import (
+    BAND_CHUNK,
     AnimalParams,
     _emit,
     _l1_offsets,
@@ -48,6 +49,7 @@ from scanlab.network import (
     make_uniform_cloud,
     save_nodeset,
 )
+from scanlab.rng import rng_from_seed
 
 
 def assert_stream_invariants(clusters, m):
@@ -408,6 +410,112 @@ class TestClusterClass:
             list(cl_class("blobs", 1.0).stream(net))
 
 
+def reference_bands(net, params, budget, seed, size_cap=None):
+    """enumerate_bands one path at a time: the same path draws in the same
+    order, each band found on its own by a per-path unique, then the
+    stream's size cap and dedup."""
+    d, side = net.dim, net.side
+    box = np.indices((2 * params.width - 1,) * d).reshape(d, -1).T - (params.width - 1)
+    offsets = box[np.abs(box).sum(axis=1) < params.width]
+
+    def walk(steps):  # the nondecreasing path from the origin, None if it leaves the grid
+        pos, out = np.zeros(d, dtype=np.int64), [np.zeros(d, dtype=np.int64)]
+        for axis in steps:
+            pos[axis] += 1
+            if pos[axis] > side - 1:
+                return None
+            out.append(pos.copy())
+        return np.array(out)
+
+    def self_avoiding(rng):
+        current = int(rng.integers(0, net.m))
+        visited, taken = [current], {current}
+        for _ in range(params.length):
+            options = [u for u in net.neighbors[current] if u not in taken]
+            if not options:
+                return None
+            current = options[int(rng.integers(len(options)))]
+            visited.append(current)
+            taken.add(current)
+        return tuple(visited)
+
+    def paths():
+        if params.path_mode == "nondecreasing" and d == 2 and params.length <= 20:
+            yield from filter(lambda p: p is not None,
+                              map(walk, itertools.product(range(d), repeat=params.length)))
+            return
+        rng, seen, attempts = rng_from_seed(seed), set(), 0
+        while len(seen) < budget and attempts < max(50 * budget, 1000):
+            attempts += 1
+            if params.path_mode == "nondecreasing":
+                key = tuple(rng.integers(0, d, size=params.length).tolist())
+                path = None if key in seen else walk(key)
+            else:
+                key = self_avoiding(rng)
+                path = None if key is None or key in seen else net.coords[list(key)]
+            if path is not None:
+                seen.add(key)
+                yield path
+
+    cap = -(-net.m // 4) if size_cap is None else size_cap
+    out, emitted = [], set()
+    for path in paths():
+        ids = net.node_at(path[:, None] + offsets)
+        band = tuple(np.unique(ids[ids >= 0]).tolist())
+        if 0 < len(band) <= cap and band not in emitted:
+            emitted.add(band)
+            out.append(band)
+    return out
+
+
+def holed_lattice(d, side, keep, seed):
+    """The points of {0..side-1}^d kept with chance `keep`, in a shuffled id order."""
+    rng = np.random.default_rng(seed)
+    full = np.indices((side,) * d).reshape(d, -1).T
+    kept = full[rng.random(len(full)) < keep]
+    return NodeSet(mode=LATTICE, dim=d, coords=kept[rng.permutation(len(kept))], side=side)
+
+
+class TestBandChunks:
+    """Bands found a chunk of paths at a time are the per-path bands, in order."""
+
+    @pytest.mark.parametrize("net, params, budget", [
+        pytest.param(make_lattice(2, 24), BandParams(10, 2, "self-avoiding"), 60,
+                     id="self-avoiding"),
+        pytest.param(make_lattice(2, 24), BandParams(10, 2, "self-avoiding"), BAND_CHUNK + 37,
+                     id="self-avoiding-two-chunks"),
+        pytest.param(make_lattice(2, 12), BandParams(10, 2, "nondecreasing"), 0,
+                     id="nondecreasing-exhausted"),  # 1,024 step sequences
+        pytest.param(make_lattice(2, 24), BandParams(22, 3, "nondecreasing"), BAND_CHUNK + 1,
+                     id="nondecreasing-sampled-two-chunks"),
+        pytest.param(make_lattice(3, 6), BandParams(6, 2, "nondecreasing"), 80,
+                     id="nondecreasing-sampled-3d"),
+        pytest.param(holed_lattice(2, 24, 0.8, seed=5), BandParams(8, 2, "self-avoiding"),
+                     BAND_CHUNK + 5, id="holes-self-avoiding-two-chunks"),
+        pytest.param(holed_lattice(2, 10, 0.7, seed=6), BandParams(9, 3, "nondecreasing"), 0,
+                     id="holes-nondecreasing-exhausted"),
+        pytest.param(holed_lattice(3, 7, 0.75, seed=7), BandParams(6, 2, "nondecreasing"), 100,
+                     id="holes-nondecreasing-sampled"),
+    ])
+    def test_stream_matches_per_path_reference(self, net, params, budget):
+        for seed, size_cap in ((3, None), (4, net.m)):
+            got = [c.ids for c in enumerate_bands(net, params, budget, seed, size_cap)]
+            assert got == reference_bands(net, params, budget, seed, size_cap)
+        assert len(got) > BAND_CHUNK or budget < BAND_CHUNK
+
+    @pytest.mark.parametrize("net, params", [
+        pytest.param(make_lattice(2, 16), BandParams(8, 2, "self-avoiding"), id="self-avoiding"),
+        pytest.param(make_lattice(2, 16), BandParams(8, 2, "nondecreasing"), id="exhausted"),
+        pytest.param(make_lattice(2, 24), BandParams(22, 2, "nondecreasing"), id="sampled"),
+        pytest.param(holed_lattice(2, 16, 0.8, seed=8), BandParams(6, 2, "self-avoiding"),
+                     id="holes"),
+    ])
+    def test_sample_band_is_the_first_reference_band(self, net, params):
+        for seed in range(5):
+            want = reference_bands(net, params, 1, seed, size_cap=net.m)[0]
+            assert sample_band(net, params, seed).ids == want
+
+
 def cl_class(family, params, **kw):
     from scanlab.clusters import ClusterClass
 
@@ -515,7 +623,7 @@ def test_lattice_index_matches_coordinates(lattice, data):
     width = data.draw(st.integers(1, 3))
     points = st.lists(st.integers(0, net.side - 1), min_size=net.dim, max_size=net.dim)
     path = np.array(data.draw(st.lists(points, min_size=1, max_size=6)))
-    got = _path_band_ids(net, path, _l1_offsets(net.dim, width))
+    got = _path_band_ids(net, path[None], _l1_offsets(net.dim, width))[0]
     assert got.tolist() == brute_band_ids(net.coords, path, width).tolist()
     x0 = data.draw(st.integers(0, net.m - 1))
     grown = richardson_grow(net, x0, 1.0, 0, 3, seed=0)
