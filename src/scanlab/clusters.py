@@ -27,6 +27,7 @@ BANDS = "bands"
 ANIMALS = "animals"
 PATH_MODES = ("nondecreasing", "self-avoiding")
 BAND_CHUNK = 256  # sampled paths whose bands one node_at call finds
+LINE_CELLS = 1 << 15  # (center, node) pairs one pass of enumerate_thick_shapes tests
 ID_MAX = np.iinfo(np.int32).max  # node ids are below network.MAX_NODES = 2**26
 
 
@@ -137,14 +138,16 @@ class ShapeSpec:
             if net.mode != EUCLIDEAN:
                 raise ValueError("rotations require euclidean mode")
             z = (z.T @ np.asarray(self.rotation)).T
-        scaled = z / np.asarray(self.half_axes)[:, None]
-        if self.kind == "rect":
-            inside = np.abs(scaled).max(axis=0) < 1.0
-        elif net.mode == LATTICE:
-            inside = np.abs(scaled).sum(axis=0) < 1.0
-        else:
-            inside = (scaled * scaled).sum(axis=0) < 1.0
+        term, combine = _norm(self.kind, net.mode)
+        inside = combine.reduce(term(z / np.asarray(self.half_axes)[:, None]), axis=0) < 1.0
         return np.sort(ids[inside])
+
+
+def _norm(kind: str, mode: str):
+    """(term, combine): a blob holds z iff combine.reduce(term(z / half_axes)) < 1."""
+    if kind == "rect":
+        return np.abs, np.maximum
+    return (np.abs if mode == LATTICE else np.square), np.add
 
 
 def _outer_scale(kind: str, half_axes: np.ndarray, mode: str) -> float:
@@ -239,7 +242,7 @@ def _domain_extent(net: NodeSet) -> float:
 def enumerate_thick_shapes(
     net: NodeSet, params: ThickParams
 ) -> Iterator[tuple[ShapeSpec, np.ndarray]]:
-    """(shape, raw member ids) pairs over the scale/center/template grid."""
+    """(shape, raw member ids) pairs over the scale/center/template grid, center-major."""
     d = net.dim
     extent = _domain_extent(net)
     for lam in _scale_grid(params.lam_lo, params.lam_hi):
@@ -248,10 +251,38 @@ def enumerate_thick_shapes(
         # the aspect and sandwich checks do not depend on the center: run them once
         shapes = thick_templates(d, lam, params.kappa, params.shapes, net.mode)
         templates = [make_shape(k, (0.0,) * d, a, params.kappa, net.mode) for k, a in shapes]
-        for center in itertools.product(axis, repeat=d):
-            for t in templates:
-                spec = ShapeSpec(t.kind, center, t.half_axes, t.lam)
-                yield spec, spec.member_ids(net)
+        for head in itertools.product(axis, repeat=d - 1) if templates else ():
+            yield from _line_shapes(net, templates, head, axis)
+
+
+def _line_shapes(net: NodeSet, templates, head: tuple, axis: list):
+    """The shapes centered at head + (a,) for a in axis, and their members.  These
+    centers share a slab of `near` (for d = 1, over their span) that holds every
+    member.  Each node's fixed-coordinate terms are combined once, then with its
+    last term per center within a half axis, LINE_CELLS (center, node) pairs at
+    a time, in the order member_ids combines them, so the ids are the same."""
+    lo, hi = (head[0], head[0]) if head else (axis[0], axis[-1])
+    ids, rows = net.near(((lo + hi) / 2,) * net.dim, max(t.lam for t in templates) + (hi - lo) / 2)
+    order = np.argsort(ids)  # then each center's members come out in id order
+    ids, last, fixed = ids[order], rows[-1, order], rows[:-1, order] - np.reshape(head, (-1, 1))
+    norms = []
+    for t in templates:
+        term, combine = _norm(t.kind, net.mode)
+        scaled = fixed / np.reshape(t.half_axes[:-1], (-1, 1))
+        fixed_norm = combine.reduce(term(scaled), axis=0, initial=0.0)
+        norms.append((term, combine, t.half_axes[-1], fixed_norm))
+    step = max(1, LINE_CELLS // max(ids.size, 1))
+    for k in range(0, len(axis), step):
+        centers, parts = np.array(axis[k : k + step]), []
+        for term, combine, h, fixed_norm in norms:
+            pad = h + 1e-9 * (h + centers[-1])  # no blob holds a node farther out
+            near = np.flatnonzero((last > centers[0] - pad) & (last < centers[-1] + pad))
+            inside = combine(fixed_norm[near], term((last[near] - centers[:, None]) / h)) < 1.0
+            cuts = np.cumsum(np.count_nonzero(inside, axis=1))[:-1]
+            parts.append(np.split(np.tile(ids[near], len(centers))[inside.ravel()], cuts))
+        for j, a in enumerate(axis[k : k + step]):
+            for t, members in zip(templates, parts):
+                yield ShapeSpec(t.kind, head + (a,), t.half_axes, t.lam), members[j]
 
 
 def enumerate_thick(net: NodeSet, params: ThickParams, size_cap: int | None = None):

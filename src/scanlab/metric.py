@@ -5,11 +5,12 @@ The dissimilarity is delta(K, L) = sqrt(2) * (1 - |K∩L| / sqrt(|K||L|))**0.5,
 which lives in [0, sqrt(2)]: 0 exactly for equal sets, sqrt(2) for disjoint
 ones.  A ScanTable is a cluster x node incidence: its sparse product with a
 block of field rows sums every member in every row (by running sums, two
-terms per run of consecutive ids, where cheaper), and with another table
-counts every pairwise overlap.  A minimal covering is NP-hard, so nets are
-built greedily: a cluster is admitted iff it is more than epsilon away from
-every member admitted so far.  The result is an epsilon-packing, hence covers
-everything it scanned; verify_cover certifies covering against any stream.
+terms per run of consecutive ids, where cheaper).  Overlaps between two
+incidences are counted by a sparse product, or a dense one where denser.
+Nets are built greedily, as a minimal covering is NP-hard: a cluster is
+admitted iff it is more than epsilon away from every member admitted so far.
+The result is an epsilon-packing, hence covers everything it scanned;
+verify_cover certifies covering against any stream.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ NET_BLOCK = 256  # clusters of a stream build_net and verify_cover take at once
 # a running sum costs PREFIX_COST gathered ids: cumsum 3.4 ns a value, the
 # sparse product 0.45 ns an id and row (2-core x86, numpy 2.4, scipy 1.17)
 PREFIX_COST = 8
+
+# a dense 0/1 product costs 0.02-0.03 ns a cell, a sparse one 2.3-2.6 ns a
+# multiply-add (one BLAS thread, same box); a dense product holds at most
+# DENSE_CELLS cells of 0/1 rows at once, 16 MB in float32
+DENSE_COST = 128
+DENSE_CELLS = 1 << 22
 
 _ONES = np.ones(0)
 
@@ -148,13 +155,34 @@ class ScanTable:
     def _by_node(self) -> sp.csr_array:
         return self.incidence(self.width).T.tocsr()  # node -> members
 
-    def overlaps(self, block: "ScanTable") -> sp.csr_array:
-        """|K∩L| / sqrt(|K||L|) from each cluster K of block (rows) to each member L
-        where they overlap, by one sparse product with the members' node index."""
-        nodes = block.incidence(max(block.width, self.width))[:, : self.width]
-        overlap = nodes @ self._by_node
-        rows = np.repeat(np.arange(len(block)), np.diff(overlap.indptr))
-        overlap.data /= np.sqrt(block.sizes[rows] * self.sizes[overlap.indices].astype(float))
+    @cached_property
+    def _load(self) -> np.ndarray:
+        return np.bincount(self.concat)  # the number of members holding each node
+
+    def overlaps(self, indptr, concat) -> sp.csr_array:
+        """|K∩L| / sqrt(|K||L|) from each cluster K of a CSR incidence (indptr,
+        concat) to each member L.  The sparse product with the members' node
+        index makes a multiply-add per node and pair of clusters holding it; iff
+        DENSE_COST times that is above rows * members * width, the 0/1 rows are
+        multiplied densely, in float32 while counts stay below 2**24.  Either way
+        the counts are exact; the result is the sparse matrix of overlapping pairs."""
+        sizes, width = np.diff(indptr), max(int(concat.max()) + 1, self.width)
+        work = int(self._load[concat[concat < self.width]].sum())
+        dense = len(sizes) * len(self) * self.width < DENSE_COST * work
+        dtype = np.float32 if dense and self.width < 2**24 else float
+        data = np.ones(concat.size, dtype) if dense else _ones(concat.size)
+        rows = sp.csr_array((data, concat, indptr), shape=(len(sizes), width))
+        if dense:
+            same = concat is self.concat  # then one operand: rows @ rows.T is symmetric
+            cols = rows if same else self.incidence(width).astype(dtype)
+            step, counts = max(1, DENSE_CELLS // (len(sizes) + (0 if same else len(self)))), 0
+            for lo in range(0, self.width, step):
+                part = rows[:, lo : lo + step].toarray()
+                counts = counts + part @ (part if same else cols[:, lo : lo + step].toarray()).T
+            return sp.csr_array(counts / np.sqrt(np.outer(sizes, self.sizes)))
+        overlap = rows[:, : self.width] @ self._by_node
+        at = np.repeat(np.arange(len(sizes)), np.diff(overlap.indptr))
+        overlap.data /= np.sqrt(sizes[at] * self.sizes[overlap.indices].astype(float))
         return overlap
 
 
@@ -187,35 +215,55 @@ def _delta(ratio):
     return np.sqrt(np.maximum(2.0 * (1.0 - ratio), 0.0))
 
 
+def _nearest(ratios: sp.csr_array, axis: int) -> np.ndarray:
+    """delta to the nearest cluster along `axis` of a matrix of overlap ratios."""
+    return _delta(ratios.max(axis=axis).toarray())
+
+
+def _near_rows(indptr, concat, block: ScanTable) -> tuple[np.ndarray, np.ndarray]:
+    """The clusters of a CSR incidence whose id ranges meet block's, as a CSR
+    incidence: no other cluster overlaps block."""
+    first, last = concat[indptr[:-1]], concat[indptr[1:] - 1]
+    keep = np.flatnonzero((last >= block.concat.min()) & (first < block.width))
+    sizes = np.diff(indptr)[keep]
+    starts = np.append(0, np.cumsum(sizes))
+    return starts, concat[np.repeat(indptr[keep] - starts[:-1], sizes) + np.arange(starts[-1])]
+
+
 def build_net(stream: Iterable[Cluster], epsilon: float, family: str = "") -> EpsNet:
     """Greedy epsilon-net in stream order: admit iff min delta > epsilon.
 
-    A block of the stream is checked against the members admitted so far,
-    one sparse product per table they are kept in, then admitted in order
-    against its own pairwise distances, so the net is the one-by-one greedy
-    net.  A table at least half the size of the one before it is merged
-    into it, so there are at most log2(members) + 1 tables.
+    The members admitted so far are one CSR incidence, appended to.  A block of
+    the stream is checked by one product against those whose id ranges meet
+    its own, then admitted in order against its own pairwise distances, so the
+    net is the one-by-one greedy net.
     """
     if not 0 < epsilon <= SQRT2:
         raise ValueError("epsilon must lie in (0, sqrt(2)]")
-    admitted: list[ScanTable] = []  # the members so far, in stream order
+    members: list[Cluster] = []  # the members so far, in stream order
+    # their ids as a CSR incidence: member j's are concat[indptr[j]:indptr[j + 1]]
+    indptr, concat = np.zeros(1, np.int64), np.zeros(0, np.int32)
     for block in _blocks(stream):
         ok = np.ones(len(block), dtype=bool)
-        for part in admitted:
-            ok &= _delta(part.overlaps(block).max(axis=1).toarray().ravel()) > epsilon
-        close = _delta(block.overlaps(block).toarray()) <= epsilon
+        if members:  # a member that shares no node with a cluster is sqrt(2) from it
+            near, ids = _near_rows(indptr, concat, block)
+            ratios = block.overlaps(near, ids) if ids.size else sp.csr_array((1, len(block)))
+            ok = _nearest(ratios, 0) > epsilon
+        close = _delta(block.overlaps(block.indptr, block.concat).toarray()) <= epsilon
         kept = []
         for i in np.flatnonzero(ok):
             if ok[i]:
-                kept.append(block.members[i])
+                kept.append(i)
                 ok &= ~close[i]
         if kept:
-            admitted.append(ScanTable(kept))
-        while len(admitted) > 1 and 2 * len(admitted[-1]) >= len(admitted[-2]):
-            last = admitted.pop()
-            admitted[-1] = ScanTable(admitted[-1].members + last.members)
-    members = tuple(c for part in admitted for c in part.members)
-    return EpsNet(epsilon=epsilon, members=members, family=family)
+            added = [block.members[i] for i in kept]
+            members += added
+            start, indptr = indptr[-1], np.append(indptr, indptr[-1] + np.cumsum(block.sizes[kept]))
+            if indptr[-1] > concat.size:  # grown at least twofold: each id is copied O(1) times
+                grown = np.empty(max(indptr[-1], 2 * concat.size), np.int32)
+                concat = np.concatenate([concat, grown])
+            concat[start : indptr[-1]] = np.concatenate([c.idarray for c in added])
+    return EpsNet(epsilon=epsilon, members=tuple(members), family=family)
 
 
 @dataclass(frozen=True)
@@ -237,7 +285,7 @@ def verify_cover(net: EpsNet, stream: Iterable[Cluster]) -> CoverReport:
     worst, worst_dist, checked = None, -1.0, 0
     for block in _blocks(stream):
         checked += len(block)
-        dist = _delta(net.table.overlaps(block).max(axis=1).toarray().ravel())
+        dist = _nearest(net.table.overlaps(block.indptr, block.concat), 1)
         j = int(np.argmax(dist))  # the first of the block's worst
         if dist[j] > worst_dist:
             worst, worst_dist = block.members[j], float(dist[j])

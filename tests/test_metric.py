@@ -1,5 +1,6 @@
 import itertools
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -7,10 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanlab.clusters import Cluster, cluster_from_ids, enumerate_balls
+from scanlab.clusters import (
+    Cluster, ThickParams, cluster_from_ids, enumerate_balls, enumerate_thick,
+)
 from scanlab import metric
-from scanlab.metric import SQRT2, build_net, delta, verify_cover
-from scanlab.network import ball_nodes, make_lattice, rescale_lattice
+from scanlab.metric import SQRT2, ScanTable, build_net, delta, verify_cover
+from scanlab.network import ball_nodes, make_lattice, make_uniform_cloud, rescale_lattice
+
+# overlaps are counted by a sparse product or, where denser, a dense one; each
+# path forced in turn must give the same bits
+OVERLAP_PATHS = {
+    "sparse": dict(DENSE_COST=0),
+    "dense": dict(DENSE_COST=10**12),
+    "dense, one node at a time": dict(DENSE_COST=10**12, DENSE_CELLS=1),
+}
+
+
+@contextmanager
+def overlap_path(name):
+    with mock.patch.multiple(metric, **OVERLAP_PATHS[name]):
+        yield
 
 
 class TestDelta:
@@ -58,10 +75,12 @@ class TestDelta:
 
 class TestBuildNet:
     def test_epsilon_sqrt2_keeps_first_only(self):
-        # disjoint clusters are exactly sqrt(2) apart, which is not > sqrt(2)
+        # disjoint clusters are exactly sqrt(2) apart, which is not > sqrt(2),
+        # also when a block shares no node with any member (block of one)
         stream = [Cluster((i,)) for i in range(5)]
-        net = build_net(stream, SQRT2)
-        assert len(net) == 1
+        for block in (1, metric.NET_BLOCK):
+            with mock.patch.object(metric, "NET_BLOCK", block):
+                assert len(build_net(stream, SQRT2)) == 1
 
     def test_tiny_epsilon_admits_all_distinct(self):
         stream = [Cluster((0, 1)), Cluster((1, 2)), Cluster((0, 1)), Cluster((2, 3))]
@@ -97,17 +116,20 @@ class TestVerifyCover:
     def test_build_stream_is_covered(self):
         lat = make_lattice(2, 16)
         stream = list(enumerate_balls(lat, 2.5))
-        for eps in (0.4, 0.9):
-            net = build_net(stream, eps)
-            report = verify_cover(net, stream)
+        for eps, path in itertools.product((0.4, 0.9), ("sparse", "dense")):
+            with overlap_path(path):
+                net = build_net(stream, eps)
+                report = verify_cover(net, stream)
             assert report.passed, report.max_min_dist
 
     def test_disjoint_witness(self):
-        net = build_net([Cluster((0, 1))], 1.0)
-        report = verify_cover(net, [Cluster((5, 6))])
-        assert not report.passed
-        assert report.max_min_dist == pytest.approx(SQRT2)
-        assert report.worst.ids == (5, 6)
+        for path in ("sparse", "dense"):
+            with overlap_path(path):
+                net = build_net([Cluster((0, 1))], 1.0)
+                report = verify_cover(net, [Cluster((5, 6))])
+            assert not report.passed
+            assert report.max_min_dist == pytest.approx(SQRT2)
+            assert report.worst.ids == (5, 6)
 
     def test_half_pitch_refinement_covered(self):
         # net built from node-centered balls covers the off-grid refinement
@@ -124,6 +146,30 @@ class TestVerifyCover:
                     refined.append(k)
         report = verify_cover(net, refined)
         assert report.passed
+        with overlap_path("dense"):
+            assert build_net(enumerate_balls(net32, r), 0.5) == net
+            assert verify_cover(net, refined) == report
+
+    @pytest.mark.parametrize("stream", [
+        list(enumerate_balls(make_lattice(2, 16), 2.5)),
+        list(enumerate_thick(rescale_lattice(make_lattice(2, 16)), ThickParams(0.15, 0.3, 2.0))),
+        [ball_nodes(cloud, c, 0.2) for cloud in [make_uniform_cloud(2, 300, 4)]
+         for c in cloud.coords],
+    ], ids=["lattice balls", "thick blobs", "cloud balls"])
+    def test_overlap_paths_agree_bit_for_bit(self, stream):
+        block, members = ScanTable(stream[:metric.NET_BLOCK]), ScanTable(stream[::3])
+        runs = {}
+        for path in ("sparse", "dense", "dense, one node at a time"):
+            with overlap_path(path):
+                net = build_net(stream, 0.5)
+                runs[path] = (block.overlaps(members.indptr, members.concat),
+                              block.overlaps(block.indptr, block.concat),
+                              net, verify_cover(net, stream[::-1]))
+        want = runs.pop("sparse")
+        for ratios, self_ratios, net, report in runs.values():
+            assert np.array_equal(ratios.toarray(), want[0].toarray())
+            assert np.array_equal(self_ratios.toarray(), want[1].toarray())
+            assert net == want[2] and report == want[3]
 
     def test_empty_net_rejected(self):
         from scanlab.metric import EpsNet
@@ -167,9 +213,10 @@ def _cover_reference(members, stream):
 
 
 @settings(max_examples=300, deadline=None)
-@given(subsets, subsets, epsilons, st.sampled_from((1, 3, 16, metric.NET_BLOCK)))
-def test_block_greedy_matches_pairwise_reference(stream, probes, epsilon, block):
-    with mock.patch.object(metric, "NET_BLOCK", block):
+@given(subsets, subsets, epsilons, st.sampled_from((1, 3, 16, metric.NET_BLOCK)),
+       st.sampled_from(sorted(OVERLAP_PATHS)))
+def test_block_greedy_matches_pairwise_reference(stream, probes, epsilon, block, path):
+    with mock.patch.object(metric, "NET_BLOCK", block), overlap_path(path):
         net = build_net(stream, epsilon)
         report = verify_cover(net, stream + probes) if net.members else None
     want = _greedy_reference(stream, epsilon)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from scanlab import clusters
 from scanlab.clusters import (
     ShapeSpec,
     ThickParams,
     _domain_extent,
     _scale_grid,
+    enumerate_thick,
     enumerate_thick_shapes,
     make_shape,
     sample_thick_shape,
@@ -442,6 +445,43 @@ def test_thick_enumeration_equals_per_center_shapes(net, params):
     want = list(full_enumeration(net, params))
     assert [spec for spec, _ in got] == [spec for spec, _ in want]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_sets(), st.data())
+def test_thick_enumeration_matches_full_scans(net, data):
+    """Every template kind, kappa, one to three scales, and center grids from
+    one center per line (pitch above twice the extent) to blobs that hold no
+    node, with the lines cut into passes of any size."""
+    extent = _domain_extent(net)
+    kappa = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    kinds = data.draw(st.permutations(["ball", "ellipsoid", "rect"]))
+    shapes = tuple(kinds[: data.draw(st.integers(1, 3))])
+    cap = (40, 10, 5)[net.dim - 1]  # centers per axis at the finest scale, at most
+    lam_lo = extent * data.draw(st.one_of(st.floats(1 / cap, 3.0), st.sampled_from([1 / cap, 3.0])))
+    lam_hi = lam_lo * data.draw(st.sampled_from([1, 2, 4]))
+    grid_eps = data.draw(st.floats(extent / (lam_lo * cap), 1.0))
+    params = ThickParams(lam_lo, lam_hi, kappa=kappa, shapes=shapes, grid_eps=grid_eps)
+    with mock.patch.object(clusters, "LINE_CELLS", data.draw(st.sampled_from([1, 7, 1 << 15]))):
+        got = list(enumerate_thick_shapes(net, params))
+    want = list(full_enumeration(net, params))
+    assert [spec for spec, _ in got] == [spec for spec, _ in want]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+def test_thick_enumeration_computes_one_line_at_a_time():
+    """The first cluster costs one slab of `near`; each further line of centers
+    one more.  build_net streams the enumeration on this."""
+    net = rescale_lattice(make_lattice(2, 128))
+    lam = 8.2 / 128
+    params = ThickParams(lam_lo=lam, lam_hi=lam, shapes=("ball",), grid_eps=0.25)
+    lines = len(np.arange(lam * 0.125, 1.0 + 1e-9, lam * 0.25))
+    with mock.patch.object(NodeSet, "near", autospec=True, side_effect=NodeSet.near) as near:
+        stream = enumerate_thick(net, params)
+        next(stream)
+        assert near.call_count == 1
+        assert sum(1 for _ in stream) > 0
+    assert near.call_count == lines
 
 
 class TestBadQueries:
