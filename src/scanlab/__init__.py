@@ -13,10 +13,8 @@ Library layout:
 """
 
 from .clusters import (
-    AnimalParams,
     BandParams,
     Cluster,
-    ClusterClass,
     ThickParams,
     ThinParams,
     enumerate_animals,

@@ -166,36 +166,38 @@ ENUMERATE_FLAGS = {"net": REQUIRED, "family": Value(tuple(cl.FAMILIES), cl.BALLS
                    **FAMILY_FLAGS, "seed": SEED, **OUT}
 
 
-def cluster_class(family: str, values: dict, name) -> tuple[cl.ClusterClass, dict]:
-    """The ClusterClass of `family` from enumerate flags or scan.* config keys.
+def family_args(family: str, values: dict, name) -> tuple[cl.Family, object, dict]:
+    """`family`'s row, its parameter record, and the values used (the family,
+    its parameters and size_cap), which head an enumerate file.
 
     `values` maps FAMILY_FLAGS keys to typed values (None when unset) and
-    name(key) is how the user sets one.  Also returns the values used, which
-    head an enumerate output file.
-    """
-    used: dict = {"family": family}
-    for key in cl.FAMILIES[family][0] + ("size_cap",):
+    name(key) is how the user sets one."""
+    row, used = cl.FAMILIES[family], {"family": family}
+    for key in row.keys + ("size_cap",):
         if values.get(key) is not None:
             used[key] = values[key]
         elif key not in ("value_pitch", "size_cap"):
             raise ConfigError(f"{family} clusters need {name(key)}")
-    return cl.ClusterClass.of(family, used), used
+    return row, row.params(used), used
 
 
-def _scan_class(cfg, family: str) -> cl.ClusterClass:
-    """cluster_class over the scan.* config keys."""
+def _scan_args(cfg, family: str, truth: bool = False) -> tuple[cl.Family, object, dict]:
+    """family_args over the scan.* config keys; for a truth, truth.k stands
+    in for scan.kmax."""
     values = {key: _cfg(cfg, f"scan.{key}", None)
               for key in FAMILY_FLAGS if f"scan.{key}" in CONFIG_KEYS}
-    return cluster_class(family, values, lambda key: f"config key 'scan.{key}'")[0]
+    if truth:
+        values["kmax"] = _cfg(cfg, "truth.k", values["kmax"])
+    return family_args(family, values, lambda key: f"config key 'scan.{key}'")
 
 
 def _cmd_enumerate(args) -> int:
     net = network.load_nodeset(args.net)
-    cclass, meta = cluster_class(args.family, vars(args),
-                                 lambda key: flag(key, FAMILY_FLAGS[key]))
-    if cclass.family == cl.BANDS:
+    row, params, meta = family_args(args.family, vars(args),
+                                    lambda key: flag(key, FAMILY_FLAGS[key]))
+    clusters = list(row.stream(net, params, meta, args.seed))
+    if "budget" in meta:  # the family samples paths, keyed by the seed
         meta["seed"] = args.seed
-    clusters = list(cclass.stream(net, seed=args.seed))
     with _open_out(args.out) as fh:
         cl.write_clusters(clusters, fh, meta)
     return 0
@@ -352,12 +354,8 @@ def _cmd_grow(args) -> int:
                                             args.xi, args.start, end, args.tm)
         meta.update(alpha=args.alpha, kappa=args.kappa, r=args.r, xi=args.xi)
     else:
-        within = None
-        # an --x0 that is no node id is left for richardson_grow to refuse
-        if args.within_radius is not None and 0 <= args.x0 < net.m:
-            within = cl.Cluster(network.closed_ball_ids(net, net.coords[args.x0], args.within_radius))
         seq = growth.richardson_grow(net, args.x0, args.p, args.t0, args.tm, args.seed,
-                                     within=within)
+                                     radius=args.within_radius)
         meta.update(x0=args.x0, p=args.p, t0=args.t0, seed=args.seed)
     with _open_out(args.out) as fh:
         growth.write_sequence(seq, fh, meta)
@@ -386,6 +384,10 @@ def _cmd_rates(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep config
 
+# the truth.family words: the families with a truth sampler, the ball truth
+# and the Richardson truth, both drawn below from truth.* keys
+TRUTH_FAMILIES = (cl.BALLS, *(f for f, row in cl.FAMILIES.items() if row.truth), "richardson")
+
 # every sweep config key; a key shares the declaration of its flag
 CONFIG_KEYS = {
     **{f"net.{key}": value for key, value in NET_FLAGS.items()},
@@ -396,7 +398,7 @@ CONFIG_KEYS = {
     "scan.epsilon": NETBUILD_FLAGS["epsilon"],
     **{f"scan.{key}": value for key, value in FAMILY_FLAGS.items() if key != "value_pitch"},
     "multiscale.scales": Value(_ints),
-    "truth.family": Value((cl.BALLS, cl.THICK, cl.BANDS, cl.ANIMALS, "richardson")),
+    "truth.family": Value(TRUTH_FAMILIES),
     "truth.lambda": Value(_float), "truth.count": Value(_int, "5"),
     "truth.margin": Value(_float), "truth.k": Value(_int), "truth.p": Value(_float, "0.7"),
     "truth.limit_radius": Value(_int), "truth.warmup": Value(_int, "0"),
@@ -427,11 +429,10 @@ def parse_config(text: str) -> dict[str, str]:
             raise ConfigError(f"duplicate config key {key!r}")
         out[key] = value
         _cfg(out, key, None)
-    truths = CONFIG_KEYS["truth.family"].kind
-    if not out.get("truth.family") and _cfg_get(out, "scan.family") not in truths:
+    if not out.get("truth.family") and _cfg_get(out, "scan.family") not in TRUTH_FAMILIES:
         raise ConfigError(
             f"config key 'scan.family': truths cannot be drawn from family "
-            f"{_cfg_get(out, 'scan.family')!r}; set truth.family (one of {list(truths)})")
+            f"{_cfg_get(out, 'scan.family')!r}; set truth.family (one of {list(TRUTH_FAMILIES)})")
     return out
 
 
@@ -456,9 +457,6 @@ def _cfg(cfg, key: str, *default):
         raise ValueError(f"unknown {key.rsplit('.', 1)[-1]} {value!r}; known: {list(kind)}")
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
-
-
-TRUTH_RETRIES = 1000  # draws of a thick truth that holds no node, at most
 
 
 def _center_sampler(net: network.NodeSet, lo: float, hi: float, what: str):
@@ -496,24 +494,6 @@ def _truth_sampler_from_config(cfg, net, t_m):
             return network.ball_nodes(net, net.coords[node], lam)
 
         return sample
-    if family in (cl.THICK, cl.BANDS):
-        params = _scan_class(cfg, family).params
-        if family == cl.BANDS:
-            return lambda seed: cl.sample_band(net, params, seed)
-        rotate = net.mode == network.EUCLIDEAN
-
-        def sample(seed: int):
-            for _ in range(TRUTH_RETRIES):
-                ids = cl.sample_thick_shape(net, params, seed, rotate=rotate).member_ids(net)
-                if ids.size:
-                    return cl.Cluster(ids)
-                seed = derive_seed(seed, "retry")
-            raise ConfigError(f"no thick truth holding a node in {TRUTH_RETRIES} draws")
-
-        return sample
-    if family == cl.ANIMALS:
-        k = _cfg(cfg, "truth.k" if _cfg_get(cfg, "truth.k") else "scan.kmax")
-        return lambda seed: cl.sample_animal(net, k, seed)
     if family == "richardson":
         if net.mode != network.LATTICE:
             raise ConfigError("truth.family = richardson needs a lattice (net.rescale = false)")
@@ -525,15 +505,15 @@ def _truth_sampler_from_config(cfg, net, t_m):
 
         def sample(seed: int):
             node = draw(rng_from_seed(seed))
-            limit = cl.Cluster(network.closed_ball_ids(net, net.coords[node], radius))
             horizon = warmup + t_m
             seq = growth.richardson_grow(
-                net, node, p, onset, horizon, derive_seed(seed, "grow"), within=limit
+                net, node, p, onset, horizon, derive_seed(seed, "grow"), radius=radius
             )
             return seq.window(warmup, horizon)
 
         return sample
-    raise ConfigError(f"config key 'truth.family': unknown family {family!r}")
+    row, params, _ = _scan_args(cfg, family, truth=True)
+    return lambda seed: row.truth(net, params, seed)
 
 
 def _theory_from_config(cfg) -> float | None:
@@ -567,8 +547,9 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
         }
         test = spec(nets=nets)
     elif spec in (sim.EpsScanTest, sim.CylinderScanTest):
-        cclass = _scan_class(cfg, _cfg(cfg, "scan.family"))
-        test = spec(metric.build_net(cclass.stream(net, derive_seed(seed, "scanpaths")), epsilon))
+        row, params, values = _scan_args(cfg, _cfg(cfg, "scan.family"))
+        stream = row.stream(net, params, values, derive_seed(seed, "scanpaths"))
+        test = spec(metric.build_net(stream, epsilon))
     else:
         test = spec()
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError
 from .network import EUCLIDEAN, LATTICE, NodeSet, ball_ids
-from .rng import rng_from_seed
+from .rng import derive_seed, rng_from_seed
 
 BALLS = "balls"
 THICK = "thick"
@@ -316,6 +316,20 @@ def sample_thick_shape(
     return make_shape(kind, center, half_axes, params.kappa, net.mode, rotation)
 
 
+TRUTH_RETRIES = 1000  # draws of a thick truth that holds no node, at most
+
+
+def sample_thick(net: NodeSet, params: ThickParams, seed: int) -> Cluster:
+    """The nodes of a random shape (rotated in euclidean mode) that holds one;
+    a shape holding none is drawn again, at most TRUTH_RETRIES times."""
+    for _ in range(TRUTH_RETRIES):
+        ids = sample_thick_shape(net, params, seed, rotate=net.mode == EUCLIDEAN).member_ids(net)
+        if ids.size:
+            return Cluster(ids)
+        seed = derive_seed(seed, "retry")
+    raise ValueError(f"no thick truth holding a node in {TRUTH_RETRIES} draws")
+
+
 # ---------------------------------------------------------------------------
 # thin tubes
 
@@ -565,11 +579,6 @@ def sample_band(net: NodeSet, params: BandParams, seed: int) -> Cluster:
 ANIMAL_KMAX_GUARD = 12
 
 
-@dataclass(frozen=True)
-class AnimalParams:
-    k_max: int
-
-
 def enumerate_animals(net: NodeSet, k_max: int, size_cap: int | None = None):
     """All connected node sets of size 1..k_max, each exactly once.
 
@@ -687,59 +696,43 @@ def load_clusters(path) -> tuple[list[Cluster], dict[str, str]]:
     return clusters, meta
 
 
-# family -> (its parameter keys, its parameter record built from their
-# values).  The keys are also the `scan.*` config keys; `size_cap` applies
-# to every family.
-FAMILIES = {
-    BALLS: (("lambda",), lambda v: v["lambda"]),
-    THICK: (("lambda_lo", "lambda_hi", "kappa", "grid_eps"),
-            lambda v: ThickParams(v["lambda_lo"], v["lambda_hi"], v["kappa"],
-                                  grid_eps=v["grid_eps"])),
-    TUBES: (("r", "alpha", "kappa", "n_control", "value_pitch"),
-            lambda v: ThinParams(v["r"], v["alpha"], v["kappa"], v["n_control"],
-                                 v.get("value_pitch"))),
-    BANDS: (("ell", "h", "path_mode", "budget"),
-            lambda v: BandParams(v["ell"], v["h"], v["path_mode"])),
-    ANIMALS: (("kmax",), lambda v: AnimalParams(v["kmax"])),
-}
+class Family(NamedTuple):
+    """A cluster family's row in FAMILIES; `size_cap` is a value of every family."""
+
+    keys: tuple[str, ...]  # its parameters, also its scan.* config keys
+    params: Callable[[Mapping], object]  # their values -> its parameter record
+    stream: Callable[..., Iterator[Cluster]]  # (net, record, values, seed) -> clusters
+    truth: Callable[[NodeSet, object, int], Cluster] | None = None  # (net, record, seed)
 
 
-@dataclass(frozen=True)
-class ClusterClass:
-    """A cluster family: its tag, parameter record, path budget and size cap.
+class _Families(dict):
+    def __missing__(self, family):
+        raise ValueError(f"unknown cluster family {family!r}")
 
-    params: a radius for balls, else the family's params dataclass; `budget`
-    is the number of paths sampled for bands.  This is the one dispatch from
-    a family tag to its enumerator, which is looked up when `stream` runs.
-    """
 
-    family: str
-    params: object
-    budget: int = 2000
-    size_cap: int | None = None
-
-    @classmethod
-    def of(cls, family: str, values: Mapping[str, object]) -> "ClusterClass":
-        """The class from parameter values keyed as in FAMILIES (plus size_cap)."""
-        if family not in FAMILIES:
-            raise ValueError(f"unknown cluster family {family!r}")
-        params = FAMILIES[family][1](values)
-        return cls(family, params, values.get("budget", 2000), values.get("size_cap"))
-
-    def stream(self, net: NodeSet, seed: int = 0) -> Iterator[Cluster]:
-        """The family's clusters on `net`; `seed` keys the sampled band paths."""
-        cap = self.size_cap
-        if self.family == BALLS:
-            return enumerate_balls(net, float(self.params), size_cap=cap)
-        if self.family == THICK:
-            return enumerate_thick(net, self.params, size_cap=cap)
-        if self.family == TUBES:
-            return enumerate_tubes(net, self.params, size_cap=cap)
-        if self.family == BANDS:
-            return enumerate_bands(net, self.params, self.budget, seed, size_cap=cap)
-        if self.family == ANIMALS:
-            return enumerate_animals(net, self.params.k_max, size_cap=cap)
-        raise ValueError(f"unknown cluster family {self.family!r}")
+# the one dispatch from a family name to its code; `seed` keys sampled band
+# paths, and `truth` draws one member where truths can be drawn from the family
+FAMILIES = _Families({
+    BALLS: Family(("lambda",), lambda v: v["lambda"],
+                  lambda net, lam, v, seed: enumerate_balls(net, lam, v.get("size_cap"))),
+    THICK: Family(("lambda_lo", "lambda_hi", "kappa", "grid_eps"),
+                  lambda v: ThickParams(v["lambda_lo"], v["lambda_hi"], v["kappa"],
+                                        grid_eps=v["grid_eps"]),
+                  lambda net, p, v, seed: enumerate_thick(net, p, v.get("size_cap")),
+                  sample_thick),
+    TUBES: Family(("r", "alpha", "kappa", "n_control", "value_pitch"),
+                  lambda v: ThinParams(v["r"], v["alpha"], v["kappa"], v["n_control"],
+                                       v.get("value_pitch")),
+                  lambda net, p, v, seed: enumerate_tubes(net, p, v.get("size_cap"))),
+    BANDS: Family(("ell", "h", "path_mode", "budget"),
+                  lambda v: BandParams(v["ell"], v["h"], v["path_mode"]),
+                  lambda net, p, v, seed: enumerate_bands(net, p, v["budget"], seed,
+                                                          v.get("size_cap")),
+                  sample_band),
+    ANIMALS: Family(("kmax",), lambda v: v["kmax"],
+                    lambda net, k, v, seed: enumerate_animals(net, k, v.get("size_cap")),
+                    sample_animal),
+})
 
 
 def connectivity_check(net: NodeSet, cluster: Cluster) -> bool:

@@ -144,16 +144,16 @@ def richardson_grow(
     t0: int,
     t_m: int,
     seed: int,
-    within: Cluster | None = None,
+    radius: float | None = None,
 ) -> ClusterSequence:
     """Richardson growth: each vacant neighbor is occupied w.p. p per step.
 
     Starts from node x0 at time t0; occupied sets are nondecreasing, and at
     p=1 the occupied set after s steps is exactly the ball of graph radius s
-    around x0 (the closed l1 ball, on a lattice without holes).  `within`
-    restricts growth to a node subset (used for capped limit shapes); warmup
-    before the observation window is done by growing over a longer horizon
-    and calling .window().
+    around x0 (the closed l1 ball, on a lattice without holes).  `radius`
+    restricts growth to the closed l1 ball of that radius around x0 (a capped
+    limit shape); warmup before the observation window is done by growing
+    over a longer horizon and calling .window().
     """
     if net.mode != LATTICE:
         raise ValueError("richardson growth runs on lattices")
@@ -163,9 +163,8 @@ def richardson_grow(
         raise ValueError("need 0 <= t0 <= t_m")
     if not 0 <= x0 < net.m:
         raise ValueError("x0 must be a node id")
-    allowed = range(net.m) if within is None else set(within.idarray.tolist())
-    if x0 not in allowed:
-        raise ValueError("x0 must belong to the growth restriction")
+    allowed = (range(net.m) if radius is None
+               else set(closed_ball_ids(net, net.coords[x0], radius).tolist()))
     adj = net.neighbors
     rng = rng_from_seed(seed)
     occupied = {x0}

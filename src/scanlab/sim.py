@@ -10,8 +10,7 @@ bit-identical for a fixed config regardless of thread count.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -149,7 +148,6 @@ class RiskEstimate:
     trials: int
     n_truth: int
     seed: int
-    wallclock_ms: float = field(compare=False, default=0.0)
 
 
 def _binom_se(p: float, n: int) -> float:
@@ -271,7 +269,6 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
 
     rows: list[RiskEstimate] = []
     for pt, lam in enumerate(cfg.lambdas):
-        start = time.perf_counter()
         threshold = oracle_cutoff(lam) if oracle else calib.threshold
         type1 = float(np.mean(null_stats > threshold))
         sig = SignalSpec(lam)
@@ -308,7 +305,6 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
                 trials=cfg.trials,
                 n_truth=len(truths),
                 seed=cfg.seed,
-                wallclock_ms=(time.perf_counter() - start) * 1e3,
             )
         )
     return rows

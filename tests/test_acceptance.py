@@ -17,7 +17,6 @@ from scanlab.clusters import (
     BandParams,
     Cluster,
     ThickParams,
-    cluster_from_ids,
     connectivity_check,
     enumerate_animals,
     enumerate_balls,
@@ -301,13 +300,10 @@ def crit8_rows():
         rng = rng_from_seed(seed)
         cx, cy = centers[int(rng.integers(len(centers)))]
         node = cx * 64 + cy
-        limit = cluster_from_ids(
-            int(i) for i in closed_ball_ids(lat, lat.coords[node], 6)
-        )
         # warmup: the outbreak starts 20 steps before the observation window,
-        # so every observed slice has already reached the limit ball
+        # so every observed slice has already reached the limit ball of radius 6
         seq = richardson_grow(lat, node, 0.7, 0, 20 + t_m, derive_seed(seed, "grow"),
-                              within=limit)
+                              radius=6)
         return seq.window(20, 20 + t_m)
 
     lam = 6 * math.sqrt(2) / 64

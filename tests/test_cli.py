@@ -24,18 +24,17 @@ from scanlab.clusters import (
     FAMILIES,
     THICK,
     TUBES,
-    AnimalParams,
     BandParams,
-    ClusterClass,
     ThickParams,
     ThinParams,
     enumerate_bands,
 )
 from scanlab.detect import RATE_FORMULAS
 from scanlab.errors import ConfigError
+from scanlab.growth import richardson_grow
 from scanlab.metric import build_net
-from scanlab.network import load_nodeset, make_lattice
-from scanlab.rng import derive_seed
+from scanlab.network import ball_nodes, load_nodeset, make_lattice
+from scanlab.rng import derive_seed, rng_from_seed
 
 
 def run(args):
@@ -461,7 +460,7 @@ class TestOneFamilyTable:
         "bands": (False, ["--ell", "8", "--h", "2", "--path-mode", "self-avoiding",
                           "--budget", "40", "--seed", "4"],
                   BandParams(8, 2, "self-avoiding")),
-        "animals": (False, ["--kmax", "3"], AnimalParams(3)),
+        "animals": (False, ["--kmax", "3"], 3),
     }
 
     @pytest.mark.parametrize("family", list(CASES))
@@ -477,7 +476,7 @@ class TestOneFamilyTable:
         assert run(["enumerate", "--net", str(net), "--family", family, *flags,
                     "--out", str(out)]) == 0
         budget = 40 if family == "bands" else 2000
-        want = ClusterClass(family, params, budget=budget).stream(load_nodeset(net), seed=4)
+        want = FAMILIES[family].stream(load_nodeset(net), params, {"budget": budget}, 4)
         assert _body(out) == [" ".join(map(str, c.ids)) for c in want]
         assert f"# family={family}" in out.read_text()
 
@@ -518,6 +517,53 @@ class TestOneFamilyTable:
                     "--out", str(tmp_path / "calib.csv")])
         assert code == 2
         assert "static field" in capsys.readouterr().err
+
+
+class TestTruthWords:
+    """Each truth.family word draws its row's truths, or those of the ball or
+    Richardson reference kept here, and the words come from the family table."""
+
+    BASE = "net.mode = lattice\nnet.side = 12\ntest = average\ntm = 3\nlambda.grid = 1\n"
+    CASES = {
+        "balls": "truth.lambda = 2\ntruth.margin = 3\n",
+        "thick": "scan.lambda_lo = 2\nscan.lambda_hi = 4\nscan.kappa = 2\n",
+        "bands": "scan.ell = 6\nscan.h = 2\nscan.path_mode = self-avoiding\n",
+        "animals": "scan.kmax = 3\ntruth.k = 5\n",
+        "richardson": "truth.limit_radius = 2\ntruth.p = 0.6\ntruth.warmup = 2\n"
+                      "truth.onset = 1\n",
+    }
+
+    @staticmethod
+    def _center(net, seed):
+        """A node with both coordinates in [3, 8] (truth.margin 3, or limit
+        radius 2 on side 12), drawn by rejection."""
+        rng = rng_from_seed(seed)
+        while True:
+            node = int(rng.integers(0, net.m))
+            if ((net.coords[node] >= 3) & (net.coords[node] <= 8)).all():
+                return node
+
+    def _want(self, family, net, seed):
+        if family == "balls":
+            return ball_nodes(net, net.coords[self._center(net, seed)], 2.0)
+        if family == "richardson":
+            grown = richardson_grow(net, self._center(net, seed), 0.6, 1, 5,
+                                    derive_seed(seed, "grow"), radius=2)
+            return grown.window(2, 5)
+        params = {"thick": ThickParams(2, 4, kappa=2.0),
+                  "bands": BandParams(6, 2, "self-avoiding"), "animals": 5}[family]
+        return FAMILIES[family].truth(net, params, seed)
+
+    @pytest.mark.parametrize("family", list(CASES))
+    def test_sampler_is_the_rows_or_the_reference(self, family):
+        words = CONFIG_KEYS["truth.family"].kind
+        assert words == ("balls", *(f for f, row in FAMILIES.items() if row.truth), "richardson")
+        assert words == tuple(self.CASES)
+        cfg = parse_config(self.BASE + f"truth.family = {family}\n" + self.CASES[family])
+        exp, _ = build_experiment(cfg)
+        net = make_lattice(2, 12)
+        for seed in range(4):
+            assert exp.truth.sampler(seed) == self._want(family, net, seed)
 
 
 class TestCalibrationIdentity:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from scanlab.clusters import (
     BAND_CHUNK,
-    AnimalParams,
+    FAMILIES,
     _emit,
     _l1_offsets,
     _path_band_ids,
@@ -389,25 +389,26 @@ class TestAnimals:
 
 
 class TestClusterClass:
+    """Each cluster class the scan maximizes over is one row of FAMILIES."""
+
     def test_dispatch_matches_generators(self):
         net = make_lattice(2, 6)
-        by_class = [c.ids for c in cl_class("balls", 1.5).stream(net)]
+        by_row = [c.ids for c in FAMILIES["balls"].stream(net, 1.5, {}, 0)]
         direct = [c.ids for c in enumerate_balls(net, 1.5)]
-        assert by_class == direct
-        animals = [c.ids for c in cl_class("animals", AnimalParams(2)).stream(net)]
+        assert by_row == direct
+        animals = [c.ids for c in FAMILIES["animals"].stream(net, 2, {}, 0)]
         assert animals == [c.ids for c in enumerate_animals(net, 2)]
 
     def test_band_dispatch_uses_budget_and_seed(self):
         net = make_lattice(2, 40)
         params = BandParams(length=30, width=2)
-        got = [c.ids for c in cl_class("bands", params, budget=10).stream(net, seed=3)]
+        got = [c.ids for c in FAMILIES["bands"].stream(net, params, {"budget": 10}, 3)]
         want = [c.ids for c in enumerate_bands(net, params, budget=10, seed=3)]
         assert got == want
 
     def test_unknown_family(self):
-        net = make_lattice(2, 4)
-        with pytest.raises(ValueError):
-            list(cl_class("blobs", 1.0).stream(net))
+        with pytest.raises(ValueError, match="unknown cluster family 'blobs'"):
+            FAMILIES["blobs"]
 
 
 def reference_bands(net, params, budget, seed, size_cap=None):
@@ -514,12 +515,6 @@ class TestBandChunks:
         for seed in range(5):
             want = reference_bands(net, params, 1, seed, size_cap=net.m)[0]
             assert sample_band(net, params, seed).ids == want
-
-
-def cl_class(family, params, **kw):
-    from scanlab.clusters import ClusterClass
-
-    return ClusterClass(family=family, params=params, **kw)
 
 
 class TestClusterFiles:

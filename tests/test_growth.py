@@ -151,7 +151,7 @@ class TestRichardson:
     def test_within_restriction(self):
         net = make_lattice(2, 16)
         limit = cluster_from_ids(int(i) for i in closed_ball_ids(net, (8, 8), 3))
-        seq = richardson_grow(net, 8 * 16 + 8, 1.0, 0, 10, seed=2, within=limit)
+        seq = richardson_grow(net, 8 * 16 + 8, 1.0, 0, 10, seed=2, radius=3)
         assert seq.slices[-1].ids == limit.ids
         for _, k in seq.nonempty():
             assert set(k.ids) <= set(limit.ids)
