@@ -501,12 +501,13 @@ def enumerate_bands(
     budget: int,
     seed: int,
     size_cap: int | None = None,
+    exhaust: bool = True,
 ):
     """Bands B(path, h) over nondecreasing or self-avoiding lattice paths.
 
     Nondecreasing mode with d=2 and length <= 20 is exhausted (2**length step
-    sequences); anything else draws `budget` distinct paths.  Sampling is
-    uniform over step sequences, not over bands.
+    sequences) if `exhaust`; anything else draws `budget` distinct paths.
+    Sampling is uniform over step sequences, not over bands.
     """
     if net.mode != LATTICE:
         raise ValueError("bands are defined on lattices")
@@ -516,7 +517,7 @@ def enumerate_bands(
     offsets = _l1_offsets(d, params.width)
 
     def paths():
-        if params.path_mode == "nondecreasing" and d == 2 and params.length <= 20:
+        if exhaust and params.path_mode == "nondecreasing" and d == 2 and params.length <= 20:
             for steps in itertools.product(range(d), repeat=params.length):
                 path = _nondecreasing_path(net, steps)
                 if path is not None:
@@ -566,8 +567,8 @@ def _sample_self_avoiding(net: NodeSet, length: int, rng) -> tuple[int, ...] | N
 
 
 def sample_band(net: NodeSet, params: BandParams, seed: int) -> Cluster:
-    """One random band from the same distribution enumerate_bands samples."""
-    stream = enumerate_bands(net, params, budget=1, seed=seed, size_cap=net.m)
+    """The first band enumerate_bands draws from `seed`, also where it would exhaust instead."""
+    stream = enumerate_bands(net, params, budget=1, seed=seed, size_cap=net.m, exhaust=False)
     for cluster in stream:
         return cluster
     raise ValueError("failed to sample a band; grid too small for the path length")

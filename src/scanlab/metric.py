@@ -10,7 +10,9 @@ incidences are counted by a sparse product, or a dense one where denser.
 Nets are built greedily, as a minimal covering is NP-hard: a cluster is
 admitted iff it is more than epsilon away from every member admitted so far.
 The result is an epsilon-packing, hence covers everything it scanned;
-verify_cover certifies covering against any stream.
+verify_cover certifies covering against any stream.  Where it pays, build_net
+counts only the pairs that can lie within epsilon, those whose prefixes
+(`_prefix`) share an id, by popcounts of ANDed 64-bit words (`_within`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ PREFIX_COST = 8
 # DENSE_CELLS cells of 0/1 rows at once, 16 MB in float32
 DENSE_COST = 128
 DENSE_CELLS = 1 << 22
+
+# a prefix join (see build_net) costs PAIR_COST sparse multiply-adds per
+# multiply-add of its prefix products and BIT_COST per 64-bit word made or ANDed
+# (4-10 ns, 10-14 ns, 4-8 ns a multiply-add it spares; same box); BIT_CHUNK
+# words are ANDed at once
+PAIR_COST = 2
+BIT_COST = 2
+BIT_CHUNK = 1 << 16
 
 _ONES = np.ones(0)
 
@@ -159,6 +169,13 @@ class ScanTable:
     def _load(self) -> np.ndarray:
         return np.bincount(self.concat)  # the number of members holding each node
 
+    def _work(self, rows: int, concat) -> tuple[int, bool]:
+        """The multiply-adds of overlaps with `rows` clusters holding `concat`, and
+        whether DENSE_COST times that is above rows * members * width (then dense)."""
+        load = self._load
+        work = int(load @ load if concat is self.concat else load[concat[concat < len(load)]].sum())
+        return work, rows * len(self) * self.width < DENSE_COST * work
+
     def overlaps(self, indptr, concat) -> sp.csr_array:
         """|K∩L| / sqrt(|K||L|) from each cluster K of a CSR incidence (indptr,
         concat) to each member L.  The sparse product with the members' node
@@ -167,8 +184,7 @@ class ScanTable:
         multiplied densely, in float32 while counts stay below 2**24.  Either way
         the counts are exact; the result is the sparse matrix of overlapping pairs."""
         sizes, width = np.diff(indptr), max(int(concat.max()) + 1, self.width)
-        work = int(self._load[concat[concat < self.width]].sum())
-        dense = len(sizes) * len(self) * self.width < DENSE_COST * work
+        work, dense = self._work(len(sizes), concat)
         dtype = np.float32 if dense and self.width < 2**24 else float
         data = np.ones(concat.size, dtype) if dense else _ones(concat.size)
         rows = sp.csr_array((data, concat, indptr), shape=(len(sizes), width))
@@ -220,23 +236,69 @@ def _nearest(ratios: sp.csr_array, axis: int) -> np.ndarray:
     return _delta(ratios.max(axis=axis).toarray())
 
 
-def _near_rows(indptr, concat, block: ScanTable) -> tuple[np.ndarray, np.ndarray]:
-    """The clusters of a CSR incidence whose id ranges meet block's, as a CSR
-    incidence: no other cluster overlaps block."""
-    first, last = concat[indptr[:-1]], concat[indptr[1:] - 1]
-    keep = np.flatnonzero((last >= block.concat.min()) & (first < block.width))
-    sizes = np.diff(indptr)[keep]
+def _prefix(sizes: np.ndarray, epsilon: float, power: int) -> np.ndarray:
+    """How many first ids of a cluster K of each size hold an id of every L within
+    epsilon no smaller (power 1) or no larger (power 2) than K: rho(K, L) >= c =
+    1 - epsilon**2 / 2 forces |K∩L| >= c sqrt(|K||L|) >= c**power |K|, hence
+    |K| - ceil(c**power |K|) + 1 (c**power less 1e-9: rounding drops no pair)."""
+    c = (1.0 - epsilon * epsilon / 2) ** power
+    return np.minimum(sizes - np.ceil((c - 1e-9) * sizes).astype(sizes.dtype) + 1, sizes)
+
+
+def _rows(indptr, concat, keep, sizes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `keep` of a CSR incidence, or their first `sizes` ids, as a CSR incidence."""
+    sizes = np.diff(indptr)[keep] if sizes is None else sizes
     starts = np.append(0, np.cumsum(sizes))
-    return starts, concat[np.repeat(indptr[keep] - starts[:-1], sizes) + np.arange(starts[-1])]
+    return starts, concat[np.repeat(indptr[:-1][keep] - starts[:-1], sizes) + np.arange(starts[-1])]
+
+
+def _pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for each row i of CSR incidence a and row j of b that share an id."""
+    width = int(max(a[1].max(initial=0), b[1].max(initial=0))) + 1
+    a, b = (sp.csr_array((_ones(ids.size), ids, ptr), shape=(len(ptr) - 1, width))
+            for ptr, ids in (a, b))
+    shared = (a @ b.T).tocoo()
+    return shared.row, shared.col
+
+
+def _bits(indptr, concat) -> tuple:
+    """A CSR incidence as (indptr, each row's first 64-bit word, its words' offsets
+    over its id span, the words); bit b of a word is bit b % 8 of its byte b // 8."""
+    lo = concat[indptr[:-1]] >> 6
+    offsets = np.append(0, np.cumsum((concat[indptr[1:] - 1] >> 6) - lo + 1))
+    bits = np.zeros(64 * offsets[-1], dtype=bool)
+    bits[np.repeat(64 * (offsets[:-1] - lo), np.diff(indptr)) + concat] = True
+    return indptr, lo, offsets, np.packbits(bits, bitorder="little").view(np.uint64)
+
+
+def _within(a, b, i, j, epsilon: float) -> np.ndarray:
+    """Whether each pair (row i of a, row j of b; both from _bits) whose id spans
+    meet lies within epsilon: its count is the AND of their words over the
+    overlap of the spans, popcounted, BIT_CHUNK words at a time."""
+    lo = np.maximum(a[1][i], b[1][j])
+    n = np.minimum(a[1][i] + np.diff(a[2])[i], b[1][j] + np.diff(b[2])[j]) - lo
+    at_a, at_b, counts = a[2][i] + lo - a[1][i], b[2][j] + lo - b[1][j], np.zeros(len(i))
+    step = max(1, BIT_CHUNK // int(n.max(initial=1)))
+    for s in range(0, len(n), step):
+        m = n[s : s + step]
+        first = np.cumsum(m) - m
+        at = np.arange(first[-1] + m[-1])
+        both = (a[3][np.repeat(at_a[s : s + step] - first, m) + at]
+                & b[3][np.repeat(at_b[s : s + step] - first, m) + at])
+        counts[s : s + step] = np.add.reduceat(np.bitwise_count(both), first, dtype=np.int64)
+    return _delta(counts / np.sqrt(np.diff(a[0])[i] * np.diff(b[0])[j].astype(float))) <= epsilon
 
 
 def build_net(stream: Iterable[Cluster], epsilon: float, family: str = "") -> EpsNet:
     """Greedy epsilon-net in stream order: admit iff min delta > epsilon.
 
     The members admitted so far are one CSR incidence, appended to.  A block of
-    the stream is checked by one product against those whose id ranges meet
-    its own, then admitted in order against its own pairwise distances, so the
-    net is the one-by-one greedy net.
+    the stream is checked against those whose id ranges meet its own, then
+    admitted in order against its own pairwise distances, so the net is the
+    one-by-one greedy net.  Both checks are a prefix join where it pays for
+    the second: only pairs sharing an id of their prefixes (`_prefix`) are
+    counted, by bits (`_within`); otherwise every overlap is counted by
+    ScanTable.overlaps.
     """
     if not 0 < epsilon <= SQRT2:
         raise ValueError("epsilon must lie in (0, sqrt(2)]")
@@ -244,17 +306,53 @@ def build_net(stream: Iterable[Cluster], epsilon: float, family: str = "") -> Ep
     # their ids as a CSR incidence: member j's are concat[indptr[j]:indptr[j + 1]]
     indptr, concat = np.zeros(1, np.int64), np.zeros(0, np.int32)
     for block in _blocks(stream):
+        short, long = (_prefix(block.sizes, epsilon, power) for power in (1, 2))
+        lo, hi = (block.concat[at] >> 6 for at in (block.indptr[:-1], block.indptr[1:] - 1))
+        # a join's cost per multiply-add of the products it spares: its prefix products',
+        # about 2 * short * long shares of theirs, and about long share words ANDed per
+        # span word per id; never at sqrt(2), where disjoint pairs lie within
+        fs, fl, per_id = (x.sum() / block.concat.size for x in (short, long, hi - lo + 1))
+        spare = fl * (2 * PAIR_COST * fs + BIT_COST * per_id) if epsilon < SQRT2 else 1.0
+        join = False  # iff it costs at most block.overlaps for the block against itself
+        if spare < 1:
+            work, dense = block._work(len(block), block.concat)
+            cost = len(block) ** 2 * block.width / DENSE_COST if dense else work
+            join = spare * work + BIT_COST * per_id * block.concat.size <= cost
+        if join:
+            own = _bits(block.indptr, block.concat)
+            prefixes = [_rows(block.indptr, block.concat, slice(None), p) for p in (short, long)]
         ok = np.ones(len(block), dtype=bool)
         if members:  # a member that shares no node with a cluster is sqrt(2) from it
-            near, ids = _near_rows(indptr, concat, block)
-            ratios = block.overlaps(near, ids) if ids.size else sp.csr_array((1, len(block)))
-            ok = _nearest(ratios, 0) > epsilon
-        close = _delta(block.overlaps(block.indptr, block.concat).toarray()) <= epsilon
+            near = np.flatnonzero((concat[indptr[1:] - 1] >= block.concat.min())
+                                  & (concat[indptr[:-1]] < block.width))
+            if join:  # the smaller cluster's short prefix meets the larger one's long one
+                size = np.diff(indptr)[near]
+                j1, i1 = _pairs(_rows(indptr, concat, near, _prefix(size, epsilon, 2)), prefixes[0])
+                j2, i2 = _pairs(_rows(indptr, concat, near, _prefix(size, epsilon, 1)), prefixes[1])
+                keep1, keep2 = size[j1] >= block.sizes[i1], size[j2] < block.sizes[i2]
+                j, i = np.append(j1[keep1], j2[keep2]), np.append(i1[keep1], i2[keep2])
+                near, j = np.unique(near[j], return_inverse=True)  # the candidates
+                ok[i[_within(_bits(*_rows(indptr, concat, near)), own, j, i, epsilon)]] = False
+            else:
+                rows = _rows(indptr, concat, near)
+                ratios = block.overlaps(*rows) if near.size else sp.csr_array((1, len(block)))
+                ok = _nearest(ratios, 0) > epsilon
+        if join:
+            i, j = _pairs(prefixes[1], prefixes[0])  # and so i is no smaller than j
+            size_i, size_j = block.sizes[i], block.sizes[j]
+            keep = (size_i > size_j) | ((size_i == size_j) & (i < j))
+            i, j = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+            close = np.zeros((len(block), len(block)), dtype=bool)
+            close[i, j] = _within(own, own, i, j, epsilon)
+        else:
+            close = _delta(block.overlaps(block.indptr, block.concat).toarray()) <= epsilon
+        hit = close.any(axis=1)  # rows that can turn a later cluster away
         kept = []
         for i in np.flatnonzero(ok):
             if ok[i]:
                 kept.append(i)
-                ok &= ~close[i]
+                if hit[i]:
+                    ok &= ~close[i]
         if kept:
             added = [block.members[i] for i in kept]
             members += added

@@ -411,7 +411,7 @@ class TestClusterClass:
             FAMILIES["blobs"]
 
 
-def reference_bands(net, params, budget, seed, size_cap=None):
+def reference_bands(net, params, budget, seed, size_cap=None, exhaust=True):
     """enumerate_bands one path at a time: the same path draws in the same
     order, each band found on its own by a per-path unique, then the
     stream's size cap and dedup."""
@@ -441,7 +441,7 @@ def reference_bands(net, params, budget, seed, size_cap=None):
         return tuple(visited)
 
     def paths():
-        if params.path_mode == "nondecreasing" and d == 2 and params.length <= 20:
+        if exhaust and params.path_mode == "nondecreasing" and d == 2 and params.length <= 20:
             yield from filter(lambda p: p is not None,
                               map(walk, itertools.product(range(d), repeat=params.length)))
             return
@@ -512,9 +512,16 @@ class TestBandChunks:
                      id="holes"),
     ])
     def test_sample_band_is_the_first_reference_band(self, net, params):
+        # drawn from the seed also where the stream exhausts the step sequences
         for seed in range(5):
-            want = reference_bands(net, params, 1, seed, size_cap=net.m)[0]
+            want = reference_bands(net, params, 1, seed, size_cap=net.m, exhaust=False)[0]
             assert sample_band(net, params, seed).ids == want
+
+    def test_sample_band_follows_its_seed_where_the_stream_is_exhausted(self):
+        net, params = make_lattice(2, 16), BandParams(8, 2, "nondecreasing")
+        stream = set(reference_bands(net, params, 1, 0, size_cap=net.m))
+        bands = {sample_band(net, params, seed).ids for seed in range(8)}
+        assert len(bands) >= 2 and bands <= stream
 
 
 class TestClusterFiles:

@@ -13,14 +13,20 @@ from scanlab.clusters import (
 )
 from scanlab import metric
 from scanlab.metric import SQRT2, ScanTable, build_net, delta, verify_cover
-from scanlab.network import ball_nodes, make_lattice, make_uniform_cloud, rescale_lattice
+from scanlab.network import (
+    LATTICE, NodeSet, ball_nodes, make_lattice, make_uniform_cloud, rescale_lattice,
+)
 
-# overlaps are counted by a sparse product or, where denser, a dense one; each
-# path forced in turn must give the same bits
+# overlaps are counted by a sparse product or, where denser, a dense one, and
+# build_net counts them by a prefix join where that pays; each path forced in
+# turn must give the same bits
 OVERLAP_PATHS = {
     "sparse": dict(DENSE_COST=0),
     "dense": dict(DENSE_COST=10**12),
     "dense, one node at a time": dict(DENSE_COST=10**12, DENSE_CELLS=1),
+    "prefix join": dict(PAIR_COST=0, BIT_COST=0),
+    "prefix join, one pair at a time": dict(PAIR_COST=0, BIT_COST=0, BIT_CHUNK=1),
+    "no prefix join": dict(PAIR_COST=math.inf),
 }
 
 
@@ -28,6 +34,15 @@ OVERLAP_PATHS = {
 def overlap_path(name):
     with mock.patch.multiple(metric, **OVERLAP_PATHS[name]):
         yield
+
+
+def holed_lattice(side, keep, shuffle):
+    """The points of a side x side lattice kept with chance `keep`, ids row-major or shuffled."""
+    rng = np.random.default_rng(side)
+    coords = np.indices((side, side)).reshape(2, -1).T
+    coords = coords[rng.random(len(coords)) < keep]
+    return NodeSet(mode=LATTICE, dim=2, coords=coords[rng.permutation(len(coords))] if shuffle else coords,
+                   side=side)
 
 
 class TestDelta:
@@ -77,10 +92,53 @@ class TestBuildNet:
     def test_epsilon_sqrt2_keeps_first_only(self):
         # disjoint clusters are exactly sqrt(2) apart, which is not > sqrt(2),
         # also when a block shares no node with any member (block of one)
-        stream = [Cluster((i,)) for i in range(5)]
-        for block in (1, metric.NET_BLOCK):
-            with mock.patch.object(metric, "NET_BLOCK", block):
-                assert len(build_net(stream, SQRT2)) == 1
+        stream = [Cluster((i,)) for i in range(5)] + [Cluster((0, 9)), Cluster((7, 8, 9))]
+        for block, path in itertools.product((1, metric.NET_BLOCK), OVERLAP_PATHS):
+            with mock.patch.object(metric, "NET_BLOCK", block), overlap_path(path):
+                assert build_net(stream, SQRT2).members == (Cluster((0,)),)
+
+    @pytest.mark.parametrize("path", sorted(OVERLAP_PATHS))
+    def test_pair_at_exactly_the_threshold_is_within(self, path):
+        # K ⊂ L with |K| = 3, |L| = 4: rho = 3 / sqrt(12) = c at c**2 = 3/4, so the
+        # larger L's prefix is 2 ids and K's is 1; K holds L's last three ids, so
+        # the two prefixes share an id only if L's is not cut by rounding
+        k, l = Cluster((1, 2, 3)), Cluster((0, 1, 2, 3))
+        eps = delta(k, l)
+        with overlap_path(path):
+            assert build_net([l, k], eps).members == (l,)
+            assert build_net([k, l], eps).members == (k,)
+            assert len(build_net([l, k], np.nextafter(eps, 0))) == 2
+
+    def test_prefix_length_is_conservative_under_rounding(self):
+        # every pair of sizes a <= b sharing s ids, at epsilon equal to its own
+        # delta (as _delta rounds it) and one ulp above: the shared ids reach into
+        # the smaller's short prefix and the larger's long one (and so into both
+        # long ones), so the pair is a candidate
+        for b in range(1, 41):
+            for a in range(1, b + 1):
+                sizes = np.array([a, b])
+                for s in range(1, a + 1):
+                    eps = float(metric._delta(s / np.sqrt(a * float(b))))
+                    for e in (eps, np.nextafter(eps, 2.0)):
+                        if 0 < e < SQRT2:
+                            short, long = (metric._prefix(sizes, e, p) for p in (1, 2))
+                            assert s >= a - short[0] + 1 and s >= b - long[1] + 1, (a, b, s, e)
+                            assert (s >= sizes - long + 1).all(), (a, b, s, e)
+
+    def test_bit_counts_across_word_boundaries(self):
+        rng = np.random.default_rng(5)
+        clusters = [Cluster(np.sort(rng.choice(np.arange(lo, lo + span), size, replace=False)))
+                    for lo, span, size in zip(rng.integers(0, 200, 60), rng.integers(1, 150, 60),
+                                              rng.integers(1, 40, 60)) if size <= span]
+        table = ScanTable(clusters)
+        bits = metric._bits(table.indptr, table.concat)
+        i, j = np.triu_indices(len(clusters))
+        meet = (table.concat[table.indptr[:-1]][i] <= table.concat[table.indptr[1:] - 1][j]) & (
+            table.concat[table.indptr[:-1]][j] <= table.concat[table.indptr[1:] - 1][i])
+        i, j = i[meet], j[meet]
+        for eps in (0.3, 0.7, 1.2):
+            got = metric._within(bits, bits, i, j, eps)
+            assert got.tolist() == [delta(clusters[a], clusters[b]) <= eps for a, b in zip(i, j)]
 
     def test_tiny_epsilon_admits_all_distinct(self):
         stream = [Cluster((0, 1)), Cluster((1, 2)), Cluster((0, 1)), Cluster((2, 3))]
@@ -104,6 +162,19 @@ class TestBuildNet:
         a = build_net(enumerate_balls(lat, 2.5), 0.7)
         b = build_net(enumerate_balls(lat, 2.5), 0.7)
         assert [c.ids for c in a.members] == [c.ids for c in b.members]
+
+    @pytest.mark.parametrize("stream", [
+        list(enumerate_balls(make_lattice(3, 7), 1.6)),
+        list(enumerate_balls(rescale_lattice(make_lattice(2, 20)), 2.5 / 20)),
+        list(enumerate_balls(holed_lattice(20, 0.7, shuffle=False), 2.5)),
+        list(enumerate_balls(holed_lattice(20, 0.7, shuffle=True), 2.5)),
+    ], ids=["3-d lattice", "rescaled lattice", "holed lattice", "holed lattice, ids shuffled"])
+    @pytest.mark.parametrize("epsilon", [0.3, 0.5, 1.0])
+    def test_paths_agree_with_the_greedy_reference(self, stream, epsilon):
+        want = _greedy_reference(stream, epsilon)
+        for path in OVERLAP_PATHS:
+            with overlap_path(path):
+                assert list(build_net(stream, epsilon).members) == want, path
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
@@ -159,7 +230,7 @@ class TestVerifyCover:
     def test_overlap_paths_agree_bit_for_bit(self, stream):
         block, members = ScanTable(stream[:metric.NET_BLOCK]), ScanTable(stream[::3])
         runs = {}
-        for path in ("sparse", "dense", "dense, one node at a time"):
+        for path in OVERLAP_PATHS:
             with overlap_path(path):
                 net = build_net(stream, 0.5)
                 runs[path] = (block.overlaps(members.indptr, members.concat),
