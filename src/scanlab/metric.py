@@ -320,15 +320,16 @@ def build_net(stream: Iterable[Cluster], epsilon: float, family: str = "") -> Ep
             join = spare * work + BIT_COST * per_id * block.concat.size <= cost
         if join:
             own = _bits(block.indptr, block.concat)
-            prefixes = [_rows(block.indptr, block.concat, slice(None), p) for p in (short, long)]
+            shorts, longs = (_rows(block.indptr, block.concat, slice(None), prefix)
+                             for prefix in (short, long))
         ok = np.ones(len(block), dtype=bool)
         if members:  # a member that shares no node with a cluster is sqrt(2) from it
             near = np.flatnonzero((concat[indptr[1:] - 1] >= block.concat.min())
                                   & (concat[indptr[:-1]] < block.width))
             if join:  # the smaller cluster's short prefix meets the larger one's long one
                 size = np.diff(indptr)[near]
-                j1, i1 = _pairs(_rows(indptr, concat, near, _prefix(size, epsilon, 2)), prefixes[0])
-                j2, i2 = _pairs(_rows(indptr, concat, near, _prefix(size, epsilon, 1)), prefixes[1])
+                j1, i1 = _pairs(_rows(indptr, concat, near, _prefix(size, epsilon, 2)), shorts)
+                j2, i2 = _pairs(_rows(indptr, concat, near, _prefix(size, epsilon, 1)), longs)
                 keep1, keep2 = size[j1] >= block.sizes[i1], size[j2] < block.sizes[i2]
                 j, i = np.append(j1[keep1], j2[keep2]), np.append(i1[keep1], i2[keep2])
                 near, j = np.unique(near[j], return_inverse=True)  # the candidates
@@ -338,7 +339,7 @@ def build_net(stream: Iterable[Cluster], epsilon: float, family: str = "") -> Ep
                 ratios = block.overlaps(*rows) if near.size else sp.csr_array((1, len(block)))
                 ok = _nearest(ratios, 0) > epsilon
         if join:
-            i, j = _pairs(prefixes[1], prefixes[0])  # and so i is no smaller than j
+            i, j = _pairs(longs, shorts)  # a candidate iff i is no smaller than j
             size_i, size_j = block.sizes[i], block.sizes[j]
             keep = (size_i > size_j) | ((size_i == size_j) & (i < j))
             i, j = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
