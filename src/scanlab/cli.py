@@ -195,7 +195,7 @@ def _cmd_enumerate(args) -> int:
     net = network.load_nodeset(args.net)
     row, params, meta = family_args(args.family, vars(args),
                                     lambda key: flag(key, FAMILY_FLAGS[key]))
-    clusters = list(row.stream(net, params, meta, args.seed))
+    clusters = cl.ClusterStream(list(cl.blocks(row.stream(net, params, meta, args.seed))))
     if "budget" in meta:  # the family samples paths, keyed by the seed
         meta["seed"] = args.seed
     with _open_out(args.out) as fh:
@@ -243,12 +243,14 @@ def _test_spec(args, net) -> sim.TestSpec:
         return spec()
     if args.clusters is None:
         raise ConfigError(f"--statistic {args.statistic} requires --clusters")
-    members, meta = cl.load_clusters(args.clusters)
-    bad = [int(c.idarray[-1]) for c in members if c.idarray[-1] >= net.m]
-    if bad:
-        raise ConfigError(f"cluster file {args.clusters}: node id {bad[0]} outside 0..{net.m - 1}")
+    clusters, meta = cl.load_clusters(args.clusters)
+    table = metric.ScanTable.of(clusters)
+    last = table.concat[table.indptr[1:] - 1]
+    if (last >= net.m).any():
+        raise ConfigError(f"cluster file {args.clusters}: node id {last[last >= net.m][0]} "
+                          f"outside 0..{net.m - 1}")
     epsilon = float(meta.get("epsilon", 0.0))
-    return spec(metric.EpsNet(epsilon, tuple(members), meta.get("family", "")))
+    return spec(metric.EpsNet(epsilon, table, meta.get("family", "")))
 
 
 def _cmd_calibrate(args) -> int:

@@ -1,10 +1,13 @@
 """Cluster families: balls, thick blobs, thin tubes, bands, and animals.
 
-Every generator yields Cluster objects over a fixed NodeSet, deduplicated as
-id sets, in a deterministic canonical order.  Emitted sizes are capped at
-ceil(m/4) by default (clusters comparable to the whole network are the
-average test's job, not the scan's); generators accept a `size_cap` override
-for small toy grids where the default would swallow legitimate members.
+Every generator returns a ClusterStream over a fixed NodeSet: checked CSR
+blocks (indptr, ids), deduplicated as id sets, in a deterministic canonical
+order.  Iterating a stream gives each row as a read-only Cluster view, made
+on access; build_net and write_clusters read the blocks.  Emitted sizes are
+capped at ceil(m/4) by default (clusters comparable to the whole network are
+the average test's job, not the scan's); generators accept a `size_cap`
+override for small toy grids where the default would swallow legitimate
+members.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ ANIMALS = "animals"
 PATH_MODES = ("nondecreasing", "self-avoiding")
 BAND_CHUNK = 256  # sampled paths whose bands one node_at call finds
 LINE_CELLS = 1 << 15  # (center, node) pairs one pass of enumerate_thick_shapes tests
+BLOCK = 256  # clusters given one at a time that one CSR block holds
 ID_MAX = np.iinfo(np.int32).max  # node ids are below network.MAX_NODES = 2**26
 
 
@@ -77,6 +81,102 @@ class Cluster:
 EMPTY_CLUSTER = Cluster(())
 
 
+def _frozen(ids: np.ndarray) -> np.ndarray:
+    """A read-only view of ids."""
+    ids = ids.view()
+    ids.flags.writeable = False
+    return ids
+
+
+def _view(ids: np.ndarray) -> Cluster:
+    """A Cluster over checked read-only int32 ids, without the constructor's copy and checks."""
+    view = object.__new__(Cluster)
+    object.__setattr__(view, "idarray", ids)
+    return view
+
+
+def _problem(indptr: np.ndarray, ids: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a CSR incidence (rows nonempty) that Cluster would refuse,
+    and Cluster's words for it; None if there is none."""
+    down = ids[1:] <= ids[:-1]
+    down[indptr[1:-1] - 1] = False  # the pairs across rows
+    bad = (ids < 0) | (ids > ID_MAX)  # in a row whose ids increase, also its first or last
+    bad[1:] |= down
+    if not bad.any():
+        return None
+    row = int(np.searchsorted(indptr, np.argmax(bad), "right")) - 1
+    lo, hi = indptr[row], indptr[row + 1]
+    if np.count_nonzero(down[lo : hi - 1]):
+        return row, "cluster ids must be strictly increasing"
+    if ids[lo] < 0:
+        return row, f"node id {ids[lo]} is negative"
+    return row, f"node id {ids[hi - 1]} is above {ID_MAX}"
+
+
+def _indptr(sizes) -> np.ndarray:
+    """A CSR incidence's row offsets from its row sizes."""
+    indptr = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
+
+
+def _rows(indptr, ids, keep, sizes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `keep` of a CSR incidence, or their first `sizes` ids, as a CSR incidence."""
+    sizes = np.diff(indptr)[keep] if sizes is None else sizes
+    starts = _indptr(sizes)
+    return starts, ids[np.repeat(indptr[:-1][keep] - starts[:-1], sizes) + np.arange(starts[-1])]
+
+
+class ClusterStream:
+    """A cluster stream as checked CSR blocks (indptr, ids): row i of a block is
+    ids[indptr[i]:indptr[i + 1]], strictly increasing read-only int32 ids.
+
+    `blocks()` gives the blocks; iterating gives each row as a read-only Cluster
+    view.  Like a generator, a stream made from an iterator is read once."""
+
+    def __init__(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]]):
+        self._blocks, self._rows = blocks, None
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return iter(self._blocks)
+
+    def _clusters(self) -> Iterator[Cluster]:
+        for indptr, ids in self.blocks():
+            for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+                yield _view(ids[lo:hi])
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> Cluster:
+        self._rows = self._rows or self._clusters()
+        return next(self._rows)
+
+
+def _join(blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    """CSR blocks as one."""
+    if len(blocks) == 1:
+        return blocks[0]
+    sizes = [np.diff(indptr) for indptr, _ in blocks] or [np.zeros(0, np.int64)]
+    ids = [ids for _, ids in blocks] or [EMPTY_CLUSTER.idarray]
+    return _indptr(np.concatenate(sizes)), np.concatenate(ids)
+
+
+def _chunks(rows: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Rows given one id array each, BLOCK at a time, as CSR incidences."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, BLOCK)):
+        yield _indptr([len(r) for r in chunk]), np.concatenate(chunk)
+
+
+def blocks(stream: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A stream's CSR blocks: a ClusterStream's own, else its clusters BLOCK at a
+    time, the one way from Clusters to an incidence.  Empty clusters are empty rows."""
+    if isinstance(stream, ClusterStream):
+        return stream.blocks()
+    return _chunks(c.idarray for c in stream)
+
+
 def cluster_from_ids(ids: Iterable[int]) -> Cluster:
     return Cluster(np.unique(np.fromiter(ids, np.int64)))
 
@@ -85,16 +185,73 @@ def default_size_cap(m: int) -> int:
     return max(1, -(-m // 4))
 
 
-def _emit(raw: Iterator, m: int, size_cap: int | None) -> Iterator[Cluster]:
-    """Shared stream postprocessing: drop empties/oversize, dedup as id sets."""
+def _keys(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """A 64-bit key per nonempty row that equal rows share: its id sum, mixed
+    with its first and last id."""
+    ends = ids[indptr[1:] - 1].astype(np.uint64) << np.uint64(32)
+    ends |= ids[indptr[:-1]].astype(np.uint64)
+    return np.add.reduceat(ids, indptr[:-1], dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ ends
+
+
+def _same(a, i: np.ndarray, b, j: np.ndarray) -> np.ndarray:
+    """Whether row i[k] of CSR incidence a holds the ids of row j[k] of b (rows nonempty)."""
+    n = np.diff(a[0])[i]
+    same = n == np.diff(b[0])[j]
+    if same.any():
+        differ = _rows(*a, i[same])[1] != _rows(*b, j[same])[1]
+        same[same] = np.add.reduceat(differ, np.cumsum(n[same]) - n[same]) == 0
+    return same
+
+
+def _emit(raw: Iterable, m: int, size_cap: int | None) -> ClusterStream:
+    """The shared stream postprocessing, once per raw CSR block, vectorized: drop
+    empty and oversized rows, check the rest as Cluster does, and drop each row
+    equal as an id set to an earlier row of the stream, so the first occurrence
+    wins.  Rows meet only where their `_keys` do, and are then compared id by id:
+    with the rows emitted before, then with the first row of the block under the
+    same key, and again among those that differ from it."""
     cap = default_size_cap(m) if size_cap is None else size_cap
-    seen: set[bytes] = set()
-    for ids in raw:
-        if 0 < len(ids) <= cap:
-            cluster = Cluster(ids)
-            if (key := cluster.idarray.tobytes()) not in seen:
-                seen.add(key)
-                yield cluster
+
+    def emitted():
+        keys, at = np.zeros(0, np.uint64), np.zeros(0, np.int64)  # sorted, and their rows
+        done, first = [], [0]  # the blocks emitted, and each one's first row in the stream
+        for block in raw:
+            keep = (np.diff(block[0]) > 0) & (np.diff(block[0]) <= cap)
+            if not keep.any():
+                continue
+            block = block if keep.all() else _rows(*block, keep)
+            if problem := _problem(*block):
+                raise ValueError(problem[1])
+            block = block[0], block[1].astype(np.int32, copy=False)
+            key, new = _keys(*block), np.ones(len(block[0]) - 1, dtype=bool)
+            lo, hi = keys.searchsorted(key), keys.searchsorted(key, "right")
+            if (hi > lo).any():  # each such row against every row emitted under its key
+                row = np.repeat(np.arange(key.size), hi - lo)
+                ends = np.cumsum(hi - lo)
+                old = at[np.repeat(lo - ends + hi - lo, hi - lo) + np.arange(ends[-1])]
+                owner = np.searchsorted(first, old, "right") - 1
+                for b in np.unique(owner):
+                    i, j = row[owner == b], old[owner == b] - first[b]
+                    new[i[_same(block, i, done[b], j)]] = False
+            todo = np.flatnonzero(new)
+            while todo.size:
+                todo = todo[np.argsort(key[todo], kind="stable")]
+                lead = todo[key[todo].searchsorted(key[todo])]
+                i, j = todo[todo != lead], lead[todo != lead]
+                same = _same(block, i, block, j) if i.size else i.astype(bool)
+                new[i[same]], todo = False, i[~same]
+            if new.any():
+                block = _rows(*block, new) if not new.all() else block
+                block = block[0], _frozen(block[1])
+                order = np.argsort(key[new], kind="stable")
+                where = keys.searchsorted(key[new][order])
+                keys = np.insert(keys, where, key[new][order])
+                at = np.insert(at, where, first[-1] + order)
+                done.append(block)
+                first.append(first[-1] + len(order))
+                yield block
+
+    return ClusterStream(emitted())
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +262,7 @@ def enumerate_balls(net: NodeSet, lam: float, size_cap: int | None = None):
     """One open ball of radius lam per node center, deduplicated."""
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    return _emit((ball_ids(net, x, lam) for x in net.coords), net.m, size_cap)
+    return _emit(_chunks(ball_ids(net, x, lam) for x in net.coords), net.m, size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +396,9 @@ def _domain_extent(net: NodeSet) -> float:
     return 1.0 if net.mode == EUCLIDEAN else float(net.side - 1)
 
 
-def enumerate_thick_shapes(
-    net: NodeSet, params: ThickParams
-) -> Iterator[tuple[ShapeSpec, np.ndarray]]:
-    """(shape, raw member ids) pairs over the scale/center/template grid, center-major."""
+def _thick_lines(net: NodeSet, params: ThickParams):
+    """(templates, head, axis, raw block) per line of centers head + (a,), a in axis,
+    over the scale grid; the block's rows go center-major, then by template."""
     d = net.dim
     extent = _domain_extent(net)
     for lam in _scale_grid(params.lam_lo, params.lam_hi):
@@ -252,42 +408,52 @@ def enumerate_thick_shapes(
         shapes = thick_templates(d, lam, params.kappa, params.shapes, net.mode)
         templates = [make_shape(k, (0.0,) * d, a, params.kappa, net.mode) for k, a in shapes]
         for head in itertools.product(axis, repeat=d - 1) if templates else ():
-            yield from _line_shapes(net, templates, head, axis)
+            yield templates, head, axis, _line_shapes(net, templates, head, axis)
+
+
+def enumerate_thick_shapes(
+    net: NodeSet, params: ThickParams
+) -> Iterator[tuple[ShapeSpec, np.ndarray]]:
+    """(shape, raw member ids) pairs over the scale/center/template grid, center-major."""
+    for templates, head, axis, (indptr, ids) in _thick_lines(net, params):
+        rows = np.split(ids, indptr[1:-1])
+        for (a, t), members in zip(itertools.product(axis, templates), rows):
+            yield ShapeSpec(t.kind, head + (a,), t.half_axes, t.lam), members
 
 
 def _line_shapes(net: NodeSet, templates, head: tuple, axis: list):
-    """The shapes centered at head + (a,) for a in axis, and their members.  These
-    centers share a slab of `near` (for d = 1, over their span) that holds every
-    member.  Each node's fixed-coordinate terms are combined once, then with its
-    last term per center within a half axis, LINE_CELLS (center, node) pairs at
+    """The members of the shapes centered at head + (a,) for a in axis, as a CSR
+    incidence, center-major and then by template.  These centers share a slab of
+    `near` (for d = 1, over their span) that holds every member.  Each node's
+    fixed-coordinate terms are combined once, then with its last term per center
+    and template within the largest half axis, LINE_CELLS (center, node) pairs at
     a time, in the order member_ids combines them, so the ids are the same."""
     lo, hi = (head[0], head[0]) if head else (axis[0], axis[-1])
     ids, rows = net.near(((lo + hi) / 2,) * net.dim, max(t.lam for t in templates) + (hi - lo) / 2)
     order = np.argsort(ids)  # then each center's members come out in id order
-    ids, last, fixed = ids[order], rows[-1, order], rows[:-1, order] - np.reshape(head, (-1, 1))
+    ids, last = ids[order].astype(np.int32), rows[-1, order]
+    fixed = rows[:-1, order] - np.reshape(head, (-1, 1))
     norms = []
     for t in templates:
         term, combine = _norm(t.kind, net.mode)
         scaled = fixed / np.reshape(t.half_axes[:-1], (-1, 1))
         fixed_norm = combine.reduce(term(scaled), axis=0, initial=0.0)
         norms.append((term, combine, t.half_axes[-1], fixed_norm))
-    step = max(1, LINE_CELLS // max(ids.size, 1))
+    step, sizes, parts = max(1, LINE_CELLS // max(ids.size, 1)), [], []
+    reach = max(h for _, _, h, _ in norms)
     for k in range(0, len(axis), step):
-        centers, parts = np.array(axis[k : k + step]), []
-        for term, combine, h, fixed_norm in norms:
-            pad = h + 1e-9 * (h + centers[-1])  # no blob holds a node farther out
-            near = np.flatnonzero((last > centers[0] - pad) & (last < centers[-1] + pad))
-            inside = combine(fixed_norm[near], term((last[near] - centers[:, None]) / h)) < 1.0
-            cuts = np.cumsum(np.count_nonzero(inside, axis=1))[:-1]
-            parts.append(np.split(np.tile(ids[near], len(centers))[inside.ravel()], cuts))
-        for j, a in enumerate(axis[k : k + step]):
-            for t, members in zip(templates, parts):
-                yield ShapeSpec(t.kind, head + (a,), t.half_axes, t.lam), members[j]
+        centers = np.array(axis[k : k + step])
+        pad = reach + 1e-9 * (reach + centers[-1])  # no blob holds a node farther out
+        near = np.flatnonzero((last > centers[0] - pad) & (last < centers[-1] + pad))
+        inside = np.stack([combine(fixed_norm[near], term((last[near] - centers[:, None]) / h))
+                           < 1.0 for term, combine, h, fixed_norm in norms], axis=1)
+        sizes.append(np.count_nonzero(inside, axis=2).ravel())
+        parts.append(np.tile(ids[near], len(centers) * len(norms))[inside.ravel()])
+    return _indptr(np.concatenate(sizes)), np.concatenate(parts)
 
 
 def enumerate_thick(net: NodeSet, params: ThickParams, size_cap: int | None = None):
-    raw = (ids for _, ids in enumerate_thick_shapes(net, params))
-    return _emit(raw, net.m, size_cap)
+    return _emit((block for *_, block in _thick_lines(net, params)), net.m, size_cap)
 
 
 def sample_thick_shape(
@@ -444,8 +610,7 @@ def enumerate_tube_curves(net: NodeSet, params: ThinParams):
 
 
 def enumerate_tubes(net: NodeSet, params: ThinParams, size_cap: int | None = None):
-    raw = (ids for _, ids in enumerate_tube_curves(net, params))
-    return _emit(raw, net.m, size_cap)
+    return _emit(_chunks(ids for _, ids in enumerate_tube_curves(net, params)), net.m, size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +638,14 @@ def _l1_offsets(d: int, width: int) -> np.ndarray:
     return box[np.abs(box).sum(axis=1) < width]
 
 
-def _path_band_ids(net: NodeSet, paths: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+def _path_band_ids(net: NodeSet, paths: np.ndarray, offsets: np.ndarray):
     """For each path of `paths` (n, length+1, d), the sorted nodes at a path point
-    plus one of the `offsets`: with _l1_offsets(d, h), those within open l1 distance h."""
+    plus one of the `offsets` (with _l1_offsets(d, h), those within open l1
+    distance h), as a CSR incidence."""
     ids = np.sort(net.node_at(paths[:, :, None] + offsets).reshape(len(paths), -1), axis=1)
     keep = ids >= 0
     keep[:, 1:] &= ids[:, 1:] != ids[:, :-1]
-    return [row[k] for row, k in zip(ids, keep)]
+    return _indptr(np.count_nonzero(keep, axis=1)), ids[keep]
 
 
 def _nondecreasing_path(net: NodeSet, steps) -> np.ndarray | None:
@@ -547,7 +713,7 @@ def enumerate_bands(
 
     sampled = paths()
     chunks = iter(lambda: list(itertools.islice(sampled, BAND_CHUNK)), [])
-    raw = (ids for chunk in chunks for ids in _path_band_ids(net, np.array(chunk), offsets))
+    raw = (_path_band_ids(net, np.array(chunk), offsets) for chunk in chunks)
     return _emit(raw, net.m, size_cap)
 
 
@@ -615,7 +781,7 @@ def enumerate_animals(net: NodeSet, k_max: int, size_cap: int | None = None):
             init = [u for u in adj[root] if u > root]
             yield from extensions(root, [root], init, {root} | set(init))
 
-    return _emit(raw(), net.m, size_cap)
+    return _emit(_chunks(raw()), net.m, size_cap)
 
 
 def sample_animal(net: NodeSet, k: int, seed: int) -> Cluster:
@@ -659,11 +825,15 @@ def read_headed(path) -> tuple[dict[str, str], list[tuple[int, str]]]:
     return meta, body
 
 
-def write_clusters(clusters: Iterable[Cluster], fh, meta: Mapping | None = None) -> None:
-    """One cluster per line (space-separated ids) under # key=value headers."""
-    fh.write("".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
-             + "".join(" ".join(["%d"] * c.size) % tuple(c.idarray.tolist()) + "\n"
-                       for c in clusters))
+def write_clusters(clusters: Iterable, fh, meta: Mapping | None = None) -> None:
+    """One cluster per line (space-separated ids) under # key=value headers, from
+    the stream's CSR rows."""
+    lines = [f"# {key}={value}\n" for key, value in (meta or {}).items()]
+    for indptr, ids in blocks(clusters):
+        words = ids.tolist()
+        lines += [" ".join(["%d"] * (hi - lo)) % tuple(words[lo:hi]) + "\n"
+                  for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    fh.write("".join(lines))
 
 
 def save_clusters(clusters: Iterable[Cluster], path, meta: dict | None = None) -> None:
@@ -679,22 +849,23 @@ def parse_cluster(text: str) -> Cluster:
         raise ValueError(f"a node id is above {ID_MAX}") from None
 
 
-def load_clusters(path) -> tuple[list[Cluster], dict[str, str]]:
-    """A cluster file's clusters and header; a bad line is a ValueError naming path:line."""
+def load_clusters(path) -> tuple[ClusterStream, dict[str, str]]:
+    """A cluster file's clusters, as one checked CSR block, and its header; the
+    first bad line is a ValueError naming path:line."""
     meta, body = read_headed(path)
     tokens = [line.split() for _, line in body]
-    ends = list(itertools.accumulate(map(len, tokens)))
     try:  # all ids at once, cut into clusters by the per-line counts
         ids = np.fromiter(itertools.chain.from_iterable(tokens), np.int64)
-    except (ValueError, OverflowError):
-        ids = None  # a token is no int64: parse_cluster finds and words the first bad line
-    clusters = []
-    for (lineno, line), start, end in zip(body, [0] + ends, ends):
-        try:
-            clusters.append(parse_cluster(line) if ids is None else Cluster(ids[start:end]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return clusters, meta
+    except (ValueError, OverflowError):  # a token is no int64: parse_cluster words the line
+        for lineno, line in body:
+            try:
+                parse_cluster(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    indptr = _indptr([len(t) for t in tokens])
+    if problem := _problem(indptr, ids):
+        raise ValueError(f"{path}:{body[problem[0]][0]}: {problem[1]}")
+    return ClusterStream([(indptr, _frozen(ids.astype(np.int32)))]), meta
 
 
 class Family(NamedTuple):
@@ -702,7 +873,7 @@ class Family(NamedTuple):
 
     keys: tuple[str, ...]  # its parameters, also its scan.* config keys
     params: Callable[[Mapping], object]  # their values -> its parameter record
-    stream: Callable[..., Iterator[Cluster]]  # (net, record, values, seed) -> clusters
+    stream: Callable[..., ClusterStream]  # (net, record, values, seed) -> clusters
     truth: Callable[[NodeSet, object, int], Cluster] | None = None  # (net, record, seed)
 
 

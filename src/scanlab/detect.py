@@ -64,7 +64,7 @@ class TestResult:
 
 def scan(field: Field, clusters: Iterable[Cluster], model: NoiseModel) -> TestResult:
     """Maximum standardized sum over the stream, with the first argmax."""
-    return _table_scan(field, ScanTable(clusters), model)
+    return _table_scan(field, ScanTable.of(clusters), model)
 
 
 def eps_scan(field: Field, net: EpsNet, model: NoiseModel) -> TestResult:
@@ -76,7 +76,7 @@ def _table_scan(field: Field, table: ScanTable, model: NoiseModel) -> TestResult
     if not field.static:
         raise ValueError("scan takes a static field; see scan_spacetime_cylinders")
     (stat,), (j,) = table.max_scores(field.values, model)
-    return TestResult(statistic=float(stat), argmax=table.members[j], argmax_index=int(j))
+    return TestResult(statistic=float(stat), argmax=table[j], argmax_index=int(j))
 
 
 def average_statistics(values: np.ndarray, model: NoiseModel) -> np.ndarray:
@@ -174,7 +174,7 @@ def multiscale_test(
     return TestResult(
         statistic=float(excess[0]),
         threshold=0.0,
-        argmax=tables[row[0]].members[j[0]],
+        argmax=tables[row[0]][j[0]],
         argmax_index=int(j[0]),
         per_scale=tuple(
             ScaleDetail(s, float(stats[i, 0]), float(taus[i]), len(tables[i]))

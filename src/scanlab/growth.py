@@ -300,13 +300,13 @@ def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
     """cylinder_statistics of one field, reduced to its time groups, with
     its argmax cluster and window; a net is scored through the table kept
     with it."""
-    table = base.table if isinstance(base, EpsNet) else ScanTable(base)
+    table = base.table if isinstance(base, EpsNet) else ScanTable.of(base)
     groups = time_groups(field.t_m + 1)
     stats, j, window = cylinder_statistics(group_sums(field.values, groups)[None], table,
                                            model, groups)
     return TestResult(
         statistic=float(stats[0]),
-        argmax=table.members[j[0]],
+        argmax=table[j[0]],
         argmax_index=int(j[0]),
         argmax_window=int(window[0]),
     )

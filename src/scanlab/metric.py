@@ -3,16 +3,18 @@ covering verification.
 
 The dissimilarity is delta(K, L) = sqrt(2) * (1 - |K∩L| / sqrt(|K||L|))**0.5,
 which lives in [0, sqrt(2)]: 0 exactly for equal sets, sqrt(2) for disjoint
-ones.  A ScanTable is a cluster x node incidence: its sparse product with a
-block of field rows sums every member in every row (by running sums, two
-terms per run of consecutive ids, where cheaper).  Overlaps between two
-incidences are counted by a sparse product, or a dense one where denser.
-Nets are built greedily, as a minimal covering is NP-hard: a cluster is
-admitted iff it is more than epsilon away from every member admitted so far.
-The result is an epsilon-packing, hence covers everything it scanned;
-verify_cover certifies covering against any stream.  Where it pays, build_net
-counts only the pairs that can lie within epsilon, those whose prefixes
-(`_prefix`) share an id, by popcounts of ANDed 64-bit words (`_within`).
+ones.  A ScanTable is a cluster x node incidence, one CSR array pair: its
+sparse product with a block of field rows sums every member in every row (by
+running sums, two terms per run of consecutive ids, where cheaper).  Overlaps
+between two incidences are counted by a sparse product, or a dense one where
+denser.  Nets are built greedily, as a minimal covering is NP-hard: a cluster
+is admitted iff it is more than epsilon away from every member admitted so
+far.  build_net reads a stream's CSR blocks and keeps its members as one
+incidence, which is the net's table.  The result is an epsilon-packing, hence
+covers everything it scanned; verify_cover certifies covering against any
+stream.  Where it pays, build_net counts only the pairs that can lie within
+epsilon, those whose prefixes (`_prefix`) share an id, by popcounts of ANDed
+64-bit words (`_within`).
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .clusters import Cluster
+from .clusters import Cluster, ClusterStream, _frozen, _join, _view, blocks, _rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -89,31 +90,52 @@ class Rows:
         return prefix
 
 
-class ScanTable:
-    """A cluster stream as an int32 CSR incidence: build once, score many fields.
+class ScanTable(ClusterStream):
+    """A cluster stream as one int32 CSR incidence (indptr, concat) of nonempty
+    checked rows: build once, score many fields.
 
-    Member j's ids are concat[indptr[j]:indptr[j + 1]].  The one scoring
-    kernel, `member_sums_temporal`, sums a member in a row by its indicator
-    (value by value, in id order) or, iff 2 runs + PREFIX_COST * width < ids,
-    by its `runs` (P[b] - P[a] per maximal run [a, b) of consecutive ids, P
-    the row's running sums).  Either way a block sums as its rows do one at a
-    time, and integer-valued rows sum exactly.
+    Member j's ids are concat[indptr[j]:indptr[j + 1]], and table[j] is member j
+    as a read-only Cluster view, made on access.  ScanTable.of makes the table of
+    any cluster stream.  The one scoring kernel, `member_sums_temporal`, sums a
+    member in a row by its indicator (value by value, in id order) or, iff 2 runs
+    + PREFIX_COST * width < ids, by its `runs` (P[b] - P[a] per maximal run
+    [a, b) of consecutive ids, P the row's running sums).  Either way a block
+    sums as its rows do one at a time, and integer-valued rows sum exactly.
     """
 
-    def __init__(self, members: Iterable[Cluster]):
-        self.members = tuple(members)
-        if not self.members:
-            raise ValueError("empty cluster stream")
-        self.sizes = np.array([c.size for c in self.members], dtype=np.int64)
-        if not self.sizes.min():
+    def __init__(self, indptr: np.ndarray, concat: np.ndarray):
+        self.indptr = np.asarray(indptr, np.int32)
+        self.concat = _frozen(np.asarray(concat, np.int32))
+        self.sizes = np.diff(self.indptr).astype(np.int64)
+        self.width = int(self.concat.max(initial=-1)) + 1
+        super().__init__([(self.indptr, self.concat)])
+
+    @classmethod
+    def of(cls, clusters: Iterable) -> "ScanTable":
+        """The table of a stream's clusters, which must be nonempty."""
+        table = cls(*_join(list(blocks(clusters))))
+        if table.sizes.size and not table.sizes.min():
             raise ValueError("clusters must be nonempty")
-        self.indptr = np.zeros(len(self.sizes) + 1, dtype=np.int32)
-        np.cumsum(self.sizes, out=self.indptr[1:])
-        self.concat = np.concatenate([c.idarray for c in self.members])
-        self.width = int(self.concat.max()) + 1
+        return table
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.sizes)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(map(self.__getitem__, range(len(self))[j]))
+        j = range(len(self))[j]
+        return _view(self.concat[self.indptr[j] : self.indptr[j + 1]])
+
+    def __iter__(self) -> Iterator[Cluster]:
+        return self._clusters()
+
+    def __eq__(self, other) -> bool:  # the same clusters in the same order
+        return (isinstance(other, ScanTable) and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.concat, other.concat))
+
+    def __hash__(self) -> int:
+        return hash(self.concat.tobytes())
 
     def incidence(self, width: int) -> sp.csr_array:
         """The (members, width) 0/1 matrix; every id must lie below width."""
@@ -146,6 +168,8 @@ class ScanTable:
         depends on B; the product is fastest per row from about 16 rows up."""
         block = rows if isinstance(rows, Rows) else Rows(rows)
         m = block.rows.shape[1]
+        if not len(self):
+            raise ValueError("empty cluster stream")
         if m < self.width:
             raise ValueError(f"cluster id {self.width - 1} outside 0..{m - 1}")
         if self.encoded().runs is None:
@@ -204,26 +228,43 @@ class ScanTable:
 
 @dataclass(frozen=True)
 class EpsNet:
-    """Greedy packing at separation epsilon; members keep stream order."""
+    """Greedy packing at separation epsilon; members keep stream order.
+
+    `members` is the net's ScanTable, one incidence: members[j] is a read-only
+    Cluster view, made on access.  Any other cluster stream given is made one."""
 
     epsilon: float
-    members: tuple[Cluster, ...]
+    members: ScanTable
     family: str = ""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.members, ScanTable):
+            object.__setattr__(self, "members", ScanTable.of(self.members))
 
     def __len__(self) -> int:
         return len(self.members)
 
-    @cached_property
+    @property
     def table(self) -> ScanTable:
-        """The members' ScanTable, built on first use and kept with the net."""
-        return ScanTable(self.members)
+        return self.members
 
 
-def _blocks(stream: Iterable[Cluster]) -> Iterator[ScanTable]:
-    """The stream's nonempty clusters, NET_BLOCK at a time, as tables."""
-    it = (c for c in stream if c)
-    while block := list(islice(it, NET_BLOCK)):
-        yield ScanTable(block)
+def _tables(stream: Iterable) -> Iterator[ScanTable]:
+    """The stream's nonempty clusters as tables of at most NET_BLOCK rows: its CSR
+    blocks, joined while they fit and cut where they do not."""
+    parts, rows = [], 0
+    for indptr, ids in blocks(stream):
+        if (sizes := np.diff(indptr)).size and not sizes.min():
+            indptr, ids = _rows(indptr, ids, sizes > 0)
+        for lo in range(0, len(indptr) - 1, NET_BLOCK):
+            ptr = indptr[lo : lo + NET_BLOCK + 1]
+            if rows + len(ptr) - 1 > NET_BLOCK:
+                yield ScanTable(*_join(parts))
+                parts, rows = [], 0
+            parts.append((ptr - ptr[0], ids[ptr[0] : ptr[-1]]))
+            rows += len(ptr) - 1
+    if rows:
+        yield ScanTable(*_join(parts))
 
 
 def _delta(ratio):
@@ -243,13 +284,6 @@ def _prefix(sizes: np.ndarray, epsilon: float, power: int) -> np.ndarray:
     |K| - ceil(c**power |K|) + 1 (c**power less 1e-9: rounding drops no pair)."""
     c = (1.0 - epsilon * epsilon / 2) ** power
     return np.minimum(sizes - np.ceil((c - 1e-9) * sizes).astype(sizes.dtype) + 1, sizes)
-
-
-def _rows(indptr, concat, keep, sizes=None) -> tuple[np.ndarray, np.ndarray]:
-    """Rows `keep` of a CSR incidence, or their first `sizes` ids, as a CSR incidence."""
-    sizes = np.diff(indptr)[keep] if sizes is None else sizes
-    starts = np.append(0, np.cumsum(sizes))
-    return starts, concat[np.repeat(indptr[:-1][keep] - starts[:-1], sizes) + np.arange(starts[-1])]
 
 
 def _pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -289,23 +323,23 @@ def _within(a, b, i, j, epsilon: float) -> np.ndarray:
     return _delta(counts / np.sqrt(np.diff(a[0])[i] * np.diff(b[0])[j].astype(float))) <= epsilon
 
 
-def build_net(stream: Iterable[Cluster], epsilon: float, family: str = "") -> EpsNet:
+def build_net(stream: Iterable, epsilon: float, family: str = "") -> EpsNet:
     """Greedy epsilon-net in stream order: admit iff min delta > epsilon.
 
-    The members admitted so far are one CSR incidence, appended to.  A block of
-    the stream is checked against those whose id ranges meet its own, then
-    admitted in order against its own pairwise distances, so the net is the
-    one-by-one greedy net.  Both checks are a prefix join where it pays for
-    the second: only pairs sharing an id of their prefixes (`_prefix`) are
-    counted, by bits (`_within`); otherwise every overlap is counted by
-    ScanTable.overlaps.
+    The stream's CSR blocks are read NET_BLOCK clusters at a time (`_tables`).
+    The members admitted so far are one CSR incidence, appended to, and the net
+    keeps it as its table.  A block is checked against the members whose id
+    ranges meet its own, then admitted in order against its own pairwise
+    distances, so the net is the one-by-one greedy net.  Both checks are a
+    prefix join where it pays for the second: only pairs sharing an id of their
+    prefixes (`_prefix`) are counted, by bits (`_within`); otherwise every
+    overlap is counted by ScanTable.overlaps.
     """
     if not 0 < epsilon <= SQRT2:
         raise ValueError("epsilon must lie in (0, sqrt(2)]")
-    members: list[Cluster] = []  # the members so far, in stream order
-    # their ids as a CSR incidence: member j's are concat[indptr[j]:indptr[j + 1]]
+    # the members so far, in stream order: member j's ids are concat[indptr[j]:indptr[j + 1]]
     indptr, concat = np.zeros(1, np.int64), np.zeros(0, np.int32)
-    for block in _blocks(stream):
+    for block in _tables(stream):
         short, long = (_prefix(block.sizes, epsilon, power) for power in (1, 2))
         lo, hi = (block.concat[at] >> 6 for at in (block.indptr[:-1], block.indptr[1:] - 1))
         # a join's cost per multiply-add of the products it spares: its prefix products',
@@ -323,7 +357,7 @@ def build_net(stream: Iterable[Cluster], epsilon: float, family: str = "") -> Ep
             shorts, longs = (_rows(block.indptr, block.concat, slice(None), prefix)
                              for prefix in (short, long))
         ok = np.ones(len(block), dtype=bool)
-        if members:  # a member that shares no node with a cluster is sqrt(2) from it
+        if len(indptr) > 1:  # a member that shares no node with a cluster is sqrt(2) from it
             near = np.flatnonzero((concat[indptr[1:] - 1] >= block.concat.min())
                                   & (concat[indptr[:-1]] < block.width))
             if join:  # the smaller cluster's short prefix meets the larger one's long one
@@ -355,14 +389,13 @@ def build_net(stream: Iterable[Cluster], epsilon: float, family: str = "") -> Ep
                 if hit[i]:
                     ok &= ~close[i]
         if kept:
-            added = [block.members[i] for i in kept]
-            members += added
             start, indptr = indptr[-1], np.append(indptr, indptr[-1] + np.cumsum(block.sizes[kept]))
             if indptr[-1] > concat.size:  # grown at least twofold: each id is copied O(1) times
                 grown = np.empty(max(indptr[-1], 2 * concat.size), np.int32)
                 concat = np.concatenate([concat, grown])
-            concat[start : indptr[-1]] = np.concatenate([c.idarray for c in added])
-    return EpsNet(epsilon=epsilon, members=tuple(members), family=family)
+            concat[start : indptr[-1]] = _rows(block.indptr, block.concat, kept)[1]
+    table = ScanTable(indptr, concat[: indptr[-1]].copy() if concat.size > indptr[-1] else concat)
+    return EpsNet(epsilon=epsilon, members=table, family=family)
 
 
 @dataclass(frozen=True)
@@ -379,13 +412,13 @@ class CoverReport:
 
 def verify_cover(net: EpsNet, stream: Iterable[Cluster]) -> CoverReport:
     """max over the stream of min member distance, with the worst witness."""
-    if not net.members:
+    if not len(net):
         raise ValueError("cannot verify an empty net")
     worst, worst_dist, checked = None, -1.0, 0
-    for block in _blocks(stream):
+    for block in _tables(stream):
         checked += len(block)
         dist = _nearest(net.table.overlaps(block.indptr, block.concat), 1)
         j = int(np.argmax(dist))  # the first of the block's worst
         if dist[j] > worst_dist:
-            worst, worst_dist = block.members[j], float(dist[j])
+            worst, worst_dist = block[j], float(dist[j])
     return CoverReport(net.epsilon, max(worst_dist, 0.0), worst, checked)

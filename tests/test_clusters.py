@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,9 +37,11 @@ from scanlab.clusters import (
     save_clusters,
     write_clusters,
 )
+from scanlab import clusters as cl
 from scanlab.errors import CapacityError
-from scanlab.metric import ScanTable, delta
+from scanlab.metric import EpsNet, ScanTable, build_net, delta
 from scanlab.growth import richardson_grow
+from scanlab.models import noise_model
 from scanlab.network import (
     LATTICE,
     NodeSet,
@@ -562,7 +565,7 @@ def test_array_representation_matches_tuple_reference(subsets, data):
             assert delta(ka, kb) == want
     nonempty = [c for c in clusters if c]
     if nonempty:
-        table = ScanTable(nonempty)
+        table = ScanTable.of(nonempty)
         assert table.concat.tolist() == [i for c in nonempty for i in c.ids]
     stream = data.draw(st.lists(st.sampled_from(subsets), max_size=30))
     cap = data.draw(st.integers(1, 64))
@@ -571,8 +574,86 @@ def test_array_representation_matches_tuple_reference(subsets, data):
         if ids and len(ids) <= cap and ids not in seen:
             seen.add(ids)
             want.append(ids)
-    raw = (np.array(ids, dtype=np.int64) for ids in stream)
+    raw = ((np.array([0, len(ids)]), np.array(ids, dtype=np.int64)) for ids in stream)
     assert [c.ids for c in _emit(raw, 256, cap)] == want
+
+
+# rows that meet under _keys (equal id sums, first and last ids) yet differ
+MEETING = [(0, 2, 6, 8), (0, 3, 5, 8), (0, 1, 7, 8)]
+POOL = MEETING + [(1, 2, 3), (4,), (2, 3), (), tuple(range(40)), (5, 9)]
+
+
+def emit_reference(stream, cap):
+    seen, want = set(), []
+    for ids in stream:
+        if 0 < len(ids) <= cap and ids not in seen:
+            seen.add(ids)
+            want.append(ids)
+    return want
+
+
+def raw_blocks(stream, cuts):
+    """The stream's rows as CSR blocks, cut before each row number in cuts."""
+    ends = [0, *sorted(c for c in set(cuts) if 0 < c < len(stream)), len(stream)]
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        rows = stream[lo:hi]
+        yield (np.cumsum([0] + [len(r) for r in rows]),
+               np.array([i for r in rows for i in r], dtype=np.int64))
+
+
+def test_duplicates_across_blocks_are_dropped():
+    """A row repeats a row of an earlier block, of its own block, and of both;
+    two rows meet under _keys but differ.  The first occurrence wins."""
+    stream = [(1, 2, 3), (4,), (4,), MEETING[0], (1, 2, 3), MEETING[1], MEETING[0], (4,)]
+    got = cl._emit(raw_blocks(stream, [2, 6]), 64, None)
+    assert [c.ids for c in got] == [(1, 2, 3), (4,), MEETING[0], MEETING[1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(POOL), max_size=40), st.data())
+def test_dedup_is_exact_whatever_the_blocks_and_keys(stream, data):
+    """Any cut into blocks, with the real keys or with every row under one key,
+    gives the per-cluster reference; each emitted block is read-only."""
+    cuts = data.draw(st.lists(st.integers(0, 40), max_size=10))
+    cap = data.draw(st.sampled_from([1, 4, 64]))
+    keys = cl._keys if data.draw(st.booleans()) else (lambda indptr, ids: np.zeros(len(indptr) - 1, np.uint64))
+    with mock.patch.object(cl, "_keys", keys):
+        blocks = list(cl._emit(raw_blocks(stream, cuts), 64, cap).blocks())
+    assert [tuple(ids[lo:hi].tolist()) for indptr, ids in blocks
+            for lo, hi in zip(indptr[:-1], indptr[1:])] == emit_reference(stream, cap)
+    assert all(not ids.flags.writeable and ids.dtype == np.int32 for _, ids in blocks)
+
+
+def test_net_members_are_read_only_views_of_the_admitted_clusters():
+    stream = list(enumerate_balls(make_lattice(2, 9), 1.5))
+    net, admitted = build_net(stream, 1.0), []
+    for c in stream:  # the greedy net, one cluster at a time
+        if all(delta(c, k) > 1.0 for k in admitted):
+            admitted.append(c)
+    assert list(net.members) == admitted and len(net) == len(admitted) < len(stream)
+    for j, c in enumerate(admitted):
+        view = net.members[j]
+        assert view == c and view.idarray.dtype == np.int32 and not view.idarray.flags.writeable
+        assert np.shares_memory(view.idarray, net.table.concat)
+        with pytest.raises(ValueError):
+            view.idarray[0] = 0
+    assert net.members[-1] == admitted[-1] and net.members[1:3] == tuple(admitted[1:3])
+    assert EpsNet(1.0, admitted) == net and EpsNet(1.0, admitted).members is not net.members
+
+
+def test_tables_from_clusters_and_from_csr_score_alike():
+    net, params, model = make_lattice(2, 12), ThickParams(2.0, 4.0, kappa=2.0), noise_model("gaussian")
+    stream = list(enumerate_thick(net, params))
+    from_csr = ScanTable(np.cumsum([0] + [c.size for c in stream]),
+                         np.concatenate([c.idarray for c in stream]))
+    tables = [ScanTable.of(stream), from_csr, ScanTable.of(enumerate_thick(net, params))]
+    rows = np.random.default_rng(5).standard_normal((20, net.m))
+    want = tables[0].max_scores(rows, model)
+    for table in tables:
+        assert table == tables[0] and list(table) == stream
+        got = table.max_scores(rows, model)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(table.member_sums_temporal(rows), tables[0].member_sums_temporal(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +706,7 @@ def test_lattice_index_matches_coordinates(lattice, data):
     width = data.draw(st.integers(1, 3))
     points = st.lists(st.integers(0, net.side - 1), min_size=net.dim, max_size=net.dim)
     path = np.array(data.draw(st.lists(points, min_size=1, max_size=6)))
-    got = _path_band_ids(net, path[None], _l1_offsets(net.dim, width))[0]
+    got = _path_band_ids(net, path[None], _l1_offsets(net.dim, width))[1]
     assert got.tolist() == brute_band_ids(net.coords, path, width).tolist()
     x0 = data.draw(st.integers(0, net.m - 1))
     grown = richardson_grow(net, x0, 1.0, 0, 3, seed=0)

@@ -173,7 +173,7 @@ def test_both_encodings_match_plain_sums(drawn, model, n_rows, extra, seed):
     want = model.standardize(plain, np.array([c.size for c in members]))
     for prefix in (False, True):
         with encoding(prefix):
-            table = ScanTable(members).encoded()
+            table = ScanTable.of(members).encoded()
         assert (table.runs is not None) == prefix
         got = table.member_sums_temporal(rows)
         if model.family == "gaussian":
@@ -221,7 +221,7 @@ def test_permuted_ids_break_runs_not_statistics(tmp_path):
     shuffled = load_nodeset(tmp_path / "net.csv")
     net = build_net(enumerate_balls(shuffled, 5.0), 0.3)
     to_row_major = np.argsort(perm)
-    row_major = ScanTable(Cluster(np.sort(to_row_major[c.idarray])) for c in net.members)
+    row_major = ScanTable.of(Cluster(np.sort(to_row_major[c.idarray])) for c in net.members)
     assert net.table.encoded().runs is None and row_major.encoded().runs is not None
     for model in MODELS:
         rows = _draw(model, 9, (4, side * side))
@@ -353,7 +353,7 @@ def test_the_scorer_encodes_its_tables_before_blocks_run():
     """A Scorer's tables are encoded when it is made, so the threads of
     map_blocks only read them."""
     for kind, t_m in ((MultiscaleScanTest, 0), (EpsScanTest, 0), (CylinderScanTest, 4)):
-        nets = {s: EpsNet(net.epsilon, net.members) for s, net in PREFIX_NETS.items()}
+        nets = {s: EpsNet(net.epsilon, tuple(net.members)) for s, net in PREFIX_NETS.items()}
         used = list(nets.values()) if kind is MultiscaleScanTest else [nets[2]]
         spec = kind(nets) if kind is MultiscaleScanTest else kind(nets[2])
         assert not any("runs" in vars(net.table) for net in used)

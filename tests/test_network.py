@@ -484,6 +484,70 @@ def test_thick_enumeration_computes_one_line_at_a_time():
     assert near.call_count == lines
 
 
+def emit_reference(rows, m, size_cap):
+    """Cluster streams' postprocessing one cluster at a time: drop empty and
+    oversized rows, and each row equal as an id set to an earlier one."""
+    cap = -(-m // 4) if size_cap is None else size_cap
+    seen, out = set(), []
+    for ids in rows:
+        if 0 < len(ids) <= cap and ids not in seen:
+            seen.add(ids)
+            out.append(ids)
+    return out
+
+
+def flat_rows(blocks):
+    """Each row of CSR blocks as a tuple of ids."""
+    return [tuple(ids[lo:hi].tolist()) for indptr, ids in blocks
+            for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+
+
+def family_values(net, data):
+    """A cluster family that the node set admits and parameter values for it."""
+    names = ["balls", "thick"] + (["bands", "animals"] if net.mode == LATTICE else [])
+    names += ["tubes"] if net.mode == EUCLIDEAN and net.dim == 2 else []
+    name, extent = data.draw(st.sampled_from(names)), _domain_extent(net) or 1.0
+    lam = extent * data.draw(st.floats(0.05, 0.6))
+    ell = data.draw(st.integers(1, min(5, net.side or 1)))
+    return name, {
+        "balls": {"lambda": lam},
+        "thick": {"lambda_lo": lam, "lambda_hi": lam * data.draw(st.sampled_from([1, 2])),
+                  "kappa": data.draw(st.sampled_from([1.0, 1.5, 2.0])),
+                  "grid_eps": data.draw(st.sampled_from([0.25, 0.5, 1.0]))},
+        "tubes": {"r": data.draw(st.sampled_from([0.2, 0.25])), "alpha": 1.0, "kappa": 1.0,
+                  "n_control": data.draw(st.integers(2, 3))},
+        "bands": {"ell": ell, "h": data.draw(st.integers(1, ell)), "budget": 30,
+                  "path_mode": data.draw(st.sampled_from(clusters.PATH_MODES))},
+        "animals": {"kmax": data.draw(st.integers(1, 3))},
+    }[name]
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_sets(), st.data())
+def test_block_streams_match_the_per_cluster_reference(net, data):
+    """Every family's CSR block stream, flattened row by row, is its raw rows
+    through emit_reference, with blocks cut small enough that duplicates fall in
+    other blocks than their first occurrence; every block is checked CSR."""
+    name, values = family_values(net, data)
+    values["size_cap"] = data.draw(st.sampled_from([None, 1, 5, net.m]))
+    row = clusters.FAMILIES[name]
+    raw, emit = [], clusters._emit
+
+    def spy(blocks, m, size_cap):
+        raw.extend(blocks)
+        return emit(iter(raw), m, size_cap)
+
+    small = {"BLOCK": data.draw(st.sampled_from([1, 3, 256])),
+             "LINE_CELLS": data.draw(st.sampled_from([1, 7, 1 << 15])),
+             "BAND_CHUNK": data.draw(st.sampled_from([1, 4, 256]))}
+    with mock.patch.multiple(clusters, _emit=spy, **small):
+        blocks = list(row.stream(net, row.params(values), values, 3).blocks())
+    assert flat_rows(blocks) == emit_reference(flat_rows(raw), net.m, values["size_cap"])
+    for indptr, ids in blocks:
+        assert ids.dtype == np.int32 and not ids.flags.writeable and indptr[0] == 0
+        assert len(indptr) > 1 and (np.diff(indptr) > 0).all() and indptr[-1] == ids.size
+
+
 class TestBadQueries:
     NET = rescale_lattice(make_lattice(2, 8))
 
