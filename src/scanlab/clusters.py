@@ -30,8 +30,8 @@ BANDS = "bands"
 ANIMALS = "animals"
 PATH_MODES = ("nondecreasing", "self-avoiding")
 BAND_CHUNK = 256  # sampled paths whose bands one node_at call finds
-LINE_CELLS = 1 << 15  # (center, node) pairs one pass of enumerate_thick_shapes tests
-BLOCK = 256  # clusters given one at a time that one CSR block holds
+LINE_CELLS = 1 << 15  # (center, node) pairs one pass of _line_shapes tests
+BLOCK = 512  # clusters given one at a time that one CSR block holds, as metric.NET_BLOCK
 ID_MAX = np.iinfo(np.int32).max  # node ids are below network.MAX_NODES = 2**26
 
 
@@ -185,71 +185,28 @@ def default_size_cap(m: int) -> int:
     return max(1, -(-m // 4))
 
 
-def _keys(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """A 64-bit key per nonempty row that equal rows share: its id sum, mixed
-    with its first and last id."""
-    ends = ids[indptr[1:] - 1].astype(np.uint64) << np.uint64(32)
-    ends |= ids[indptr[:-1]].astype(np.uint64)
-    return np.add.reduceat(ids, indptr[:-1], dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ ends
-
-
-def _same(a, i: np.ndarray, b, j: np.ndarray) -> np.ndarray:
-    """Whether row i[k] of CSR incidence a holds the ids of row j[k] of b (rows nonempty)."""
-    n = np.diff(a[0])[i]
-    same = n == np.diff(b[0])[j]
-    if same.any():
-        differ = _rows(*a, i[same])[1] != _rows(*b, j[same])[1]
-        same[same] = np.add.reduceat(differ, np.cumsum(n[same]) - n[same]) == 0
-    return same
-
-
 def _emit(raw: Iterable, m: int, size_cap: int | None) -> ClusterStream:
-    """The shared stream postprocessing, once per raw CSR block, vectorized: drop
-    empty and oversized rows, check the rest as Cluster does, and drop each row
-    equal as an id set to an earlier row of the stream, so the first occurrence
-    wins.  Rows meet only where their `_keys` do, and are then compared id by id:
-    with the rows emitted before, then with the first row of the block under the
-    same key, and again among those that differ from it."""
+    """The shared stream postprocessing, once per raw CSR block: drop empty and
+    oversized rows, check the rest as Cluster does, and drop each row equal as
+    an id set to an earlier row of the stream, so the first occurrence wins.
+    Rows are compared exactly, as the bytes of their int32 ids, in one set."""
     cap = default_size_cap(m) if size_cap is None else size_cap
 
     def emitted():
-        keys, at = np.zeros(0, np.uint64), np.zeros(0, np.int64)  # sorted, and their rows
-        done, first = [], [0]  # the blocks emitted, and each one's first row in the stream
-        for block in raw:
-            keep = (np.diff(block[0]) > 0) & (np.diff(block[0]) <= cap)
-            if not keep.any():
-                continue
-            block = block if keep.all() else _rows(*block, keep)
-            if problem := _problem(*block):
+        seen: set[bytes] = set()  # the rows emitted so far
+        for indptr, ids in raw:
+            sizes = np.diff(indptr)
+            keep = (sizes > 0) & (sizes <= cap)
+            indptr, ids = (indptr, ids) if keep.all() else _rows(indptr, ids, keep)
+            if problem := _problem(indptr, ids):
                 raise ValueError(problem[1])
-            block = block[0], block[1].astype(np.int32, copy=False)
-            key, new = _keys(*block), np.ones(len(block[0]) - 1, dtype=bool)
-            lo, hi = keys.searchsorted(key), keys.searchsorted(key, "right")
-            if (hi > lo).any():  # each such row against every row emitted under its key
-                row = np.repeat(np.arange(key.size), hi - lo)
-                ends = np.cumsum(hi - lo)
-                old = at[np.repeat(lo - ends + hi - lo, hi - lo) + np.arange(ends[-1])]
-                owner = np.searchsorted(first, old, "right") - 1
-                for b in np.unique(owner):
-                    i, j = row[owner == b], old[owner == b] - first[b]
-                    new[i[_same(block, i, done[b], j)]] = False
-            todo = np.flatnonzero(new)
-            while todo.size:
-                todo = todo[np.argsort(key[todo], kind="stable")]
-                lead = todo[key[todo].searchsorted(key[todo])]
-                i, j = todo[todo != lead], lead[todo != lead]
-                same = _same(block, i, block, j) if i.size else i.astype(bool)
-                new[i[same]], todo = False, i[~same]
+            ids, at = ids.astype(np.int32, copy=False), (4 * indptr).tolist()
+            words = ids.tobytes()
+            new = np.array([(row := words[lo:hi]) not in seen and not seen.add(row)
+                            for lo, hi in zip(at[:-1], at[1:])], dtype=bool)
             if new.any():
-                block = _rows(*block, new) if not new.all() else block
-                block = block[0], _frozen(block[1])
-                order = np.argsort(key[new], kind="stable")
-                where = keys.searchsorted(key[new][order])
-                keys = np.insert(keys, where, key[new][order])
-                at = np.insert(at, where, first[-1] + order)
-                done.append(block)
-                first.append(first[-1] + len(order))
-                yield block
+                indptr, ids = (indptr, ids) if new.all() else _rows(indptr, ids, new)
+                yield indptr, _frozen(ids)
 
     return ClusterStream(emitted())
 

@@ -3,7 +3,6 @@ import io
 import itertools
 import math
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -578,7 +577,7 @@ def test_array_representation_matches_tuple_reference(subsets, data):
     assert [c.ids for c in _emit(raw, 256, cap)] == want
 
 
-# rows that meet under _keys (equal id sums, first and last ids) yet differ
+# rows of equal sizes, id sums, first and last ids that differ
 MEETING = [(0, 2, 6, 8), (0, 3, 5, 8), (0, 1, 7, 8)]
 POOL = MEETING + [(1, 2, 3), (4,), (2, 3), (), tuple(range(40)), (5, 9)]
 
@@ -603,7 +602,7 @@ def raw_blocks(stream, cuts):
 
 def test_duplicates_across_blocks_are_dropped():
     """A row repeats a row of an earlier block, of its own block, and of both;
-    two rows meet under _keys but differ.  The first occurrence wins."""
+    two rows of equal sizes, sums and ends differ.  The first occurrence wins."""
     stream = [(1, 2, 3), (4,), (4,), MEETING[0], (1, 2, 3), MEETING[1], MEETING[0], (4,)]
     got = cl._emit(raw_blocks(stream, [2, 6]), 64, None)
     assert [c.ids for c in got] == [(1, 2, 3), (4,), MEETING[0], MEETING[1]]
@@ -611,14 +610,12 @@ def test_duplicates_across_blocks_are_dropped():
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(POOL), max_size=40), st.data())
-def test_dedup_is_exact_whatever_the_blocks_and_keys(stream, data):
-    """Any cut into blocks, with the real keys or with every row under one key,
-    gives the per-cluster reference; each emitted block is read-only."""
+def test_dedup_is_exact_whatever_the_blocks(stream, data):
+    """Any cut into blocks gives the per-cluster reference; each emitted block
+    is read-only."""
     cuts = data.draw(st.lists(st.integers(0, 40), max_size=10))
     cap = data.draw(st.sampled_from([1, 4, 64]))
-    keys = cl._keys if data.draw(st.booleans()) else (lambda indptr, ids: np.zeros(len(indptr) - 1, np.uint64))
-    with mock.patch.object(cl, "_keys", keys):
-        blocks = list(cl._emit(raw_blocks(stream, cuts), 64, cap).blocks())
+    blocks = list(cl._emit(raw_blocks(stream, cuts), 64, cap).blocks())
     assert [tuple(ids[lo:hi].tolist()) for indptr, ids in blocks
             for lo, hi in zip(indptr[:-1], indptr[1:])] == emit_reference(stream, cap)
     assert all(not ids.flags.writeable and ids.dtype == np.int32 for _, ids in blocks)
