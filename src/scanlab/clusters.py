@@ -132,7 +132,8 @@ class ClusterStream:
     ids[indptr[i]:indptr[i + 1]], strictly increasing read-only int32 ids.
 
     `blocks()` gives the blocks; iterating gives each row as a read-only Cluster
-    view.  Like a generator, a stream made from an iterator is read once."""
+    view, afresh each time when the blocks are a collection and, like a
+    generator, once when they are an iterator."""
 
     def __init__(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]]):
         self._blocks, self._rows = blocks, None
@@ -145,8 +146,8 @@ class ClusterStream:
             for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
                 yield _view(ids[lo:hi])
 
-    def __iter__(self):
-        return self
+    def __iter__(self) -> Iterator[Cluster]:
+        return self if iter(self._blocks) is self._blocks else self._clusters()
 
     def __next__(self) -> Cluster:
         self._rows = self._rows or self._clusters()

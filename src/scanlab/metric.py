@@ -130,9 +130,6 @@ class ScanTable(ClusterStream):
         j = range(len(self))[j]
         return _view(self.concat[self.indptr[j] : self.indptr[j + 1]])
 
-    def __iter__(self) -> Iterator[Cluster]:
-        return self._clusters()
-
     def __eq__(self, other) -> bool:  # the same clusters in the same order
         return (isinstance(other, ScanTable) and np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.concat, other.concat))

@@ -621,6 +621,18 @@ def test_dedup_is_exact_whatever_the_blocks(stream, data):
     assert all(not ids.flags.writeable and ids.dtype == np.int32 for _, ids in blocks)
 
 
+def test_streams_over_collections_iterate_afresh(tmp_path):
+    """A stream over a list of blocks, such as a loaded file, iterates afresh;
+    one over an iterator, such as an enumerator's, is read once."""
+    path = tmp_path / "c.txt"
+    path.write_text("1 2 3\n4 5\n")
+    loaded, _ = load_clusters(path)
+    assert [c.ids for c in loaded] == [c.ids for c in loaded] == [(1, 2, 3), (4, 5)]
+    stream = enumerate_balls(make_lattice(2, 4), 1.5)
+    assert next(stream).ids == (0, 1, 4)
+    assert len(list(stream)) == 11 and list(stream) == []
+
+
 def test_net_members_are_read_only_views_of_the_admitted_clusters():
     stream = list(enumerate_balls(make_lattice(2, 9), 1.5))
     net, admitted = build_net(stream, 1.0), []
