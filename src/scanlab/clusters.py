@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errors import CapacityError
-from .network import EUCLIDEAN, LATTICE, NodeSet, ball_ids
+from .network import EUCLIDEAN, LATTICE, NodeSet, _check_lattice_size, ball_ids
 from .rng import derive_seed, rng_from_seed
 
 BALLS = "balls"
@@ -29,7 +29,7 @@ TUBES = "tubes"
 BANDS = "bands"
 ANIMALS = "animals"
 PATH_MODES = ("nondecreasing", "self-avoiding")
-BAND_CHUNK = 256  # sampled paths whose bands one node_at call finds
+BAND_CHUNK = 256  # paths walked or drawn in one round at most, whose bands one gather finds
 LINE_CELLS = 1 << 15  # (center, node) pairs one pass of _line_shapes tests
 BLOCK = 512  # clusters given one at a time that one CSR block holds, as metric.NET_BLOCK
 ID_MAX = np.iinfo(np.int32).max  # node ids are below network.MAX_NODES = 2**26
@@ -596,27 +596,47 @@ def _l1_offsets(d: int, width: int) -> np.ndarray:
     return box[np.abs(box).sum(axis=1) < width]
 
 
-def _path_band_ids(net: NodeSet, paths: np.ndarray, offsets: np.ndarray):
+def _padded_grid(net: NodeSet, pad: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """net.grid as int32 padded by `pad` cells of -1, flat; the flat step of a unit
+    move along each axis; and the flat index of point 0: x is at origin + x @ steps."""
+    _check_lattice_size(net.dim, net.side + 2 * pad)
+    grid = np.pad(net.grid.astype(np.int32), pad, constant_values=-1)
+    steps = np.array(grid.strides) // grid.itemsize
+    return grid.ravel(), steps, pad * int(steps.sum())
+
+
+def _path_band_ids(net: NodeSet, paths: np.ndarray, offsets: np.ndarray, padded=None):
     """For each path of `paths` (n, length+1, d), the sorted nodes at a path point
     plus one of the `offsets` (with _l1_offsets(d, h), those within open l1
-    distance h), as a CSR incidence."""
-    ids = np.sort(net.node_at(paths[:, :, None] + offsets).reshape(len(paths), -1), axis=1)
+    distance h), as a CSR incidence, gathered by flat index from `padded`:
+    _padded_grid(net, pad) for a pad of h - 1 or more."""
+    grid, steps, origin = padded or _padded_grid(net, int(np.abs(offsets).max(initial=0)))
+    flat = (paths @ steps + origin)[:, :, None] + offsets @ steps
+    ids = np.sort(grid[flat].reshape(len(paths), -1), axis=1)
     keep = ids >= 0
     keep[:, 1:] &= ids[:, 1:] != ids[:, :-1]
     return _indptr(np.count_nonzero(keep, axis=1)), ids[keep]
 
 
-def _nondecreasing_path(net: NodeSet, steps) -> np.ndarray | None:
-    """Origin-anchored path from a step direction sequence; None if it exits."""
-    side, d = net.side, net.dim
-    pos = np.zeros(d, dtype=np.int64)
-    out = [pos.copy()]
-    for axis in steps:
-        pos[axis] += 1
-        if pos[axis] > side - 1:
-            return None
-        out.append(pos.copy())
-    return np.array(out)
+def _self_avoiding_walks(net: NodeSet, padded, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The growth walks (n, length+1) of node ids that rows of uniforms u (n, length+1)
+    give, and which were never trapped (a trapped walk stays put), on `padded`, a
+    _padded_grid(net, pad) with pad >= 1.  Walk r starts at node floor(u[r, 0] * m),
+    and step s takes free neighbour floor(u[r, s] * k) of its k free ones (not yet
+    visited), counted in the row-major order of their points."""
+    grid, steps, origin = padded
+    moves = np.sort(np.concatenate([-steps, steps]))  # the neighbours in row-major order
+    flat = np.empty(u.shape, dtype=np.int64)
+    flat[:, 0] = net.coords[(u[:, 0] * net.m).astype(np.int64)] @ steps + origin
+    kept = np.ones(len(u), dtype=bool)
+    for s in range(1, u.shape[1]):
+        near = flat[:, s - 1, None] + moves
+        free = (grid[near] >= 0) & (near[:, :, None] != flat[:, None, :s]).all(axis=2)
+        k = np.count_nonzero(free, axis=1)
+        pick = np.argmax(np.cumsum(free, axis=1) > (u[:, s] * k).astype(np.int64)[:, None], axis=1)
+        kept &= k > 0
+        flat[:, s] = np.where(kept, near[np.arange(len(u)), pick], flat[:, s - 1])
+    return grid[flat], kept
 
 
 def enumerate_bands(
@@ -630,64 +650,54 @@ def enumerate_bands(
     """Bands B(path, h) over nondecreasing or self-avoiding lattice paths.
 
     Nondecreasing mode with d=2 and length <= 20 is exhausted (2**length step
-    sequences) if `exhaust`; anything else draws `budget` distinct paths.
-    Sampling is uniform over step sequences, not over bands.
+    sequences, in itertools.product order) if `exhaust`.  Otherwise paths are drawn
+    until `budget` (at least 1) distinct ones are found or max(50 * budget, 1000)
+    draws are spent: uniform step sequences from the origin that stay on the grid
+    (uniform over step sequences, not over bands), or untrapped growth walks
+    (Rosenbluth & Rosenbluth 1955; _self_avoiding_walks).  Draw r reads row r of
+    the seed's step rows or uniforms, whatever the round size BAND_CHUNK.
     """
     if net.mode != LATTICE:
         raise ValueError("bands are defined on lattices")
     if params.length > net.side:
         raise ValueError("need side >= length (m**(1/d) >= ell)")
-    d = net.dim
-    offsets = _l1_offsets(d, params.width)
+    d, length = net.dim, params.length
+    nondecreasing = params.path_mode == "nondecreasing"
+    exhausted = exhaust and nondecreasing and d == 2 and length <= 20
+    if budget < 1 and not exhausted:
+        raise ValueError(f"need a budget of at least 1 path to sample, got {budget}")
+    # a pad of h covers the band offsets (h - 1) and the walks' moves (1)
+    offsets, padded = _l1_offsets(d, params.width), _padded_grid(net, params.width)
 
-    def paths():
-        if exhaust and params.path_mode == "nondecreasing" and d == 2 and params.length <= 20:
-            for steps in itertools.product(range(d), repeat=params.length):
-                path = _nondecreasing_path(net, steps)
-                if path is not None:
-                    yield path
+    def walk(steps):  # the nondecreasing paths of step axis rows, and which stay on the grid
+        paths = np.zeros((len(steps), length + 1, d), dtype=np.int64)
+        np.cumsum(np.eye(d, dtype=np.int64)[steps], axis=1, out=paths[:, 1:])
+        return paths, (paths[:, -1] < net.side).all(axis=1)
+
+    def drawn():
+        if exhausted:  # the step sequences are the bits of their index, first step highest
+            for lo in range(0, 2**length, BAND_CHUNK):
+                index = np.arange(lo, min(lo + BAND_CHUNK, 2**length))
+                paths, ok = walk((index[:, None] >> np.arange(length - 1, -1, -1)) & 1)
+                yield paths[ok]
             return
-        rng = rng_from_seed(seed)
-        seen_paths: set[tuple] = set()
-        attempts = 0
-        max_attempts = max(50 * budget, 1000)
-        while len(seen_paths) < budget and attempts < max_attempts:
-            attempts += 1
-            if params.path_mode == "nondecreasing":
-                steps = tuple(rng.integers(0, d, size=params.length).tolist())
-                if steps in seen_paths:
-                    continue
-                path = _nondecreasing_path(net, steps)
-                if path is None:
-                    continue
-                seen_paths.add(steps)
-                yield path
+        rng, seen, attempts, max_attempts = rng_from_seed(seed), set(), 0, max(50 * budget, 1000)
+        while len(seen) < budget and attempts < max_attempts:
+            need = budget - len(seen)  # and a margin for the draws that are refused
+            n = min(BAND_CHUNK, max_attempts - attempts, need + need // 4 + 16)
+            attempts += n
+            if nondecreasing:
+                keys = rng.integers(0, d, size=(n, length))
+                paths, ok = walk(keys)
             else:
-                path_ids = _sample_self_avoiding(net, params.length, rng)
-                if path_ids is None or path_ids in seen_paths:
-                    continue
-                seen_paths.add(path_ids)
-                yield net.coords[list(path_ids)]
+                keys, ok = _self_avoiding_walks(net, padded, rng.random((n, length + 1)))
+                paths = net.coords[keys]
+            new = [fine and len(seen) < budget and (key := row.tobytes()) not in seen
+                   and not seen.add(key) for fine, row in zip(ok.tolist(), keys)]
+            yield paths[np.array(new, dtype=bool)]
 
-    sampled = paths()
-    chunks = iter(lambda: list(itertools.islice(sampled, BAND_CHUNK)), [])
-    raw = (_path_band_ids(net, np.array(chunk), offsets) for chunk in chunks)
+    raw = (_path_band_ids(net, paths, offsets, padded) for paths in drawn() if len(paths))
     return _emit(raw, net.m, size_cap)
-
-
-def _sample_self_avoiding(net: NodeSet, length: int, rng) -> tuple[int, ...] | None:
-    adj = net.neighbors
-    current = int(rng.integers(0, net.m))
-    visited = [current]
-    taken = {current}
-    for _ in range(length):
-        options = [u for u in adj[current] if u not in taken]
-        if not options:
-            return None
-        current = options[int(rng.integers(len(options)))]
-        visited.append(current)
-        taken.add(current)
-    return tuple(visited)
 
 
 def sample_band(net: NodeSet, params: BandParams, seed: int) -> Cluster:
@@ -863,7 +873,6 @@ FAMILIES = _Families({
                     lambda net, k, v, seed: enumerate_animals(net, k, v.get("size_cap")),
                     sample_animal),
 })
-
 
 def connectivity_check(net: NodeSet, cluster: Cluster) -> bool:
     """True iff the cluster is connected in the lattice graph."""

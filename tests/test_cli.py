@@ -851,6 +851,25 @@ n_null = 100
         assert "n_null" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_band_budget_below_1_exits_2(self, tmp_path, capsys, budget):
+        out = tmp_path / "bands.txt"
+        code = run(["enumerate", "--net", str(_lattice(tmp_path)), "--family", "bands",
+                    "--ell", "6", "--h", "2", "--path-mode", "self-avoiding",
+                    "--budget", budget, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"need a budget of at least 1 path to sample, got {budget}" in err
+        assert not out.exists()
+
+    def test_scan_budget_below_1_exits_2(self, tmp_path, capsys):
+        text = self.AVERAGE.replace("test = average", "test = eps-scan")
+        code, _ = self._sweep(tmp_path, text + "scan.family = bands\nscan.ell = 6\nscan.h = 2\n"
+                              "scan.path_mode = self-avoiding\nscan.budget = 0\n")
+        assert code == 2
+        assert "need a budget of at least 1 path to sample, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_fractional_node_set_metadata_exits_2(self, tmp_path, capsys):
         net = tmp_path / "net.csv"
         net.write_text('# {"mode": "lattice-l1", "d": 1.5, "m": 3, "side": 3.9}\n'

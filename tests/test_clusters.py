@@ -37,6 +37,7 @@ from scanlab.clusters import (
     write_clusters,
 )
 from scanlab import clusters as cl
+from scanlab import network
 from scanlab.errors import CapacityError
 from scanlab.metric import EpsNet, ScanTable, build_net, delta
 from scanlab.growth import richardson_grow
@@ -430,16 +431,18 @@ def reference_bands(net, params, budget, seed, size_cap=None, exhaust=True):
             out.append(pos.copy())
         return np.array(out)
 
-    def self_avoiding(rng):
-        current = int(rng.integers(0, net.m))
-        visited, taken = [current], {current}
-        for _ in range(params.length):
-            options = [u for u in net.neighbors[current] if u not in taken]
+    def self_avoiding(u):  # the growth walk that one row of uniforms gives, None if trapped
+        current = int(u[0] * net.m)
+        visited = [current]
+        for x in u[1:]:
+            point = net.coords[current]
+            near = [point - e for e in np.eye(d, dtype=np.int64)]
+            near += [point + e for e in np.eye(d, dtype=np.int64)[::-1]]  # row-major order
+            options = [v for v in map(int, net.node_at(near)) if v >= 0 and v not in visited]
             if not options:
                 return None
-            current = options[int(rng.integers(len(options)))]
+            current = options[int(x * len(options))]
             visited.append(current)
-            taken.add(current)
         return tuple(visited)
 
     def paths():
@@ -454,7 +457,7 @@ def reference_bands(net, params, budget, seed, size_cap=None, exhaust=True):
                 key = tuple(rng.integers(0, d, size=params.length).tolist())
                 path = None if key in seen else walk(key)
             else:
-                key = self_avoiding(rng)
+                key = self_avoiding(rng.random(params.length + 1))
                 path = None if key is None or key in seen else net.coords[list(key)]
             if path is not None:
                 seen.add(key)
@@ -524,6 +527,52 @@ class TestBandChunks:
         stream = set(reference_bands(net, params, 1, 0, size_cap=net.m))
         bands = {sample_band(net, params, seed).ids for seed in range(8)}
         assert len(bands) >= 2 and bands <= stream
+
+    @pytest.mark.parametrize("net, params, budget", [
+        pytest.param(make_lattice(2, 24), BandParams(10, 2, "self-avoiding"), 300,
+                     id="self-avoiding"),
+        pytest.param(holed_lattice(2, 16, 0.7, seed=9), BandParams(8, 2, "self-avoiding"), 120,
+                     id="holes-self-avoiding"),
+        pytest.param(make_lattice(2, 24), BandParams(22, 3, "nondecreasing"), 300,
+                     id="nondecreasing-sampled"),
+        pytest.param(make_lattice(2, 12), BandParams(8, 2, "nondecreasing"), 0,
+                     id="nondecreasing-exhausted"),
+    ])
+    def test_stream_does_not_depend_on_the_round_size(self, monkeypatch, net, params, budget):
+        want = [c.ids for c in enumerate_bands(net, params, budget, 6)]
+        for rows in (1, 10 * max(budget, 1)):
+            monkeypatch.setattr(cl, "BAND_CHUNK", rows)
+            assert [c.ids for c in enumerate_bands(net, params, budget, 6)] == want
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_sampling_needs_a_budget(self, budget):
+        net = make_lattice(2, 16)
+        for params, exhaust in ((BandParams(6, 2, "self-avoiding"), True),
+                                (BandParams(6, 2, "nondecreasing"), False),
+                                (BandParams(6, 2, "nondecreasing"), True)):
+            if exhaust and params.path_mode == "nondecreasing":  # nothing is sampled
+                assert len(list(enumerate_bands(net, params, budget, 0, exhaust=exhaust))) > 0
+                continue
+            with pytest.raises(ValueError, match=f"budget of at least 1 .*, got {budget}"):
+                enumerate_bands(net, params, budget, 0, exhaust=exhaust)
+
+    def test_padded_grid_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(network, "MAX_NODES", 100)  # the 8 x 8 grid padded by 2 has 144 points
+        with pytest.raises(CapacityError, match="lattice of 144 points exceeds the 100 node guard"):
+            enumerate_bands(make_lattice(2, 8), BandParams(6, 2), 0, 0)
+
+    @pytest.mark.parametrize("start, free", [((5, 6), 4), ((0, 0), 2), ((11, 0), 2)])
+    def test_first_steps_are_uniform_over_free_neighbours(self, start, free):
+        net, n = make_lattice(2, 12), 20_000
+        node = int(net.node_at(start))
+        u = rng_from_seed(31).random((n, 2))
+        u[:, 0] = (node + 0.5) / net.m  # every walk starts at `node`
+        walks, ok = cl._self_avoiding_walks(net, cl._padded_grid(net, 1), u)
+        assert ok.all() and (walks[:, 0] == node).all()
+        near, counts = np.unique(walks[:, 1], return_counts=True)
+        assert sorted(near.tolist()) == net.neighbors[node] and len(near) == free
+        p = 1 / free
+        assert np.abs(counts / n - p).max() < 4 * math.sqrt(p * (1 - p) / n)
 
 
 class TestClusterFiles:
@@ -730,6 +779,25 @@ def test_lattice_index_matches_coordinates(lattice, data):
     else:
         inside = {v: [u for u in adj[v] if u in animal.ids] for v in animal.ids}
         assert animal.size == k and graph_balls(inside, animal.ids[0], k)[-1] == animal.ids
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda holes: holed_lattices(holes))
+       .filter(lambda lattice: lattice[0].dim >= 2),
+       st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_self_avoiding_walks_step_over_nodes_without_repeats(lattice, length, seed):
+    # a walk that is kept takes `length` unit steps over nodes and visits none twice;
+    # one that is thrown away is such a walk up to a node whose neighbours are all taken
+    net, _ = lattice
+    u = rng_from_seed(seed).random((40, length + 1))
+    walks, ok = cl._self_avoiding_walks(net, cl._padded_grid(net, 1), u)
+    adj = brute_neighbors(net.coords)
+    for walk, kept in zip(walks.tolist(), ok.tolist()):
+        stop = len(walk) if kept else next(s for s in range(1, len(walk)) if walk[s] == walk[s - 1])
+        head = walk[:stop]
+        assert min(head) >= 0 and len(set(head)) == len(head)
+        assert all(b in adj[a] for a, b in zip(head, head[1:]))
+        assert kept or set(adj[head[-1]]) <= set(head)
 
 
 @settings(max_examples=60, deadline=None)
