@@ -196,8 +196,11 @@ def _cmd_enumerate(args) -> int:
     row, params, meta = family_args(args.family, vars(args),
                                     lambda key: flag(key, FAMILY_FLAGS[key]))
     clusters = cl.ClusterStream(list(cl.blocks(row.stream(net, params, meta, args.seed))))
-    if "budget" in meta:  # the family samples paths, keyed by the seed
-        meta["seed"] = args.seed
+    if "budget" in meta:  # bands: a budget and a seed head sampled paths only
+        if cl.exhausts(params, net.dim):
+            del meta["budget"]
+        else:
+            meta["seed"] = args.seed
     with _open_out(args.out) as fh:
         cl.write_clusters(clusters, fh, meta)
     return 0

@@ -590,6 +590,12 @@ class BandParams:
             raise ValueError(f"unknown path mode {self.path_mode!r}")
 
 
+def exhausts(params: BandParams, d: int) -> bool:
+    """Whether enumerate_bands lists every path of `params` on a d-dimensional
+    lattice rather than sampling them: nondecreasing paths, d = 2, at most 20 steps."""
+    return params.path_mode == "nondecreasing" and d == 2 and params.length <= 20
+
+
 def _l1_offsets(d: int, width: int) -> np.ndarray:
     """The integer vectors of l1 norm below `width`, shape (n, d)."""
     box = np.indices((2 * width - 1,) * d).reshape(d, -1).T - (width - 1)
@@ -649,13 +655,14 @@ def enumerate_bands(
 ):
     """Bands B(path, h) over nondecreasing or self-avoiding lattice paths.
 
-    Nondecreasing mode with d=2 and length <= 20 is exhausted (2**length step
-    sequences, in itertools.product order) if `exhaust`.  Otherwise paths are drawn
-    until `budget` (at least 1) distinct ones are found or max(50 * budget, 1000)
-    draws are spent: uniform step sequences from the origin that stay on the grid
-    (uniform over step sequences, not over bands), or untrapped growth walks
-    (Rosenbluth & Rosenbluth 1955; _self_avoiding_walks).  Draw r reads row r of
-    the seed's step rows or uniforms, whatever the round size BAND_CHUNK.
+    Where `exhaust` and exhausts(params, d), the 2**length step sequences are
+    listed, in itertools.product order.  Otherwise paths are drawn until
+    `budget` (at least 1) distinct ones are found or max(50 * budget, 1000)
+    draws are spent: uniform step sequences from the origin that stay on the
+    grid (uniform over step sequences, not over bands), or untrapped growth
+    walks (Rosenbluth & Rosenbluth 1955; _self_avoiding_walks).  Draw r reads
+    row r of the seed's step rows or uniforms, whatever the round size
+    BAND_CHUNK.
     """
     if net.mode != LATTICE:
         raise ValueError("bands are defined on lattices")
@@ -663,7 +670,7 @@ def enumerate_bands(
         raise ValueError("need side >= length (m**(1/d) >= ell)")
     d, length = net.dim, params.length
     nondecreasing = params.path_mode == "nondecreasing"
-    exhausted = exhaust and nondecreasing and d == 2 and length <= 20
+    exhausted = exhaust and exhausts(params, d)
     if budget < 1 and not exhausted:
         raise ValueError(f"need a budget of at least 1 path to sample, got {budget}")
     # a pad of h covers the band offsets (h - 1) and the walks' moves (1)
@@ -804,11 +811,6 @@ def write_clusters(clusters: Iterable, fh, meta: Mapping | None = None) -> None:
     fh.write("".join(lines))
 
 
-def save_clusters(clusters: Iterable[Cluster], path, meta: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        write_clusters(clusters, fh, meta)
-
-
 def parse_cluster(text: str) -> Cluster:
     """The cluster of a line of whitespace-separated ids."""
     try:
@@ -817,20 +819,49 @@ def parse_cluster(text: str) -> Cluster:
         raise ValueError(f"a node id is above {ID_MAX}") from None
 
 
+def _parsed_ids(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The number of ids on each line, and all of their ids, read by one
+    np.fromstring call over the lines' bytes, with every byte up to b" " a
+    separator.  None where a token is 19 bytes or longer (it could overflow
+    int64), np.fromstring stops short, or it reads another number of ids than
+    there are tokens: a lone sign reads as 0, or as the sign of the next token.
+    A last line "0" is read too, so that no such token goes unseen at the end."""
+    text = "\n".join(lines + ["0"]).encode()
+    buf = np.frombuffer(text, np.uint8)
+    edges = np.flatnonzero(np.diff(buf > 32, prepend=False, append=False))
+    starts = edges[::2]  # and edges[1::2] the ends
+    if (edges[1::2] - starts).max() > 18:
+        return None
+    try:
+        ids = np.fromstring(text, np.int64, sep=" ")
+    except ValueError:  # a token that is no integer
+        return None
+    if ids.size != starts.size:
+        return None
+    before = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))  # tokens before each newline
+    return np.diff(before, prepend=0), ids[:-1]
+
+
 def load_clusters(path) -> tuple[ClusterStream, dict[str, str]]:
     """A cluster file's clusters, as one checked CSR block, and its header; the
-    first bad line is a ValueError naming path:line."""
+    first bad line is a ValueError naming path:line.
+
+    The lines are split off in Python (read_headed) and their ids read by one
+    C call (_parsed_ids).  Where that call cannot vouch for its ids,
+    parse_cluster reads the file line by line: it words the first bad line,
+    and reads what np.fromstring does not (Python int syntax such as 1_000)."""
     meta, body = read_headed(path)
-    tokens = [line.split() for _, line in body]
-    try:  # all ids at once, cut into clusters by the per-line counts
-        ids = np.fromiter(itertools.chain.from_iterable(tokens), np.int64)
-    except (ValueError, OverflowError):  # a token is no int64: parse_cluster words the line
+    parsed = _parsed_ids([line for _, line in body])
+    if parsed is None:
+        rows = []
         for lineno, line in body:
             try:
-                parse_cluster(line)
+                rows.append(parse_cluster(line).idarray)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    indptr = _indptr([len(t) for t in tokens])
+        parsed = [row.size for row in rows], np.concatenate(rows)
+    sizes, ids = parsed
+    indptr = _indptr(sizes)
     if problem := _problem(indptr, ids):
         raise ValueError(f"{path}:{body[problem[0]][0]}: {problem[1]}")
     return ClusterStream([(indptr, _frozen(ids.astype(np.int32)))]), meta

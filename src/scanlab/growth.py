@@ -15,8 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clusters import (EMPTY_CLUSTER, Cluster, cluster_from_ids, holder_violation,
-                       parse_cluster, read_headed)
+from .clusters import EMPTY_CLUSTER, Cluster, cluster_from_ids, holder_violation
 from .detect import TestResult
 from .metric import SQRT2, EpsNet, ScanTable, delta
 from .models import Field, NoiseModel
@@ -318,30 +317,3 @@ def write_sequence(seq: ClusterSequence, fh, meta: dict | None = None) -> None:
         fh.write(f"# {key}={value}\n")
     for t, k in enumerate(seq.slices):
         fh.write(f"{t}: " + " ".join(map(str, k.idarray.tolist())) + "\n")
-
-
-def save_sequence(seq: ClusterSequence, path, meta: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        write_sequence(seq, fh, meta)
-
-
-def load_sequence(path) -> tuple[ClusterSequence, dict[str, str]]:
-    """A sequence file's slices and header; a bad line is a ValueError naming path:line."""
-    meta, body = read_headed(path)
-    slices: dict[int, Cluster] = {}
-    for lineno, line in body:
-        head, _, rest = line.partition(":")
-        try:
-            t = int(head)
-            if t < 0:
-                raise ValueError(f"time {t} is negative")
-            if t in slices:
-                raise ValueError(f"time {t} appears twice")
-            slices[t] = parse_cluster(rest)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not slices:
-        raise ValueError("empty sequence file")
-    t_m = max(slices)
-    ordered = tuple(slices.get(t, EMPTY_CLUSTER) for t in range(t_m + 1))
-    return ClusterSequence(ordered), meta

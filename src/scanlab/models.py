@@ -291,18 +291,12 @@ def standardized_sum(
     return float(model.standardize(total, sum(k.size for _, k in slices)))
 
 
-def save_field(field: Field, path) -> None:
-    """CSV `node,t,value`; the t column is present even in static mode."""
-    with open(path, "w") as fh:
-        fh.write("node,t,value\n")
-        for node in range(field.net.m):
-            for t in range(field.t_m + 1):
-                fh.write(f"{node},{t},{float(field.values[t, node])!r}\n")
-
-
 def load_field(net: NodeSet, path) -> Field:
     """Read a `node,t,value` CSV holding every (node, t) pair once.
 
+    The header line is checked here; np.loadtxt then reads the rest from the
+    path, in C chunks (given an open file, it would read one Python line at a
+    time), and the rows are checked on contiguous copies of the three columns.
     A row whose node id is outside 0..m-1, whose time is negative or whose
     value is not finite is a ValueError that names it; so are duplicate and
     missing pairs.
@@ -310,11 +304,11 @@ def load_field(net: NodeSet, path) -> Field:
     with open(path) as fh:
         if fh.readline().strip() != "node,t,value":
             raise ValueError("field file must have header node,t,value")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=1,
-                          dtype=[("node", np.int64), ("t", np.int64), ("value", float)])
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
+                      dtype=[("node", np.int64), ("t", np.int64), ("value", float)])
     if not rows.size:
         raise ValueError("field file has no rows")
-    node, t, value = rows["node"], rows["t"], rows["value"]
+    node, t, value = (rows[name].copy() for name in rows.dtype.names)
     out_of_range = (node < 0) | (node >= net.m) | (t < 0)
     for bad, problem in (
         (out_of_range, f"is out of range (node ids 0..{net.m - 1}, t >= 0)"),
@@ -327,10 +321,9 @@ def load_field(net: NodeSet, path) -> Field:
     if rows.size < (t_m + 1) * net.m:
         raise ValueError("field file is incomplete")
     flat = t * net.m + node
-    counts = np.bincount(flat)
-    if (counts > 1).any():
-        t_dup, node_dup = divmod(int(np.argmax(counts > 1)), net.m)
-        raise ValueError(f"field file has duplicate rows for node {node_dup}, t {t_dup}")
-    values = np.empty((t_m + 1) * net.m)
+    values = np.full((t_m + 1) * net.m, np.nan)
     values[flat] = value
+    if rows.size > values.size or np.isnan(values).any():  # more rows than pairs, or a pair missing
+        t_dup, node_dup = divmod(int(np.argmax(np.bincount(flat) > 1)), net.m)
+        raise ValueError(f"field file has duplicate rows for node {node_dup}, t {t_dup}")
     return Field(net=net, values=values.reshape(t_m + 1, net.m))

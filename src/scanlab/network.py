@@ -259,11 +259,6 @@ def write_nodeset(net: NodeSet, fh) -> None:
              + "".join(f"{','.join(row)}\n" for row in rows))
 
 
-def save_nodeset(net: NodeSet, path) -> None:
-    with open(path, "w") as fh:
-        write_nodeset(net, fh)
-
-
 def _positive_int(meta: dict, key: str) -> int:
     """meta[key] as an int; a ValueError names the key unless it is an integer >= 1."""
     value = meta[key]
@@ -276,30 +271,31 @@ def _positive_int(meta: dict, key: str) -> int:
 def load_nodeset(path) -> NodeSet:
     """Read a node set file; each row is placed by its `id` column.
 
-    The metadata line needs `mode` and `d`, and `side` in lattice mode; a
-    missing key, an unknown mode, or a `d`, `side` or `m` that is not an
-    integer >= 1 is a ValueError that names the key.  The ids must be 0..m-1,
-    each exactly once (m from the metadata line); an id out of range,
-    repeated or missing is a ValueError that names it.
+    The metadata line is checked here; np.loadtxt then reads the rows below
+    the column header from the path, in C chunks.  The metadata line needs
+    `mode` and `d`, and `side` in lattice mode; a missing key, an unknown
+    mode, or a `d`, `side` or `m` that is not an integer >= 1 is a ValueError
+    that names the key.  The ids must be 0..m-1, each exactly once (m from
+    the metadata line); an id out of range, repeated or missing is a
+    ValueError that names it.
     """
     with open(path) as fh:
         header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("node set file must start with a # metadata line")
-        meta = json.loads(header[1:].strip())
-        need = ("mode", "d", "side") if meta.get("mode") == LATTICE else ("mode", "d")
-        for key in need:
-            if key not in meta:
-                raise ValueError(f"node set file: the metadata line lacks {key!r}")
-        if meta["mode"] not in (LATTICE, EUCLIDEAN):
-            raise ValueError(f"node set file: unknown 'mode' {meta['mode']!r}; "
-                             f"known: {LATTICE!r}, {EUCLIDEAN!r}")
-        d = _positive_int(meta, "d")
-        side = _positive_int(meta, "side") if meta["mode"] == LATTICE else None
-        coord = np.int64 if meta["mode"] == LATTICE else float
-        fh.readline()  # column header
-        rows = np.loadtxt(fh, delimiter=",", ndmin=1,
-                          dtype=[("id", np.int64), ("x", coord, (d,))])
+    if not header.startswith("#"):
+        raise ValueError("node set file must start with a # metadata line")
+    meta = json.loads(header[1:].strip())
+    need = ("mode", "d", "side") if meta.get("mode") == LATTICE else ("mode", "d")
+    for key in need:
+        if key not in meta:
+            raise ValueError(f"node set file: the metadata line lacks {key!r}")
+    if meta["mode"] not in (LATTICE, EUCLIDEAN):
+        raise ValueError(f"node set file: unknown 'mode' {meta['mode']!r}; "
+                         f"known: {LATTICE!r}, {EUCLIDEAN!r}")
+    d = _positive_int(meta, "d")
+    side = _positive_int(meta, "side") if meta["mode"] == LATTICE else None
+    coord = np.int64 if meta["mode"] == LATTICE else float
+    rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=1,  # below the column header
+                      dtype=[("id", np.int64), ("x", coord, (d,))])
     ids = rows["id"]
     m = _positive_int(meta, "m") if "m" in meta else len(ids)
     outside = ids[(ids < 0) | (ids >= m)]

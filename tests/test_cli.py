@@ -131,7 +131,8 @@ class TestNetbuildCalibrateTest:
                     "--alpha", "0.05", "--b", "99", "--seed", "3",
                     "--out", str(calib)]) == 0
 
-        from scanlab.models import noise_model, sample_null, save_field
+        from file_helpers import save_field
+        from scanlab.models import noise_model, sample_null
         from scanlab.network import load_nodeset
 
         save_field(sample_null(load_nodeset(net), noise_model("gaussian"), 0, 42), field)
@@ -147,7 +148,8 @@ class TestNetbuildCalibrateTest:
     def test_test_requires_threshold_source(self, tmp_path, capsys):
         net = tmp_path / "net.csv"
         run(["net", "--mode", "lattice", "--d", "2", "--side", "4", "--out", str(net)])
-        from scanlab.models import noise_model, sample_null, save_field
+        from file_helpers import save_field
+        from scanlab.models import noise_model, sample_null
         from scanlab.network import load_nodeset
 
         field = tmp_path / "field.csv"
@@ -164,7 +166,7 @@ class TestGrow:
         run(["net", "--mode", "lattice", "--d", "2", "--side", "8", "--out", str(net)])
         assert run(["grow", "--net", str(net), "--kind", "richardson", "--x0", "36",
                     "--p", "1.0", "--tm", "3", "--seed", "1", "--out", str(seq)]) == 0
-        from scanlab.growth import load_sequence
+        from file_helpers import load_sequence
 
         loaded, meta = load_sequence(seq)
         assert meta["kind"] == "richardson"
@@ -173,7 +175,7 @@ class TestGrow:
     def test_every_kind(self, tmp_path):
         net = tmp_path / "net.csv"
         run(["net", "--mode", "lattice", "--d", "2", "--side", "8", "--out", str(net)])
-        from scanlab.growth import load_sequence
+        from file_helpers import load_sequence
 
         for kind, extra, sizes in (
             ("cylinder", ["--center", "4,4", "--r0", "1.5", "--t0", "1"], [0, 5, 5, 5, 5]),
@@ -231,7 +233,7 @@ class TestLatticeFiles:
             yield path, self._write(path, points, 6, seed=0)
 
     def test_richardson_at_p1_grows_graph_balls(self, tmp_path):
-        from scanlab.growth import load_sequence
+        from file_helpers import load_sequence
 
         for path, coords in self._files(tmp_path):
             out = tmp_path / "seq.txt"
@@ -437,7 +439,8 @@ def _lattice(tmp_path, side=8):
 
 
 def _null_field(tmp_path, net, t_m=0):
-    from scanlab.models import noise_model, sample_null, save_field
+    from file_helpers import save_field
+    from scanlab.models import noise_model, sample_null
     from scanlab.network import load_nodeset
 
     path = tmp_path / "field.csv"
@@ -479,6 +482,22 @@ class TestOneFamilyTable:
         want = FAMILIES[family].stream(load_nodeset(net), params, {"budget": budget}, 4)
         assert _body(out) == [" ".join(map(str, c.ids)) for c in want]
         assert f"# family={family}" in out.read_text()
+
+    @pytest.mark.parametrize("flags, head", [
+        # 2**8 nondecreasing step sequences, every one listed: no budget or seed is read
+        (["--path-mode", "nondecreasing", "--budget", "40", "--seed", "4"],
+         ["family=bands", "ell=8", "h=2", "path_mode=nondecreasing"]),
+        (["--path-mode", "self-avoiding", "--budget", "40", "--seed", "4"],
+         ["family=bands", "ell=8", "h=2", "path_mode=self-avoiding", "budget=40", "seed=4"]),
+    ])
+    def test_band_headers_name_a_budget_and_seed_only_where_paths_are_sampled(
+            self, tmp_path, flags, head):
+        out = tmp_path / "bands.txt"
+        assert run(["enumerate", "--net", str(_lattice(tmp_path, side=10)), "--family", "bands",
+                    "--ell", "8", "--h", "2", *flags, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line[2:] for line in lines if line.startswith("#")] == head
+        assert len(lines) > len(head)
 
     def test_family_choices_are_the_cluster_classes(self):
         parser = build_parser()

@@ -33,7 +33,6 @@ from scanlab.clusters import (
     sample_animal,
     sample_band,
     sample_thick_shape,
-    save_clusters,
     write_clusters,
 )
 from scanlab import clusters as cl
@@ -50,9 +49,10 @@ from scanlab.network import (
     load_nodeset,
     make_lattice,
     make_uniform_cloud,
-    save_nodeset,
 )
 from scanlab.rng import rng_from_seed
+
+from file_helpers import outcome, reference_load_clusters, save_clusters, save_nodeset
 
 
 def assert_stream_invariants(clusters, m):
@@ -252,6 +252,21 @@ class TestBands:
         bands = list(enumerate_bands(net, params, budget=0, seed=0))
         assert len(bands) == 4  # RR, RU, UR, UU
         assert all(c.size == 3 for c in bands)
+
+    def test_one_predicate_says_where_paths_are_listed(self):
+        assert cl.exhausts(BandParams(20, 2), 2)
+        assert not cl.exhausts(BandParams(21, 2), 2)
+        assert not cl.exhausts(BandParams(8, 2, "self-avoiding"), 2)
+        assert not cl.exhausts(BandParams(8, 2), 3)
+        # listed paths read neither the budget nor the seed; sampled ones read both
+        net = make_lattice(2, 12)
+        for params in (BandParams(8, 2), BandParams(8, 2, "self-avoiding")):
+            runs = [[c.ids for c in enumerate_bands(net, params, budget, seed)]
+                    for budget, seed in ((5, 0), (5, 1), (9, 0))]
+            if cl.exhausts(params, net.dim):
+                assert runs[0] == runs[1] == runs[2] and len(runs[0]) > 9
+            else:
+                assert runs[0] != runs[1] and [len(r) for r in runs] == [5, 5, 9]
 
     def test_length_one(self):
         net = make_lattice(2, 4)
@@ -813,3 +828,121 @@ def test_permuted_lattice_maps_row_major_results(lattice, data):
     grown = richardson_grow(row_major, x0, 1.0, 0, 3, seed=0)
     permuted = richardson_grow(net, int(to_id[x0]), 1.0, 0, 3, seed=0)
     assert [k.ids for k in permuted.slices] == [mapped(k) for k in grown.slices]
+
+
+# ---------------------------------------------------------------------------
+# load_clusters parses all of a file's ids in one C call; the reader it
+# replaced, one Python token list per line, is the reference for every outcome
+
+LINES = ["0 1 2", "3 17 250", "7", "4 5 6 9"]
+
+
+def _cluster_text(lines, newline="\n", final=True, header="# family=balls"):
+    return newline.join([header, *lines]) + (newline if final else "")
+
+
+def _with(line):
+    """LINES with its third line replaced."""
+    return _cluster_text(LINES[:2] + [line] + LINES[3:])
+
+
+CLUSTER_CASES = {
+    "plain": _cluster_text(LINES),
+    "crlf": _cluster_text(LINES, "\r\n"),
+    "cr": _cluster_text(LINES, "\r"),
+    "tabs-and-runs-of-spaces": _cluster_text(["0\t1  2", "3 \t 17\t\t250", "  7 ", "4\v5\f6 9"]),
+    "blank-and-comment-lines": _cluster_text(["", *LINES[:2], "   ", "# epsilon = 0.5", "\t",
+                                              "#", LINES[2], "# a note", LINES[3], ""]),
+    "no-final-newline": _cluster_text(LINES, final=False),
+    "one-row": _cluster_text(["5"]),
+    "one-row-no-newline": "5",
+    "empty-body": _cluster_text([]),
+    "empty-file": "",
+    "a-line-of-one-more-id": _with("7 8"),
+    "non-numeric": _with("1 x 2"),
+    "float": _with("1 2.0"),
+    "hex": _with("0x10"),
+    "lone-sign": _with("1 - 2"),  # np.fromstring reads "- 2" as one id
+    "double-sign": _with("1 +-2"),
+    "junk-on-the-last-line": _cluster_text(LINES + ["8 9x"], final=False),
+    "lone-sign-on-the-last-line": _cluster_text(LINES + ["8 -"], final=False),
+    "lone-sign-line": _with("-"),
+    "plus-sign": _with("+3 5"),
+    "leading-zeros": _with("007 08"),
+    "long-zero-padded": _with("00000000000000000000012 13"),
+    "python-int-syntax": _with("1_0 11"),
+    "non-ascii-digit": _with("٣ 5"),
+    "unit-separator": _with("1\x1c2"),
+    "no-break-space": _with("1\xa02"),
+    "nul": _with("1\x002"),
+    "above-int32": _with("1 2147483648"),
+    "int64-max": _with("1 9223372036854775807"),
+    "above-int64": _with("1 9223372036854775808"),
+    "far-above-int64": _with("1 99999999999999999999"),
+    "far-below-int64": _with("-99999999999999999999 1"),
+    "negative": _with("-4 0 9"),
+    "repeated": _with("2 5 5"),
+    "decreasing": _with("5 4"),
+    "bad-first-line-later-junk": _cluster_text(["5 4"] + LINES + ["1 y"]),
+}
+
+
+def _assert_same_clusters(path):
+    got, want = outcome(load_clusters, path), outcome(reference_load_clusters, path)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (stream, meta), (ref, ref_meta) = got, want
+    assert meta == ref_meta
+    [(indptr, ids)], [(ref_indptr, ref_ids)] = stream.blocks(), ref.blocks()
+    assert indptr.dtype == ref_indptr.dtype and np.array_equal(indptr, ref_indptr)
+    assert ids.dtype == ref_ids.dtype and np.array_equal(ids, ref_ids)
+    assert not ids.flags.writeable
+
+
+class TestClusterReader:
+    @pytest.mark.parametrize("name", CLUSTER_CASES)
+    def test_matches_the_token_list_reader(self, tmp_path, name):
+        path = tmp_path / "clusters.txt"
+        path.write_bytes(CLUSTER_CASES[name].encode())
+        _assert_same_clusters(path)
+
+    def test_a_band_net(self, tmp_path):
+        net = make_lattice(2, 32)
+        path = tmp_path / "bands.txt"
+        save_clusters(enumerate_bands(net, BandParams(12, 3, "self-avoiding"), 200, seed=4),
+                      path, meta={"family": "bands", "epsilon": 0.5})
+        _assert_same_clusters(path)
+
+
+ODD_TOKENS = ["+3", "-0", "007", "x", "2.0", "-", "+-2", "1_0", "٣", "9x", "2147483648",
+              "9223372036854775807", "9223372036854775808", "-99999999999999999999",
+              "00000000000000000000012"]
+
+
+@st.composite
+def cluster_files(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["ids", "ids", "ids", "header", "blank"]))
+        if kind == "header":
+            lines.append(draw(st.sampled_from(["# family=balls", "#", "# epsilon = 0.5", "# x"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t \t"])))
+        else:
+            tokens = [str(i) for i in sorted(draw(st.sets(st.integers(0, 60), min_size=1)))]
+            if draw(st.integers(0, 5)) == 0:
+                tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+            seps = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c"])
+            lines.append(draw(seps).join(tokens) if len(tokens) < 2 else "".join(
+                token + draw(seps) for token in tokens[:-1]) + tokens[-1])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cluster_files())
+def test_load_clusters_matches_the_token_list_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("clusters") / "clusters.txt"
+    path.write_bytes(text.encode())
+    _assert_same_clusters(path)

@@ -9,12 +9,10 @@ from scanlab.detect import ScanTable, eps_scan
 from scanlab.growth import (
     ClusterSequence,
     dyadic_windows,
-    load_sequence,
     make_cone,
     make_cylinder,
     make_holder_trajectory,
     richardson_grow,
-    save_sequence,
     scan_spacetime_cylinders,
     verify_bounded_variation,
     verify_limit_shape,
@@ -28,6 +26,8 @@ from scanlab.network import (
     rescale_lattice,
 )
 from scanlab.rng import derive_seed
+
+from file_helpers import load_sequence, save_sequence
 
 GAUSS = noise_model("gaussian")
 

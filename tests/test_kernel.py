@@ -37,7 +37,6 @@ from scanlab.network import (
     load_nodeset,
     make_lattice,
     rescale_lattice,
-    save_nodeset,
 )
 from scanlab.sim import (
     AverageTest,
@@ -50,6 +49,8 @@ from scanlab.sim import (
     estimate_risk,
     scorer,
 )
+
+from file_helpers import save_nodeset
 
 NET = rescale_lattice(make_lattice(2, 12))
 NETS = {s: build_net(enumerate_balls(NET, 2.0 ** (-s)), 0.5) for s in (2, 3, 4)}

@@ -21,12 +21,13 @@ from scanlab.models import (
     plant_block,
     sample_null,
     sample_null_block,
-    save_field,
     standardized_sum,
     standardized_sums,
 )
-from scanlab.network import make_lattice
+from scanlab.network import EUCLIDEAN, NodeSet, make_lattice
 from scanlab.rng import derive_seed
+
+from file_helpers import outcome, reference_load_field, save_field
 
 GAUSS = noise_model("gaussian")
 BERN = noise_model("bernoulli")
@@ -281,3 +282,105 @@ class TestFieldFiles:
         back = load_field(net, path)
         assert back.t_m == 4
         assert np.array_equal(back.values, f.values)
+
+
+# ---------------------------------------------------------------------------
+# load_field hands its rows to np.loadtxt by path; the reader it replaced,
+# which handed over an open file, is the reference for every outcome
+
+
+def _field_rows(t_m: int = 1, m: int = 4) -> list[str]:
+    values = np.random.default_rng(5).standard_normal((t_m + 1, m))
+    return [f"{n},{t},{float(values[t, n])!r}" for n in range(m) for t in range(t_m + 1)]
+
+
+def _field_text(rows, newline="\n", final=True, header="node,t,value"):
+    return newline.join([header, *rows]) + (newline if final else "")
+
+
+ROWS = _field_rows()
+FIELD_CASES = {
+    "plain": _field_text(ROWS),
+    "crlf": _field_text(ROWS, "\r\n"),
+    "cr": _field_text(ROWS, "\r"),
+    "tabs-and-runs-of-spaces": _field_text([r.replace(",", " ,\t  ", 1) for r in ROWS]),
+    "blank-and-comment-lines": _field_text(["", "# a note", *ROWS[:3], "",
+                                            ROWS[3] + " # trailing", *ROWS[4:], "#"]),
+    "whitespace-only-line": _field_text([*ROWS[:3], "   ", *ROWS[3:]]),
+    "no-final-newline": _field_text(ROWS, final=False),
+    "crlf-no-final-newline": _field_text(ROWS, "\r\n", final=False),
+    "rows-out-of-order": _field_text(ROWS[::-1]),
+    "one-row-of-four-nodes": _field_text(ROWS[:1]),
+    "empty-body": _field_text([]),
+    "header-alone-no-newline": "node,t,value",
+    "empty-file": "",
+    "bad-header": _field_text(ROWS, header="node,time,value"),
+    "header-with-spaces": _field_text(ROWS, header="  node,t,value \t"),
+    "extra-column": _field_text(ROWS[:2] + [ROWS[2] + ",7"] + ROWS[3:]),
+    "missing-column": _field_text(ROWS[:2] + ["1,0"] + ROWS[3:]),
+    "non-numeric-node": _field_text(["x,0,1.0"] + ROWS[1:]),
+    "non-numeric-value": _field_text(ROWS[:5] + ["2,1,abc"] + ROWS[6:]),
+    "float-node": _field_text(["0.0,0,1.0"] + ROWS[1:]),
+    "plus-signs": _field_text([r.replace("3,", "+3,+", 1) if r.startswith("3,") else r
+                               for r in ROWS]),
+    "node-above-int32": _field_text(ROWS + ["2147483648,0,1.0"]),
+    "node-above-int64": _field_text(ROWS + ["99999999999999999999,0,1.0"]),
+    "negative-node": _field_text(ROWS + ["-1,0,1.0"]),
+    "negative-time": _field_text(ROWS + ["0,-1,1.0"]),
+    "node-out-of-range": _field_text(ROWS + ["4,0,1.0"]),
+    "repeated-row": _field_text(ROWS + [ROWS[5]]),
+    "repeated-pair-missing-pair": _field_text(ROWS[:-1] + [ROWS[0]]),
+    "missing-pair": _field_text(ROWS[:-1]),
+    "nan-value": _field_text(ROWS[:4] + ["2,0,nan"] + ROWS[5:]),
+    "inf-value": _field_text(ROWS[:4] + ["2,0,-inf"] + ROWS[5:]),
+    "out-of-range-after-non-finite": _field_text(["0,0,nan"] + ROWS[1:] + ["9,0,1.0"]),
+}
+
+
+def _assert_same_field(net, path):
+    got, want = outcome(load_field, net, path), outcome(reference_load_field, net, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.net is net and np.array_equal(got.values, want.values)
+    return got
+
+
+class TestFieldReader:
+    @pytest.mark.parametrize("name", FIELD_CASES)
+    def test_matches_the_open_file_reader(self, tmp_path, name):
+        path = tmp_path / "field.csv"
+        path.write_bytes(FIELD_CASES[name].encode())
+        _assert_same_field(make_lattice(1, 4), path)
+
+    def test_one_row_file(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("node,t,value\n0,0,2.5\n")
+        net = NodeSet(mode=EUCLIDEAN, dim=1, coords=np.array([[0.5]]))
+        assert _assert_same_field(net, path).values.tolist() == [[2.5]]
+
+    def test_shuffled_and_spaced_rows_with_one_fault(self, tmp_path):
+        # rows in any order and spacing, and now and then one row broken
+        rng = np.random.default_rng(11)
+        net, path = make_lattice(2, 3), tmp_path / "field.csv"
+        rows = _field_rows(t_m=2, m=net.m)
+        faults = ["", "", "x,0,1.0", "0,0", "0,0,1.0,2", "9,0,1.0", "0,0,nan", "0,-1,1.0"]
+        for _ in range(40):
+            these = [rows[i] for i in rng.permutation(len(rows))]
+            these = [r.replace(",", rng.choice([",", " , ", ",\t"])) for r in these]
+            fault = faults[rng.integers(len(faults))]
+            if fault:
+                these.insert(int(rng.integers(len(these) + 1)), fault)
+            if rng.random() < 0.3:
+                these.pop(int(rng.integers(len(these))))
+            newline = str(rng.choice(["\n", "\r\n", "\r"]))
+            path.write_bytes(_field_text(these, newline, final=rng.random() < 0.5).encode())
+            _assert_same_field(net, path)
+
+    def test_the_workload_field_shape(self, tmp_path):
+        # a 16^2, t_m = 32 field as the benchmark's pipeline writes it, node-major
+        net = make_lattice(2, 16)
+        f = sample_null(net, GAUSS, 32, seed=8)
+        path = tmp_path / "field.csv"
+        save_field(f, path)
+        assert np.array_equal(_assert_same_field(net, path).values, f.values)

@@ -33,9 +33,10 @@ from scanlab.network import (
     make_lattice,
     make_uniform_cloud,
     rescale_lattice,
-    save_nodeset,
 )
 from scanlab.rng import derive_seed
+
+from file_helpers import outcome, reference_load_nodeset, save_nodeset
 
 
 class TestMakeLattice:
@@ -570,3 +571,65 @@ class TestBadQueries:
             ball_ids(self.NET, (0.5, 0.5), 0.0)
         with pytest.raises(ValueError, match="r must be >= 0"):
             closed_ball_ids(self.NET, (0.5, 0.5), -0.1)
+
+
+# ---------------------------------------------------------------------------
+# load_nodeset hands its rows to np.loadtxt by path; the reader it replaced,
+# which handed over an open file, is the reference for every outcome
+
+LATTICE_META = '# {"mode": "lattice-l1", "d": 2, "m": 4, "side": 2}'
+CLOUD_META = '# {"mode": "euclidean-l2", "d": 2, "m": 3}'
+LATTICE_ROWS = ["0,0,0", "1,0,1", "2,1,0", "3,1,1"]
+CLOUD_ROWS = ["0,0.25,0.5", "1,0.75,1e-3", "2,.5,1"]
+
+
+def _nodeset_text(rows, meta=LATTICE_META, newline="\n", final=True, columns="id,x0,x1"):
+    return newline.join([meta, columns, *rows]) + (newline if final else "")
+
+
+NODESET_CASES = {
+    "plain": _nodeset_text(LATTICE_ROWS),
+    "cloud": _nodeset_text(CLOUD_ROWS, CLOUD_META),
+    "crlf": _nodeset_text(LATTICE_ROWS, newline="\r\n"),
+    "cr": _nodeset_text(CLOUD_ROWS, CLOUD_META, newline="\r"),
+    "tabs-and-runs-of-spaces": _nodeset_text([r.replace(",", " ,\t  ") for r in LATTICE_ROWS]),
+    "blank-and-comment-lines": _nodeset_text(["", *LATTICE_ROWS[:2], "# a note", "",
+                                              LATTICE_ROWS[2] + " # trailing", LATTICE_ROWS[3]]),
+    "whitespace-only-line": _nodeset_text([*LATTICE_ROWS[:2], " \t", *LATTICE_ROWS[2:]]),
+    "no-final-newline": _nodeset_text(LATTICE_ROWS, final=False),
+    "rows-out-of-order": _nodeset_text(LATTICE_ROWS[::-1]),
+    "one-row": _nodeset_text(["0,0.5"], '# {"mode": "euclidean-l2", "d": 1, "m": 1}', columns="id,x0"),
+    "empty-body": _nodeset_text([]),
+    "empty-body-no-m": _nodeset_text([], '# {"mode": "euclidean-l2", "d": 2}'),
+    "meta-line-alone": LATTICE_META,
+    "empty-file": "",
+    "comment-as-column-header": _nodeset_text(LATTICE_ROWS, columns="# ids and coordinates"),
+    "extra-column": _nodeset_text(LATTICE_ROWS[:3] + ["3,1,1,0"]),
+    "missing-column": _nodeset_text(LATTICE_ROWS[:3] + ["3,1"]),
+    "non-numeric-id": _nodeset_text(LATTICE_ROWS[:3] + ["x,1,1"]),
+    "non-numeric-coordinate": _nodeset_text(CLOUD_ROWS[:2] + ["2,0.5,abc"], CLOUD_META),
+    "float-lattice-coordinate": _nodeset_text(LATTICE_ROWS[:3] + ["3,1,1.0"]),
+    "plus-signs": _nodeset_text(LATTICE_ROWS[:3] + ["+3,+1,1"]),
+    "id-above-int32": _nodeset_text(LATTICE_ROWS[:3] + ["2147483648,1,1"]),
+    "id-above-int64": _nodeset_text(LATTICE_ROWS[:3] + ["99999999999999999999,1,1"]),
+    "negative-id": _nodeset_text(LATTICE_ROWS[:3] + ["-3,1,1"]),
+    "repeated-id": _nodeset_text(LATTICE_ROWS + ["1,0,1"], LATTICE_META.replace('"m": 4', '"m": 5')),
+    "id-out-of-range": _nodeset_text(LATTICE_ROWS[:3] + ["4,1,1"]),
+    "missing-id": _nodeset_text(LATTICE_ROWS[:3]),
+    "lattice-point-off-the-grid": _nodeset_text(LATTICE_ROWS[:3] + ["3,2,1"]),
+    "non-finite-coordinate": _nodeset_text(CLOUD_ROWS[:2] + ["2,nan,1"], CLOUD_META),
+}
+
+
+class TestNodeSetReader:
+    @pytest.mark.parametrize("name", NODESET_CASES)
+    def test_matches_the_open_file_reader(self, tmp_path, name):
+        path = tmp_path / "net.csv"
+        path.write_bytes(NODESET_CASES[name].encode())
+        got, want = outcome(load_nodeset, path), outcome(reference_load_nodeset, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert (got.mode, got.dim, got.side) == (want.mode, want.dim, want.side)
+            assert got.coords.dtype == want.coords.dtype
+            assert np.array_equal(got.coords, want.coords)
