@@ -12,8 +12,8 @@ import numpy as np
 
 from scanlab.clusters import (
     EMPTY_CLUSTER,
-    ClusterStream,
     Cluster,
+    ClusterStream,
     _frozen,
     _indptr,
     _problem,

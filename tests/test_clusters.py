@@ -922,6 +922,8 @@ ODD_TOKENS = ["+3", "-0", "007", "x", "2.0", "-", "+-2", "1_0", "٣", "9x", "214
 
 @st.composite
 def cluster_files(draw):
+    """Id lines, now and then with one odd token, among header and blank lines,
+    with any separators and line ends."""
     lines = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["ids", "ids", "ids", "header", "blank"]))
@@ -934,8 +936,7 @@ def cluster_files(draw):
             if draw(st.integers(0, 5)) == 0:
                 tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(ODD_TOKENS))
             seps = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c"])
-            lines.append(draw(seps).join(tokens) if len(tokens) < 2 else "".join(
-                token + draw(seps) for token in tokens[:-1]) + tokens[-1])
+            lines.append("".join(token + draw(seps) for token in tokens[:-1]) + tokens[-1])
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + (newline if draw(st.booleans()) else "")
 
