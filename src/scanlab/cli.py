@@ -626,14 +626,18 @@ def _flag_kind(kind: Callable) -> Callable:
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The `scanlab` parser; when `only` names a subcommand, the others get no flags."""
+    """The `scanlab` parser, listing every subcommand; when `only` names one, the
+    others share one bare stand-in parser, as a call parses only its own."""
     parser = argparse.ArgumentParser(prog="scanlab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    stand_in = argparse.ArgumentParser(add_help=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: (
+        stand_in if kw["prog"] != f"scanlab {only}" and only in COMMANDS
+        else argparse.ArgumentParser(**kw)))
     for command, (func, about, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=about)
-        p.set_defaults(func=func)
-        if only in COMMANDS and only != command:
+        if p is stand_in:
             continue
+        p.set_defaults(func=func)
         for name, value in flags.items():
             kind = ({"action": "store_true"} if value.kind is _bool else
                     {"default": value.default or None,

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errors import CapacityError
-from .network import EUCLIDEAN, LATTICE, NodeSet, _check_lattice_size, ball_ids
+from .network import EUCLIDEAN, LATTICE, NodeSet, _check_lattice_size, ball_ids, int_lines
 from .rng import derive_seed, rng_from_seed
 
 BALLS = "balls"
@@ -611,6 +611,16 @@ def _padded_grid(net: NodeSet, pad: int) -> tuple[np.ndarray, np.ndarray, int]:
     return grid.ravel(), steps, pad * int(steps.sum())
 
 
+def _boundary(net: NodeSet, padded, ids: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """The nodes at l1 distance 1 of nodes `ids` that the mask `closed` over node ids
+    leaves open, increasing: one gather at the 2d unit moves on `padded`, a
+    _padded_grid(net, pad) with pad >= 1, where holes read -1."""
+    grid, steps, origin = padded
+    near = grid[(net.coords[ids] @ steps + origin)[:, None] + np.concatenate([-steps, steps])]
+    near = near[near >= 0]
+    return np.unique(near[~closed[near]])
+
+
 def _path_band_ids(net: NodeSet, paths: np.ndarray, offsets: np.ndarray, padded=None):
     """For each path of `paths` (n, length+1, d), the sorted nodes at a path point
     plus one of the `offsets` (with _l1_offsets(d, h), those within open l1
@@ -760,21 +770,23 @@ def enumerate_animals(net: NodeSet, k_max: int, size_cap: int | None = None):
 
 
 def sample_animal(net: NodeSet, k: int, seed: int) -> Cluster:
-    """Random connected set of size k grown by uniform boundary additions."""
+    """Random connected set of size k grown by uniform boundary additions, each
+    picked by the seed's next integer draw from the boundary in increasing id order."""
     if net.mode != LATTICE:
         raise ValueError("animals are defined on lattices")
     if not 1 <= k <= net.m:
         raise ValueError("need 1 <= k <= m")
-    rng = rng_from_seed(seed)
-    adj = net.neighbors
+    rng, padded = rng_from_seed(seed), _padded_grid(net, 1)
     start = int(rng.integers(0, net.m))
-    current = {start}
-    while len(current) < k:
-        boundary = sorted({u for v in current for u in adj[v]} - current)
-        if not boundary:
+    ids, taken = np.array([start]), np.zeros(net.m, dtype=bool)
+    taken[start] = True
+    while ids.size < k:
+        boundary = _boundary(net, padded, ids, taken)
+        if not boundary.size:
             raise ValueError(f"the component of node {start} holds fewer than {k} nodes")
-        current.add(boundary[int(rng.integers(len(boundary)))])
-    return cluster_from_ids(current)
+        ids = np.append(ids, boundary[int(rng.integers(boundary.size))])
+        taken[ids[-1]] = True
+    return Cluster(np.sort(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +814,10 @@ def read_headed(path) -> tuple[dict[str, str], list[tuple[int, str]]]:
 
 def write_clusters(clusters: Iterable, fh, meta: Mapping | None = None) -> None:
     """One cluster per line (space-separated ids) under # key=value headers, from
-    the stream's CSR rows."""
-    lines = [f"# {key}={value}\n" for key, value in (meta or {}).items()]
+    the stream's CSR rows, a block at a time by network.int_lines."""
+    fh.write("".join(f"# {key}={value}\n" for key, value in (meta or {}).items()))
     for indptr, ids in blocks(clusters):
-        words = ids.tolist()
-        lines += [" ".join(["%d"] * (hi - lo)) % tuple(words[lo:hi]) + "\n"
-                  for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
-    fh.write("".join(lines))
+        fh.write(int_lines(indptr, ids))
 
 
 def parse_cluster(text: str) -> Cluster:

@@ -15,11 +15,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clusters import EMPTY_CLUSTER, Cluster, cluster_from_ids, holder_violation
+from .clusters import EMPTY_CLUSTER, Cluster, _boundary, _padded_grid, holder_violation
 from .detect import TestResult
 from .metric import SQRT2, EpsNet, ScanTable, delta
 from .models import Field, NoiseModel
-from .network import LATTICE, NodeSet, ball_nodes, closed_ball_ids
+from .network import LATTICE, NodeSet, ball_nodes, closed_ball_ids, int_lines
 from .rng import rng_from_seed
 
 
@@ -152,7 +152,10 @@ def richardson_grow(
     around x0 (the closed l1 ball, on a lattice without holes).  `radius`
     restricts growth to the closed l1 ball of that radius around x0 (a capped
     limit shape); warmup before the observation window is done by growing
-    over a longer horizon and calling .window().
+    over a longer horizon and calling .window().  Each step draws one uniform
+    of the seed's stream per frontier node (the vacant neighbors, within
+    `radius`), in increasing id order, and occupies those below p; a step
+    with an empty frontier draws nothing.
     """
     if net.mode != LATTICE:
         raise ValueError("richardson growth runs on lattices")
@@ -162,19 +165,19 @@ def richardson_grow(
         raise ValueError("need 0 <= t0 <= t_m")
     if not 0 <= x0 < net.m:
         raise ValueError("x0 must be a node id")
-    allowed = (range(net.m) if radius is None
-               else set(closed_ball_ids(net, net.coords[x0], radius).tolist()))
-    adj = net.neighbors
-    rng = rng_from_seed(seed)
-    occupied = {x0}
-    slices: list[Cluster] = [EMPTY_CLUSTER] * t0
-    slices.append(cluster_from_ids(occupied))
+    closed = np.full(net.m, radius is not None)  # occupied, or outside the ball
+    if radius is not None:
+        closed[closed_ball_ids(net, net.coords[x0], radius)] = False
+    rng, padded, occupied = rng_from_seed(seed), _padded_grid(net, 1), np.array([x0])
+    closed[x0] = True
+    slices = [EMPTY_CLUSTER] * t0 + [Cluster(occupied)]
     for _ in range(t0 + 1, t_m + 1):
-        frontier = sorted({u for v in occupied for u in adj[v] if u in allowed} - occupied)
-        if frontier:
-            draws = rng.random(len(frontier)) < p
-            occupied.update(u for u, hit in zip(frontier, draws) if hit)
-        slices.append(cluster_from_ids(occupied))
+        frontier = _boundary(net, padded, occupied, closed)
+        if frontier.size:
+            hit = frontier[rng.random(frontier.size) < p]
+            closed[hit] = True
+            occupied = np.union1d(occupied, hit)
+        slices.append(Cluster(occupied))
     return ClusterSequence(tuple(slices))
 
 
@@ -313,7 +316,7 @@ def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
 
 def write_sequence(seq: ClusterSequence, fh, meta: dict | None = None) -> None:
     """Lines `t: id id ...` under # key=value headers; empty slices kept."""
-    for key, value in (meta or {}).items():
-        fh.write(f"# {key}={value}\n")
-    for t, k in enumerate(seq.slices):
-        fh.write(f"{t}: " + " ".join(map(str, k.idarray.tolist())) + "\n")
+    text = int_lines(np.cumsum([0] + [k.size for k in seq.slices]),
+                     np.concatenate([k.idarray for k in seq.slices]))
+    fh.write("".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
+             + "".join(f"{t}: {line}" for t, line in enumerate(text.splitlines(True))))

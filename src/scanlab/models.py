@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .clusters import Cluster
-from .network import NodeSet
+from .network import NodeSet, csv_rows
 from .rng import _fast_rng
 
 if TYPE_CHECKING:
@@ -304,8 +304,8 @@ def load_field(net: NodeSet, path) -> Field:
     with open(path) as fh:
         if fh.readline().strip() != "node,t,value":
             raise ValueError("field file must have header node,t,value")
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
-                      dtype=[("node", np.int64), ("t", np.int64), ("value", float)])
+    rows = csv_rows(path, 1, [("node", np.int64), ("t", np.int64), ("value", float)],
+                    "the 3 columns node,t,value (two integers, then a number)")
     if not rows.size:
         raise ValueError("field file has no rows")
     node, t, value = (rows[name].copy() for name in rows.dtype.names)

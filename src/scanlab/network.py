@@ -10,7 +10,9 @@ tests only the slab of nodes that `NodeSet.near` finds by binary search.
 
 from __future__ import annotations
 
+import bisect
 import json
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -248,15 +250,45 @@ def check_spread(
     return SpreadCertificate(constant, r_star, tuple(records), ok_all)
 
 
+def int_lines(indptr, values, sep: str = " ") -> str:
+    """Lines of non-negative integers, values[indptr[i]:indptr[i + 1]] joined by the
+    one character `sep`, as "%d" writes them.  The numbers are the rows of a byte
+    table, right-aligned, and a pass sets one digit of each; the text is the table
+    less its leading zeros.  A row with no digits opens each line: an empty line's newline."""
+    indptr = np.asarray(indptr, np.int64)
+    count = np.diff(indptr)
+    head = indptr[:-1] + np.arange(len(count))
+    cell = np.zeros(len(count) + indptr[-1], np.int64)
+    value = np.ones(cell.size, dtype=bool)
+    value[head] = False
+    cell[value] = values
+    top = int(cell.max(initial=0))
+    width, cell = len(str(top)), cell.astype(np.min_scalar_type(top))
+    text = np.full((cell.size, width + 1), ord(sep), np.uint8)
+    keep = np.empty(text.shape, dtype=bool)
+    for j in range(width - 1, -1, -1):
+        keep[:, j] = cell > 0
+        q = cell // 10
+        text[:, j] = cell - 10 * q + ord("0")
+        cell = q
+    keep[:, width - 1:] = value[:, None]  # a value's units digit, also 0, and its separator
+    keep[head, width] = count == 0
+    text[head + count, width] = ord("\n")  # after a line's last value, or alone
+    return text[keep].tobytes().decode()
+
+
 def write_nodeset(net: NodeSet, fh) -> None:
     """CSV with a one-line JSON sidecar comment: # {mode, d, m[, side]}."""
     meta = {"mode": net.mode, "d": net.dim, "m": net.m}
     if net.side is not None:
         meta["side"] = net.side
-    coords = net.coords if net.mode == LATTICE else net.coords.astype(float)
-    rows = zip(map(str, range(net.m)), *(map(repr, column) for column in coords.T.tolist()))
-    fh.write(f"# {json.dumps(meta)}\nid,{','.join(f'x{i}' for i in range(net.dim))}\n"
-             + "".join(f"{','.join(row)}\n" for row in rows))
+    fh.write(f"# {json.dumps(meta)}\nid,{','.join(f'x{i}' for i in range(net.dim))}\n")
+    if net.mode == LATTICE:
+        rows = np.column_stack([np.arange(net.m), net.coords])
+        fh.write(int_lines(np.arange(net.m + 1) * (net.dim + 1), rows.ravel(), ","))
+        return
+    rows = zip(map(str, range(net.m)), *(map(repr, c) for c in net.coords.T.astype(float).tolist()))
+    fh.write("".join(f"{','.join(row)}\n" for row in rows))
 
 
 def _positive_int(meta: dict, key: str) -> int:
@@ -266,6 +298,34 @@ def _positive_int(meta: dict, key: str) -> int:
     if isinstance(value, bool) or not whole or value < 1:
         raise ValueError(f"node set file: {key!r} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def csv_rows(path, skiprows: int, dtype, columns: str) -> np.ndarray:
+    """np.loadtxt's rows of the CSV at `path` below its first `skiprows` lines,
+    read from the path in C chunks.  A line it refuses is a ValueError naming
+    path:line and `columns`, the columns expected; only then are the lines read
+    in Python, and that line found by bisection over their prefixes."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=1, dtype=dtype)
+    except ValueError as exc:
+        error = exc
+    with open(path) as fh:
+        lines = fh.readlines()[skiprows:]
+
+    def refused(k: int) -> bool:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty prefix holds no data
+                np.loadtxt(lines[:k], delimiter=",", ndmin=1, dtype=dtype)
+        except ValueError:
+            return True
+        return False
+
+    k = bisect.bisect_left(range(len(lines) + 1), True, key=refused)
+    if k > len(lines):
+        raise error
+    bad = lines[k - 1].rstrip("\n")
+    raise ValueError(f"{path}:{skiprows + k}: expected {columns}, got {bad!r}")
 
 
 def load_nodeset(path) -> NodeSet:
@@ -294,8 +354,9 @@ def load_nodeset(path) -> NodeSet:
     d = _positive_int(meta, "d")
     side = _positive_int(meta, "side") if meta["mode"] == LATTICE else None
     coord = np.int64 if meta["mode"] == LATTICE else float
-    rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=1,  # below the column header
-                      dtype=[("id", np.int64), ("x", coord, (d,))])
+    kinds = "integers" if coord is np.int64 else "an integer, then numbers"
+    rows = csv_rows(path, 2, [("id", np.int64), ("x", coord, (d,))],  # below the column header
+                    f"the {d + 1} columns id,{','.join(f'x{i}' for i in range(d))} ({kinds})")
     ids = rows["id"]
     m = _positive_int(meta, "m") if "m" in meta else len(ids)
     outside = ids[(ids < 0) | (ids >= m)]

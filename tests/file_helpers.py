@@ -1,7 +1,9 @@
 """File helpers the tests share: savers that the library does not need, the
-sequence reader, and the text readers as they were before they handed their
+sequence reader, the text readers as they were before they handed their
 bodies to C parsers, kept as references for load_field, load_nodeset and
-load_clusters."""
+load_clusters, and the writers as they were before they wrote by
+network.int_lines, kept as references for write_clusters, write_sequence and
+write_nodeset."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import numpy as np
 
 from scanlab.clusters import (
     EMPTY_CLUSTER,
+    blocks,
     Cluster,
     ClusterStream,
     _frozen,
@@ -160,3 +163,33 @@ def reference_load_clusters(path) -> tuple[ClusterStream, dict[str, str]]:
     if problem := _problem(indptr, ids):
         raise ValueError(f"{path}:{body[problem[0]][0]}: {problem[1]}")
     return ClusterStream([(indptr, _frozen(ids.astype(np.int32)))]), meta
+
+
+# ---------------------------------------------------------------------------
+# the writers as they were: one "%d", str or repr string per number
+
+
+def reference_write_clusters(clusters, fh, meta=None) -> None:
+    lines = [f"# {key}={value}\n" for key, value in (meta or {}).items()]
+    for indptr, ids in blocks(clusters):
+        words = ids.tolist()
+        lines += [" ".join(["%d"] * (hi - lo)) % tuple(words[lo:hi]) + "\n"
+                  for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    fh.write("".join(lines))
+
+
+def reference_write_sequence(seq: ClusterSequence, fh, meta=None) -> None:
+    for key, value in (meta or {}).items():
+        fh.write(f"# {key}={value}\n")
+    for t, k in enumerate(seq.slices):
+        fh.write(f"{t}: " + " ".join(map(str, k.idarray.tolist())) + "\n")
+
+
+def reference_write_nodeset(net: NodeSet, fh) -> None:
+    meta = {"mode": net.mode, "d": net.dim, "m": net.m}
+    if net.side is not None:
+        meta["side"] = net.side
+    coords = net.coords if net.mode == LATTICE else net.coords.astype(float)
+    rows = zip(map(str, range(net.m)), *(map(repr, column) for column in coords.T.tolist()))
+    fh.write(f"# {json.dumps(meta)}\nid,{','.join(f'x{i}' for i in range(net.dim))}\n"
+             + "".join(f"{','.join(row)}\n" for row in rows))

@@ -39,13 +39,14 @@ from scanlab import clusters as cl
 from scanlab import network
 from scanlab.errors import CapacityError
 from scanlab.metric import EpsNet, ScanTable, build_net, delta
-from scanlab.growth import richardson_grow
+from scanlab.growth import ClusterSequence, richardson_grow
 from scanlab.models import noise_model
 from scanlab.network import (
     LATTICE,
     NodeSet,
     ball_ids,
     ball_nodes,
+    closed_ball_ids,
     load_nodeset,
     make_lattice,
     make_uniform_cloud,
@@ -828,6 +829,99 @@ def test_permuted_lattice_maps_row_major_results(lattice, data):
     grown = richardson_grow(row_major, x0, 1.0, 0, 3, seed=0)
     permuted = richardson_grow(net, int(to_id[x0]), 1.0, 0, 3, seed=0)
     assert [k.ids for k in permuted.slices] == [mapped(k) for k in grown.slices]
+
+
+# ---------------------------------------------------------------------------
+# Richardson growth and random animals grow on the padded grid; the set-based
+# growth they replaced, over NodeSet.neighbors, is the reference for every outcome
+
+
+def reference_richardson_grow(net, x0, p, t0, t_m, seed, radius=None):
+    if net.mode != LATTICE:
+        raise ValueError("richardson growth runs on lattices")
+    if not 0 < p <= 1:
+        raise ValueError("p must lie in (0, 1]")
+    if not 0 <= t0 <= t_m:
+        raise ValueError("need 0 <= t0 <= t_m")
+    if not 0 <= x0 < net.m:
+        raise ValueError("x0 must be a node id")
+    allowed = (range(net.m) if radius is None
+               else set(closed_ball_ids(net, net.coords[x0], radius).tolist()))
+    adj = net.neighbors
+    rng = rng_from_seed(seed)
+    occupied = {x0}
+    slices = [cl.EMPTY_CLUSTER] * t0
+    slices.append(cl.cluster_from_ids(occupied))
+    for _ in range(t0 + 1, t_m + 1):
+        frontier = sorted({u for v in occupied for u in adj[v] if u in allowed} - occupied)
+        if frontier:
+            draws = rng.random(len(frontier)) < p
+            occupied.update(u for u, hit in zip(frontier, draws) if hit)
+        slices.append(cl.cluster_from_ids(occupied))
+    return ClusterSequence(tuple(slices))
+
+
+def reference_sample_animal(net, k, seed):
+    if net.mode != LATTICE:
+        raise ValueError("animals are defined on lattices")
+    if not 1 <= k <= net.m:
+        raise ValueError("need 1 <= k <= m")
+    rng = rng_from_seed(seed)
+    adj = net.neighbors
+    start = int(rng.integers(0, net.m))
+    current = {start}
+    while len(current) < k:
+        boundary = sorted({u for v in current for u in adj[v]} - current)
+        if not boundary:
+            raise ValueError(f"the component of node {start} holds fewer than {k} nodes")
+        current.add(boundary[int(rng.integers(len(boundary)))])
+    return cl.cluster_from_ids(current)
+
+
+def assert_same_growth(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    elif isinstance(want, Cluster):
+        assert got == want and got.idarray.dtype == np.int32
+    else:
+        assert got.slices == want.slices
+
+
+@settings(max_examples=300, deadline=None)
+@given(holed_lattices(), st.data())
+def test_growth_matches_the_set_based_reference(lattice, data):
+    # lattices with holes and permuted ids, d = 1..3; a radius or none, t0 >= 0,
+    # p in (0, 1], and now and then a value each function refuses
+    net, _ = lattice
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    x0 = data.draw(st.integers(-1, net.m) if data.draw(st.booleans()) else st.integers(0, net.m - 1))
+    p = data.draw(st.sampled_from([1.0, 0.5, 0.0, 1.5]) | st.floats(1e-3, 1.0))
+    t_m = data.draw(st.integers(0, 8))
+    t0 = data.draw(st.integers(0, t_m + 1))
+    radius = data.draw(st.none() | st.integers(-1, 4) | st.floats(0.0, 4.0))
+    args = (net, x0, p, t0, t_m, seed, radius)
+    assert_same_growth(outcome(richardson_grow, *args), outcome(reference_richardson_grow, *args))
+    k = data.draw(st.integers(0, net.m + 1))
+    assert_same_growth(outcome(sample_animal, net, k, seed),
+                       outcome(reference_sample_animal, net, k, seed))
+
+
+@pytest.mark.parametrize("radius, t0", [(6, 0), (None, 0), (9, 3), (None, 12)])
+def test_growth_at_the_workload_size_matches_the_reference(radius, t0):
+    net = make_lattice(2, 64)
+    for seed in range(3):
+        args = (net, 32 * 64 + 32, 0.7, t0, 44, seed, radius)
+        assert_same_growth(richardson_grow(*args), reference_richardson_grow(*args))
+    assert_same_growth(sample_animal(net, 300, 5), reference_sample_animal(net, 300, 5))
+
+
+def test_an_animal_outgrows_no_component():
+    # two nodes of a 3 x 3 lattice, holes between them: no animal of 2 holds node 0
+    net = NodeSet(mode=LATTICE, dim=2, coords=np.array([[0, 0], [0, 2]]), side=3)
+    seed = next(s for s in range(100) if int(rng_from_seed(s).integers(0, 2)) == 0)
+    for sample in (sample_animal, reference_sample_animal):
+        with pytest.raises(ValueError, match="the component of node 0 holds fewer than 2 nodes"):
+            sample(net, 2, seed)
 
 
 # ---------------------------------------------------------------------------

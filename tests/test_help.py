@@ -171,3 +171,15 @@ def test_help_text(monkeypatch, capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == HELP[command]
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]])
+def test_every_subcommand_is_listed(monkeypatch, capsys, argv):
+    # a call that names no subcommand builds the full parser, which lists all eight
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(argv)
+    out = capsys.readouterr()
+    assert "{net,enumerate,netbuild,calibrate,test,grow,sweep,rates}" in out.out + out.err
+    if argv == ["--help"]:
+        assert all(f"\n    {command} " in out.out for command in HELP)

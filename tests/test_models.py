@@ -337,9 +337,28 @@ FIELD_CASES = {
 }
 
 
-def _assert_same_field(net, path):
+# The rows np.loadtxt refuses, by the file line (header counted) and its text.
+# The reference passes np.loadtxt's message through ("... at row 3; use `usecols`
+# ..."); load_field names path:line and the columns it expects.
+FIELD_COLUMNS = "the 3 columns node,t,value (two integers, then a number)"
+FIELD_REFUSED = {
+    "whitespace-only-line": (5, "   "),
+    "extra-column": (4, ROWS[2] + ",7"),
+    "missing-column": (4, "1,0"),
+    "non-numeric-node": (2, "x,0,1.0"),
+    "non-numeric-value": (7, "2,1,abc"),
+    "float-node": (2, "0.0,0,1.0"),
+    "node-above-int64": (10, "99999999999999999999,0,1.0"),
+}
+
+
+def _assert_same_field(net, path, refused=None):
     got, want = outcome(load_field, net, path), outcome(reference_load_field, net, path)
-    if isinstance(want, tuple):
+    if refused is not None:
+        line, text = refused
+        assert want[0] is ValueError
+        assert got == (ValueError, f"{path}:{line}: expected {FIELD_COLUMNS}, got {text!r}")
+    elif isinstance(want, tuple):
         assert got == want
     else:
         assert got.net is net and np.array_equal(got.values, want.values)
@@ -351,7 +370,7 @@ class TestFieldReader:
     def test_matches_the_open_file_reader(self, tmp_path, name):
         path = tmp_path / "field.csv"
         path.write_bytes(FIELD_CASES[name].encode())
-        _assert_same_field(make_lattice(1, 4), path)
+        _assert_same_field(make_lattice(1, 4), path, FIELD_REFUSED.get(name))
 
     def test_one_row_file(self, tmp_path):
         path = tmp_path / "field.csv"
@@ -375,7 +394,8 @@ class TestFieldReader:
                 these.pop(int(rng.integers(len(these))))
             newline = str(rng.choice(["\n", "\r\n", "\r"]))
             path.write_bytes(_field_text(these, newline, final=rng.random() < 0.5).encode())
-            _assert_same_field(net, path)
+            refused = fault in faults[2:5] and fault in these
+            _assert_same_field(net, path, (these.index(fault) + 2, fault) if refused else None)
 
     def test_the_workload_field_shape(self, tmp_path):
         # a 16^2, t_m = 32 field as the benchmark's pipeline writes it, node-major

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 from unittest import mock
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from scanlab import clusters
+from scanlab import clusters, network
 from scanlab.clusters import (
+    Cluster,
     ShapeSpec,
     ThickParams,
     _domain_extent,
@@ -29,14 +31,23 @@ from scanlab.network import (
     ball_nodes,
     check_spread,
     closed_ball_ids,
+    int_lines,
     load_nodeset,
     make_lattice,
     make_uniform_cloud,
     rescale_lattice,
 )
+from scanlab.growth import ClusterSequence, write_sequence
 from scanlab.rng import derive_seed
 
-from file_helpers import outcome, reference_load_nodeset, save_nodeset
+from file_helpers import (
+    outcome,
+    reference_load_nodeset,
+    reference_write_clusters,
+    reference_write_nodeset,
+    reference_write_sequence,
+    save_nodeset,
+)
 
 
 class TestMakeLattice:
@@ -621,15 +632,94 @@ NODESET_CASES = {
 }
 
 
+# The rows np.loadtxt refuses, by the file line (header counted), its text and the
+# columns expected.  The reference passes np.loadtxt's message through ("... at
+# row 3; use `usecols` ..."); load_nodeset names path:line and the columns.
+INTEGER_COLUMNS = "the 3 columns id,x0,x1 (integers)"
+NODESET_REFUSED = {
+    "whitespace-only-line": (5, " \t", INTEGER_COLUMNS),
+    "extra-column": (6, "3,1,1,0", INTEGER_COLUMNS),
+    "missing-column": (6, "3,1", INTEGER_COLUMNS),
+    "non-numeric-id": (6, "x,1,1", INTEGER_COLUMNS),
+    "non-numeric-coordinate": (5, "2,0.5,abc", "the 3 columns id,x0,x1 (an integer, then numbers)"),
+    "float-lattice-coordinate": (6, "3,1,1.0", INTEGER_COLUMNS),
+    "id-above-int64": (6, "99999999999999999999,1,1", INTEGER_COLUMNS),
+}
+
+
 class TestNodeSetReader:
     @pytest.mark.parametrize("name", NODESET_CASES)
     def test_matches_the_open_file_reader(self, tmp_path, name):
         path = tmp_path / "net.csv"
         path.write_bytes(NODESET_CASES[name].encode())
         got, want = outcome(load_nodeset, path), outcome(reference_load_nodeset, path)
-        if isinstance(want, tuple):
+        if name in NODESET_REFUSED:
+            line, text, columns = NODESET_REFUSED[name]
+            assert want[0] is ValueError
+            assert got == (ValueError, f"{path}:{line}: expected {columns}, got {text!r}")
+        elif isinstance(want, tuple):
             assert got == want
         else:
             assert (got.mode, got.dim, got.side) == (want.mode, want.dim, want.side)
             assert got.coords.dtype == want.coords.dtype
             assert np.array_equal(got.coords, want.coords)
+
+
+# ---------------------------------------------------------------------------
+# integer files are written by int_lines; the writers it replaced, one string
+# per number, are the reference for every byte
+
+
+def written(write, what, *meta) -> str:
+    fh = io.StringIO()
+    write(what, fh, *meta)
+    return fh.getvalue()
+
+
+id_rows = st.lists(st.lists(st.integers(0, clusters.ID_MAX), max_size=6, unique=True)
+                   .map(sorted), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(id_rows, max_size=3), st.dictionaries(st.sampled_from(["family", "ell"]),
+                                                      st.integers(0, 99)))
+def test_cluster_files_match_the_string_writer(chunks, meta):
+    # CSR blocks (empty rows among them) and the same rows as Clusters
+    stream = clusters.ClusterStream([
+        (clusters._indptr([len(r) for r in rows]),
+         np.array([i for r in rows for i in r], dtype=np.int32)) for rows in chunks])
+    want = written(reference_write_clusters, stream, meta)
+    assert written(clusters.write_clusters, stream, meta) == want
+    listed = [Cluster(np.array(r, dtype=np.int64)) for rows in chunks for r in rows]
+    assert written(clusters.write_clusters, listed, meta) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(id_rows, min_size=1, max_size=3).map(lambda chunks: sum(chunks, [])
+                                                     or [[]]))
+def test_sequence_files_match_the_string_writer(rows):
+    # empty slices are written as "t: " lines
+    seq = ClusterSequence(tuple(Cluster(np.array(r, dtype=np.int64)) for r in rows))
+    meta = {"kind": "richardson", "tm": seq.t_m}
+    assert written(write_sequence, seq, meta) == written(reference_write_sequence, seq, meta)
+
+
+@pytest.mark.parametrize("d, side", [(1, 2), (1, 11), (2, 16), (2, 64), (3, 5)])
+def test_lattice_node_set_files_match_the_string_writer(d, side):
+    net = make_lattice(d, side)
+    assert written(network.write_nodeset, net) == written(reference_write_nodeset, net)
+    order = np.random.default_rng(side).permutation(net.m)[: max(1, net.m - 3)]
+    holed = NodeSet(mode=LATTICE, dim=d, coords=net.coords[order], side=side)
+    assert written(network.write_nodeset, holed) == written(reference_write_nodeset, holed)
+    cloud = rescale_lattice(holed)
+    assert written(network.write_nodeset, cloud) == written(reference_write_nodeset, cloud)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 12), max_size=5),
+                max_size=10), st.sampled_from([" ", ","]))
+def test_int_lines_writes_as_percent_d(rows, sep):
+    indptr = clusters._indptr([len(r) for r in rows])
+    values = np.array([v for r in rows for v in r], dtype=np.int64)
+    want = "".join(sep.join("%d" % v for v in row) + "\n" for row in rows)
+    assert int_lines(indptr, values, sep) == want
