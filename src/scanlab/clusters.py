@@ -611,14 +611,17 @@ def _padded_grid(net: NodeSet, pad: int) -> tuple[np.ndarray, np.ndarray, int]:
     return grid.ravel(), steps, pad * int(steps.sum())
 
 
-def _boundary(net: NodeSet, padded, ids: np.ndarray, closed: np.ndarray) -> np.ndarray:
+def _boundary(net: NodeSet, padded, ids: np.ndarray, closed: np.ndarray):
     """The nodes at l1 distance 1 of nodes `ids` that the mask `closed` over node ids
-    leaves open, increasing: one gather at the 2d unit moves on `padded`, a
-    _padded_grid(net, pad) with pad >= 1, where holes read -1."""
+    leaves open, increasing, and which of `ids` have one: one gather at the 2d unit
+    moves on `padded`, a _padded_grid(net, pad) with pad >= 1, where holes read -1,
+    then a sort (numpy 2.4's np.unique takes a hash path about 10x slower here)."""
     grid, steps, origin = padded
     near = grid[(net.coords[ids] @ steps + origin)[:, None] + np.concatenate([-steps, steps])]
-    near = near[near >= 0]
-    return np.unique(near[~closed[near]])
+    shut = near < 0
+    shut[~shut] = closed[near[~shut]]
+    found = np.sort(near[~shut])
+    return found[np.diff(found, prepend=found[:1] - 1) != 0], ~shut.all(axis=1)
 
 
 def _path_band_ids(net: NodeSet, paths: np.ndarray, offsets: np.ndarray, padded=None):
@@ -778,14 +781,16 @@ def sample_animal(net: NodeSet, k: int, seed: int) -> Cluster:
         raise ValueError("need 1 <= k <= m")
     rng, padded = rng_from_seed(seed), _padded_grid(net, 1)
     start = int(rng.integers(0, net.m))
-    ids, taken = np.array([start]), np.zeros(net.m, dtype=bool)
+    ids = live = np.array([start])  # live: the nodes of ids that may have an open neighbour
+    taken = np.zeros(net.m, dtype=bool)
     taken[start] = True
     while ids.size < k:
-        boundary = _boundary(net, padded, ids, taken)
+        boundary, open_ = _boundary(net, padded, live, taken)
         if not boundary.size:
             raise ValueError(f"the component of node {start} holds fewer than {k} nodes")
-        ids = np.append(ids, boundary[int(rng.integers(boundary.size))])
-        taken[ids[-1]] = True
+        pick = boundary[int(rng.integers(boundary.size))]
+        taken[pick] = True
+        ids, live = np.append(ids, pick), np.append(live[open_], pick)
     return Cluster(np.sort(ids))
 
 

@@ -170,13 +170,15 @@ def richardson_grow(
         closed[closed_ball_ids(net, net.coords[x0], radius)] = False
     rng, padded, occupied = rng_from_seed(seed), _padded_grid(net, 1), np.array([x0])
     closed[x0] = True
+    live = occupied  # the occupied nodes that may have an open neighbour
     slices = [EMPTY_CLUSTER] * t0 + [Cluster(occupied)]
     for _ in range(t0 + 1, t_m + 1):
-        frontier = _boundary(net, padded, occupied, closed)
+        frontier, open_ = _boundary(net, padded, live, closed)
+        live = live[open_]
         if frontier.size:
             hit = frontier[rng.random(frontier.size) < p]
             closed[hit] = True
-            occupied = np.union1d(occupied, hit)
+            occupied, live = np.sort(np.concatenate([occupied, hit])), np.append(live, hit)
         slices.append(Cluster(occupied))
     return ClusterSequence(tuple(slices))
 

@@ -334,6 +334,8 @@ FIELD_CASES = {
     "nan-value": _field_text(ROWS[:4] + ["2,0,nan"] + ROWS[5:]),
     "inf-value": _field_text(ROWS[:4] + ["2,0,-inf"] + ROWS[5:]),
     "out-of-range-after-non-finite": _field_text(["0,0,nan"] + ROWS[1:] + ["9,0,1.0"]),
+    "crlf-non-numeric-node": _field_text(ROWS[:3] + ["x,0,1.0"] + ROWS[3:], "\r\n"),
+    "missing-column-no-final-newline": _field_text(ROWS + ["1,0"], final=False),
 }
 
 
@@ -349,6 +351,8 @@ FIELD_REFUSED = {
     "non-numeric-value": (7, "2,1,abc"),
     "float-node": (2, "0.0,0,1.0"),
     "node-above-int64": (10, "99999999999999999999,0,1.0"),
+    "crlf-non-numeric-node": (5, "x,0,1.0"),
+    "missing-column-no-final-newline": (10, "1,0"),
 }
 
 
