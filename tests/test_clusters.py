@@ -894,7 +894,8 @@ def test_growth_matches_the_set_based_reference(lattice, data):
     # p in (0, 1], and now and then a value each function refuses
     net, _ = lattice
     seed = data.draw(st.integers(0, 2**32 - 1))
-    x0 = data.draw(st.integers(-1, net.m) if data.draw(st.booleans()) else st.integers(0, net.m - 1))
+    nodes = st.integers(0, net.m - 1)
+    x0 = data.draw(st.integers(-1, net.m) if data.draw(st.booleans()) else nodes)
     p = data.draw(st.sampled_from([1.0, 0.5, 0.0, 1.5]) | st.floats(1e-3, 1.0))
     t_m = data.draw(st.integers(0, 8))
     t0 = data.draw(st.integers(0, t_m + 1))
