@@ -136,23 +136,6 @@ def scale_offsets(
     return scales, [nets[s].table for s in scales], np.array([offsets[s] for s in scales])
 
 
-def multiscale_statistics(
-    values: np.ndarray, tables: Sequence[ScanTable], offsets: np.ndarray, model: NoiseModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """max over scales of S_l - offset_l for every field of a (B, 1, m) block:
-    the statistics, the maximizing scale's row in `tables`, its first argmax
-    member, and every scale's statistic (scales x B).  Ties go to the first
-    member, then the earliest scale.  The scales share one transpose and one
-    running sum of the block."""
-    rows = Rows(values[:, 0])
-    per_scale = [table.max_scores(rows, model) for table in tables]
-    stats = np.array([s for s, _ in per_scale])
-    excess = stats - offsets[:, None]
-    row = excess.argmax(axis=0)
-    cols = np.arange(len(values))
-    return excess[row, cols], row, np.array([j for _, j in per_scale])[row, cols], stats
-
-
 def multiscale_test(
     field: Field,
     nets: Mapping[int, EpsNet],
@@ -170,16 +153,17 @@ def multiscale_test(
     if thresholds is None:
         thresholds = default_scale_thresholds(field.net.m, field.net.dim, nets)
     scales, tables, taus = scale_offsets(nets, thresholds)
-    excess, row, j, stats = multiscale_statistics(field.values[None], tables, taus, model)
+    rows = Rows(field.values)  # one transpose and running sum for every scale
+    stats, argmax = zip(*(table.max_scores(rows, model) for table in tables))
+    excess = np.concatenate(stats) - taus
+    row = int(excess.argmax())  # ties go to the first member, then the earliest scale
     return TestResult(
-        statistic=float(excess[0]),
+        statistic=float(excess[row]),
         threshold=0.0,
-        argmax=tables[row[0]][j[0]],
-        argmax_index=int(j[0]),
-        per_scale=tuple(
-            ScaleDetail(s, float(stats[i, 0]), float(taus[i]), len(tables[i]))
-            for i, s in enumerate(scales)
-        ),
+        argmax=tables[row][int(argmax[row][0])],
+        argmax_index=int(argmax[row][0]),
+        per_scale=tuple(ScaleDetail(s, float(stats[i][0]), float(taus[i]), len(tables[i]))
+                        for i, s in enumerate(scales)),
     )
 
 

@@ -273,47 +273,36 @@ def group_sums(values: np.ndarray, groups: Sequence[int]) -> np.ndarray:
     return np.add.reduceat(values, starts, axis=-2)
 
 
-def cylinder_statistics(
-    sums: np.ndarray, table: ScanTable, model: NoiseModel, groups: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max standardized sum over base clusters crossed with trailing windows,
-    for every field of a (B, G, m) block of per-node sums over consecutive
-    time groups of sizes `groups`, time_groups(t_m + 1) for the scan.
-
-    Window i covers the last i + 1 groups, times [t_m - w + 1, t_m]: for
-    time_groups(t_m + 1), w runs over dyadic_windows(t_m + 1).  A (base, w)
-    statistic is normalized by its |base| * w pairs.  Returns the
-    statistics, the argmax members and their windows; ties break to the
-    smallest member index, then the shorter window.
-    """
+def window_sums(sums: np.ndarray, table: ScanTable) -> np.ndarray:
+    """(B, G, members) sums of every member over every trailing window of a
+    (B, G, m) block of group sums: window i covers the last i + 1 groups."""
     n_fields, n_groups, m = sums.shape
-    windows = np.cumsum(np.asarray(groups)[::-1])
     per_group = table.member_sums_temporal(sums.reshape(n_fields * n_groups, m))
     cum = np.zeros((n_fields, n_groups + 1, len(table)))
     np.cumsum(per_group.reshape(n_fields, n_groups, len(table)), axis=1, out=cum[:, 1:])
-    n_pairs = table.sizes * windows[:, None]  # (windows, members)
-    tails = cum[:, -1:] - cum[:, n_groups - 1 - np.arange(n_groups)]
-    stats = model.standardize(tails, n_pairs)
-    flat = stats.transpose(0, 2, 1).reshape(n_fields, -1).argmax(axis=1)  # member-major
-    j, col = np.divmod(flat, n_groups)
-    return stats[np.arange(n_fields), col, j], j, windows[col]
+    return cum[:, -1:] - cum[:, n_groups - 1 - np.arange(n_groups)]
 
 
 def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
                              model: NoiseModel) -> TestResult:
-    """cylinder_statistics of one field, reduced to its time groups, with
-    its argmax cluster and window; a net is scored through the table kept
-    with it."""
+    """Max standardized sum over base clusters crossed with trailing windows,
+    with its argmax cluster and window; a net is scored through the table
+    kept with it.
+
+    The field is read through its sums over time_groups(t_m + 1): window i
+    covers the last i + 1 groups, times [t_m - w + 1, t_m] with w running
+    over dyadic_windows(t_m + 1) (window_sums).  A (base, w) statistic is
+    normalized by its |base| * w pairs.  Ties break to the smallest member
+    index, then the shorter window.
+    """
     table = base.table if isinstance(base, EpsNet) else ScanTable.of(base)
     groups = time_groups(field.t_m + 1)
-    stats, j, window = cylinder_statistics(group_sums(field.values, groups)[None], table,
-                                           model, groups)
-    return TestResult(
-        statistic=float(stats[0]),
-        argmax=table[j[0]],
-        argmax_index=int(j[0]),
-        argmax_window=int(window[0]),
-    )
+    windows = np.cumsum(groups[::-1])
+    stats = model.standardize(window_sums(group_sums(field.values, groups)[None], table)[0],
+                              table.sizes * windows[:, None])
+    j, col = divmod(int(stats.T.argmax()), len(groups))  # member-major
+    return TestResult(statistic=float(stats[col, j]), argmax=table[j], argmax_index=j,
+                      argmax_window=int(windows[col]))
 
 
 def write_sequence(seq: ClusterSequence, fh, meta: dict | None = None) -> None:

@@ -206,6 +206,16 @@ def _anomalous_slices(
     return slices
 
 
+def planted_cells(target: Union[Cluster, "ClusterSequence"], steps: np.ndarray,
+                  m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells (group * m + node, ascending) of (G, m) sums over time groups of
+    sizes `steps` that hold target pairs, and how many each: what plant_block redraws."""
+    slices = _anomalous_slices(target, int(steps.sum()) - 1)
+    group_of = np.repeat(np.arange(steps.size), steps)
+    return np.unique(np.concatenate([group_of[t] * m + c.idarray for t, c in slices]),
+                     return_counts=True)
+
+
 def plant_block(
     values: np.ndarray,
     target: Union[Cluster, "ClusterSequence"],
@@ -225,12 +235,8 @@ def plant_block(
     steps = _time_steps(groups, values.shape[1] if groups is None else sum(groups))
     if steps.size != values.shape[1]:
         raise ValueError(f"{steps.size} time groups for a block of {values.shape[1]} rows")
-    slices = _anomalous_slices(target, int(steps.sum()) - 1)
-    group_of = np.repeat(np.arange(steps.size), steps)
-    m = values.shape[2]
-    cells, k = np.unique(np.concatenate([group_of[t] * m + c.idarray for t, c in slices]),
-                         return_counts=True)
-    group, nodes = np.divmod(cells, m)
+    cells, k = planted_cells(target, steps, values.shape[2])
+    group, nodes = np.divmod(cells, values.shape[2])
     pairs = int(k.sum())
     theta = sig.theta(model, pairs)
     if model.family != GAUSSIAN and pairs < MIN_CLUSTER_WARN:

@@ -304,9 +304,13 @@ def csv_rows(path, skiprows: int, dtype, columns: str) -> np.ndarray:
     """np.loadtxt's rows of the CSV at `path` below its first `skiprows` lines,
     read from the path in C chunks.  A line it refuses is a ValueError naming
     path:line and `columns`, the columns expected; only then are the lines read
-    in Python, and that line found by bisection over their prefixes."""
+    in Python, and that line found by bisection over their prefixes.  A body
+    with no rows is read as no rows, without np.loadtxt's warning: the callers
+    refuse it by name."""
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=1, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=1, dtype=dtype)
     except ValueError as exc:
         error = exc
     with open(path) as fh:

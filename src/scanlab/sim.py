@@ -4,7 +4,11 @@ strengths and report type-I + worst-case type-II per grid point.
 Worst case over the truth class is approximated by the maximum over a
 sampled set of truth clusters (the whole class when it is small).  Every
 trial draws its seed from the master seed and its index path, so results are
-bit-identical for a fixed config regardless of thread count.
+bit-identical for a fixed config regardless of thread count.  Trial i of
+truth k draws one null background, from ("h1", 0, k, i, 0), for the whole
+lambda grid (common random numbers): each grid point plants the truth's
+cells into it from its own key and re-scores only the elements those cells
+touch.
 """
 
 from __future__ import annotations
@@ -14,32 +18,31 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clusters import Cluster
 from .detect import (
     TestResult,
-    average_statistics,
     average_test,
     block_size,
     calibrate,
     eps_scan,
     map_blocks,
-    multiscale_statistics,
     multiscale_test,
     null_statistics,
     oracle_cutoff,
     scale_offsets,
     scale_term,
 )
-from .growth import (ClusterSequence, cylinder_statistics, scan_spacetime_cylinders,
-                     time_groups)
-from .metric import EpsNet
+from .growth import ClusterSequence, scan_spacetime_cylinders, time_groups, window_sums
+from .metric import EpsNet, Rows, ScanTable
 from .models import (
     Field,
     NoiseModel,
     SignalSpec,
     _anomalous_slices,
     plant_block,
+    planted_cells,
     sample_null_block,
     standardized_sum,
     standardized_sums,
@@ -175,16 +178,67 @@ def _resolve_truths(cfg: ExperimentConfig) -> list[Truth]:
 
 
 @dataclass(frozen=True)
+class Elements:
+    """A statistic as the max over its elements of model.standardize(sum, pairs) -
+    offset.  Element (w, j) is member j of `tables`, counted across them, over
+    the w-th shortest of the W longest trailing windows of the G time groups
+    (all G windows for the cylinder scan, every group at once for the average);
+    `sums` maps a (B, G, m) block of group sums to the (B, W, J) element sums."""
+
+    sums: Callable[[np.ndarray], np.ndarray]
+    tables: Sequence[ScanTable]
+    pairs: np.ndarray  # (W, J): the (node, time) pairs each element sums
+    offset: np.ndarray  # (J,)
+    model: NoiseModel
+
+    def scores(self, sums: np.ndarray, at=slice(None)) -> np.ndarray:
+        """Element scores of (B, W, J') sums of the members `at` (default all)."""
+        return self.model.standardize(sums, self.pairs[:, at]) - self.offset[at]
+
+    def block(self, values: np.ndarray) -> np.ndarray:
+        return self.scores(self.sums(values)).reshape(len(values), -1).max(axis=1)
+
+    def touched(self, nodes: np.ndarray) -> tuple[np.ndarray, sp.csr_array]:
+        """The members holding one of the ascending `nodes`, in order, and the
+        (nodes, touched members) 0/1 incidence: one pass over each table's ids."""
+        members, at, first = [], [], 0
+        for table in self.tables:
+            hit = np.flatnonzero(np.isin(table.concat, nodes))
+            members.append(first + np.searchsorted(table.indptr, hit, side="right") - 1)
+            at.append(np.searchsorted(nodes, table.concat[hit]))
+            first += len(table)
+        touched, col = np.unique(np.concatenate(members), return_inverse=True)
+        return touched, sp.csr_array((np.ones(col.size), (np.concatenate(at), col)),
+                                     shape=(nodes.size, touched.size))
+
+
+def _static_elements(tables: Sequence[ScanTable], offsets: np.ndarray,
+                     model: NoiseModel) -> Elements:
+    """The members of static scan tables, each less its table's offset; the
+    tables share one transpose and one running sum of a block."""
+    tables = [table.encoded() for table in tables]
+
+    def sums(values: np.ndarray) -> np.ndarray:
+        rows = Rows(values[:, 0])
+        return np.hstack([table.member_sums_temporal(rows) for table in tables])[:, None]
+
+    return Elements(sums, tables, np.concatenate([t.sizes for t in tables])[None],
+                    np.repeat(offsets, [len(t) for t in tables]), model)
+
+
+@dataclass(frozen=True)
 class Scorer:
     """A test's statistic, through one kernel two ways: score.block(sums)
     maps a (B, G, m) block of fields, given as per-node sums over the
     consecutive time groups of sizes `groups`, to their statistics, and
     score(field) -> (statistic, argmax) is the test's one-row call, whose
-    statistic equals the block's on the field's group sums bit for bit."""
+    statistic equals the block's on the field's group sums bit for bit.
+    Every test but the oracle's blocks through its `elements`."""
 
     block: Callable[[np.ndarray], np.ndarray]
     one_row: Callable[[Field], TestResult]
     groups: tuple[int, ...]
+    elements: Elements | None = None
 
     def __call__(self, fld: Field) -> tuple[float, Truth | None]:
         result = self.one_row(fld)
@@ -212,18 +266,19 @@ def scorer(
         )
     steps = (1,) * (t_m + 1)
     if isinstance(test, EpsScanTest):
-        table = test.net.table.encoded()
-        return Scorer(lambda values: table.max_scores(values[:, 0], model)[0],
-                      lambda fld: eps_scan(fld, test.net, model), steps)
+        el = _static_elements([test.net.table], np.zeros(1), model)
+        return Scorer(el.block, lambda fld: eps_scan(fld, test.net, model), steps, el)
     if isinstance(test, MultiscaleScanTest):
         weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
         _, tables, offsets = scale_offsets(test.nets, weights)
-        tables = [table.encoded() for table in tables]
-        return Scorer(lambda values: multiscale_statistics(values, tables, offsets, model)[0],
-                      lambda fld: multiscale_test(fld, test.nets, weights, model), steps)
+        el = _static_elements(tables, offsets, model)
+        return Scorer(el.block, lambda fld: multiscale_test(fld, test.nets, weights, model),
+                      steps, el)
     if isinstance(test, AverageTest):
-        return Scorer(lambda values: average_statistics(values, model),
-                      lambda fld: average_test(fld, model), steps)
+        el = Elements(lambda values: values.reshape(len(values), -1).sum(axis=1)[:, None, None],
+                      [ScanTable([0, net.m], np.arange(net.m))], np.array([[len(steps) * net.m]]),
+                      np.zeros(1), model)
+        return Scorer(el.block, lambda fld: average_test(fld, model), steps, el)
     if isinstance(test, OracleTest):
         if truth is None:
             raise ValueError("the oracle test scores a known truth; none was given")
@@ -232,22 +287,70 @@ def scorer(
                       steps)
     if isinstance(test, CylinderScanTest):
         table, groups = test.base.table.encoded(), time_groups(t_m + 1)
-        return Scorer(lambda sums: cylinder_statistics(sums, table, model, groups)[0],
-                      lambda fld: scan_spacetime_cylinders(fld, test.base, model), groups)
+        el = Elements(lambda sums: window_sums(sums, table), [table],
+                      table.sizes * np.cumsum(groups[::-1])[:, None], np.zeros(len(table)), model)
+        return Scorer(el.block, lambda fld: scan_spacetime_cylinders(fld, test.base, model),
+                      groups, el)
     raise ValueError(f"no statistic for {type(test).__name__}")
+
+
+def h1_statistics(cfg: ExperimentConfig, score: Scorer, k: int,
+                  truth: Truth) -> Callable[[int, int], np.ndarray]:
+    """fn(lo, hi) -> the (hi - lo, len(cfg.lambdas)) statistics of trials lo..hi - 1
+    of truth k.  The oracle plants into zeros.  Any other test scores a trial's
+    null background, from ("h1", 0, k, i, 0), once; each lambda plants the
+    truth's cells from ("h1", pt, k, i, 1) and re-scores only the elements whose
+    members hold a planted node, as background sums plus the increments y - x
+    over each window's groups.  The statistic is the larger of their maximum and
+    the other elements' background maximum."""
+    el, groups, m = score.elements, score.groups, cfg.net.m
+    group, node = np.divmod(planted_cells(truth, np.array(groups), m)[0], m)
+    nodes, at = np.unique(node, return_inverse=True)
+    touched, incidence = el.touched(nodes) if el else (None, None)
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        trials, n = range(lo, hi), hi - lo
+        values = np.zeros((n, len(groups), m))
+        if el:
+            seeds = derive_seeds(cfg.seed, ("h1", 0, k), ((i, 0) for i in trials))
+            values = sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds, groups)
+            sums = el.sums(values)
+            scores = el.scores(sums)
+            scores[..., touched] = -np.inf
+            rest, base = scores.reshape(n, -1).max(axis=1), sums[..., touched]
+            x = values[:, group, node]
+        stats = np.empty((n, len(cfg.lambdas)))
+        for pt, lam in enumerate(cfg.lambdas):
+            seeds = derive_seeds(cfg.seed, ("h1", pt, k), ((i, 1) for i in trials))
+            plant_block(values, truth, SignalSpec(lam), cfg.model, seeds, groups)
+            if not el:
+                stats[:, pt] = score.block(values)
+                continue
+            step = np.zeros((n, len(groups), nodes.size))
+            step[:, group, at] = values[:, group, node] - x
+            inc = (step.reshape(-1, nodes.size) @ incidence).reshape(n, len(groups), touched.size)
+            # sums over the last 1, 2, ..., G groups, of which the elements take the last W
+            window = np.cumsum(inc[:, ::-1], axis=1)[:, len(groups) - len(el.pairs):]
+            top = el.scores(base + window, touched).reshape(n, -1).max(axis=1, initial=-np.inf)
+            stats[:, pt] = np.maximum(rest, top)
+        return stats
+
+    return block
 
 
 def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
     """Calibrate once (the oracle cuts at oracle_cutoff), then estimate risk at every lambda.
 
-    The null pass and each (lambda, truth) pass run over blocks of fields
+    The null pass and each truth's pass run over blocks of fields
     (detect.block_size), each field drawn as the sums over the scorer's
-    time groups; trial i of a pass draws from its own seed,
-    derive_seed(seed, "null", i) or derive_seed(seed, "h1", pt, k, i, 0)
-    for the null field and (..., i, 1) for the planted cells.  The
-    oracle's statistic reads only the target cells, which planting
-    overwrites, so its H1 trials key only (..., i, 1) and plant into zeros:
-    the same statistics as planting into the (..., i, 0) null field.
+    time groups; trial i of a pass draws from its own seeds:
+    derive_seed(seed, "null", i) for the null field, and for truth k
+    derive_seed(seed, "h1", 0, k, i, 0) for the null background it shares
+    across the lambda grid and ("h1", pt, k, i, 1) for its planted cells at
+    grid point pt (see h1_statistics).  The oracle's statistic reads only the
+    target cells, which planting overwrites, so its H1 trials key only
+    (..., i, 1) and plant into zeros: the same statistics as planting into
+    the background.
     """
     truths = _resolve_truths(cfg)
     for truth in truths:  # refuse a truth the fields cannot hold before any pass
@@ -266,47 +369,21 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
     null_stats = null_statistics(score.block, cfg.net, cfg.model, groups, cfg.seed, "null",
                                  cfg.n_null, cfg.threads)
     size = block_size(len(groups), cfg.net.m)
+    thresholds = [oracle_cutoff(lam) if oracle else calib.threshold for lam in cfg.lambdas]
+    worst = np.full(len(thresholds), -1.0)
+    for k, truth in enumerate(truths):
+        stats = map_blocks(h1_statistics(cfg, score, k, truth), cfg.trials, size, cfg.threads)
+        worst = np.maximum(worst, (stats <= np.array(thresholds)).mean(axis=0))
 
     rows: list[RiskEstimate] = []
-    for pt, lam in enumerate(cfg.lambdas):
-        threshold = oracle_cutoff(lam) if oracle else calib.threshold
+    for lam, threshold, type2 in zip(cfg.lambdas, thresholds, worst.tolist()):
         type1 = float(np.mean(null_stats > threshold))
-        sig = SignalSpec(lam)
-        worst = -1.0
-        for k, truth in enumerate(truths):
-
-            def miss_block(lo: int, hi: int, head=("h1", pt, k), truth=truth) -> np.ndarray:
-                if oracle:  # S_K reads only the target cells, and plant_block assigns them all
-                    seeds = derive_seeds(cfg.seed, head, ((i, 1) for i in range(lo, hi)))
-                    values = np.zeros((hi - lo, len(groups), cfg.net.m))
-                else:
-                    tails = ((i, j) for i in range(lo, hi) for j in (0, 1))
-                    seeds = derive_seeds(cfg.seed, head, tails)
-                    values = sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds[0::2],
-                                               groups)
-                    seeds = seeds[1::2]
-                plant_block(values, truth, sig, cfg.model, seeds, groups)
-                return score.block(values) <= threshold
-
-            miss_rate = float(np.mean(map_blocks(miss_block, cfg.trials, size, cfg.threads)))
-            worst = max(worst, miss_rate)
         se1 = _binom_se(type1, cfg.n_null)
-        se2 = _binom_se(worst, cfg.trials)
-        rows.append(
-            RiskEstimate(
-                lam=lam,
-                theory=cfg.theory,
-                type1=type1,
-                type2_worst=worst,
-                risk=type1 + worst,
-                se=math.hypot(se1, se2),
-                se_type1=se1,
-                se_type2=se2,
-                trials=cfg.trials,
-                n_truth=len(truths),
-                seed=cfg.seed,
-            )
-        )
+        se2 = _binom_se(type2, cfg.trials)
+        rows.append(RiskEstimate(
+            lam=lam, theory=cfg.theory, type1=type1, type2_worst=type2, risk=type1 + type2,
+            se=math.hypot(se1, se2), se_type1=se1, se_type2=se2, trials=cfg.trials,
+            n_truth=len(truths), seed=cfg.seed))
     return rows
 
 

@@ -9,6 +9,7 @@ import hashlib
 import math
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from scipy.stats import ks_2samp
 import scanlab.detect
 import scanlab.sim
 from scanlab.clusters import Cluster
-from scanlab.detect import block_size, map_blocks, null_statistics
+from scanlab.detect import block_size, calibrate, map_blocks, null_statistics
 from scanlab.growth import ClusterSequence
 from scanlab.metric import EpsNet
 from scanlab.models import (
     BERNOULLI,
     GAUSSIAN,
+    Field,
     SignalSpec,
     noise_model,
     plant_block,
@@ -37,10 +39,13 @@ from scanlab.rng import derive_seed, derive_seeds, rng_from_seed
 from scanlab.sim import (
     AverageTest,
     CylinderScanTest,
+    EpsScanTest,
     ExperimentConfig,
     FixedTruths,
+    MultiscaleScanTest,
     OracleTest,
     estimate_risk,
+    h1_statistics,
     scorer,
 )
 
@@ -317,7 +322,8 @@ def test_estimate_risk_keys_every_trial_by_its_path():
 
 @pytest.mark.parametrize("test", [OracleTest(), AverageTest()])
 def test_estimate_risk_draws_null_fields_only_where_read(monkeypatch, test):
-    """The oracle draws only its null pass; a test that reads every cell draws every field."""
+    """The oracle draws only its null pass; a test that reads every cell draws every null
+    field, and one background per trial and truth, shared by the whole lambda grid."""
     drawn = []
 
     def counted(net, model, t_m, seeds, groups=None):
@@ -336,4 +342,122 @@ def test_estimate_risk_draws_null_fields_only_where_read(monkeypatch, test):
     if isinstance(test, OracleTest):
         assert sum(drawn) == cfg.n_null
     else:
-        assert sum(drawn) == cfg.calib_b + cfg.n_null + cfg.trials * 3 * len(truths)
+        assert sum(drawn) == cfg.calib_b + cfg.n_null + cfg.trials * len(truths)
+
+
+# The shared-background engine.  CORNER leaves nodes 18..24 of NET uncovered, so a
+# truth there touches no member; the contiguous members of SCALES[1] are scored
+# by their runs (the prefix encoding), CORNER's by their indicator.
+CORNER = EpsNet(0.5, tuple(Cluster(c) for c in (
+    (0, 1, 5, 6), (1, 2, 6, 7), (10, 11, 12, 15, 16, 17), tuple(range(15)))))
+SCALES = {1: EpsNet(0.5, tuple(Cluster(tuple(range(i, i + w))) for w in (19, 20)
+                               for i in range(6))),
+          2: CORNER}
+ENGINE_SPECS = {  # spec, t_m
+    "eps-scan": (EpsScanTest(CORNER), 0),
+    "multiscale": (MultiscaleScanTest(SCALES), 0),
+    "cylinders": (CylinderScanTest(CORNER), 4),
+    "average": (AverageTest(), 3),
+}
+
+
+def truth_at(t_m):
+    """A Cluster of NET for a static field, else a ClusterSequence over 0..t_m."""
+    cluster = node_sets.map(lambda ids: Cluster(tuple(sorted(ids))))
+    if t_m == 0:
+        return cluster
+    return st.lists(st.one_of(cluster, st.just(Cluster(()))), min_size=t_m + 1,
+                    max_size=t_m + 1).filter(lambda cs: any(cs)).map(
+                        lambda cs: ClusterSequence(tuple(cs)))
+
+
+def _planted_reference(cfg, score, k, i, pt, truth, per_point=False):
+    """The statistic of trial i of truth k at grid point pt, by the one-row
+    call on the whole planted field: the ("h1", 0, k, i, 0) background (with
+    per_point, ("h1", pt, k, i, 0), each point's own), planted from ("h1", pt,
+    k, i, 1).  A cylinder field holds each time group's sum at the group's
+    last step, so its group sums are the block's."""
+    seed0 = derive_seed(cfg.seed, "h1", pt if per_point else 0, k, i, 0)
+    values = sample_null_block(cfg.net, cfg.model, cfg.t_m, [seed0], score.groups)
+    plant_block(values, truth, SignalSpec(cfg.lambdas[pt]), cfg.model,
+                [derive_seed(cfg.seed, "h1", pt, k, i, 1)], score.groups)
+    full = np.zeros((cfg.t_m + 1, cfg.net.m))
+    full[np.cumsum(score.groups) - 1] = values[0]
+    return score.one_row(Field(cfg.net, full)).statistic
+
+
+def _blocks_of(width):
+    """Every Monte Carlo pass of estimate_risk in blocks of `width` fields."""
+    rule = lambda rows, m: width  # noqa: E731
+    return mock.patch.object(scanlab.sim, "block_size", rule)
+
+
+@pytest.mark.filterwarnings("ignore:planting")
+@settings(max_examples=48, deadline=None)
+@given(st.sampled_from(sorted(ENGINE_SPECS)), st.sampled_from(FAMILIES), st.data(),
+       st.integers(0, 2**64 - 1), st.sampled_from((1, 3)), st.sampled_from((3, 16)))
+def test_shared_background_engine_matches_the_planted_field(name, family, data, master,
+                                                            threads, width):
+    """Every H1 statistic of estimate_risk's engine, background scored once and
+    touched elements updated, against the one-row score of the planted field:
+    within 1e-9 (exact for integer-valued families), with the same decision at
+    the calibrated threshold, and the rows' type-II rates recomputed from them."""
+    spec, t_m = ENGINE_SPECS[name]
+    model = noise_model(family)
+    truths = tuple(data.draw(truth_at(t_m)) for _ in range(2))
+    cfg = ExperimentConfig(
+        net=NET, model=model, test=spec, truth=FixedTruths(truths), lambdas=(0.0, 1.5, 4.0),
+        trials=50, calib_b=99, n_null=50, seed=master, t_m=t_m, threads=threads,
+    )
+    score = scorer(spec, NET, model, t_m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # few planted pairs for bernoulli and poisson
+        got = [map_blocks(h1_statistics(cfg, score, k, truth), cfg.trials, width, threads)
+               for k, truth in enumerate(truths)]
+        with _blocks_of(width):
+            rows = estimate_risk(cfg)
+        threshold = calibrate(score.block, NET, model, cfg.alpha, cfg.calib_b,
+                              derive_seed(master, "calibration"), groups=score.groups).threshold
+        want = np.array([[[_planted_reference(cfg, score, k, i, pt, truth) for pt in range(3)]
+                          for i in range(cfg.trials)] for k, truth in enumerate(truths)])
+    if family == GAUSSIAN:
+        assert np.abs(np.array(got) - want).max() <= 1e-9
+    else:
+        assert np.array_equal(np.array(got), want)
+    assert np.array_equal(np.array(got) <= threshold, want <= threshold)
+    assert [row.type2_worst for row in rows] == (want <= threshold).mean(axis=1).max(axis=0).tolist()
+
+
+def test_the_prefix_encoded_scale_is_exercised():
+    scorer(MultiscaleScanTest(SCALES), NET, noise_model("gaussian"))
+    assert SCALES[1].table.runs is not None and CORNER.table.runs is None
+
+
+@pytest.mark.filterwarnings("ignore:planting")
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", sorted(ENGINE_SPECS))
+def test_first_grid_point_keeps_the_per_point_keys(name, family):
+    """The first row of a two-point grid equals one from fields keyed per grid
+    point, ("h1", pt, k, i, 0) and ("h1", pt, k, i, 1), and scored whole."""
+    spec, t_m = ENGINE_SPECS[name]
+    model = noise_model(family)
+    truths = (Cluster((3, 4, 8, 9, 13)), Cluster((20, 21, 22, 23, 24)))
+    if t_m:
+        truths = tuple(ClusterSequence((Cluster(()),) + (c,) * t_m) for c in truths)
+    cfg = ExperimentConfig(
+        net=NET, model=model, test=spec, truth=FixedTruths(truths), lambdas=(2.0, 5.0),
+        trials=60, calib_b=99, n_null=70, seed=31, t_m=t_m,
+    )
+    score = scorer(spec, NET, model, t_m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # few planted pairs for bernoulli and poisson
+        first = estimate_risk(cfg)[0]
+        threshold = calibrate(score.block, NET, model, cfg.alpha, cfg.calib_b,
+                              derive_seed(31, "calibration"), groups=score.groups).threshold
+        null = null_statistics(score.block, NET, model, score.groups, 31, "null", 70, 1)
+        miss = max(np.mean([_planted_reference(cfg, score, k, i, 0, truth, per_point=True)
+                            <= threshold for i in range(cfg.trials)])
+                   for k, truth in enumerate(truths))
+    type1 = float(np.mean(null > threshold))
+    assert (first.lam, first.type1, first.type2_worst, first.risk) == (
+        2.0, type1, miss, type1 + miss)

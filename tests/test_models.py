@@ -27,7 +27,7 @@ from scanlab.models import (
 from scanlab.network import EUCLIDEAN, NodeSet, make_lattice
 from scanlab.rng import derive_seed
 
-from file_helpers import outcome, reference_load_field, save_field
+from file_helpers import outcome, reference_load_field, save_field, silent_outcome
 
 GAUSS = noise_model("gaussian")
 BERN = noise_model("bernoulli")
@@ -357,7 +357,7 @@ FIELD_REFUSED = {
 
 
 def _assert_same_field(net, path, refused=None):
-    got, want = outcome(load_field, net, path), outcome(reference_load_field, net, path)
+    got, want = silent_outcome(load_field, net, path), outcome(reference_load_field, net, path)
     if refused is not None:
         line, text = refused
         assert want[0] is ValueError
