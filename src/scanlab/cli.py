@@ -230,6 +230,12 @@ CONFIG_TESTS = {"eps-scan": sim.EpsScanTest, "multiscale": sim.MultiscaleScanTes
                 "average": sim.AverageTest, "oracle": sim.OracleTest,
                 "cylinders": sim.CylinderScanTest}
 CALIBRATION_COLUMNS = ("alpha", "b", "threshold", "seed", "statistic", "tm", "model")
+# The library's one-row test that `scanlab test` decides a field by, for each
+# --statistic name; each scores through the elements `calibrate` blocks through.
+DECIDE = {"scan": lambda field, spec, model: detect.eps_scan(field, spec.net, model),
+          "average": lambda field, spec, model: detect.average_test(field, model),
+          "cylinder-scan": lambda field, spec, model:
+              growth.scan_spacetime_cylinders(field, spec.base, model)}
 
 SCORING_FLAGS = {"net": REQUIRED, "clusters": Value(),
                  "model": Value(tuple(models.MOMENTS), models.GAUSSIAN),
@@ -304,8 +310,9 @@ def _cmd_test(args) -> int:
         raise ConfigError("test requires --threshold or --calibration")
     spec = _test_spec(args, net)
     start = time.perf_counter()
-    statistic, argmax = sim.scorer(spec, net, model, field.t_m)(field)
+    result = DECIDE[args.statistic](field, spec, model)
     elapsed_ms = (time.perf_counter() - start) * 1e3
+    statistic, argmax = result.statistic, result.argmax
     argmax_size = 0 if argmax is None else argmax.size
     decision = "reject" if statistic > threshold else "accept"
     with _open_out(args.out) as fh:

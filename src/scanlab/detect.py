@@ -2,10 +2,14 @@
 test, the oracle likelihood-ratio test, Monte Carlo calibration, and the
 catalog of closed-form detection thresholds.
 
-Statistic values are maxima of standardized sums over a cluster stream; ties
-break to the first cluster in enumeration order, so results are deterministic
-under any evaluation order.  Finite-sample decisions come from calibrated
-empirical null quantiles; the closed-form rates are reported alongside.
+Every statistic is one Elements: the max over its elements of a standardized
+sum less an offset, scored on a block of fields (Elements.block) or on one
+field (Elements.one_row), which scan, eps_scan, multiscale_test, average_test
+and the cylinder scan wrap.  Ties break to the first raw maximum of a table in
+member-major order, then to the first table, so results are deterministic
+under any evaluation order.  oracle_test sums its known cluster directly.
+Finite-sample decisions come from calibrated empirical null quantiles; the
+closed-form rates are reported alongside.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clusters import Cluster
 from .metric import EpsNet, Rows, ScanTable
-from .models import Field, NoiseModel, sample_null_block, standardized_sum
+from .models import Field, NoiseModel, group_sums, sample_null_block, standardized_sum
 from .network import NodeSet
 from .rng import derive_seeds
 
@@ -62,32 +67,112 @@ class TestResult:
         return replace(self, threshold=threshold)
 
 
+@dataclass(frozen=True)
+class Elements:
+    """A statistic as the max over its elements of model.standardize(sum, pairs) -
+    offset: the one statistic every test scores, a block of fields or one field.
+
+    Fields are read as their per-node sums over consecutive time groups of sizes
+    `groups`.  Element (w, j) is member j of `tables`, counted across them, over
+    the w-th shortest of the W longest trailing windows of the G groups: all G
+    windows for the cylinder scan, every group at once for the average and the
+    oracle.  The oracle's one member holds the truth's nodes, and its sum reads
+    only the truth's cells.  `sums` maps a (B, G, m) block of group sums to the
+    (B, W, J) element sums."""
+
+    sums: Callable[[np.ndarray], np.ndarray]
+    tables: Sequence[ScanTable]
+    pairs: np.ndarray  # (W, J): the (node, time) pairs each element sums
+    offset: np.ndarray  # (J,)
+    model: NoiseModel
+    groups: tuple[int, ...] = (1,)
+    names: Sequence[Sequence] | None = None  # the argmax of each member; None: tables
+
+    def __call__(self, field: Field) -> tuple[float, object]:
+        """(statistic, argmax) of one field: one_row's, its element's name."""
+        statistic, table, member, _, _ = self.one_row(field)
+        return statistic, (self.names or self.tables)[table][member]
+
+    def scores(self, sums: np.ndarray, at=slice(None)) -> np.ndarray:
+        """Element scores of (B, W, J') sums of the members `at` (default all)."""
+        return self.model.standardize(sums, self.pairs[:, at]) - self.offset[at]
+
+    def block(self, values: np.ndarray) -> np.ndarray:
+        return self.scores(self.sums(values)).reshape(len(values), -1).max(axis=1)
+
+    def one_row(self, field: Field) -> tuple[float, int, int, int, np.ndarray]:
+        """(statistic, table, member, window, maxima) of one field.  Each table's
+        raw maximum (maxima) is taken at its first element in member-major order
+        (member, then window); the statistic is the largest maximum less its
+        table's offset, at the first table that reaches it.  window counts the
+        element's steps.  Subtracting an offset keeps order, so the statistic is
+        the block's on the field's group sums, bit for bit."""
+        if sum(self.groups) != len(field.values):
+            raise ValueError(f"the statistic reads fields of {sum(self.groups)} time steps, "
+                             f"not {len(field.values)}; scan_spacetime_cylinders scans in time")
+        scores = self.model.standardize(
+            self.sums(group_sums(field.values, self.groups)[None])[0], self.pairs)
+        n, flat = len(scores), scores.T.ravel()  # member-major: member, then window
+        first, lo = [], 0
+        for table in self.tables:
+            first.append(lo + int(flat[lo : lo + len(table) * n].argmax()))
+            lo += len(table) * n
+        maxima = flat[first]
+        excess = maxima - self.offset[np.array(first) // n]
+        t = int(excess.argmax())
+        j, w = divmod(first[t], n)
+        j -= sum(len(table) for table in self.tables[:t])
+        return float(excess[t]), t, j, sum(self.groups[n - 1 - w :]), maxima
+
+    def touched(self, nodes: np.ndarray) -> tuple[np.ndarray, sp.csr_array]:
+        """The members holding one of the ascending `nodes`, in order, and the
+        (nodes, touched members) 0/1 incidence: one pass over each table's ids."""
+        members, at, first = [], [], 0
+        for table in self.tables:
+            hit = np.flatnonzero(np.isin(table.concat, nodes))
+            members.append(first + np.searchsorted(table.indptr, hit, side="right") - 1)
+            at.append(np.searchsorted(nodes, table.concat[hit]))
+            first += len(table)
+        touched, col = np.unique(np.concatenate(members), return_inverse=True)
+        return touched, sp.csr_array((np.ones(col.size), (np.concatenate(at), col)),
+                                     shape=(nodes.size, touched.size))
+
+
+def scan_elements(tables: Sequence[ScanTable], offsets: np.ndarray,
+                  model: NoiseModel) -> Elements:
+    """The members of static scan tables, each less its table's offset; the
+    tables share one transpose and one running sum of a block."""
+    tables = [table.encoded() for table in tables]
+
+    def sums(values: np.ndarray) -> np.ndarray:
+        rows = Rows(values[:, 0])
+        return np.hstack([table.member_sums_temporal(rows) for table in tables])[:, None]
+
+    return Elements(sums, tables, np.concatenate([t.sizes for t in tables])[None],
+                    np.repeat(offsets, [len(t) for t in tables]), model)
+
+
+def average_elements(m: int, t_m: int, model: NoiseModel) -> Elements:
+    """The average test's one element: every node over all t_m + 1 steps."""
+    return Elements(lambda values: values.reshape(len(values), -1).sum(axis=1)[:, None, None],
+                    [ScanTable([0, m], np.arange(m))], np.array([[(t_m + 1) * m]]),
+                    np.zeros(1), model, (1,) * (t_m + 1), [[None]])
+
+
 def scan(field: Field, clusters: Iterable[Cluster], model: NoiseModel) -> TestResult:
     """Maximum standardized sum over the stream, with the first argmax."""
-    return _table_scan(field, ScanTable.of(clusters), model)
+    return eps_scan(field, EpsNet(0.0, clusters), model)
 
 
 def eps_scan(field: Field, net: EpsNet, model: NoiseModel) -> TestResult:
     """scan over the net's members, through the table kept with the net."""
-    return _table_scan(field, net.table, model)
-
-
-def _table_scan(field: Field, table: ScanTable, model: NoiseModel) -> TestResult:
-    if not field.static:
-        raise ValueError("scan takes a static field; see scan_spacetime_cylinders")
-    (stat,), (j,) = table.max_scores(field.values, model)
-    return TestResult(statistic=float(stat), argmax=table[j], argmax_index=int(j))
-
-
-def average_statistics(values: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """The average test's statistic for every field of a (B, t_m + 1, m) block."""
-    n = values[0].size
-    return model.standardize(values.reshape(len(values), n).sum(axis=1), n)
+    stat, _, j, _, _ = scan_elements([net.table], np.zeros(1), model).one_row(field)
+    return TestResult(statistic=stat, argmax=net.table[j], argmax_index=j)
 
 
 def average_test(field: Field, model: NoiseModel) -> TestResult:
     """Standardized sum over every (node, time) pair (threshold separate)."""
-    return TestResult(statistic=float(average_statistics(field.values[None], model)[0]))
+    return TestResult(statistic=average_elements(field.net.m, field.t_m, model)(field)[0])
 
 
 def oracle_cutoff(lam: float) -> float:
@@ -148,21 +233,16 @@ def multiscale_test(
     invariant holds with threshold 0.  Scales with empty nets are skipped;
     each net's table is built once and kept with the net.
     """
-    if not field.static:
-        raise ValueError("multiscale_test takes a static field")
     if thresholds is None:
         thresholds = default_scale_thresholds(field.net.m, field.net.dim, nets)
     scales, tables, taus = scale_offsets(nets, thresholds)
-    rows = Rows(field.values)  # one transpose and running sum for every scale
-    stats, argmax = zip(*(table.max_scores(rows, model) for table in tables))
-    excess = np.concatenate(stats) - taus
-    row = int(excess.argmax())  # ties go to the first member, then the earliest scale
+    stat, t, j, _, maxima = scan_elements(tables, taus, model).one_row(field)
     return TestResult(
-        statistic=float(excess[row]),
+        statistic=stat,
         threshold=0.0,
-        argmax=tables[row][int(argmax[row][0])],
-        argmax_index=int(argmax[row][0]),
-        per_scale=tuple(ScaleDetail(s, float(stats[i][0]), float(taus[i]), len(tables[i]))
+        argmax=tables[t][j],
+        argmax_index=j,
+        per_scale=tuple(ScaleDetail(s, float(maxima[i]), float(taus[i]), len(tables[i]))
                         for i, s in enumerate(scales)),
     )
 
@@ -234,6 +314,19 @@ def null_statistics(statistic: Callable[[np.ndarray], np.ndarray], net: NodeSet,
     return map_blocks(block, n, block_size(len(groups), net.m), threads)
 
 
+def calibration_rank(alpha: float, b: int) -> int:
+    """ceil((1-alpha)(b+1)), the threshold's rank among b null statistics; a
+    ValueError unless b >= 99, 0 < alpha < 1 and the rank is at most b."""
+    if b < 99:
+        raise ValueError("need b >= 99 null samples")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    rank = math.ceil((1 - alpha) * (b + 1))
+    if rank > b:
+        raise ValueError(f"alpha={alpha} needs more than b={b} null samples")
+    return rank
+
+
 def calibrate(
     statistic: Callable[[np.ndarray], np.ndarray],
     net: NodeSet,
@@ -248,15 +341,9 @@ def calibrate(
 
     statistic maps a (B, G, m) block of null fields, drawn as per-node sums
     over consecutive time groups of sizes `groups` (default: one static
-    step), to their B statistics, as a sim.Scorer's block and groups do.
+    step), to their B statistics, as an Elements' block and groups do.
     """
-    if b < 99:
-        raise ValueError("need b >= 99 null samples")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    rank = math.ceil((1 - alpha) * (b + 1))
-    if rank > b:
-        raise ValueError(f"alpha={alpha} needs more than b={b} null samples")
+    rank = calibration_rank(alpha, b)
     stats = null_statistics(statistic, net, model, groups, seed, "calib", b, threads)
     threshold = float(np.sort(stats)[rank - 1])
     return Calibration(alpha=alpha, b=b, threshold=threshold, seed=seed, null_stats=stats)

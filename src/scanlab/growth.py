@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clusters import EMPTY_CLUSTER, Cluster, _boundary, _padded_grid, holder_violation
-from .detect import TestResult
+from .detect import Elements, TestResult
 from .metric import SQRT2, EpsNet, ScanTable, delta
 from .models import Field, NoiseModel
 from .network import LATTICE, NodeSet, ball_nodes, closed_ball_ids, int_lines
@@ -266,13 +266,6 @@ def time_groups(horizon: int) -> tuple[int, ...]:
     return tuple(np.diff(starts + [horizon]).tolist())
 
 
-def group_sums(values: np.ndarray, groups: Sequence[int]) -> np.ndarray:
-    """Per-node sums of (..., t_m + 1, m) values over consecutive time groups
-    of sizes `groups`: (..., G, m), each summed in time order."""
-    starts = np.cumsum((0,) + tuple(groups)[:-1])
-    return np.add.reduceat(values, starts, axis=-2)
-
-
 def window_sums(sums: np.ndarray, table: ScanTable) -> np.ndarray:
     """(B, G, members) sums of every member over every trailing window of a
     (B, G, m) block of group sums: window i covers the last i + 1 groups."""
@@ -283,26 +276,29 @@ def window_sums(sums: np.ndarray, table: ScanTable) -> np.ndarray:
     return cum[:, -1:] - cum[:, n_groups - 1 - np.arange(n_groups)]
 
 
+def cylinder_elements(table: ScanTable, t_m: int, model: NoiseModel) -> Elements:
+    """The cylinder scan's elements: every member over every trailing window,
+    read through the field's sums over time_groups(t_m + 1) (window_sums).  A
+    (member, w) element sums its |member| * w pairs."""
+    table, groups = table.encoded(), time_groups(t_m + 1)
+    return Elements(lambda sums: window_sums(sums, table), [table],
+                    table.sizes * np.cumsum(groups[::-1])[:, None], np.zeros(len(table)),
+                    model, groups)
+
+
 def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
                              model: NoiseModel) -> TestResult:
     """Max standardized sum over base clusters crossed with trailing windows,
     with its argmax cluster and window; a net is scored through the table
     kept with it.
 
-    The field is read through its sums over time_groups(t_m + 1): window i
-    covers the last i + 1 groups, times [t_m - w + 1, t_m] with w running
-    over dyadic_windows(t_m + 1) (window_sums).  A (base, w) statistic is
-    normalized by its |base| * w pairs.  Ties break to the smallest member
-    index, then the shorter window.
+    Window i covers the last i + 1 time groups, times [t_m - w + 1, t_m] with
+    w running over dyadic_windows(t_m + 1).  Ties break to the smallest member
+    index, then the shorter window (Elements.one_row).
     """
     table = base.table if isinstance(base, EpsNet) else ScanTable.of(base)
-    groups = time_groups(field.t_m + 1)
-    windows = np.cumsum(groups[::-1])
-    stats = model.standardize(window_sums(group_sums(field.values, groups)[None], table)[0],
-                              table.sizes * windows[:, None])
-    j, col = divmod(int(stats.T.argmax()), len(groups))  # member-major
-    return TestResult(statistic=float(stats[col, j]), argmax=table[j], argmax_index=j,
-                      argmax_window=int(windows[col]))
+    stat, _, j, window, _ = cylinder_elements(table, field.t_m, model).one_row(field)
+    return TestResult(statistic=stat, argmax=table[j], argmax_index=j, argmax_window=window)
 
 
 def write_sequence(seq: ClusterSequence, fh, meta: dict | None = None) -> None:

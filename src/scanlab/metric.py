@@ -146,7 +146,7 @@ class ScanTable(ClusterStream):
         """The table with `runs` and `indicator` set, on first call: either
         `runs`, the (members, width + 1) matrix of -1 at a and +1 at b per run
         [a, b), or `indicator`, the (members, width) incidence; the other is
-        None.  Scorer calls it before threads share the table."""
+        None.  The elements that score a table call it before threads share it."""
         if "runs" not in vars(self):
             ids, start = self.concat, np.ones(self.concat.size, dtype=bool)
             start[1:] = ids[1:] != ids[:-1] + 1
@@ -182,6 +182,7 @@ class ScanTable(ClusterStream):
         return scores.max(axis=1), scores.argmax(axis=1)
 
     def max_score(self, row: np.ndarray, model) -> tuple[float, int]:
+        # unused by the library; kept because scanbench/spans.py patches it as detect.score
         stats, j = self.max_scores(row[None], model)
         return float(stats[0]), int(j[0])
 

@@ -128,10 +128,6 @@ class Field:
     def t_m(self) -> int:
         return self.values.shape[0] - 1
 
-    @property
-    def static(self) -> bool:
-        return self.t_m == 0
-
 
 @dataclass(frozen=True)
 class SignalSpec:
@@ -165,6 +161,15 @@ def _time_steps(groups, horizon: int) -> np.ndarray:
     if steps.ndim != 1 or not steps.size or steps.min() < 1 or steps.sum() != horizon:
         raise ValueError(f"time groups {tuple(groups)} do not partition {horizon} steps")
     return steps
+
+
+def group_sums(values: np.ndarray, groups) -> np.ndarray:
+    """Per-node sums of (..., t_m + 1, m) values over consecutive time groups
+    of sizes `groups`: (..., G, m), each summed in time order.  One-step
+    groups give the values themselves."""
+    if len(groups) == sum(groups) == values.shape[-2]:
+        return values
+    return np.add.reduceat(values, np.cumsum((0,) + tuple(groups)[:-1]), axis=-2)
 
 
 def sample_null_block(net: NodeSet, model: NoiseModel, t_m: int, seeds,
@@ -271,16 +276,12 @@ def mad_variance(field: Field) -> float:
     return float((mad / _MAD_CONSISTENCY) ** 2)
 
 
-def standardized_sums(
-    values: np.ndarray, target: Union[Cluster, "ClusterSequence"], model: NoiseModel
-) -> np.ndarray:
-    """standardized_sum of every field in a (B, t_m + 1, m) block, bit for bit."""
+def target_sums(values: np.ndarray, target: Union[Cluster, "ClusterSequence"]) -> np.ndarray:
+    """The sum over the target of every field in a (B, t_m + 1, m) block, as
+    standardized_sum adds it, bit for bit."""
     slices = _anomalous_slices(target, values.shape[1] - 1)
     # take() gathers C-ordered rows, so each row sums in the order of a 1-D sum
-    total = 0
-    for t, k in slices:
-        total = total + values[:, t].take(k.idarray, axis=1).sum(axis=1)
-    return model.standardize(total, sum(k.size for _, k in slices))
+    return sum(values[:, t].take(k.idarray, axis=1).sum(axis=1) for t, k in slices)
 
 
 def standardized_sum(

@@ -8,7 +8,9 @@ bit-identical for a fixed config regardless of thread count.  Trial i of
 truth k draws one null background, from ("h1", 0, k, i, 0), for the whole
 lambda grid (common random numbers): each grid point plants the truth's
 cells into it from its own key and re-scores only the elements those cells
-touch.
+touch.  A test is its detect.Elements, the one statistic of a block and of
+one field; the oracle is one element, the truth's own cells, which read no
+background.
 """
 
 from __future__ import annotations
@@ -18,34 +20,31 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .clusters import Cluster
 from .detect import (
-    TestResult,
-    average_test,
+    Elements,
+    average_elements,
     block_size,
     calibrate,
-    eps_scan,
+    calibration_rank,
     map_blocks,
-    multiscale_test,
     null_statistics,
     oracle_cutoff,
     scale_offsets,
     scale_term,
+    scan_elements,
 )
-from .growth import ClusterSequence, scan_spacetime_cylinders, time_groups, window_sums
-from .metric import EpsNet, Rows, ScanTable
+from .growth import ClusterSequence, cylinder_elements
+from .metric import EpsNet, ScanTable
 from .models import (
-    Field,
     NoiseModel,
     SignalSpec,
     _anomalous_slices,
     plant_block,
     planted_cells,
     sample_null_block,
-    standardized_sum,
-    standardized_sums,
+    target_sums,
 )
 from .network import NodeSet
 from .rng import derive_seed, derive_seeds, rng_from_seed
@@ -136,6 +135,7 @@ class ExperimentConfig:
             raise ValueError("t_m must be >= 0")
         if self.threads < 1:
             raise ValueError(f"need threads >= 1, got {self.threads}")
+        calibration_rank(self.alpha, self.calib_b)
 
 
 @dataclass(frozen=True)
@@ -177,162 +177,88 @@ def _resolve_truths(cfg: ExperimentConfig) -> list[Truth]:
     ]
 
 
-@dataclass(frozen=True)
-class Elements:
-    """A statistic as the max over its elements of model.standardize(sum, pairs) -
-    offset.  Element (w, j) is member j of `tables`, counted across them, over
-    the w-th shortest of the W longest trailing windows of the G time groups
-    (all G windows for the cylinder scan, every group at once for the average);
-    `sums` maps a (B, G, m) block of group sums to the (B, W, J) element sums."""
-
-    sums: Callable[[np.ndarray], np.ndarray]
-    tables: Sequence[ScanTable]
-    pairs: np.ndarray  # (W, J): the (node, time) pairs each element sums
-    offset: np.ndarray  # (J,)
-    model: NoiseModel
-
-    def scores(self, sums: np.ndarray, at=slice(None)) -> np.ndarray:
-        """Element scores of (B, W, J') sums of the members `at` (default all)."""
-        return self.model.standardize(sums, self.pairs[:, at]) - self.offset[at]
-
-    def block(self, values: np.ndarray) -> np.ndarray:
-        return self.scores(self.sums(values)).reshape(len(values), -1).max(axis=1)
-
-    def touched(self, nodes: np.ndarray) -> tuple[np.ndarray, sp.csr_array]:
-        """The members holding one of the ascending `nodes`, in order, and the
-        (nodes, touched members) 0/1 incidence: one pass over each table's ids."""
-        members, at, first = [], [], 0
-        for table in self.tables:
-            hit = np.flatnonzero(np.isin(table.concat, nodes))
-            members.append(first + np.searchsorted(table.indptr, hit, side="right") - 1)
-            at.append(np.searchsorted(nodes, table.concat[hit]))
-            first += len(table)
-        touched, col = np.unique(np.concatenate(members), return_inverse=True)
-        return touched, sp.csr_array((np.ones(col.size), (np.concatenate(at), col)),
-                                     shape=(nodes.size, touched.size))
-
-
-def _static_elements(tables: Sequence[ScanTable], offsets: np.ndarray,
-                     model: NoiseModel) -> Elements:
-    """The members of static scan tables, each less its table's offset; the
-    tables share one transpose and one running sum of a block."""
-    tables = [table.encoded() for table in tables]
-
-    def sums(values: np.ndarray) -> np.ndarray:
-        rows = Rows(values[:, 0])
-        return np.hstack([table.member_sums_temporal(rows) for table in tables])[:, None]
-
-    return Elements(sums, tables, np.concatenate([t.sizes for t in tables])[None],
-                    np.repeat(offsets, [len(t) for t in tables]), model)
-
-
-@dataclass(frozen=True)
-class Scorer:
-    """A test's statistic, through one kernel two ways: score.block(sums)
-    maps a (B, G, m) block of fields, given as per-node sums over the
-    consecutive time groups of sizes `groups`, to their statistics, and
-    score(field) -> (statistic, argmax) is the test's one-row call, whose
-    statistic equals the block's on the field's group sums bit for bit.
-    Every test but the oracle's blocks through its `elements`."""
-
-    block: Callable[[np.ndarray], np.ndarray]
-    one_row: Callable[[Field], TestResult]
-    groups: tuple[int, ...]
-    elements: Elements | None = None
-
-    def __call__(self, fld: Field) -> tuple[float, Truth | None]:
-        result = self.one_row(fld)
-        return result.statistic, result.argmax
-
-
 def scorer(
     test: TestSpec, net: NodeSet, model: NoiseModel, t_m: int = 0,
     truth: Truth | None = None,
-) -> Scorer:
-    """The Scorer of a test specification.
+) -> Elements:
+    """The elements of a test specification: its statistic, of a block of
+    fields (.block) and of one field (called: statistic and argmax).
 
-    The one place a TestSpec becomes a statistic: estimate_risk,
-    `scanlab calibrate` and `scanlab test` all score through it.  Cluster
+    estimate_risk and `scanlab calibrate` score through them; the one-row
+    tests that `scanlab test` runs build the same elements.  Cluster
     tables are the nets' own, built once and encoded here, before threads
-    share them; the oracle scores its one `truth`.  The argmax is the
-    maximizing cluster (None for the average test).  The cylinder scan
-    reads its fields through the sums over time_groups(t_m + 1), the only
-    sums its windows take; every other statistic takes one-step groups, so
-    its block reads the values themselves.
+    share them.  The argmax is the maximizing cluster, the oracle's one
+    `truth` (its one element reads only the truth's cells), or None for the
+    average test.  The cylinder scan reads its fields through the sums over
+    time_groups(t_m + 1), the only sums its windows take; every other
+    statistic takes one-step groups, so its block reads the values themselves.
     """
     if isinstance(test, (EpsScanTest, MultiscaleScanTest)) and t_m != 0:
         raise ValueError(
             f"{type(test).__name__} needs a static field (t_m = 0); use CylinderScanTest"
         )
-    steps = (1,) * (t_m + 1)
     if isinstance(test, EpsScanTest):
-        el = _static_elements([test.net.table], np.zeros(1), model)
-        return Scorer(el.block, lambda fld: eps_scan(fld, test.net, model), steps, el)
+        return scan_elements([test.net.table], np.zeros(1), model)
     if isinstance(test, MultiscaleScanTest):
         weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
-        _, tables, offsets = scale_offsets(test.nets, weights)
-        el = _static_elements(tables, offsets, model)
-        return Scorer(el.block, lambda fld: multiscale_test(fld, test.nets, weights, model),
-                      steps, el)
+        return scan_elements(*scale_offsets(test.nets, weights)[1:], model)
+    if isinstance(test, CylinderScanTest):
+        return cylinder_elements(test.base.table, t_m, model)
     if isinstance(test, AverageTest):
-        el = Elements(lambda values: values.reshape(len(values), -1).sum(axis=1)[:, None, None],
-                      [ScanTable([0, net.m], np.arange(net.m))], np.array([[len(steps) * net.m]]),
-                      np.zeros(1), model)
-        return Scorer(el.block, lambda fld: average_test(fld, model), steps, el)
+        return average_elements(net.m, t_m, model)
     if isinstance(test, OracleTest):
         if truth is None:
             raise ValueError("the oracle test scores a known truth; none was given")
-        return Scorer(lambda values: standardized_sums(values, truth, model),
-                      lambda fld: TestResult(standardized_sum(fld, truth, model), argmax=truth),
-                      steps)
-    if isinstance(test, CylinderScanTest):
-        table, groups = test.base.table.encoded(), time_groups(t_m + 1)
-        el = Elements(lambda sums: window_sums(sums, table), [table],
-                      table.sizes * np.cumsum(groups[::-1])[:, None], np.zeros(len(table)), model)
-        return Scorer(el.block, lambda fld: scan_spacetime_cylinders(fld, test.base, model),
-                      groups, el)
+        cells, _ = planted_cells(truth, np.ones(t_m + 1, dtype=int), net.m)
+        nodes = np.unique(cells % net.m)
+        return Elements(lambda values: target_sums(values, truth)[:, None, None],
+                        [ScanTable([0, nodes.size], nodes)], np.array([[cells.size]]),
+                        np.zeros(1), model, (1,) * (t_m + 1), [[truth]])
     raise ValueError(f"no statistic for {type(test).__name__}")
 
 
-def h1_statistics(cfg: ExperimentConfig, score: Scorer, k: int,
+def h1_statistics(cfg: ExperimentConfig, el: Elements, k: int,
                   truth: Truth) -> Callable[[int, int], np.ndarray]:
     """fn(lo, hi) -> the (hi - lo, len(cfg.lambdas)) statistics of trials lo..hi - 1
-    of truth k.  The oracle plants into zeros.  Any other test scores a trial's
-    null background, from ("h1", 0, k, i, 0), once; each lambda plants the
-    truth's cells from ("h1", pt, k, i, 1) and re-scores only the elements whose
-    members hold a planted node, as background sums plus the increments y - x
-    over each window's groups.  The statistic is the larger of their maximum and
-    the other elements' background maximum."""
-    el, groups, m = score.elements, score.groups, cfg.net.m
-    group, node = np.divmod(planted_cells(truth, np.array(groups), m)[0], m)
+    of truth k.  A trial's null background, from ("h1", 0, k, i, 0), is scored
+    once; each lambda plants the truth's cells from ("h1", pt, k, i, 1) and
+    re-scores only the elements whose members hold a planted node, as background
+    sums plus the increments y - x over each window's groups.  The statistic is
+    the larger of their maximum and the other elements' background maximum.
+    Elements that read only planted cells (the oracle's: their sums of a field
+    of ones off the planted cells are all zero) read no background, so their
+    trials plant into zeros and draw none."""
+    groups, m = el.groups, cfg.net.m
+    cells, _ = planted_cells(truth, np.array(groups), m)
+    group, node = np.divmod(cells, m)
     nodes, at = np.unique(node, return_inverse=True)
-    touched, incidence = el.touched(nodes) if el else (None, None)
+    touched, incidence = el.touched(nodes)
+    probe = np.ones(len(groups) * m)
+    probe[cells] = 0.0
+    background = el.sums(probe.reshape(1, len(groups), m)).any()
 
     def block(lo: int, hi: int) -> np.ndarray:
         trials, n = range(lo, hi), hi - lo
         values = np.zeros((n, len(groups), m))
-        if el:
+        if background:
             seeds = derive_seeds(cfg.seed, ("h1", 0, k), ((i, 0) for i in trials))
             values = sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds, groups)
-            sums = el.sums(values)
-            scores = el.scores(sums)
-            scores[..., touched] = -np.inf
-            rest, base = scores.reshape(n, -1).max(axis=1), sums[..., touched]
-            x = values[:, group, node]
+        sums = el.sums(values)
+        scores = el.scores(sums)
+        scores[..., touched] = -np.inf
+        rest, base = scores.reshape(n, -1).max(axis=1), sums[..., touched]
+        x = values[:, group, node]
         stats = np.empty((n, len(cfg.lambdas)))
         for pt, lam in enumerate(cfg.lambdas):
             seeds = derive_seeds(cfg.seed, ("h1", pt, k), ((i, 1) for i in trials))
             plant_block(values, truth, SignalSpec(lam), cfg.model, seeds, groups)
-            if not el:
-                stats[:, pt] = score.block(values)
-                continue
             step = np.zeros((n, len(groups), nodes.size))
             step[:, group, at] = values[:, group, node] - x
             inc = (step.reshape(-1, nodes.size) @ incidence).reshape(n, len(groups), touched.size)
             # sums over the last 1, 2, ..., G groups, of which the elements take the last W
             window = np.cumsum(inc[:, ::-1], axis=1)[:, len(groups) - len(el.pairs):]
-            top = el.scores(base + window, touched).reshape(n, -1).max(axis=1, initial=-np.inf)
-            stats[:, pt] = np.maximum(rest, top)
+            top = el.scores(base + window, touched).reshape(n, -1)
+            stats[:, pt] = np.maximum(rest, top.max(axis=1, initial=-np.inf))
         return stats
 
     return block
@@ -347,7 +273,7 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
     derive_seed(seed, "null", i) for the null field, and for truth k
     derive_seed(seed, "h1", 0, k, i, 0) for the null background it shares
     across the lambda grid and ("h1", pt, k, i, 1) for its planted cells at
-    grid point pt (see h1_statistics).  The oracle's statistic reads only the
+    grid point pt (see h1_statistics).  The oracle's elements read only the
     target cells, which planting overwrites, so its H1 trials key only
     (..., i, 1) and plant into zeros: the same statistics as planting into
     the background.

@@ -392,6 +392,17 @@ seed = 3
 """)
         assert abs(float(rows[0].split(",")[4]) - 0.3173) < 0.05
 
+    def test_oracle_config_refuses_a_short_calibration(self, tmp_path, capsys):
+        # the oracle never calibrates, but its config is checked like any other
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("net.mode = lattice\nnet.side = 8\ntest = oracle\ntruth.family = balls\n"
+                       "truth.lambda = 2.5\ntruth.count = 1\nlambda.grid = 2\n"
+                       "calibration.b = 50\n")
+        out = tmp_path / "out.csv"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "need b >= 99 null samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cylinders_richardson_config(self, tmp_path):
         rows = self._run_cfg(tmp_path, """
 net.mode = lattice

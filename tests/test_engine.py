@@ -345,6 +345,35 @@ def test_estimate_risk_draws_null_fields_only_where_read(monkeypatch, test):
         assert sum(drawn) == cfg.calib_b + cfg.n_null + cfg.trials * len(truths)
 
 
+@pytest.mark.filterwarnings("ignore:planting")
+@pytest.mark.parametrize("family", FAMILIES[1:])  # integer-valued: the sums are exact
+@pytest.mark.parametrize("outside, drawn", [((), []), ((5,), [50])])
+def test_elements_that_read_only_planted_cells_draw_no_background(monkeypatch, family,
+                                                                  outside, drawn):
+    """The no-background rule is read off the elements, not the test's type: an
+    eps-scan whose members lie inside the truth plants into zeros, as the
+    oracle does, and one member reaching a node outside it draws a background
+    per trial.  Either way the statistics are the planted field's."""
+    truth, model = Cluster((3, 4, 8, 9, 13)), noise_model(family)
+    spec = EpsScanTest(EpsNet(0.5, (Cluster((3, 4) + outside), Cluster((8, 9, 13)))))
+    cfg = ExperimentConfig(
+        net=NET, model=model, test=spec, truth=FixedTruths((truth,)), lambdas=(1.0, 3.0),
+        trials=50, calib_b=99, n_null=50, seed=8,
+    )
+    score = scorer(spec, NET, model)
+    want = [[_planted_reference(cfg, score, 0, i, pt, truth) for pt in range(2)]
+            for i in range(cfg.trials)]
+    seen = []
+
+    def counted(net, model, t_m, seeds, groups=None):
+        seen.append(len(seeds))
+        return sample_null_block(net, model, t_m, seeds, groups)
+
+    monkeypatch.setattr(scanlab.sim, "sample_null_block", counted)
+    assert np.array_equal(h1_statistics(cfg, score, 0, truth)(0, cfg.trials), want)
+    assert seen == drawn
+
+
 # The shared-background engine.  CORNER leaves nodes 18..24 of NET uncovered, so a
 # truth there touches no member; the contiguous members of SCALES[1] are scored
 # by their runs (the prefix encoding), CORNER's by their indicator.
@@ -383,7 +412,7 @@ def _planted_reference(cfg, score, k, i, pt, truth, per_point=False):
                 [derive_seed(cfg.seed, "h1", pt, k, i, 1)], score.groups)
     full = np.zeros((cfg.t_m + 1, cfg.net.m))
     full[np.cumsum(score.groups) - 1] = values[0]
-    return score.one_row(Field(cfg.net, full)).statistic
+    return score(Field(cfg.net, full))[0]
 
 
 def _blocks_of(width):

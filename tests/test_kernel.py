@@ -26,10 +26,18 @@ from scanlab.clusters import (
     enumerate_bands,
     enumerate_thick,
 )
-from scanlab.detect import calibrate, eps_scan, multiscale_test, scale_term, scan
-from scanlab.growth import dyadic_windows, group_sums, make_cylinder, scan_spacetime_cylinders
+from scanlab.detect import (
+    average_test,
+    calibrate,
+    eps_scan,
+    multiscale_test,
+    oracle_test,
+    scale_term,
+    scan,
+)
+from scanlab.growth import dyadic_windows, make_cylinder, scan_spacetime_cylinders
 from scanlab.metric import EpsNet, ScanTable, build_net
-from scanlab.models import Field, noise_model
+from scanlab.models import Field, group_sums, noise_model
 from scanlab.network import (
     LATTICE,
     NodeSet,
@@ -72,6 +80,9 @@ SPECS = {
     # the benchmark's horizon: seven time groups of 1, 16, 8, 4, 2, 1 and 1 steps
     "cylinders-33": (CylinderScanTest(NETS[3]), 33,
                      lambda f, model: scan_spacetime_cylinders(f, NETS[3], model)),
+    "average": (AverageTest(), 5, average_test),
+    # the oracle's truth is _truth(1); oracle_test's cutoff plays no part here
+    "oracle": (OracleTest(), 1, lambda f, model: oracle_test(f, _truth(1), 0.0, model)),
 }
 
 
@@ -90,7 +101,7 @@ def _draw(model, seed, shape):
 def test_block_equals_one_row_calls(name, model, n_fields, seed):
     spec, horizon, one_row = SPECS[name]
     values = _draw(model, seed, (n_fields, horizon, NET.m))
-    score = scorer(spec, NET, model, horizon - 1)
+    score = scorer(spec, NET, model, horizon - 1, _truth(horizon))
     block = score.block(group_sums(values, score.groups))
     for row, value in zip(values, block):
         fld = Field(NET, row)
@@ -136,6 +147,10 @@ def test_statistics_match_plain_sums(model):
                 if best is None or stat - offsets[s] > best[0]:
                     best = (stat - offsets[s], NETS[s].members[j])
             assert abs(got.statistic - best[0]) <= 1e-12 and got.argmax == best[1]
+            for detail, s in zip(got.per_scale, sorted(NETS)):
+                stat, _ = _scan_reference(row, NETS[s].members, model)
+                assert detail.scale == s and detail.threshold == offsets[s]
+                assert abs(detail.statistic - stat) <= 1e-12 and detail.members == len(NETS[s])
         values = _draw(model, seed, (6, NET.m))
         got = scan_spacetime_cylinders(Field(NET, values), NETS[3], model)
         z, j, w = _cylinder_reference(values, NETS[3].members, model, dyadic_windows(6))
@@ -253,6 +268,21 @@ def test_multiscale_ties_go_to_the_earliest_scale():
     assert score(fld) == (weighted.statistic, Cluster((0, 1)))
 
 
+def test_multiscale_ties_after_the_offset_go_to_the_raw_maximum():
+    """Within a scale the first raw maximum wins, before its offset is taken
+    off: 1e-17 and 2e-17 less an offset of 1 (or sqrt(2)) round to one score,
+    and member (1,), the larger sum, is the argmax, not the first member."""
+    fld = Field(LINE, [[1e-17, 2e-17, 0.0, 0.0, 0.0, 0.0]])
+    nets = {2: EpsNet(0.5, (Cluster((0,)), Cluster((1,))))}
+    assert 1e-17 - 1.0 == 2e-17 - 1.0 and 1e-17 - math.sqrt(2.0) == 2e-17 - math.sqrt(2.0)
+    result = multiscale_test(fld, nets, {2: 1.0}, GAUSS)
+    assert result.argmax == Cluster((1,)) and result.argmax_index == 1
+    assert result.statistic == 2e-17 - 1.0 and result.per_scale[0].statistic == 2e-17
+    # the scorer's offset here is scale_term(6, 1, 2) = sqrt(2)
+    assert scorer(MultiscaleScanTest(nets), LINE, GAUSS)(fld) == (2e-17 - math.sqrt(2.0),
+                                                                  Cluster((1,)))
+
+
 def test_cylinder_ties_are_member_major_then_window_order():
     # member (0,) peaks at window 2 and member (1, 2) at window 1, both at
     # 2/sqrt(2): the first member wins
@@ -301,10 +331,7 @@ def test_risk_rows_do_not_depend_on_threads(name):
     assert rows[0] == rows[1]
 
 
-WIDTH_SPECS = {name: (spec, horizon) for name, (spec, horizon, _) in SPECS.items()} | {
-    "average": (AverageTest(), 5),
-    "oracle": (OracleTest(), 1),
-}
+WIDTH_SPECS = {name: (spec, horizon) for name, (spec, horizon, _) in SPECS.items()}
 
 
 @pytest.mark.filterwarnings("ignore:planting")

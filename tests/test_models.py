@@ -22,7 +22,7 @@ from scanlab.models import (
     sample_null,
     sample_null_block,
     standardized_sum,
-    standardized_sums,
+    target_sums,
 )
 from scanlab.network import EUCLIDEAN, NodeSet, make_lattice
 from scanlab.rng import derive_seed
@@ -145,7 +145,7 @@ class TestPlant:
             plant(f, k, SignalSpec(50.0), GAUSS, 2)
         block = f.values[None].copy()
         for call in (lambda: plant_block(block, k, SignalSpec(50.0), GAUSS, (2,)),
-                     lambda: standardized_sums(block, k, GAUSS)):
+                     lambda: target_sums(block, k)):
             with pytest.raises(ValueError, match="pass a ClusterSequence for temporal fields"):
                 call()
         assert np.array_equal(block[0], f.values)

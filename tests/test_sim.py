@@ -2,10 +2,11 @@ import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from scanlab.clusters import Cluster, enumerate_balls
-from scanlab.detect import eps_scan, multiscale_test, scale_term
+from scanlab.detect import calibrate, eps_scan, multiscale_test, scale_term
 from scanlab.growth import make_cylinder
 from scanlab.metric import build_net
 from scanlab.models import noise_model, sample_null, standardized_sum
@@ -199,6 +200,18 @@ class TestConfigValidation:
         # refused at construction, before any calibration or null pass runs
         with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             small_oracle_cfg(lambdas, trials=50)
+
+    @pytest.mark.parametrize("alpha, calib_b, problem", [
+        (7.0, 199, "alpha must lie in"), (0.05, 5, "need b >= 99"),
+        (0.001, 99, "needs more than b=99"),
+    ])
+    def test_calibration_settings_are_checked_for_every_test(self, alpha, calib_b, problem):
+        # the oracle never calibrates; its config is refused all the same, with
+        # the message detect.calibrate gives
+        with pytest.raises(ValueError, match=problem):
+            small_oracle_cfg((1.0,), trials=50, alpha=alpha, calib_b=calib_b)
+        with pytest.raises(ValueError, match=problem):
+            calibrate(lambda v: np.zeros(len(v)), make_lattice(2, 3), GAUSS, alpha, calib_b, 0)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_at_least_one(self, threads):
