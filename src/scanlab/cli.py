@@ -258,7 +258,10 @@ def _test_spec(args, net) -> sim.TestSpec:
     if (last >= net.m).any():
         raise ConfigError(f"cluster file {args.clusters}: node id {last[last >= net.m][0]} "
                           f"outside 0..{net.m - 1}")
-    epsilon = float(meta.get("epsilon", 0.0))
+    try:
+        epsilon = _float(meta.get("epsilon", "0"))
+    except ValueError as exc:
+        raise ConfigError(f"cluster file {args.clusters}: epsilon: {exc}") from None
     return spec(metric.EpsNet(epsilon, table, meta.get("family", "")))
 
 
@@ -339,12 +342,13 @@ GROW_FLAGS = {
 }
 
 
-def _grow_center(args, net) -> tuple[float, ...]:
-    center = _floats(args.center)
-    if len(center) != net.dim:
-        raise ConfigError(f"--center has {len(center)} coordinates; "
+def _grow_point(text: str, what: str, net) -> tuple[float, ...]:
+    """A point of the node set's space: net.dim comma-separated numbers."""
+    point = _floats(text)
+    if len(point) != net.dim:
+        raise ConfigError(f"{what} has {len(point)} coordinates; "
                           f"the node set has d = {net.dim}")
-    return center
+    return point
 
 
 def _cmd_grow(args) -> int:
@@ -354,13 +358,16 @@ def _cmd_grow(args) -> int:
             raise ConfigError(f"grow --kind {args.kind} requires --{name}")
     meta = {"kind": args.kind, "tm": args.tm}
     if args.kind == "cylinder":
-        seq = growth.make_cylinder(net, _grow_center(args, net), args.r0, args.t0, args.tm)
+        seq = growth.make_cylinder(net, _grow_point(args.center, "--center", net), args.r0,
+                                   args.t0, args.tm)
         meta.update(center=args.center, r0=args.r0, t0=args.t0)
     elif args.kind == "cone":
-        seq = growth.make_cone(net, _grow_center(args, net), args.speed, args.t0, args.tm)
+        seq = growth.make_cone(net, _grow_point(args.center, "--center", net), args.speed,
+                               args.t0, args.tm)
         meta.update(center=args.center, speed=args.speed, t0=args.t0)
     elif args.kind == "holder":
-        controls = [_floats(part) for part in args.controls.split(";") if part.strip()]
+        controls = [_grow_point(part, f"--controls point {part.strip()!r}", net)
+                    for part in args.controls.split(";") if part.strip()]
         end = args.tm if args.end is None else args.end
         seq = growth.make_holder_trajectory(net, controls, args.alpha, args.kappa, args.r,
                                             args.xi, args.start, end, args.tm)

@@ -35,6 +35,24 @@ BLOCK = 512  # clusters given one at a time that one CSR block holds, as metric.
 ID_MAX = np.iinfo(np.int32).max  # node ids are below network.MAX_NODES = 2**26
 
 
+def _problem(indptr: np.ndarray, ids: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a CSR incidence (rows nonempty, or one row: Cluster's
+    ids) that Cluster would refuse, and its words for it; None if none."""
+    down = ids[1:] <= ids[:-1]
+    down[indptr[1:-1] - 1] = False  # the pairs across rows
+    bad = (ids < 0) | (ids > ID_MAX)  # in a row whose ids increase, also its first or last
+    bad[1:] |= down
+    if not np.count_nonzero(bad):
+        return None
+    row = int(np.searchsorted(indptr, np.argmax(bad), "right")) - 1
+    lo, hi = indptr[row], indptr[row + 1]
+    if np.count_nonzero(down[lo : hi - 1]):
+        return row, "cluster ids must be strictly increasing"
+    if ids[lo] < 0:
+        return row, f"node id {ids[lo]} is negative"
+    return row, f"node id {ids[hi - 1]} is above {ID_MAX}"
+
+
 @dataclass(frozen=True, eq=False)
 class Cluster:
     """A set of node ids: one read-only, strictly increasing int32 array.
@@ -47,12 +65,8 @@ class Cluster:
         arr = np.asarray(self.idarray)
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
             raise ValueError(f"node ids must be integers in 0..{ID_MAX}")
-        if np.count_nonzero(arr[1:] <= arr[:-1]):
-            raise ValueError("cluster ids must be strictly increasing")
-        if arr.size and arr[0] < 0:
-            raise ValueError(f"node id {arr[0]} is negative")
-        if arr.size and arr[-1] > ID_MAX:
-            raise ValueError(f"node id {arr[-1]} is above {ID_MAX}")
+        if (problem := _problem(np.array([0, arr.size]), arr)) is not None:
+            raise ValueError(problem[1])
         arr = arr.astype(np.int32)
         arr.flags.writeable = False
         object.__setattr__(self, "idarray", arr)
@@ -93,24 +107,6 @@ def _view(ids: np.ndarray) -> Cluster:
     view = object.__new__(Cluster)
     object.__setattr__(view, "idarray", ids)
     return view
-
-
-def _problem(indptr: np.ndarray, ids: np.ndarray) -> tuple[int, str] | None:
-    """The first row of a CSR incidence (rows nonempty) that Cluster would refuse,
-    and Cluster's words for it; None if there is none."""
-    down = ids[1:] <= ids[:-1]
-    down[indptr[1:-1] - 1] = False  # the pairs across rows
-    bad = (ids < 0) | (ids > ID_MAX)  # in a row whose ids increase, also its first or last
-    bad[1:] |= down
-    if not bad.any():
-        return None
-    row = int(np.searchsorted(indptr, np.argmax(bad), "right")) - 1
-    lo, hi = indptr[row], indptr[row + 1]
-    if np.count_nonzero(down[lo : hi - 1]):
-        return row, "cluster ids must be strictly increasing"
-    if ids[lo] < 0:
-        return row, f"node id {ids[lo]} is negative"
-    return row, f"node id {ids[hi - 1]} is above {ID_MAX}"
 
 
 def _indptr(sizes) -> np.ndarray:

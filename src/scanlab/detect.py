@@ -4,12 +4,16 @@ catalog of closed-form detection thresholds.
 
 Every statistic is one Elements: the max over its elements of a standardized
 sum less an offset, scored on a block of fields (Elements.block) or on one
-field (Elements.one_row), which scan, eps_scan, multiscale_test, average_test
-and the cylinder scan wrap.  Ties break to the first raw maximum of a table in
-member-major order, then to the first table, so results are deterministic
-under any evaluation order.  oracle_test sums its known cluster directly.
-Finite-sample decisions come from calibrated empirical null quantiles; the
-closed-form rates are reported alongside.
+field (Elements.one_row).  Its builders all live here.  scan_elements is the
+one table scan: the static and multiscale scans are its one-window case
+(t_m = 0), and the cylinder scan crosses the same tables with the trailing
+dyadic windows of times 0..t_m.  average_elements and oracle_elements are the
+one-element tests.  scan, eps_scan, multiscale_test, average_test and
+growth.scan_spacetime_cylinders wrap them.  Ties break to the first raw
+maximum of a table in member-major order, then to the first table, so results
+are deterministic under any evaluation order.  oracle_test sums its known
+cluster directly.  Finite-sample decisions come from calibrated empirical
+null quantiles; the closed-form rates are reported alongside.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import scipy.sparse as sp
 
 from .clusters import Cluster
 from .metric import EpsNet, Rows, ScanTable
-from .models import Field, NoiseModel, group_sums, sample_null_block, standardized_sum
+from .models import (Field, NoiseModel, group_sums, planted_cells, sample_null_block,
+                     standardized_sum, target_sums)
 from .network import NodeSet
 from .rng import derive_seeds
 
@@ -75,7 +80,7 @@ class Elements:
     Fields are read as their per-node sums over consecutive time groups of sizes
     `groups`.  Element (w, j) is member j of `tables`, counted across them, over
     the w-th shortest of the W longest trailing windows of the G groups: all G
-    windows for the cylinder scan, every group at once for the average and the
+    windows for a table scan, every group at once for the average and the
     oracle.  The oracle's one member holds the truth's nodes, and its sum reads
     only the truth's cells.  `sums` maps a (B, G, m) block of group sums to the
     (B, W, J) element sums."""
@@ -85,7 +90,7 @@ class Elements:
     pairs: np.ndarray  # (W, J): the (node, time) pairs each element sums
     offset: np.ndarray  # (J,)
     model: NoiseModel
-    groups: tuple[int, ...] = (1,)
+    groups: tuple[int, ...]
     names: Sequence[Sequence] | None = None  # the argmax of each member; None: tables
 
     def __call__(self, field: Field) -> tuple[float, object]:
@@ -138,18 +143,46 @@ class Elements:
                                      shape=(nodes.size, touched.size))
 
 
-def scan_elements(tables: Sequence[ScanTable], offsets: np.ndarray,
-                  model: NoiseModel) -> Elements:
-    """The members of static scan tables, each less its table's offset; the
-    tables share one transpose and one running sum of a block."""
-    tables = [table.encoded() for table in tables]
+def dyadic_windows(horizon: int) -> tuple[int, ...]:
+    """{1, 2, 4, ...} up to and including the full horizon (t_m + 1)."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    powers = tuple(1 << i for i in range(horizon.bit_length()))  # 1, 2, 4, ... <= horizon
+    return powers if powers[-1] == horizon else powers + (horizon,)
+
+
+def time_groups(horizon: int) -> tuple[int, ...]:
+    """The sizes of the consecutive time groups that the starts of the
+    trailing dyadic windows cut times 0..horizon - 1 into: window i of
+    dyadic_windows(horizon) is the union of the last i + 1 groups, so the
+    groups are the windows' increments, the latest first."""
+    windows = (0,) + dyadic_windows(horizon)
+    return tuple(b - a for a, b in zip(windows, windows[1:]))[::-1]
+
+
+def scan_elements(tables: Sequence[ScanTable], offsets: np.ndarray, model: NoiseModel,
+                  t_m: int = 0) -> Elements:
+    """The one table scan: every member of the tables, each less its table's
+    offset, over each trailing window of w in dyadic_windows(t_m + 1) steps,
+    so a (member, w) element sums |member| * w pairs.  Fields are read as
+    their sums over time_groups(t_m + 1), window i being the last i + 1
+    groups; with one group (t_m = 0, the static scan) the sums are the
+    members' own.  The tables share one transpose and one running sum of a block."""
+    tables, windows = [table.encoded() for table in tables], dyadic_windows(t_m + 1)
 
     def sums(values: np.ndarray) -> np.ndarray:
-        rows = Rows(values[:, 0])
-        return np.hstack([table.member_sums_temporal(rows) for table in tables])[:, None]
+        n, g, m = values.shape
+        rows = Rows(values.reshape(n * g, m))
+        per_group = np.hstack([table.member_sums_temporal(rows) for table in tables])
+        if g == 1:
+            return per_group[:, None]
+        cum = np.zeros((n, g + 1, per_group.shape[1]))
+        np.cumsum(per_group.reshape(n, g, -1), axis=1, out=cum[:, 1:])
+        return cum[:, -1:] - cum[:, g - 1 - np.arange(g)]
 
-    return Elements(sums, tables, np.concatenate([t.sizes for t in tables])[None],
-                    np.repeat(offsets, [len(t) for t in tables]), model)
+    return Elements(sums, tables,
+                    np.concatenate([t.sizes for t in tables]) * np.array(windows)[:, None],
+                    np.repeat(offsets, [len(t) for t in tables]), model, time_groups(t_m + 1))
 
 
 def average_elements(m: int, t_m: int, model: NoiseModel) -> Elements:
@@ -157,6 +190,16 @@ def average_elements(m: int, t_m: int, model: NoiseModel) -> Elements:
     return Elements(lambda values: values.reshape(len(values), -1).sum(axis=1)[:, None, None],
                     [ScanTable([0, m], np.arange(m))], np.array([[(t_m + 1) * m]]),
                     np.zeros(1), model, (1,) * (t_m + 1), [[None]])
+
+
+def oracle_elements(truth, m: int, t_m: int, model: NoiseModel) -> Elements:
+    """The oracle's one element: the truth's own cells, a Cluster or a
+    ClusterSequence, whose sum reads nothing else of a field."""
+    cells, _ = planted_cells(truth, np.ones(t_m + 1, dtype=int), m)
+    nodes = np.unique(cells % m)
+    return Elements(lambda values: target_sums(values, truth)[:, None, None],
+                    [ScanTable([0, nodes.size], nodes)], np.array([[cells.size]]),
+                    np.zeros(1), model, (1,) * (t_m + 1), [[truth]])
 
 
 def scan(field: Field, clusters: Iterable[Cluster], model: NoiseModel) -> TestResult:

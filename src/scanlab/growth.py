@@ -5,7 +5,8 @@ generators cover the standing examples: constant-base cylinders, linearly
 growing cones, tubes around coordinatewise-constrained trajectories, and the
 Richardson lattice growth model.  Two verifiers check the structural
 assumptions the cylinder scan relies on: convergence to a limit shape and
-bounded variation in the cluster metric.
+bounded variation in the cluster metric.  The scan itself is detect's one
+table scan, scan_elements; scan_spacetime_cylinders scores one field with it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clusters import EMPTY_CLUSTER, Cluster, _boundary, _padded_grid, holder_violation
-from .detect import Elements, TestResult
+from .detect import TestResult, scan_elements
 from .metric import SQRT2, EpsNet, ScanTable, delta
 from .models import Field, NoiseModel
 from .network import LATTICE, NodeSet, ball_nodes, closed_ball_ids, int_lines
@@ -244,60 +245,14 @@ def verify_bounded_variation(
     return BoundedVariationReport(eta, xi, worst_pair, worst, worst <= eta + 1e-12)
 
 
-def dyadic_windows(horizon: int) -> tuple[int, ...]:
-    """{1, 2, 4, ...} up to and including the full horizon (t_m + 1)."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    out = []
-    w = 1
-    while w <= horizon:
-        out.append(w)
-        w *= 2
-    if out[-1] != horizon:
-        out.append(horizon)
-    return tuple(out)
-
-
-def time_groups(horizon: int) -> tuple[int, ...]:
-    """The sizes of the consecutive time groups that the starts of the
-    trailing dyadic windows cut times 0..horizon - 1 into: window i of
-    dyadic_windows(horizon) is the union of the last i + 1 groups."""
-    starts = [horizon - w for w in dyadic_windows(horizon)[::-1]]
-    return tuple(np.diff(starts + [horizon]).tolist())
-
-
-def window_sums(sums: np.ndarray, table: ScanTable) -> np.ndarray:
-    """(B, G, members) sums of every member over every trailing window of a
-    (B, G, m) block of group sums: window i covers the last i + 1 groups."""
-    n_fields, n_groups, m = sums.shape
-    per_group = table.member_sums_temporal(sums.reshape(n_fields * n_groups, m))
-    cum = np.zeros((n_fields, n_groups + 1, len(table)))
-    np.cumsum(per_group.reshape(n_fields, n_groups, len(table)), axis=1, out=cum[:, 1:])
-    return cum[:, -1:] - cum[:, n_groups - 1 - np.arange(n_groups)]
-
-
-def cylinder_elements(table: ScanTable, t_m: int, model: NoiseModel) -> Elements:
-    """The cylinder scan's elements: every member over every trailing window,
-    read through the field's sums over time_groups(t_m + 1) (window_sums).  A
-    (member, w) element sums its |member| * w pairs."""
-    table, groups = table.encoded(), time_groups(t_m + 1)
-    return Elements(lambda sums: window_sums(sums, table), [table],
-                    table.sizes * np.cumsum(groups[::-1])[:, None], np.zeros(len(table)),
-                    model, groups)
-
-
 def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
                              model: NoiseModel) -> TestResult:
-    """Max standardized sum over base clusters crossed with trailing windows,
-    with its argmax cluster and window; a net is scored through the table
-    kept with it.
-
-    Window i covers the last i + 1 time groups, times [t_m - w + 1, t_m] with
-    w running over dyadic_windows(t_m + 1).  Ties break to the smallest member
-    index, then the shorter window (Elements.one_row).
-    """
+    """Max standardized sum over base clusters crossed with the trailing dyadic
+    windows (detect.scan_elements at the field's t_m), with its argmax cluster
+    and window; a net is scored through the table kept with it.  Ties break to
+    the smallest member index, then the shorter window (Elements.one_row)."""
     table = base.table if isinstance(base, EpsNet) else ScanTable.of(base)
-    stat, _, j, window, _ = cylinder_elements(table, field.t_m, model).one_row(field)
+    stat, _, j, window, _ = scan_elements([table], np.zeros(1), model, field.t_m).one_row(field)
     return TestResult(statistic=stat, argmax=table[j], argmax_index=j, argmax_window=window)
 
 

@@ -176,15 +176,10 @@ class ScanTable(ClusterStream):
             return (self.indicator @ block.t[: self.width]).T
         return (self.runs @ block.prefix[: self.width + 1]).T
 
-    def max_scores(self, rows: np.ndarray | Rows, model) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's maximum standardized sum and its first argmax member."""
-        scores = model.standardize(self.member_sums_temporal(rows), self.sizes)
-        return scores.max(axis=1), scores.argmax(axis=1)
-
     def max_score(self, row: np.ndarray, model) -> tuple[float, int]:
         # unused by the library; kept because scanbench/spans.py patches it as detect.score
-        stats, j = self.max_scores(row[None], model)
-        return float(stats[0]), int(j[0])
+        scores = model.standardize(self.member_sums_temporal(row[None])[0], self.sizes)
+        return float(scores.max()), int(scores.argmax())
 
     @cached_property
     def _by_node(self) -> sp.csr_array:

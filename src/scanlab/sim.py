@@ -9,7 +9,8 @@ truth k draws one null background, from ("h1", 0, k, i, 0), for the whole
 lambda grid (common random numbers): each grid point plants the truth's
 cells into it from its own key and re-scores only the elements those cells
 touch.  A test is its detect.Elements, the one statistic of a block and of
-one field; the oracle is one element, the truth's own cells, which read no
+one field, which scorer picks from detect's builders and builds nothing of
+itself; the oracle is one element, the truth's own cells, which read no
 background.
 """
 
@@ -31,12 +32,13 @@ from .detect import (
     map_blocks,
     null_statistics,
     oracle_cutoff,
+    oracle_elements,
     scale_offsets,
     scale_term,
     scan_elements,
 )
-from .growth import ClusterSequence, cylinder_elements
-from .metric import EpsNet, ScanTable
+from .growth import ClusterSequence
+from .metric import EpsNet
 from .models import (
     NoiseModel,
     SignalSpec,
@@ -44,7 +46,6 @@ from .models import (
     plant_block,
     planted_cells,
     sample_null_block,
-    target_sums,
 )
 from .network import NodeSet
 from .rng import derive_seed, derive_seeds, rng_from_seed
@@ -181,18 +182,12 @@ def scorer(
     test: TestSpec, net: NodeSet, model: NoiseModel, t_m: int = 0,
     truth: Truth | None = None,
 ) -> Elements:
-    """The elements of a test specification: its statistic, of a block of
-    fields (.block) and of one field (called: statistic and argmax).
-
-    estimate_risk and `scanlab calibrate` score through them; the one-row
-    tests that `scanlab test` runs build the same elements.  Cluster
-    tables are the nets' own, built once and encoded here, before threads
-    share them.  The argmax is the maximizing cluster, the oracle's one
-    `truth` (its one element reads only the truth's cells), or None for the
-    average test.  The cylinder scan reads its fields through the sums over
-    time_groups(t_m + 1), the only sums its windows take; every other
-    statistic takes one-step groups, so its block reads the values themselves.
-    """
+    """The elements of a test specification, from detect's builders: its
+    statistic, of a block of fields (.block) and of one field (called:
+    statistic and argmax).  estimate_risk and `scanlab calibrate` score
+    through them; the one-row tests that `scanlab test` runs build the same
+    elements.  Cluster tables are the nets' own, encoded by the builder
+    before threads share them.  The oracle scores its one `truth`."""
     if isinstance(test, (EpsScanTest, MultiscaleScanTest)) and t_m != 0:
         raise ValueError(
             f"{type(test).__name__} needs a static field (t_m = 0); use CylinderScanTest"
@@ -203,17 +198,13 @@ def scorer(
         weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
         return scan_elements(*scale_offsets(test.nets, weights)[1:], model)
     if isinstance(test, CylinderScanTest):
-        return cylinder_elements(test.base.table, t_m, model)
+        return scan_elements([test.base.table], np.zeros(1), model, t_m)
     if isinstance(test, AverageTest):
         return average_elements(net.m, t_m, model)
     if isinstance(test, OracleTest):
         if truth is None:
             raise ValueError("the oracle test scores a known truth; none was given")
-        cells, _ = planted_cells(truth, np.ones(t_m + 1, dtype=int), net.m)
-        nodes = np.unique(cells % net.m)
-        return Elements(lambda values: target_sums(values, truth)[:, None, None],
-                        [ScanTable([0, nodes.size], nodes)], np.array([[cells.size]]),
-                        np.zeros(1), model, (1,) * (t_m + 1), [[truth]])
+        return oracle_elements(truth, net.m, t_m, model)
     raise ValueError(f"no statistic for {type(test).__name__}")
 
 

@@ -201,6 +201,7 @@ class TestGrow:
         ("cylinder", ["--center", "4,4,4", "--r0", "2"], "--center has 3 coordinates"),
         ("cone", ["--center", "4", "--speed", "1"], "--center has 1 coordinates"),
         ("richardson", ["--x0", "64", "--within-radius", "2"], "x0 must be a node id"),
+        ("holder", ["--controls", "1,2;3", "--r", "1.5"], "--controls point '3' has 1 coordinates"),
     ])
     def test_missing_or_bad_flag_exits_2(self, tmp_path, capsys, kind, extra, problem):
         net = tmp_path / "net.csv"
@@ -1005,6 +1006,18 @@ class TestNonFiniteInputs:
                     "--out", str(out)]) == 2
         assert f"calibration file {calib}: threshold: not a finite number" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, problem", [("abc", "not a number: 'abc'"),
+                                                ("nan", "not a finite number: 'nan'")])
+    def test_cluster_file_epsilon(self, tmp_path, capsys, value, problem):
+        net = _lattice(tmp_path)
+        clusters = tmp_path / "net.txt"
+        clusters.write_text(f"# family=balls\n# epsilon={value}\n0 1\n2 3\n")
+        out = tmp_path / "calib.csv"
+        assert run(["calibrate", "--net", str(net), "--clusters", str(clusters),
+                    "--alpha", "0.05", "--b", "99", "--out", str(out)]) == 2
+        assert f"cluster file {clusters}: epsilon: {problem}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_node_set_coordinate(self, tmp_path, capsys):

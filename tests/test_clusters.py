@@ -40,7 +40,8 @@ from scanlab import network
 from scanlab.errors import CapacityError
 from scanlab.metric import EpsNet, ScanTable, build_net, delta
 from scanlab.growth import ClusterSequence, richardson_grow
-from scanlab.models import noise_model
+from scanlab.detect import scan_elements
+from scanlab.models import Field, noise_model
 from scanlab.network import (
     LATTICE,
     NodeSet,
@@ -719,11 +720,16 @@ def test_tables_from_clusters_and_from_csr_score_alike():
                          np.concatenate([c.idarray for c in stream]))
     tables = [ScanTable.of(stream), from_csr, ScanTable.of(enumerate_thick(net, params))]
     rows = np.random.default_rng(5).standard_normal((20, net.m))
-    want = tables[0].max_scores(rows, model)
+
+    def scores(table):  # each row's statistic, and its one-row statistic and argmax
+        el = scan_elements([table], np.zeros(1), model)
+        return el.block(rows[:, None]), [el.one_row(Field(net, row[None]))[:4] for row in rows]
+
+    want = scores(tables[0])
     for table in tables:
         assert table == tables[0] and list(table) == stream
-        got = table.max_scores(rows, model)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        got = scores(table)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         assert np.array_equal(table.member_sums_temporal(rows), tables[0].member_sums_temporal(rows))
 
 

@@ -17,6 +17,7 @@ from scanlab.detect import (
     oracle_test,
     rate,
     scan,
+    scan_elements,
 )
 from scanlab.metric import EpsNet, build_net
 from scanlab.models import Field, noise_model, plant, sample_null, SignalSpec
@@ -220,7 +221,7 @@ class TestCalibrate:
     def test_threads_match_single(self):
         net = make_lattice(2, 6)
         table = ScanTable.of(list(enumerate_balls(net, 1.5)))
-        stat = lambda v: table.max_scores(v[:, 0], GAUSS)[0]
+        stat = scan_elements([table], np.zeros(1), GAUSS).block
         a = calibrate(stat, net, GAUSS, alpha=0.05, b=120, seed=5, threads=1)
         b = calibrate(stat, net, GAUSS, alpha=0.05, b=120, seed=5, threads=4)
         assert a.threshold == b.threshold
@@ -232,7 +233,7 @@ class TestCalibrate:
         net = make_lattice(2, 64)
         table = ScanTable.of(list(enumerate_balls(net, 2.5)))
         stat = lambda f: table.max_score(f.values[0], GAUSS)[0]
-        block = lambda v: table.max_scores(v[:, 0], GAUSS)[0]
+        block = scan_elements([table], np.zeros(1), GAUSS).block
         calib = calibrate(block, net, GAUSS, alpha=0.05, b=400, seed=6)
         hits = sum(
             stat(sample_null(net, GAUSS, 0, derive_seed(71, i))) > calib.threshold

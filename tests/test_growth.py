@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from scanlab.clusters import Cluster, cluster_from_ids, enumerate_balls
-from scanlab.detect import ScanTable, eps_scan
+from scanlab.detect import ScanTable, dyadic_windows, eps_scan
 from scanlab.growth import (
     ClusterSequence,
-    dyadic_windows,
     make_cone,
     make_cylinder,
     make_holder_trajectory,

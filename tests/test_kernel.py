@@ -29,13 +29,14 @@ from scanlab.clusters import (
 from scanlab.detect import (
     average_test,
     calibrate,
+    dyadic_windows,
     eps_scan,
     multiscale_test,
     oracle_test,
     scale_term,
     scan,
 )
-from scanlab.growth import dyadic_windows, make_cylinder, scan_spacetime_cylinders
+from scanlab.growth import make_cylinder, scan_spacetime_cylinders
 from scanlab.metric import EpsNet, ScanTable, build_net
 from scanlab.models import Field, group_sums, noise_model
 from scanlab.network import (
@@ -196,7 +197,7 @@ def test_both_encodings_match_plain_sums(drawn, model, n_rows, extra, seed):
             assert (np.abs(got - plain) <= 1e-12 * (1 + np.abs(rows).sum(axis=1))[:, None]).all()
         else:  # integer running sums are exact in float64
             assert np.array_equal(got, plain)
-        _, j = table.max_scores(rows, model)
+        j = [table.max_score(row, model)[1] for row in rows]
         assert np.array_equal(j, want.argmax(axis=1))  # identical members tie to the first
 
 
@@ -241,9 +242,9 @@ def test_permuted_ids_break_runs_not_statistics(tmp_path):
     assert net.table.encoded().runs is None and row_major.encoded().runs is not None
     for model in MODELS:
         rows = _draw(model, 9, (4, side * side))
-        got, j = net.table.max_scores(rows[:, to_row_major], model)
-        want, i = row_major.max_scores(rows, model)
-        assert np.abs(got - want).max() <= 1e-12 and np.array_equal(j, i)
+        got, j = zip(*(net.table.max_score(row, model) for row in rows[:, to_row_major]))
+        want, i = zip(*(row_major.max_score(row, model) for row in rows))
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12 and j == i
 
 
 GAUSS = MODELS[0]
