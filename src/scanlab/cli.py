@@ -57,11 +57,16 @@ def _int(text: str) -> int:
     return int(number)
 
 
-def _threads(text: str) -> int:
+def _count(text: str, low: int = 0) -> int:
+    """An integer no smaller than `low`: a time horizon, or (low 1) a thread count."""
     count = _int(text)
-    if count < 1:
-        raise ValueError(f"not at least 1: {text!r}")
+    if count < low:
+        raise ValueError(f"not at least {low}: {text!r}")
     return count
+
+
+def _threads(text: str) -> int:
+    return _count(text, 1)
 
 
 def _bool(text: str) -> bool:
@@ -241,7 +246,7 @@ SCORING_FLAGS = {"net": REQUIRED, "clusters": Value(),
                  "model": Value(tuple(models.MOMENTS), models.GAUSSIAN),
                  "statistic": Value(tuple(STATISTICS), "scan"), **OUT}
 CALIBRATE_FLAGS = {**SCORING_FLAGS, "alpha": Value(_float, "0.05", required=True),
-                   "b": Value(_int, "199", required=True), "tm": Value(_int, "0"),
+                   "b": Value(_int, "199", required=True), "tm": Value(_count, "0"),
                    "seed": SEED, "threads": Value(_threads, "1")}
 
 
@@ -328,23 +333,38 @@ def _cmd_test(args) -> int:
 # grow
 
 
-# grow kind -> the flags it cannot do without
-GROW_NEEDS = {"cylinder": ("center", "r0"), "cone": ("center", "speed"),
-              "holder": ("controls", "r"), "richardson": ("x0",)}
+# grow kind -> (the flags it cannot do without, the flags its header records after kind and tm,
+# its builder); a builder looks its growth function up when called, so a rebinding is seen
+GROW = {
+    "cylinder": (("center", "r0"), ("center", "r0", "t0"), lambda net, a: growth.make_cylinder(
+        net, _grow_point(a.center, "--center", net), a.r0, a.t0, a.tm)),
+    "cone": (("center", "speed"), ("center", "speed", "t0"), lambda net, a: growth.make_cone(
+        net, _grow_point(a.center, "--center", net), a.speed, a.t0, a.tm)),
+    "holder": (("controls", "r"), ("alpha", "kappa", "r", "xi"),
+               lambda net, a: growth.make_holder_trajectory(
+                   net, [_grow_point(part, f"--controls point {part.strip()!r}", net)
+                         for part in a.controls.split(";") if part.strip()],
+                   a.alpha, a.kappa, a.r, a.xi, a.start, a.tm if a.end is None else a.end, a.tm)),
+    "richardson": (("x0",), ("x0", "p", "t0", "seed"), lambda net, a: growth.richardson_grow(
+        net, a.x0, a.p, a.t0, a.tm, a.seed, radius=a.within_radius)),
+}
 GROW_FLAGS = {
-    "net": REQUIRED, "kind": Value(tuple(GROW_NEEDS), required=True),
+    "net": REQUIRED, "kind": Value(tuple(GROW), required=True),
     "center": Value(help="comma-separated coordinates"), "r0": Value(_float),
     "speed": Value(_float), "controls": Value(help="semicolon-separated coordinate tuples"),
     "alpha": Value(_float, "1.0"), "kappa": Value(_float, "1.0"), "r": Value(_float),
     "xi": Value(_float, "1.0"), "start": Value(_int, "0"), "end": Value(_int),
     "x0": Value(_int), "p": Value(_float, "1.0"), "within_radius": Value(_float),
-    "t0": Value(_int, "0"), "tm": Value(_int, required=True), "seed": SEED, **OUT,
+    "t0": Value(_int, "0"), "tm": Value(_count, required=True), "seed": SEED, **OUT,
 }
 
 
 def _grow_point(text: str, what: str, net) -> tuple[float, ...]:
     """A point of the node set's space: net.dim comma-separated numbers."""
-    point = _floats(text)
+    try:
+        point = _floats(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
     if len(point) != net.dim:
         raise ConfigError(f"{what} has {len(point)} coordinates; "
                           f"the node set has d = {net.dim}")
@@ -353,31 +373,14 @@ def _grow_point(text: str, what: str, net) -> tuple[float, ...]:
 
 def _cmd_grow(args) -> int:
     net = network.load_nodeset(args.net)
-    for name in GROW_NEEDS[args.kind]:
+    needs, header, build = GROW[args.kind]
+    for name in needs:
         if getattr(args, name) is None:
             raise ConfigError(f"grow --kind {args.kind} requires --{name}")
-    meta = {"kind": args.kind, "tm": args.tm}
-    if args.kind == "cylinder":
-        seq = growth.make_cylinder(net, _grow_point(args.center, "--center", net), args.r0,
-                                   args.t0, args.tm)
-        meta.update(center=args.center, r0=args.r0, t0=args.t0)
-    elif args.kind == "cone":
-        seq = growth.make_cone(net, _grow_point(args.center, "--center", net), args.speed,
-                               args.t0, args.tm)
-        meta.update(center=args.center, speed=args.speed, t0=args.t0)
-    elif args.kind == "holder":
-        controls = [_grow_point(part, f"--controls point {part.strip()!r}", net)
-                    for part in args.controls.split(";") if part.strip()]
-        end = args.tm if args.end is None else args.end
-        seq = growth.make_holder_trajectory(net, controls, args.alpha, args.kappa, args.r,
-                                            args.xi, args.start, end, args.tm)
-        meta.update(alpha=args.alpha, kappa=args.kappa, r=args.r, xi=args.xi)
-    else:
-        seq = growth.richardson_grow(net, args.x0, args.p, args.t0, args.tm, args.seed,
-                                     radius=args.within_radius)
-        meta.update(x0=args.x0, p=args.p, t0=args.t0, seed=args.seed)
+    seq = build(net, args)
     with _open_out(args.out) as fh:
-        growth.write_sequence(seq, fh, meta)
+        growth.write_sequence(seq, fh, {"kind": args.kind, "tm": args.tm,
+                                        **{key: getattr(args, key) for key in header}})
     return 0
 
 
@@ -505,7 +508,7 @@ def _truth_sampler_from_config(cfg, net, t_m):
     if family == cl.BALLS:
         lam = _cfg(cfg, "truth.lambda" if _cfg_get(cfg, "truth.lambda") else "scan.lambda")
         margin = _cfg(cfg, "truth.margin", lam)
-        extent = 1.0 if net.mode == network.EUCLIDEAN else float(net.side - 1)
+        extent = cl._domain_extent(net)
         draw = _center_sampler(net, margin, extent - margin, "truth.margin")
 
         def sample(seed: int):

@@ -209,8 +209,8 @@ def scan(field: Field, clusters: Iterable[Cluster], model: NoiseModel) -> TestRe
 
 def eps_scan(field: Field, net: EpsNet, model: NoiseModel) -> TestResult:
     """scan over the net's members, through the table kept with the net."""
-    stat, _, j, _, _ = scan_elements([net.table], np.zeros(1), model).one_row(field)
-    return TestResult(statistic=stat, argmax=net.table[j], argmax_index=j)
+    stat, _, j, _, _ = scan_elements([net.members], np.zeros(1), model).one_row(field)
+    return TestResult(statistic=stat, argmax=net.members[j], argmax_index=j)
 
 
 def average_test(field: Field, model: NoiseModel) -> TestResult:
@@ -261,7 +261,7 @@ def scale_offsets(
     missing = [s for s in scales if s not in offsets]
     if missing:
         raise ValueError(f"no multiscale threshold or weight for scale {missing[0]}")
-    return scales, [nets[s].table for s in scales], np.array([offsets[s] for s in scales])
+    return scales, [nets[s].members for s in scales], np.array([offsets[s] for s in scales])
 
 
 def multiscale_test(

@@ -20,7 +20,7 @@ from .clusters import EMPTY_CLUSTER, Cluster, _boundary, _padded_grid, holder_vi
 from .detect import TestResult, scan_elements
 from .metric import SQRT2, EpsNet, ScanTable, delta
 from .models import Field, NoiseModel
-from .network import LATTICE, NodeSet, ball_nodes, closed_ball_ids, int_lines
+from .network import LATTICE, NodeSet, ball_ids, ball_nodes, int_lines
 from .rng import rng_from_seed
 
 
@@ -84,7 +84,7 @@ def make_cone(
         raise ValueError("speed must be > 0")
     if not 0 <= t0 <= t_m:
         raise ValueError("need 0 <= t0 <= t_m")
-    return ClusterSequence(tuple(Cluster(closed_ball_ids(net, x0, speed * (t - t0)))
+    return ClusterSequence(tuple(Cluster(ball_ids(net, x0, speed * (t - t0), closed=True))
                                  if t >= t0 else EMPTY_CLUSTER for t in range(t_m + 1)))
 
 
@@ -168,7 +168,7 @@ def richardson_grow(
         raise ValueError("x0 must be a node id")
     closed = np.full(net.m, radius is not None)  # occupied, or outside the ball
     if radius is not None:
-        closed[closed_ball_ids(net, net.coords[x0], radius)] = False
+        closed[ball_ids(net, net.coords[x0], radius, closed=True)] = False
     rng, padded, occupied = rng_from_seed(seed), _padded_grid(net, 1), np.array([x0])
     closed[x0] = True
     live = occupied  # the occupied nodes that may have an open neighbour
@@ -251,7 +251,7 @@ def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
     windows (detect.scan_elements at the field's t_m), with its argmax cluster
     and window; a net is scored through the table kept with it.  Ties break to
     the smallest member index, then the shorter window (Elements.one_row)."""
-    table = base.table if isinstance(base, EpsNet) else ScanTable.of(base)
+    table = base.members if isinstance(base, EpsNet) else ScanTable.of(base)
     stat, _, j, window, _ = scan_elements([table], np.zeros(1), model, field.t_m).one_row(field)
     return TestResult(statistic=stat, argmax=table[j], argmax_index=j, argmax_window=window)
 

@@ -72,7 +72,7 @@ def delta(k: Cluster, l: Cluster) -> float:
     if not k or not l:
         raise ValueError("delta is undefined for empty clusters")
     inter = np.intersect1d(k.idarray, l.idarray, assume_unique=True).size
-    return math.sqrt(max(2.0 * (1.0 - inter / math.sqrt(k.size * l.size)), 0.0))
+    return float(_delta(inter / math.sqrt(k.size * l.size)))
 
 
 @dataclass(eq=False)
@@ -239,10 +239,6 @@ class EpsNet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @property
-    def table(self) -> ScanTable:
-        return self.members
 
 
 def _tables(stream: Iterable) -> Iterator[ScanTable]:
@@ -413,7 +409,7 @@ def verify_cover(net: EpsNet, stream: Iterable[Cluster]) -> CoverReport:
     worst, worst_dist, checked = None, -1.0, 0
     for block in _tables(stream):
         checked += len(block)
-        dist = _nearest(net.table.overlaps(block.indptr, block.concat), 1)
+        dist = _nearest(net.members.overlaps(block.indptr, block.concat), 1)
         j = int(np.argmax(dist))  # the first of the block's worst
         if dist[j] > worst_dist:
             worst, worst_dist = block[j], float(dist[j])

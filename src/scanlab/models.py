@@ -203,7 +203,7 @@ def _anomalous_slices(
         if t_m != 0:
             raise ValueError("pass a ClusterSequence for temporal fields")
         return [(0, target)]
-    slices = [(t, k) for t, k in enumerate(target.slices) if k]
+    slices = target.nonempty()
     if not slices:
         raise ValueError("the target is an empty cluster sequence")
     if target.t_m > t_m:

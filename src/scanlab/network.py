@@ -177,11 +177,6 @@ def ball_ids(net: NodeSet, center, r: float, closed: bool = False) -> np.ndarray
     return np.sort(ids[dist <= r if closed else dist < r])
 
 
-def closed_ball_ids(net: NodeSet, center, r: float) -> np.ndarray:
-    """Sorted ids of nodes within distance <= r of center (r >= 0)."""
-    return ball_ids(net, center, r, closed=True)
-
-
 def ball_nodes(net: NodeSet, center, r: float) -> "Cluster":
     """The open ball around `center` as a Cluster (possibly empty)."""
     from .clusters import Cluster  # import here: clusters builds on network

@@ -193,12 +193,12 @@ def scorer(
             f"{type(test).__name__} needs a static field (t_m = 0); use CylinderScanTest"
         )
     if isinstance(test, EpsScanTest):
-        return scan_elements([test.net.table], np.zeros(1), model)
+        return scan_elements([test.net.members], np.zeros(1), model)
     if isinstance(test, MultiscaleScanTest):
         weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
         return scan_elements(*scale_offsets(test.nets, weights)[1:], model)
     if isinstance(test, CylinderScanTest):
-        return scan_elements([test.base.table], np.zeros(1), model, t_m)
+        return scan_elements([test.base.members], np.zeros(1), model, t_m)
     if isinstance(test, AverageTest):
         return average_elements(net.m, t_m, model)
     if isinstance(test, OracleTest):

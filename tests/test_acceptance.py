@@ -28,8 +28,8 @@ from scanlab.growth import richardson_grow
 from scanlab.metric import SQRT2, build_net, delta, verify_cover
 from scanlab.models import noise_model, sample_null, standardized_sum
 from scanlab.network import (
+    ball_ids,
     ball_nodes,
-    closed_ball_ids,
     make_lattice,
     rescale_lattice,
 )
@@ -267,7 +267,7 @@ def test_criterion_07_richardson():
     for x0 in (32 * 64 + 32, 5 * 64 + 5):
         seq = richardson_grow(lat, x0, 1.0, 0, 20, seed=3)
         for t in range(21):
-            want = tuple(int(i) for i in closed_ball_ids(lat, lat.coords[x0], t))
+            want = tuple(int(i) for i in ball_ids(lat, lat.coords[x0], t, closed=True))
             exact = exact and seq.slices[t].ids == want
     monotone = True
     for s in range(100):

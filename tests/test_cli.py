@@ -177,12 +177,16 @@ class TestGrow:
         run(["net", "--mode", "lattice", "--d", "2", "--side", "8", "--out", str(net)])
         from file_helpers import load_sequence
 
-        for kind, extra, sizes in (
-            ("cylinder", ["--center", "4,4", "--r0", "1.5", "--t0", "1"], [0, 5, 5, 5, 5]),
-            ("cone", ["--center", "4,4", "--speed", "1.0"], [1, 5, 13, 25, 39]),
+        # and each kind's whole header: kind, tm, then the flags it records, in order
+        for kind, extra, sizes, header in (
+            ("cylinder", ["--center", "4,4", "--r0", "1.5", "--t0", "1"], [0, 5, 5, 5, 5],
+             ["center=4,4", "r0=1.5", "t0=1"]),
+            ("cone", ["--center", "4,4", "--speed", "1.0"], [1, 5, 13, 25, 39],
+             ["center=4,4", "speed=1.0", "t0=0"]),
             ("holder", ["--controls", "2,2;3,3", "--r", "1.5", "--kappa", "1", "--start", "2"],
-             [0, 0, 4, 3, 5]),
-            ("richardson", ["--x0", "36", "--within-radius", "1"], [1, 5, 5, 5, 5]),
+             [0, 0, 4, 3, 5], ["alpha=1.0", "kappa=1.0", "r=1.5", "xi=1.0"]),
+            ("richardson", ["--x0", "36", "--within-radius", "1"], [1, 5, 5, 5, 5],
+             ["x0=36", "p=1.0", "t0=0", "seed=0"]),
         ):
             out = tmp_path / f"{kind}.txt"
             assert run(["grow", "--net", str(net), "--kind", kind, "--tm", "4",
@@ -190,6 +194,8 @@ class TestGrow:
             seq, meta = load_sequence(out)
             assert meta["kind"] == kind
             assert [k.size for k in seq.slices] == sizes, kind
+            assert [line for line in out.read_text().splitlines() if line.startswith("#")] == [
+                f"# {item}" for item in [f"kind={kind}", "tm=4", *header]], kind
 
     @pytest.mark.parametrize("kind, extra, problem", [
         ("cylinder", ["--r0", "2"], "requires --center"),
@@ -202,6 +208,9 @@ class TestGrow:
         ("cone", ["--center", "4", "--speed", "1"], "--center has 1 coordinates"),
         ("richardson", ["--x0", "64", "--within-radius", "2"], "x0 must be a node id"),
         ("holder", ["--controls", "1,2;3", "--r", "1.5"], "--controls point '3' has 1 coordinates"),
+        ("cone", ["--center", "nan,4", "--speed", "1"], "--center: not a finite number: 'nan'"),
+        ("holder", ["--controls", "1,x;2,2", "--r", "1"],
+         "--controls point '1,x': not a number: 'x'"),
     ])
     def test_missing_or_bad_flag_exits_2(self, tmp_path, capsys, kind, extra, problem):
         net = tmp_path / "net.csv"
@@ -831,7 +840,7 @@ n_null = 100
         "scan.lambda = abc", "truth.p = abc", "truth.k = 1.5", "multiscale.scales = 2,x",
         "truth.limit_radius = 2.5", "threads = -3", "threads = 0", "theory.d = 2.5",
         "theory.k = 2.5x", "truth.margin = abc", "net.rescale = maybe", "lambda.grid = 1,y",
-        "scan.path_mode = zigzag", "scan.family = blobs", "model = bogus",
+        "scan.path_mode = zigzag", "scan.family = blobs", "model = bogus", "tm = -1",
     ])
     def test_every_key_typed_when_parsed(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
@@ -947,6 +956,11 @@ def _exit_code(argv):
     (["calibrate", "--net", "n.csv", "--statistic", "average", "--alpha", "nan", "--b", "99"],
      "argument --alpha: not a finite number: 'nan'"),
     (["sweep", "--config", "exp.cfg", "--threads", "0"], "argument --threads: not at least 1: '0'"),
+    *((["calibrate", "--net", "n.csv", "--clusters", "c.txt", "--statistic", statistic,
+        "--tm", "-1"], "argument --tm: not at least 0: '-1'")
+      for statistic in ("average", "scan", "cylinder-scan")),
+    (["grow", "--net", "n.csv", "--kind", "richardson", "--x0", "0", "--tm", "-1"],
+     "argument --tm: not at least 0: '-1'"),
 ])
 def test_flag_refusals_name_the_problem_not_the_parser(tmp_path, capsys, argv, message):
     out = tmp_path / "o.txt"

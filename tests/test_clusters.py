@@ -47,7 +47,6 @@ from scanlab.network import (
     NodeSet,
     ball_ids,
     ball_nodes,
-    closed_ball_ids,
     load_nodeset,
     make_lattice,
     make_uniform_cloud,
@@ -706,7 +705,7 @@ def test_net_members_are_read_only_views_of_the_admitted_clusters():
     for j, c in enumerate(admitted):
         view = net.members[j]
         assert view == c and view.idarray.dtype == np.int32 and not view.idarray.flags.writeable
-        assert np.shares_memory(view.idarray, net.table.concat)
+        assert np.shares_memory(view.idarray, net.members.concat)
         with pytest.raises(ValueError):
             view.idarray[0] = 0
     assert net.members[-1] == admitted[-1] and net.members[1:3] == tuple(admitted[1:3])
@@ -852,7 +851,7 @@ def reference_richardson_grow(net, x0, p, t0, t_m, seed, radius=None):
     if not 0 <= x0 < net.m:
         raise ValueError("x0 must be a node id")
     allowed = (range(net.m) if radius is None
-               else set(closed_ball_ids(net, net.coords[x0], radius).tolist()))
+               else set(ball_ids(net, net.coords[x0], radius, closed=True).tolist()))
     adj = net.neighbors
     rng = rng_from_seed(seed)
     occupied = {x0}

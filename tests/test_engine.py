@@ -459,7 +459,7 @@ def test_shared_background_engine_matches_the_planted_field(name, family, data, 
 
 def test_the_prefix_encoded_scale_is_exercised():
     scorer(MultiscaleScanTest(SCALES), NET, noise_model("gaussian"))
-    assert SCALES[1].table.runs is not None and CORNER.table.runs is None
+    assert SCALES[1].members.runs is not None and CORNER.members.runs is None
 
 
 @pytest.mark.filterwarnings("ignore:planting")

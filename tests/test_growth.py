@@ -19,8 +19,8 @@ from scanlab.growth import (
 from scanlab.metric import SQRT2, build_net, delta
 from scanlab.models import SignalSpec, noise_model, plant, sample_null
 from scanlab.network import (
+    ball_ids,
     ball_nodes,
-    closed_ball_ids,
     make_lattice,
     rescale_lattice,
 )
@@ -60,7 +60,7 @@ class TestCone:
     def test_zero_speed_limit(self):
         net = make_lattice(2, 8)
         seq = make_cone(net, (4, 4), 1e-9, t0=0, t_m=4)
-        origin = {int(i) for i in closed_ball_ids(net, (4, 4), 0.0)}
+        origin = {int(i) for i in ball_ids(net, (4, 4), 0.0, closed=True)}
         for _, k in seq.nonempty():
             assert set(k.ids) <= origin
 
@@ -120,7 +120,7 @@ class TestRichardson:
         for x0 in (32 * 64 + 32, 5 * 64 + 5):
             seq = richardson_grow(net, x0, 1.0, 0, 20, seed=3)
             for t in range(21):
-                want = tuple(int(i) for i in closed_ball_ids(net, net.coords[x0], t))
+                want = tuple(int(i) for i in ball_ids(net, net.coords[x0], t, closed=True))
                 assert seq.slices[t].ids == want
 
     def test_p_zero_rejected(self):
@@ -149,7 +149,7 @@ class TestRichardson:
 
     def test_within_restriction(self):
         net = make_lattice(2, 16)
-        limit = cluster_from_ids(int(i) for i in closed_ball_ids(net, (8, 8), 3))
+        limit = cluster_from_ids(int(i) for i in ball_ids(net, (8, 8), 3, closed=True))
         seq = richardson_grow(net, 8 * 16 + 8, 1.0, 0, 10, seed=2, radius=3)
         assert seq.slices[-1].ids == limit.ids
         for _, k in seq.nonempty():
@@ -184,7 +184,7 @@ class TestVerifiers:
         x0 = 32 * 64 + 32
         t_m = 10
         seq = richardson_grow(net, x0, 1.0, 0, t_m, seed=1)
-        limit = cluster_from_ids(int(i) for i in closed_ball_ids(net, (32, 32), t_m))
+        limit = cluster_from_ids(int(i) for i in ball_ids(net, (32, 32), t_m, closed=True))
         report = verify_limit_shape(seq, limit)
         for t, d, _, _ in report.rows:
             size_t = 2 * t * t + 2 * t + 1

@@ -219,12 +219,12 @@ def test_prefix_rule():
     """Coarse ball scales take the prefix form; the finest ball scale and the
     band net do not.  The choice is made on first scoring, not on building."""
     nets = _crit5_nets()
-    assert all("runs" not in vars(net.table) for net in nets.values())
-    assert {s: net.table.encoded().runs is not None for s, net in nets.items()} == {
+    assert all("runs" not in vars(net.members) for net in nets.values())
+    assert {s: net.members.encoded().runs is not None for s, net in nets.items()} == {
         5: False, 4: True, 3: True, 2: True}
     lat = make_lattice(2, 64)
     bands = enumerate_bands(lat, BandParams(16, 3, "self-avoiding"), budget=500, seed=5)
-    assert build_net(bands, 0.5).table.encoded().runs is None
+    assert build_net(bands, 0.5).members.encoded().runs is None
 
 
 def test_permuted_ids_break_runs_not_statistics(tmp_path):
@@ -239,10 +239,10 @@ def test_permuted_ids_break_runs_not_statistics(tmp_path):
     net = build_net(enumerate_balls(shuffled, 5.0), 0.3)
     to_row_major = np.argsort(perm)
     row_major = ScanTable.of(Cluster(np.sort(to_row_major[c.idarray])) for c in net.members)
-    assert net.table.encoded().runs is None and row_major.encoded().runs is not None
+    assert net.members.encoded().runs is None and row_major.encoded().runs is not None
     for model in MODELS:
         rows = _draw(model, 9, (4, side * side))
-        got, j = zip(*(net.table.max_score(row, model) for row in rows[:, to_row_major]))
+        got, j = zip(*(net.members.max_score(row, model) for row in rows[:, to_row_major]))
         want, i = zip(*(row_major.max_score(row, model) for row in rows))
         assert np.abs(np.subtract(got, want)).max() <= 1e-12 and j == i
 
@@ -369,13 +369,13 @@ def test_a_nets_table_is_built_once():
     with mock.patch.object(ScanTable, "__init__", counting):
         first = multiscale_test(fld, nets, None, GAUSS)
         assert len(built) <= len(nets)
-        ids = {s: net.table.concat for s, net in nets.items()}
+        ids = {s: net.members.concat for s, net in nets.items()}
         del built[:]
         assert multiscale_test(fld, nets, None, GAUSS) == first
         scorer(MultiscaleScanTest(nets), NET, GAUSS)(fld)
         scorer(EpsScanTest(nets[2]), NET, GAUSS)(fld)
         assert built == []
-    assert all(net.table.concat is ids[s] for s, net in nets.items())
+    assert all(net.members.concat is ids[s] for s, net in nets.items())
 
 
 def test_the_scorer_encodes_its_tables_before_blocks_run():
@@ -385,6 +385,6 @@ def test_the_scorer_encodes_its_tables_before_blocks_run():
         nets = {s: EpsNet(net.epsilon, tuple(net.members)) for s, net in PREFIX_NETS.items()}
         used = list(nets.values()) if kind is MultiscaleScanTest else [nets[2]]
         spec = kind(nets) if kind is MultiscaleScanTest else kind(nets[2])
-        assert not any("runs" in vars(net.table) for net in used)
+        assert not any("runs" in vars(net.members) for net in used)
         scorer(spec, NET, GAUSS, t_m)
-        assert all(vars(net.table).get("runs") is not None for net in used)
+        assert all(vars(net.members).get("runs") is not None for net in used)

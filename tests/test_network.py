@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,6 @@ from scanlab.network import (
     ball_ids,
     ball_nodes,
     check_spread,
-    closed_ball_ids,
     int_lines,
     load_nodeset,
     make_lattice,
@@ -416,16 +416,17 @@ def test_balls_match_the_full_scan(net, data):
     else:
         r = data.draw(st.floats(1e-3, 1.5 * (net.side or 1)))
     for closed in (False, True):
-        got = closed_ball_ids(net, center, r) if closed else ball_ids(net, center, r)
+        got = ball_ids(net, center, r, closed=closed)
         assert np.array_equal(got, full_ball(net, center, r, closed))
-    assert np.array_equal(closed_ball_ids(net, center, 0.0), full_ball(net, center, 0.0, True))
+    assert np.array_equal(ball_ids(net, center, 0.0, closed=True),
+                          full_ball(net, center, 0.0, True))
     assert np.array_equal(ball_nodes(net, center, r).idarray, full_ball(net, center, r, False))
 
 
 def test_integer_radii_split_open_and_closed_balls():
     net = make_lattice(2, 9)
     for r in (1, 2, 3, 4):
-        shell = np.setdiff1d(closed_ball_ids(net, (4, 4), r), ball_ids(net, (4, 4), r))
+        shell = np.setdiff1d(ball_ids(net, (4, 4), r, closed=True), ball_ids(net, (4, 4), r))
         assert shell.size == 4 * r  # the l1 sphere, all of it inside the grid
         assert (np.abs(net.coords[shell] - 4).sum(axis=1) == r).all()
 
@@ -571,7 +572,7 @@ class TestBadQueries:
     ])
     def test_refused_where_they_enter(self, center, r):
         net = self.NET
-        for query in (ball_ids, closed_ball_ids, ball_nodes, NodeSet.near):
+        for query in (ball_ids, partial(ball_ids, closed=True), ball_nodes, NodeSet.near):
             with pytest.raises(ValueError, match="finite center of shape"):
                 query(net, center, r)
         spec = ShapeSpec("ball", center, (0.3, 0.3), 0.3 if math.isfinite(r) else r)
@@ -582,7 +583,7 @@ class TestBadQueries:
         with pytest.raises(ValueError, match="r must be > 0"):
             ball_ids(self.NET, (0.5, 0.5), 0.0)
         with pytest.raises(ValueError, match="r must be >= 0"):
-            closed_ball_ids(self.NET, (0.5, 0.5), -0.1)
+            ball_ids(self.NET, (0.5, 0.5), -0.1, closed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def main(side: int) -> None:
     for width in (2, 4, 8):
         params = ThickParams(lam_lo=r * width, lam_hi=r * width, shapes=("ball",), grid_eps=0.25)
         nets.append(build_net(enumerate_thick(lat, params), 0.5))
-    ids = sum(net.table.concat.size for net in nets)
+    ids = sum(net.members.concat.size for net in nets)
     wall = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{side}^2 multiscale set-up: {wall:.2f} s, peak RSS {peak:.0f} MB, "
