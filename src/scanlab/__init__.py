@@ -6,8 +6,9 @@ Library layout:
 - clusters: cluster family generators (balls, thick blobs, tubes, bands, animals)
 - metric: the cluster dissimilarity, greedy epsilon-nets, cover verification
 - models: exponential-family noise, signal planting, standardized sums
-- detect: scan statistics, multiscale/average/oracle tests, calibration, rates
-- growth: spatio-temporal cluster sequences and the space-time cylinder scan
+- detect: scan statistics (the eps-scan at the field's horizon is the space-time
+  cylinder scan), multiscale/average/oracle tests, calibration, rates
+- growth: spatio-temporal cluster sequences; scan_spacetime_cylinders calls eps_scan
 - sim: Monte Carlo risk estimation and phase-transition sweeps
 - cli: the `scanlab` command line tool
 """
@@ -67,7 +68,6 @@ from .network import (
 )
 from .sim import (
     AverageTest,
-    CylinderScanTest,
     EpsScanTest,
     ExperimentConfig,
     FixedTruths,

@@ -226,21 +226,21 @@ def _cmd_netbuild(args) -> int:
 # ---------------------------------------------------------------------------
 # calibrate / test
 
-# The test specification each --statistic name and each config `test`
-# name stands for, and the columns of a calibration file: the first four
-# describe the threshold, the last three what it was calibrated for.
-STATISTICS = {"scan": sim.EpsScanTest, "average": sim.AverageTest,
-              "cylinder-scan": sim.CylinderScanTest}
+# Each --statistic name: its test, and the library's one-row call `scanlab test`
+# decides a field by (looked up when called), which scores through the elements
+# `calibrate` blocks through.  The eps-scan scans at the field's horizon, so "scan"
+# and "cylinder-scan" name one test, as the config's "eps-scan" and "cylinders" do.
+# A calibration file's first four columns describe the threshold, the last three its test.
+STATISTICS = {
+    "scan": (sim.EpsScanTest, lambda field, spec, model: detect.eps_scan(field, spec.net, model)),
+    "average": (sim.AverageTest, lambda field, spec, model: detect.average_test(field, model)),
+    "cylinder-scan": (sim.EpsScanTest, lambda field, spec, model:
+                      growth.scan_spacetime_cylinders(field, spec.net, model)),
+}
 CONFIG_TESTS = {"eps-scan": sim.EpsScanTest, "multiscale": sim.MultiscaleScanTest,
                 "average": sim.AverageTest, "oracle": sim.OracleTest,
-                "cylinders": sim.CylinderScanTest}
+                "cylinders": sim.EpsScanTest}
 CALIBRATION_COLUMNS = ("alpha", "b", "threshold", "seed", "statistic", "tm", "model")
-# The library's one-row test that `scanlab test` decides a field by, for each
-# --statistic name; each scores through the elements `calibrate` blocks through.
-DECIDE = {"scan": lambda field, spec, model: detect.eps_scan(field, spec.net, model),
-          "average": lambda field, spec, model: detect.average_test(field, model),
-          "cylinder-scan": lambda field, spec, model:
-              growth.scan_spacetime_cylinders(field, spec.base, model)}
 
 SCORING_FLAGS = {"net": REQUIRED, "clusters": Value(),
                  "model": Value(tuple(models.MOMENTS), models.GAUSSIAN),
@@ -252,7 +252,7 @@ CALIBRATE_FLAGS = {**SCORING_FLAGS, "alpha": Value(_float, "0.05", required=True
 
 def _test_spec(args, net) -> sim.TestSpec:
     """The test a --statistic name stands for, over the --clusters file."""
-    spec = STATISTICS[args.statistic]
+    spec = STATISTICS[args.statistic][0]
     if spec is sim.AverageTest:
         return spec()
     if args.clusters is None:
@@ -305,6 +305,8 @@ def _read_calibration_threshold(path: str, **ours) -> float:
 
 
 def _cmd_test(args) -> int:
+    if args.threshold is not None and args.calibration is not None:
+        raise ConfigError("test takes --threshold or --calibration, not both")
     net = network.load_nodeset(args.net)
     model = models.noise_model(args.model)
     field = models.load_field(net, args.field)
@@ -318,7 +320,7 @@ def _cmd_test(args) -> int:
         raise ConfigError("test requires --threshold or --calibration")
     spec = _test_spec(args, net)
     start = time.perf_counter()
-    result = DECIDE[args.statistic](field, spec, model)
+    result = STATISTICS[args.statistic][1](field, spec, model)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     statistic, argmax = result.statistic, result.argmax
     argmax_size = 0 if argmax is None else argmax.size
@@ -557,6 +559,9 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
     epsilon = _cfg(cfg, "scan.epsilon")
     spec = CONFIG_TESTS[_cfg(cfg, "test")]
     if spec is sim.MultiscaleScanTest:
+        if t_m:
+            raise ConfigError(f"config key 'tm': test = multiscale scans static fields "
+                              f"(tm = 0), got {t_m}")
         if not _cfg_get(cfg, "multiscale.scales"):
             raise ConfigError("test=multiscale requires multiscale.scales")
         scales = _cfg(cfg, "multiscale.scales")
@@ -568,7 +573,7 @@ def build_experiment(cfg: dict, threads: int | None = None) -> tuple[sim.Experim
             for s in scales
         }
         test = spec(nets=nets)
-    elif spec in (sim.EpsScanTest, sim.CylinderScanTest):
+    elif spec is sim.EpsScanTest:
         row, params, values = _scan_args(cfg, _cfg(cfg, "scan.family"))
         stream = row.stream(net, params, values, derive_seed(seed, "scanpaths"))
         test = spec(metric.build_net(stream, epsilon))

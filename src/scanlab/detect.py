@@ -8,8 +8,8 @@ field (Elements.one_row).  Its builders all live here.  scan_elements is the
 one table scan: the static and multiscale scans are its one-window case
 (t_m = 0), and the cylinder scan crosses the same tables with the trailing
 dyadic windows of times 0..t_m.  average_elements and oracle_elements are the
-one-element tests.  scan, eps_scan, multiscale_test, average_test and
-growth.scan_spacetime_cylinders wrap them.  Ties break to the first raw
+one-element tests.  scan, eps_scan (at the field's t_m, so also the cylinder
+scan), multiscale_test and average_test wrap them.  Ties break to the first raw
 maximum of a table in member-major order, then to the first table, so results
 are deterministic under any evaluation order.  oracle_test sums its known
 cluster directly.  Finite-sample decisions come from calibrated empirical
@@ -114,7 +114,7 @@ class Elements:
         the block's on the field's group sums, bit for bit."""
         if sum(self.groups) != len(field.values):
             raise ValueError(f"the statistic reads fields of {sum(self.groups)} time steps, "
-                             f"not {len(field.values)}; scan_spacetime_cylinders scans in time")
+                             f"not {len(field.values)}; eps_scan scans in time")
         scores = self.model.standardize(
             self.sums(group_sums(field.values, self.groups)[None])[0], self.pairs)
         n, flat = len(scores), scores.T.ravel()  # member-major: member, then window
@@ -208,9 +208,11 @@ def scan(field: Field, clusters: Iterable[Cluster], model: NoiseModel) -> TestRe
 
 
 def eps_scan(field: Field, net: EpsNet, model: NoiseModel) -> TestResult:
-    """scan over the net's members, through the table kept with the net."""
-    stat, _, j, _, _ = scan_elements([net.members], np.zeros(1), model).one_row(field)
-    return TestResult(statistic=stat, argmax=net.members[j], argmax_index=j)
+    """scan over the net's members, through the table kept with the net, and each
+    trailing dyadic window of the field's steps (one on a static field)."""
+    stat, _, j, window, _ = scan_elements([net.members], np.zeros(1), model,
+                                          field.t_m).one_row(field)
+    return TestResult(statistic=stat, argmax=net.members[j], argmax_index=j, argmax_window=window)
 
 
 def average_test(field: Field, model: NoiseModel) -> TestResult:

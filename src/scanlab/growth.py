@@ -5,8 +5,8 @@ generators cover the standing examples: constant-base cylinders, linearly
 growing cones, tubes around coordinatewise-constrained trajectories, and the
 Richardson lattice growth model.  Two verifiers check the structural
 assumptions the cylinder scan relies on: convergence to a limit shape and
-bounded variation in the cluster metric.  The scan itself is detect's one
-table scan, scan_elements; scan_spacetime_cylinders scores one field with it.
+bounded variation in the cluster metric.  The scan itself is detect.eps_scan,
+the one table scan at the field's horizon, which scan_spacetime_cylinders calls.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clusters import EMPTY_CLUSTER, Cluster, _boundary, _padded_grid, holder_violation
-from .detect import TestResult, scan_elements
-from .metric import SQRT2, EpsNet, ScanTable, delta
+from .detect import TestResult, eps_scan
+from .metric import SQRT2, EpsNet, delta
 from .models import Field, NoiseModel
 from .network import LATTICE, NodeSet, ball_ids, ball_nodes, int_lines
 from .rng import rng_from_seed
@@ -247,13 +247,10 @@ def verify_bounded_variation(
 
 def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
                              model: NoiseModel) -> TestResult:
-    """Max standardized sum over base clusters crossed with the trailing dyadic
-    windows (detect.scan_elements at the field's t_m), with its argmax cluster
-    and window; a net is scored through the table kept with it.  Ties break to
-    the smallest member index, then the shorter window (Elements.one_row)."""
-    table = base.members if isinstance(base, EpsNet) else ScanTable.of(base)
-    stat, _, j, window, _ = scan_elements([table], np.zeros(1), model, field.t_m).one_row(field)
-    return TestResult(statistic=stat, argmax=table[j], argmax_index=j, argmax_window=window)
+    """detect.eps_scan over the base clusters: their max standardized sum over
+    the trailing dyadic windows, with its argmax cluster and window.  Ties break
+    to the smallest member index, then the shorter window (Elements.one_row)."""
+    return eps_scan(field, base if isinstance(base, EpsNet) else EpsNet(0.0, base), model)
 
 
 def write_sequence(seq: ClusterSequence, fh, meta: dict | None = None) -> None:

@@ -27,14 +27,9 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .clusters import Cluster, ClusterStream, _frozen, _join, _view, blocks, _rows
+from .clusters import BLOCK, Cluster, ClusterStream, _frozen, _join, _view, blocks, _rows
 
 SQRT2 = math.sqrt(2.0)
-
-# clusters of a stream build_net and verify_cover take at once: 512 nets balls,
-# thick balls, clouds and bands in 0.5-0.9x the time of 256; 1024 is slower at
-# epsilon = 1 (2-core x86, numpy 2.4, scipy 1.17)
-NET_BLOCK = 512
 
 # a running sum costs PREFIX_COST gathered ids: cumsum 3.4 ns a value, the
 # sparse product 0.45 ns an id and row (2-core x86, numpy 2.4, scipy 1.17)
@@ -242,15 +237,15 @@ class EpsNet:
 
 
 def _tables(stream: Iterable) -> Iterator[ScanTable]:
-    """The stream's nonempty clusters as tables of at most NET_BLOCK rows: its CSR
+    """The stream's nonempty clusters as tables of at most BLOCK rows: its CSR
     blocks, joined while they fit and cut where they do not."""
     parts, rows = [], 0
     for indptr, ids in blocks(stream):
         if (sizes := np.diff(indptr)).size and not sizes.min():
             indptr, ids = _rows(indptr, ids, sizes > 0)
-        for lo in range(0, len(indptr) - 1, NET_BLOCK):
-            ptr = indptr[lo : lo + NET_BLOCK + 1]
-            if rows + len(ptr) - 1 > NET_BLOCK:
+        for lo in range(0, len(indptr) - 1, BLOCK):
+            ptr = indptr[lo : lo + BLOCK + 1]
+            if rows + len(ptr) - 1 > BLOCK:
                 yield ScanTable(*_join(parts))
                 parts, rows = [], 0
             parts.append((ptr - ptr[0], ids[ptr[0] : ptr[-1]]))
@@ -318,7 +313,7 @@ def _within(a, b, i, j, epsilon: float) -> np.ndarray:
 def build_net(stream: Iterable, epsilon: float, family: str = "") -> EpsNet:
     """Greedy epsilon-net in stream order: admit iff min delta > epsilon.
 
-    The stream's CSR blocks are read NET_BLOCK clusters at a time (`_tables`).
+    The stream's CSR blocks are read BLOCK clusters at a time (`_tables`).
     The members admitted so far are one CSR incidence, appended to, and the net
     keeps it as its table.  A block is checked against the members whose id
     ranges meet its own, then admitted in order against its own pairwise

@@ -10,8 +10,9 @@ lambda grid (common random numbers): each grid point plants the truth's
 cells into it from its own key and re-scores only the elements those cells
 touch.  A test is its detect.Elements, the one statistic of a block and of
 one field, which scorer picks from detect's builders and builds nothing of
-itself; the oracle is one element, the truth's own cells, which read no
-background.
+itself: the eps-scan is the one table scan at the field's horizon (the
+cylinder scan), and the oracle is one element, the truth's own cells, which
+read no background.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ DEFAULT_TRUTH_SAMPLE = 20
 
 @dataclass(frozen=True)
 class EpsScanTest:
-    """Scan over a fixed net (the full class stream makes it the plain scan)."""
+    """Scan over a fixed net (the full class stream makes it the plain scan), crossed
+    with the trailing dyadic windows of the field's steps: the cylinder scan."""
 
     net: EpsNet
 
@@ -84,12 +86,7 @@ class OracleTest:
     """Known-cluster likelihood-ratio test cut at oracle_cutoff(lam); no calibration step."""
 
 
-@dataclass(frozen=True)
-class CylinderScanTest:
-    base: EpsNet
-
-
-TestSpec = Union[EpsScanTest, MultiscaleScanTest, AverageTest, OracleTest, CylinderScanTest]
+TestSpec = Union[EpsScanTest, MultiscaleScanTest, AverageTest, OracleTest]
 
 
 @dataclass(frozen=True)
@@ -188,17 +185,15 @@ def scorer(
     through them; the one-row tests that `scanlab test` runs build the same
     elements.  Cluster tables are the nets' own, encoded by the builder
     before threads share them.  The oracle scores its one `truth`."""
-    if isinstance(test, (EpsScanTest, MultiscaleScanTest)) and t_m != 0:
-        raise ValueError(
-            f"{type(test).__name__} needs a static field (t_m = 0); use CylinderScanTest"
-        )
+    if t_m < 0:
+        raise ValueError("t_m must be >= 0")
     if isinstance(test, EpsScanTest):
-        return scan_elements([test.net.members], np.zeros(1), model)
+        return scan_elements([test.net.members], np.zeros(1), model, t_m)
     if isinstance(test, MultiscaleScanTest):
+        if t_m != 0:  # the scale weights are static
+            raise ValueError("MultiscaleScanTest needs a static field (t_m = 0)")
         weights = {s: scale_term(net.m, net.dim, s) for s in test.nets}
         return scan_elements(*scale_offsets(test.nets, weights)[1:], model)
-    if isinstance(test, CylinderScanTest):
-        return scan_elements([test.base.members], np.zeros(1), model, t_m)
     if isinstance(test, AverageTest):
         return average_elements(net.m, t_m, model)
     if isinstance(test, OracleTest):

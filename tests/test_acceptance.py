@@ -35,7 +35,6 @@ from scanlab.network import (
 )
 from scanlab.rng import derive_seed, rng_from_seed
 from scanlab.sim import (
-    CylinderScanTest,
     EpsScanTest,
     ExperimentConfig,
     FixedTruths,
@@ -309,7 +308,7 @@ def crit8_rows():
     lam = 6 * math.sqrt(2) / 64
     theory = rate("cylinder", d=2, lam=lam)
     cfg = ExperimentConfig(
-        net=lat, model=GAUSS, test=CylinderScanTest(base),
+        net=lat, model=GAUSS, test=EpsScanTest(base),
         truth=SampledTruths(truth_sampler, count=3), lambdas=(1.5 * theory,),
         trials=66, alpha=ALPHA, calib_b=800, n_null=N_NULL, seed=303, t_m=t_m,
         threads=1, theory=theory,

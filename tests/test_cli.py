@@ -436,6 +436,33 @@ seed = 9
         assert len(rows) == 2
         assert float(rows[1].split(",")[4]) < float(rows[0].split(",")[4])
 
+    RICHARDSON = ("net.mode = lattice\nnet.side = 16\ntm = 4\nscan.family = balls\n"
+                  "scan.lambda = 3\ntruth.family = richardson\ntruth.limit_radius = 2\n"
+                  "truth.count = 2\nlambda.grid = 0,6\ntrials = 50\ncalibration.b = 99\n"
+                  "n_null = 100\nseed = 4\n")
+
+    def test_eps_scan_at_a_horizon_is_the_cylinder_scan(self, tmp_path):
+        lines = {}
+        for test in ("eps-scan", "cylinders"):
+            cfg, out = tmp_path / f"{test}.cfg", tmp_path / f"{test}.csv"
+            cfg.write_text(self.RICHARDSON + f"test = {test}\n")
+            assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            lines[test] = out.read_text().splitlines()
+            assert f"# test={test}" in lines[test]
+        assert ([l for l in lines["eps-scan"] if l != "# test=eps-scan"]
+                == [l for l in lines["cylinders"] if l != "# test=cylinders"])
+
+    def test_multiscale_refuses_a_horizon_before_building_nets(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr("scanlab.metric.build_net", lambda *a, **k: pytest.fail("built"))
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "out.csv"
+        cfg.write_text(self.RICHARDSON.replace("tm = 4", "tm = 3")
+                       + "test = multiscale\nmultiscale.scales = 2,3\n")
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config key 'tm': test = multiscale scans static fields (tm = 0), got 3"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_tubes_and_thick_enumerate(self, tmp_path):
         cloud = tmp_path / "cloud.csv"
         run(["net", "--mode", "cloud", "--d", "2", "--m", "300", "--seed", "2",
@@ -536,7 +563,7 @@ class TestOneFamilyTable:
         lattice = make_lattice(2, 12)
         stream = enumerate_bands(lattice, BandParams(6, 2, "self-avoiding"), budget=60,
                                  seed=derive_seed(12, "scanpaths"))
-        assert exp.test.base.members == build_net(stream, 0.5).members
+        assert exp.test.net.members == build_net(stream, 0.5).members
 
     def test_size_cap_caps_the_sweep_net(self):
         text = ("net.mode = lattice\nnet.side = 8\nscan.family = balls\nscan.lambda = 2.5\n"
@@ -547,16 +574,37 @@ class TestOneFamilyTable:
         assert max(c.size for c in capped.test.net.members) <= 8
         assert echo["scan.size_cap"] == "8"
 
-    def test_calibrate_scan_refuses_temporal_fields(self, tmp_path, capsys):
-        net = _lattice(tmp_path)
-        balls = tmp_path / "balls.txt"
+    @staticmethod
+    def _balls(tmp_path):
+        net, balls = _lattice(tmp_path), tmp_path / "balls.txt"
         run(["enumerate", "--net", str(net), "--family", "balls", "--lam", "1.5",
              "--out", str(balls)])
-        code = run(["calibrate", "--net", str(net), "--clusters", str(balls),
-                    "--statistic", "scan", "--tm", "4", "--alpha", "0.05", "--b", "99",
-                    "--out", str(tmp_path / "calib.csv")])
-        assert code == 2
-        assert "static field" in capsys.readouterr().err
+        return net, balls
+
+    def test_calibrate_scan_at_a_horizon_is_the_cylinder_scan(self, tmp_path):
+        net, balls = self._balls(tmp_path)
+        rows = {}
+        for statistic in ("scan", "cylinder-scan"):
+            out = tmp_path / f"{statistic}.csv"
+            assert run(["calibrate", "--net", str(net), "--clusters", str(balls),
+                        "--statistic", statistic, "--tm", "4", "--alpha", "0.05", "--b", "99",
+                        "--out", str(out)]) == 0
+            rows[statistic] = out.read_text().splitlines()[1].split(",")
+        assert rows["scan"][:4] == rows["cylinder-scan"][:4]
+        assert rows["scan"][4:] == ["scan", "4", "gaussian"]
+
+    def test_test_scan_decides_a_temporal_field_as_the_cylinder_scan(self, tmp_path):
+        net, balls = self._balls(tmp_path)
+        field = _null_field(tmp_path, net, t_m=4)
+        rows = {}
+        for statistic in ("scan", "cylinder-scan"):
+            out = tmp_path / f"{statistic}.csv"
+            assert run(["test", "--net", str(net), "--clusters", str(balls),
+                        "--field", str(field), "--statistic", statistic, "--threshold", "3",
+                        "--out", str(out)]) == 0
+            rows[statistic] = out.read_text().splitlines()[1].split(",")[:4]
+        assert rows["scan"] == rows["cylinder-scan"]
+        assert int(rows["scan"][3]) > 0
 
 
 class TestTruthWords:
@@ -961,6 +1009,8 @@ def _exit_code(argv):
       for statistic in ("average", "scan", "cylinder-scan")),
     (["grow", "--net", "n.csv", "--kind", "richardson", "--x0", "0", "--tm", "-1"],
      "argument --tm: not at least 0: '-1'"),
+    (["test", "--net", "n.csv", "--field", "f.csv", "--threshold", "1", "--calibration", "c.csv"],
+     "test takes --threshold or --calibration, not both"),
 ])
 def test_flag_refusals_name_the_problem_not_the_parser(tmp_path, capsys, argv, message):
     out = tmp_path / "o.txt"

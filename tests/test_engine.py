@@ -38,7 +38,6 @@ from scanlab.network import make_lattice
 from scanlab.rng import derive_seed, derive_seeds, rng_from_seed
 from scanlab.sim import (
     AverageTest,
-    CylinderScanTest,
     EpsScanTest,
     ExperimentConfig,
     FixedTruths,
@@ -196,7 +195,7 @@ def test_group_sum_nulls_score_as_full_fields(family):
     """Null cylinder statistics at t_m = 32 from (B, 7, m) group-sum draws
     against ones scored from full-resolution fields: a two-sample KS test."""
     model = noise_model(family)
-    score = scorer(CylinderScanTest(SPACETIME_NET), SPACETIME, model, 32)
+    score = scorer(EpsScanTest(SPACETIME_NET), SPACETIME, model, 32)
     assert score.groups == (1, 16, 8, 4, 2, 1, 1)
     grouped = null_statistics(score.block, SPACETIME, model, score.groups, 5, "null", 800, 1)
     full = [score(sample_null(SPACETIME, model, 32, derive_seed(6, i)))[0] for i in range(800)]
@@ -385,7 +384,7 @@ SCALES = {1: EpsNet(0.5, tuple(Cluster(tuple(range(i, i + w))) for w in (19, 20)
 ENGINE_SPECS = {  # spec, t_m
     "eps-scan": (EpsScanTest(CORNER), 0),
     "multiscale": (MultiscaleScanTest(SCALES), 0),
-    "cylinders": (CylinderScanTest(CORNER), 4),
+    "cylinders": (EpsScanTest(CORNER), 4),
     "average": (AverageTest(), 3),
 }
 

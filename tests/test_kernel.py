@@ -49,7 +49,6 @@ from scanlab.network import (
 )
 from scanlab.sim import (
     AverageTest,
-    CylinderScanTest,
     EpsScanTest,
     ExperimentConfig,
     FixedTruths,
@@ -76,10 +75,10 @@ SPECS = {
                    lambda f, model: multiscale_test(f, NETS, DEFAULT_WEIGHTS, model)),
     "multiscale-prefix": (MultiscaleScanTest(PREFIX_NETS), 1,
                           lambda f, model: multiscale_test(f, PREFIX_NETS, DEFAULT_WEIGHTS, model)),
-    "cylinders": (CylinderScanTest(NETS[3]), 5,
+    "cylinders": (EpsScanTest(NETS[3]), 5,
                   lambda f, model: scan_spacetime_cylinders(f, NETS[3], model)),
     # the benchmark's horizon: seven time groups of 1, 16, 8, 4, 2, 1 and 1 steps
-    "cylinders-33": (CylinderScanTest(NETS[3]), 33,
+    "cylinders-33": (EpsScanTest(NETS[3]), 33,
                      lambda f, model: scan_spacetime_cylinders(f, NETS[3], model)),
     "average": (AverageTest(), 5, average_test),
     # the oracle's truth is _truth(1); oracle_test's cutoff plays no part here
@@ -381,7 +380,7 @@ def test_a_nets_table_is_built_once():
 def test_the_scorer_encodes_its_tables_before_blocks_run():
     """A Scorer's tables are encoded when it is made, so the threads of
     map_blocks only read them."""
-    for kind, t_m in ((MultiscaleScanTest, 0), (EpsScanTest, 0), (CylinderScanTest, 4)):
+    for kind, t_m in ((MultiscaleScanTest, 0), (EpsScanTest, 0), (EpsScanTest, 4)):
         nets = {s: EpsNet(net.epsilon, tuple(net.members)) for s, net in PREFIX_NETS.items()}
         used = list(nets.values()) if kind is MultiscaleScanTest else [nets[2]]
         spec = kind(nets) if kind is MultiscaleScanTest else kind(nets[2])

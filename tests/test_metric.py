@@ -93,8 +93,8 @@ class TestBuildNet:
         # disjoint clusters are exactly sqrt(2) apart, which is not > sqrt(2),
         # also when a block shares no node with any member (block of one)
         stream = [Cluster((i,)) for i in range(5)] + [Cluster((0, 9)), Cluster((7, 8, 9))]
-        for block, path in itertools.product((1, metric.NET_BLOCK), OVERLAP_PATHS):
-            with mock.patch.object(metric, "NET_BLOCK", block), overlap_path(path):
+        for block, path in itertools.product((1, metric.BLOCK), OVERLAP_PATHS):
+            with mock.patch.object(metric, "BLOCK", block), overlap_path(path):
                 assert tuple(build_net(stream, SQRT2).members) == (Cluster((0,)),)
 
     @pytest.mark.parametrize("path", sorted(OVERLAP_PATHS))
@@ -228,7 +228,7 @@ class TestVerifyCover:
          for c in cloud.coords],
     ], ids=["lattice balls", "thick blobs", "cloud balls"])
     def test_overlap_paths_agree_bit_for_bit(self, stream):
-        block, members = ScanTable.of(stream[:metric.NET_BLOCK]), ScanTable.of(stream[::3])
+        block, members = ScanTable.of(stream[:metric.BLOCK]), ScanTable.of(stream[::3])
         runs = {}
         for path in OVERLAP_PATHS:
             with overlap_path(path):
@@ -284,10 +284,10 @@ def _cover_reference(members, stream):
 
 
 @settings(max_examples=300, deadline=None)
-@given(subsets, subsets, epsilons, st.sampled_from((1, 3, 16, metric.NET_BLOCK)),
+@given(subsets, subsets, epsilons, st.sampled_from((1, 3, 16, metric.BLOCK)),
        st.sampled_from(sorted(OVERLAP_PATHS)))
 def test_block_greedy_matches_pairwise_reference(stream, probes, epsilon, block, path):
-    with mock.patch.object(metric, "NET_BLOCK", block), overlap_path(path):
+    with mock.patch.object(metric, "BLOCK", block), overlap_path(path):
         net = build_net(stream, epsilon)
         report = verify_cover(net, stream + probes) if net.members else None
     want = _greedy_reference(stream, epsilon)

@@ -13,7 +13,6 @@ from scanlab.models import noise_model, sample_null, standardized_sum
 from scanlab.network import ball_nodes, make_lattice, rescale_lattice
 from scanlab.sim import (
     AverageTest,
-    CylinderScanTest,
     EpsScanTest,
     ExperimentConfig,
     FixedTruths,
@@ -285,9 +284,15 @@ class TestScorer:
         assert scorer(AverageTest(), self.net, GAUSS)(fld)[1] is None
 
     def test_static_tests_refuse_temporal_fields(self):
-        for spec in (EpsScanTest(self.nets[3]), MultiscaleScanTest(nets=self.nets)):
-            with pytest.raises(ValueError, match="static field"):
-                scorer(spec, self.net, GAUSS, t_m=2)
+        with pytest.raises(ValueError, match="static field"):
+            scorer(MultiscaleScanTest(nets=self.nets), self.net, GAUSS, t_m=2)
+
+    @pytest.mark.parametrize("kind", ["eps-scan", "multiscale", "average", "oracle"])
+    def test_every_test_refuses_a_negative_horizon(self, kind):
+        spec = {"eps-scan": EpsScanTest(self.nets[3]), "multiscale": MultiscaleScanTest(self.nets),
+                "average": AverageTest(), "oracle": OracleTest()}[kind]
+        with pytest.raises(ValueError, match=r"^t_m must be >= 0$"):
+            scorer(spec, self.net, GAUSS, -1, ball_nodes(self.net, (0.5, 0.5), 0.2))
 
     def test_weights_missing_a_scale_are_named(self):
         fld = sample_null(self.net, GAUSS, 0, 1)
@@ -301,7 +306,7 @@ class TestScorer:
     def test_cylinder_truths_in_estimate_risk(self):
         seqs = (make_cylinder(self.net, (0.5, 0.5), 0.2, 1, 3),)
         cfg = ExperimentConfig(
-            net=self.net, model=GAUSS, test=CylinderScanTest(self.nets[3]),
+            net=self.net, model=GAUSS, test=EpsScanTest(self.nets[3]),
             truth=FixedTruths(seqs), lambdas=(0.0, 12.0), trials=50, calib_b=99,
             n_null=100, seed=2, t_m=3,
         )
