@@ -8,7 +8,7 @@ Library layout:
 - models: exponential-family noise, signal planting, standardized sums
 - detect: scan statistics (the eps-scan at the field's horizon is the space-time
   cylinder scan), multiscale/average/oracle tests, calibration, rates
-- growth: spatio-temporal cluster sequences; scan_spacetime_cylinders calls eps_scan
+- growth: spatio-temporal cluster sequences; scan_spacetime_cylinders is eps_scan
 - sim: Monte Carlo risk estimation and phase-transition sweeps
 - cli: the `scanlab` command line tool
 """

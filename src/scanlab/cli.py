@@ -58,14 +58,14 @@ def _int(text: str) -> int:
 
 
 def _count(text: str, low: int = 0) -> int:
-    """An integer no smaller than `low`: a time horizon, or (low 1) a thread count."""
+    """An integer no smaller than `low`: a time horizon, or (low 1) a thread count or size cap."""
     count = _int(text)
     if count < low:
         raise ValueError(f"not at least {low}: {text!r}")
     return count
 
 
-def _threads(text: str) -> int:
+def _positive(text: str) -> int:
     return _count(text, 1)
 
 
@@ -165,7 +165,7 @@ FAMILY_FLAGS = {
     "path_mode": Value(cl.PATH_MODES, "nondecreasing"),
     "budget": Value(_int, "2000"),
     "kmax": Value(_int),
-    "size_cap": Value(_int),
+    "size_cap": Value(_positive),
 }
 ENUMERATE_FLAGS = {"net": REQUIRED, "family": Value(tuple(cl.FAMILIES), cl.BALLS, required=True),
                    **FAMILY_FLAGS, "seed": SEED, **OUT}
@@ -188,12 +188,13 @@ def family_args(family: str, values: dict, name) -> tuple[cl.Family, object, dic
 
 def _scan_args(cfg, family: str, truth: bool = False) -> tuple[cl.Family, object, dict]:
     """family_args over the scan.* config keys; for a truth, truth.k stands
-    in for scan.kmax."""
-    values = {key: _cfg(cfg, f"scan.{key}", None)
-              for key in FAMILY_FLAGS if f"scan.{key}" in CONFIG_KEYS}
+    in for scan.kmax, and a missing value is named as truth.k."""
+    keys = {key: f"scan.{key}" for key in FAMILY_FLAGS if f"scan.{key}" in CONFIG_KEYS}
+    values = {key: _cfg(cfg, name, None) for key, name in keys.items()}
     if truth:
         values["kmax"] = _cfg(cfg, "truth.k", values["kmax"])
-    return family_args(family, values, lambda key: f"config key 'scan.{key}'")
+        keys["kmax"] = "truth.k"
+    return family_args(family, values, lambda key: f"config key '{keys[key]}'")
 
 
 def _cmd_enumerate(args) -> int:
@@ -226,17 +227,12 @@ def _cmd_netbuild(args) -> int:
 # ---------------------------------------------------------------------------
 # calibrate / test
 
-# Each --statistic name: its test, and the library's one-row call `scanlab test`
-# decides a field by (looked up when called), which scores through the elements
-# `calibrate` blocks through.  The eps-scan scans at the field's horizon, so "scan"
-# and "cylinder-scan" name one test, as the config's "eps-scan" and "cylinders" do.
+# Each --statistic word and the test it names.  The eps-scan scans at the field's
+# horizon, so "scan" and "cylinder-scan" name one test, as the config's "eps-scan"
+# and "cylinders" do, and a calibration made under one word serves the other.
 # A calibration file's first four columns describe the threshold, the last three its test.
-STATISTICS = {
-    "scan": (sim.EpsScanTest, lambda field, spec, model: detect.eps_scan(field, spec.net, model)),
-    "average": (sim.AverageTest, lambda field, spec, model: detect.average_test(field, model)),
-    "cylinder-scan": (sim.EpsScanTest, lambda field, spec, model:
-                      growth.scan_spacetime_cylinders(field, spec.net, model)),
-}
+STATISTICS = {"scan": sim.EpsScanTest, "average": sim.AverageTest,
+              "cylinder-scan": sim.EpsScanTest}
 CONFIG_TESTS = {"eps-scan": sim.EpsScanTest, "multiscale": sim.MultiscaleScanTest,
                 "average": sim.AverageTest, "oracle": sim.OracleTest,
                 "cylinders": sim.EpsScanTest}
@@ -247,12 +243,12 @@ SCORING_FLAGS = {"net": REQUIRED, "clusters": Value(),
                  "statistic": Value(tuple(STATISTICS), "scan"), **OUT}
 CALIBRATE_FLAGS = {**SCORING_FLAGS, "alpha": Value(_float, "0.05", required=True),
                    "b": Value(_int, "199", required=True), "tm": Value(_count, "0"),
-                   "seed": SEED, "threads": Value(_threads, "1")}
+                   "seed": SEED, "threads": Value(_positive, "1")}
 
 
 def _test_spec(args, net) -> sim.TestSpec:
-    """The test a --statistic name stands for, over the --clusters file."""
-    spec = STATISTICS[args.statistic][0]
+    """The test a --statistic word names, over the --clusters file."""
+    spec = STATISTICS[args.statistic]
     if spec is sim.AverageTest:
         return spec()
     if args.clusters is None:
@@ -288,14 +284,16 @@ def _cmd_calibrate(args) -> int:
 
 
 def _read_calibration_threshold(path: str, **ours) -> float:
-    """The threshold of a calibration file made for `ours` (statistic, tm, model)."""
+    """The threshold of a calibration file made for `ours` (statistic, tm, model),
+    its statistic under any word of the same test."""
     with open(path) as fh:
         calib = dict(zip(*(fh.readline().strip().split(",") for _ in range(2))))
     missing = [c for c in CALIBRATION_COLUMNS if c not in calib]
     if missing:
         raise ConfigError(f"calibration file {path} lacks the columns {missing}")
     for key, value in ours.items():
-        if calib[key] != str(value):
+        if calib[key] != str(value) and (key != "statistic"
+                                         or STATISTICS.get(calib[key]) is not STATISTICS[value]):
             raise ConfigError(f"calibration file {path} is for {key} {calib[key]}, "
                               f"but this test has {key} {value}")
     try:
@@ -320,7 +318,8 @@ def _cmd_test(args) -> int:
         raise ConfigError("test requires --threshold or --calibration")
     spec = _test_spec(args, net)
     start = time.perf_counter()
-    result = STATISTICS[args.statistic][1](field, spec, model)
+    result = (detect.average_test(field, model) if isinstance(spec, sim.AverageTest)
+              else detect.eps_scan(field, spec.net, model))
     elapsed_ms = (time.perf_counter() - start) * 1e3
     statistic, argmax = result.statistic, result.argmax
     argmax_size = 0 if argmax is None else argmax.size
@@ -632,7 +631,7 @@ COMMANDS = {
               "calibration": Value()}),
     "grow": (_cmd_grow, "generate a cluster sequence", GROW_FLAGS),
     "sweep": (_cmd_sweep, "Monte Carlo risk sweep from a config file",
-              {"config": REQUIRED, "threads": Value(_threads), **OUT}),
+              {"config": REQUIRED, "threads": Value(_positive), **OUT}),
     "rates": (_cmd_rates, "closed-form detection thresholds", RATE_FLAGS),
 }
 

@@ -6,8 +6,8 @@ order.  Iterating a stream gives each row as a read-only Cluster view, made
 on access; build_net and write_clusters read the blocks.  Emitted sizes are
 capped at ceil(m/4) by default (clusters comparable to the whole network are
 the average test's job, not the scan's); generators accept a `size_cap`
-override for small toy grids where the default would swallow legitimate
-members.
+override (at least 1) for small toy grids where the default would swallow
+legitimate members.
 """
 
 from __future__ import annotations
@@ -192,6 +192,8 @@ def _emit(raw: Iterable, m: int, size_cap: int | None) -> ClusterStream:
     an id set to an earlier row of the stream, so the first occurrence wins.
     Rows are compared exactly, as the bytes of their int32 ids, in one set."""
     cap = default_size_cap(m) if size_cap is None else size_cap
+    if cap < 1:
+        raise ValueError(f"size_cap must be at least 1, got {size_cap}")
 
     def emitted():
         seen: set[bytes] = set()  # the rows emitted so far
@@ -414,13 +416,11 @@ def enumerate_thick(net: NodeSet, params: ThickParams, size_cap: int | None = No
     return _emit((block for *_, block in _thick_lines(net, params)), net.m, size_cap)
 
 
-def sample_thick_shape(
-    net: NodeSet, params: ThickParams, seed: int, rotate: bool = False
-) -> ShapeSpec:
+def sample_thick_shape(net: NodeSet, params: ThickParams, seed: int) -> ShapeSpec:
     """Random member of the shape dictionary (truth sampling).
 
-    Scale log-uniform in [lam_lo, lam_hi], uniform template and center;
-    optional random rotation (euclidean mode only) so planted truth is not
+    Scale log-uniform in [lam_lo, lam_hi], uniform template and center; in
+    euclidean mode a random rotation too, so planted truth is not
     axis-aligned like the scanned dictionary.
     """
     rng = rng_from_seed(seed)
@@ -434,7 +434,7 @@ def sample_thick_shape(
     margin = min(lam, extent / 2)  # uniform needs margin <= extent - margin
     center = rng.uniform(margin, extent - margin, size=d)
     rotation = None
-    if rotate and net.mode == EUCLIDEAN:
+    if net.mode == EUCLIDEAN:
         q, r = np.linalg.qr(rng.standard_normal((d, d)))
         rotation = q * np.sign(np.diag(r))
     return make_shape(kind, center, half_axes, params.kappa, net.mode, rotation)
@@ -447,7 +447,7 @@ def sample_thick(net: NodeSet, params: ThickParams, seed: int) -> Cluster:
     """The nodes of a random shape (rotated in euclidean mode) that holds one;
     a shape holding none is drawn again, at most TRUTH_RETRIES times."""
     for _ in range(TRUTH_RETRIES):
-        ids = sample_thick_shape(net, params, seed, rotate=net.mode == EUCLIDEAN).member_ids(net)
+        ids = sample_thick_shape(net, params, seed).member_ids(net)
         if ids.size:
             return Cluster(ids)
         seed = derive_seed(seed, "retry")
@@ -456,6 +456,9 @@ def sample_thick(net: NodeSet, params: ThickParams, seed: int) -> Cluster:
 
 # ---------------------------------------------------------------------------
 # thin tubes
+
+LAMBDA_OVER_R_MIN = 4.0  # tubes need r <= 1/LAMBDA_OVER_R_MIN: a guard, not from the paper
+MAX_CURVES = 200_000  # control-point curves a tube family may hold, at most
 
 
 @dataclass(frozen=True)
@@ -474,8 +477,6 @@ class ThinParams:
     kappa: float = 1.0
     n_control: int = 4
     value_pitch: float | None = None
-    lambda_over_r_min: float = 4.0  # not paper-derived; see package docs
-    max_curves: int = 200_000
 
     def __post_init__(self) -> None:
         if self.r <= 0:
@@ -489,9 +490,9 @@ class ThinParams:
         pitch = self.pitch
         if pitch > self.r / 2 + 1e-12:
             raise ValueError("value_pitch must be <= r/2")
-        if self.r * self.lambda_over_r_min > 1 + 1e-9:
+        if self.r * LAMBDA_OVER_R_MIN > 1 + 1e-9:
             raise ValueError(
-                f"r too large: requires r <= 1/{self.lambda_over_r_min:g}"
+                f"r too large: requires r <= 1/{LAMBDA_OVER_R_MIN:g}"
             )
 
     @property
@@ -554,11 +555,11 @@ def enumerate_tube_curves(net: NodeSet, params: ThinParams):
     xs = np.linspace(0.0, 1.0, params.n_control)
     levels = tuple(np.arange(0.0, 1.0 + 1e-9, params.pitch))
     per_coord = _holder_sequences(xs, levels, params.alpha, params.kappa,
-                                  cap=params.max_curves)
+                                  cap=MAX_CURVES)
     n_curves = len(per_coord) ** (d - 1)
-    if n_curves > params.max_curves:
+    if n_curves > MAX_CURVES:
         raise CapacityError(
-            f"over {params.max_curves} control-point curves (max_curves); "
+            f"over {MAX_CURVES} control-point curves; "
             "coarsen the grids"
         )
     for gs in itertools.product(per_coord, repeat=d - 1):

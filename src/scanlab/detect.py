@@ -8,8 +8,8 @@ field (Elements.one_row).  Its builders all live here.  scan_elements is the
 one table scan: the static and multiscale scans are its one-window case
 (t_m = 0), and the cylinder scan crosses the same tables with the trailing
 dyadic windows of times 0..t_m.  average_elements and oracle_elements are the
-one-element tests.  scan, eps_scan (at the field's t_m, so also the cylinder
-scan), multiscale_test and average_test wrap them.  Ties break to the first raw
+one-element tests.  eps_scan (also named scan; the cylinder scan at t_m > 0),
+multiscale_test and average_test wrap them.  Ties break to the first raw
 maximum of a table in member-major order, then to the first table, so results
 are deterministic under any evaluation order.  oracle_test sums its known
 cluster directly.  Finite-sample decisions come from calibrated empirical
@@ -202,17 +202,17 @@ def oracle_elements(truth, m: int, t_m: int, model: NoiseModel) -> Elements:
                     np.zeros(1), model, (1,) * (t_m + 1), [[truth]])
 
 
-def scan(field: Field, clusters: Iterable[Cluster], model: NoiseModel) -> TestResult:
-    """Maximum standardized sum over the stream, with the first argmax."""
-    return eps_scan(field, EpsNet(0.0, clusters), model)
-
-
-def eps_scan(field: Field, net: EpsNet, model: NoiseModel) -> TestResult:
-    """scan over the net's members, through the table kept with the net, and each
-    trailing dyadic window of the field's steps (one on a static field)."""
+def eps_scan(field: Field, net: EpsNet | Iterable[Cluster], model: NoiseModel) -> TestResult:
+    """The max standardized sum over the members of an eps-net (through its table) or
+    of any cluster stream, and each trailing dyadic window of the field's steps (one
+    on a static field), with its argmax: the first member, then the shorter window."""
+    net = net if isinstance(net, EpsNet) else EpsNet(0.0, net)
     stat, _, j, window, _ = scan_elements([net.members], np.zeros(1), model,
                                           field.t_m).one_row(field)
     return TestResult(statistic=stat, argmax=net.members[j], argmax_index=j, argmax_window=window)
+
+
+scan = eps_scan  # the scan over a cluster stream, under its own name
 
 
 def average_test(field: Field, model: NoiseModel) -> TestResult:

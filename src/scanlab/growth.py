@@ -6,20 +6,19 @@ growing cones, tubes around coordinatewise-constrained trajectories, and the
 Richardson lattice growth model.  Two verifiers check the structural
 assumptions the cylinder scan relies on: convergence to a limit shape and
 bounded variation in the cluster metric.  The scan itself is detect.eps_scan,
-the one table scan at the field's horizon, which scan_spacetime_cylinders calls.
+the one table scan at the field's horizon, named scan_spacetime_cylinders here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .clusters import EMPTY_CLUSTER, Cluster, _boundary, _padded_grid, holder_violation
-from .detect import TestResult, eps_scan
-from .metric import SQRT2, EpsNet, delta
-from .models import Field, NoiseModel
+from .detect import eps_scan as scan_spacetime_cylinders  # the space-time cylinder scan
+from .metric import SQRT2, delta
 from .network import LATTICE, NodeSet, ball_ids, ball_nodes, int_lines
 from .rng import rng_from_seed
 
@@ -243,14 +242,6 @@ def verify_bounded_variation(
                 worst_pair = (t, s)
     worst = max(worst, 0.0)
     return BoundedVariationReport(eta, xi, worst_pair, worst, worst <= eta + 1e-12)
-
-
-def scan_spacetime_cylinders(field: Field, base: EpsNet | Sequence[Cluster],
-                             model: NoiseModel) -> TestResult:
-    """detect.eps_scan over the base clusters: their max standardized sum over
-    the trailing dyadic windows, with its argmax cluster and window.  Ties break
-    to the smallest member index, then the shorter window (Elements.one_row)."""
-    return eps_scan(field, base if isinstance(base, EpsNet) else EpsNet(0.0, base), model)
 
 
 def write_sequence(seq: ClusterSequence, fh, meta: dict | None = None) -> None:

@@ -56,6 +56,8 @@ class NodeSet:
         coords = np.asarray(self.coords)
         if coords.ndim != 2 or coords.shape[1] != self.dim:
             raise ValueError(f"coords must be (m, {self.dim})")
+        if not len(coords):
+            raise ValueError("a node set needs at least one node")
         if self.mode not in (LATTICE, EUCLIDEAN):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not np.isfinite(coords).all():
@@ -342,7 +344,12 @@ def load_nodeset(path) -> NodeSet:
         header = fh.readline().strip()
     if not header.startswith("#"):
         raise ValueError("node set file must start with a # metadata line")
-    meta = json.loads(header[1:].strip())
+    try:
+        meta = json.loads(header[1:].strip())
+    except ValueError as exc:
+        raise ValueError(f"node set file: the metadata line is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"node set file: the metadata line is not a JSON object: {header!r}")
     need = ("mode", "d", "side") if meta.get("mode") == LATTICE else ("mode", "d")
     for key in need:
         if key not in meta:

@@ -682,14 +682,28 @@ class TestCalibrationIdentity:
         assert header == "alpha,b,threshold,seed,statistic,tm,model"
         assert row.split(",")[4:] == ["cylinder-scan", "3", "gaussian"]
 
-    def test_scan_calibration_refused_by_cylinder_test(self, tmp_path, setup, capsys):
+    def test_scan_calibration_serves_cylinder_test(self, tmp_path, setup):
+        # both words name one test, so a calibration under either serves both
         net, balls = setup
-        calib = self._calibrate(tmp_path, net, balls, "scan", 0)
-        field = _null_field(tmp_path, net, t_m=0)
-        assert self._test(tmp_path, net, balls, field, "cylinder-scan", calib) == 2
-        err = capsys.readouterr().err
-        assert "statistic scan" in err and "statistic cylinder-scan" in err
-        assert self._test(tmp_path, net, balls, field, "scan", calib) == 0
+        for tm in (0, 3):
+            field = _null_field(tmp_path, net, t_m=tm)
+            calibs = {word: self._calibrate(tmp_path, net, balls, word, tm)
+                      for word in ("scan", "cylinder-scan")}
+            for word, other in (("scan", "cylinder-scan"), ("cylinder-scan", "scan")):
+                cut = []
+                for calib in (calibs[word], calibs[other]):
+                    assert self._test(tmp_path, net, balls, field, word, calib) == 0
+                    cut.append((tmp_path / "r.csv").read_text().splitlines()[1].split(",")[:4])
+                assert cut[0] == cut[1]
+
+    def test_calibration_of_another_test_refused(self, tmp_path, setup, capsys):
+        net, balls = setup
+        field = _null_field(tmp_path, net)
+        for made, used in (("average", "scan"), ("scan", "average")):
+            calib = self._calibrate(tmp_path, net, balls, made, 0)
+            assert self._test(tmp_path, net, balls, field, used, calib) == 2
+            err = capsys.readouterr().err
+            assert f"is for statistic {made}," in err and f"has statistic {used}" in err
 
     def test_tm_and_model_mismatch_refused(self, tmp_path, setup, capsys):
         net, balls = setup
@@ -889,6 +903,7 @@ n_null = 100
         "truth.limit_radius = 2.5", "threads = -3", "threads = 0", "theory.d = 2.5",
         "theory.k = 2.5x", "truth.margin = abc", "net.rescale = maybe", "lambda.grid = 1,y",
         "scan.path_mode = zigzag", "scan.family = blobs", "model = bogus", "tm = -1",
+        "scan.size_cap = 0", "scan.size_cap = -2",
     ])
     def test_every_key_typed_when_parsed(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
@@ -913,6 +928,14 @@ n_null = 100
         assert code == 2
         assert want in capsys.readouterr().err
         parse_config(text + "truth.family = balls\n")
+
+    def test_animals_truth_names_truth_k(self, tmp_path, capsys):
+        # the truth's own key is truth.k; scan.kmax only stands in for it
+        text = self.AVERAGE.replace("truth.family = balls", "truth.family = animals")
+        code, _ = self._sweep(tmp_path, text)
+        assert code == 2
+        assert "animals clusters need config key 'truth.k'" in capsys.readouterr().err
+        assert self._sweep(tmp_path, text + "scan.kmax = 3\n")[0] == 0
 
     @pytest.mark.parametrize("command", ["calibrate", "sweep"])
     @pytest.mark.parametrize("value", ["-3", "0"])
@@ -1011,6 +1034,8 @@ def _exit_code(argv):
      "argument --tm: not at least 0: '-1'"),
     (["test", "--net", "n.csv", "--field", "f.csv", "--threshold", "1", "--calibration", "c.csv"],
      "test takes --threshold or --calibration, not both"),
+    *((["enumerate", "--net", "n.csv", "--family", "balls", "--lam", "1.5", "--size-cap", cap],
+       f"argument --size-cap: not at least 1: '{cap}'") for cap in ("0", "-3")),
 ])
 def test_flag_refusals_name_the_problem_not_the_parser(tmp_path, capsys, argv, message):
     out = tmp_path / "o.txt"

@@ -132,6 +132,11 @@ class TestEnumerateBalls:
         cap = default_size_cap(net.m)
         assert all(c.size <= cap for c in enumerate_balls(net, 6.0))
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_size_cap_below_1_refused(self, cap):
+        with pytest.raises(ValueError, match=f"size_cap must be at least 1, got {cap}"):
+            enumerate_balls(make_lattice(2, 8), 1.5, size_cap=cap)
+
 
 class TestThick:
     def test_kappa_one_reduces_to_balls(self):
@@ -185,7 +190,7 @@ class TestThick:
     def test_sample_thick_shape_rotated(self):
         net = make_uniform_cloud(2, 500, seed=2)
         params = ThickParams(lam_lo=0.1, lam_hi=0.2, kappa=2.0)
-        spec = sample_thick_shape(net, params, seed=7, rotate=True)
+        spec = sample_thick_shape(net, params, seed=7)
         assert spec.rotation is not None
         ids = spec.member_ids(net)
         assert len(ids) > 0
@@ -219,11 +224,12 @@ class TestTubes:
 
     def test_tube_radius_guard(self):
         with pytest.raises(ValueError):
-            ThinParams(r=0.3, lambda_over_r_min=4.0)
+            ThinParams(r=0.3)
 
-    def test_curve_budget_guard(self):
+    def test_curve_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(cl, "MAX_CURVES", 1000)
         cloud = make_uniform_cloud(2, 50, seed=1)
-        params = ThinParams(r=0.04, alpha=1.0, kappa=5.0, n_control=6, max_curves=1000)
+        params = ThinParams(r=0.04, alpha=1.0, kappa=5.0, n_control=6)
         with pytest.raises(CapacityError):
             list(enumerate_tubes(cloud, params))
 

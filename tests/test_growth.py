@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scanlab.clusters import Cluster, cluster_from_ids, enumerate_balls
-from scanlab.detect import ScanTable, dyadic_windows, eps_scan
+from scanlab.detect import ScanTable, dyadic_windows, eps_scan, scan
 from scanlab.growth import (
     ClusterSequence,
     make_cone,
@@ -221,6 +221,11 @@ class TestSpacetimeScan:
         assert dyadic_windows(33) == (1, 2, 4, 8, 16, 32, 33)
         assert dyadic_windows(1) == (1,)
         assert dyadic_windows(8) == (1, 2, 4, 8)
+
+    def test_one_scan_under_three_names(self):
+        # scanbench/spans.py times the scan by rebinding every global that is
+        # scan_spacetime_cylinders, so each name must be the one function
+        assert scan_spacetime_cylinders is eps_scan and scan is eps_scan
 
     def test_static_reduces_to_eps_scan(self):
         net = make_lattice(2, 8)

@@ -205,6 +205,11 @@ class TestNodeSetValidation:
         with pytest.raises(ValueError, match="must be finite"):
             NodeSet(mode=mode, dim=2, coords=coords, side=side)
 
+    @pytest.mark.parametrize("mode, side", [(EUCLIDEAN, None), (LATTICE, 3)])
+    def test_no_nodes_refused(self, mode, side):
+        with pytest.raises(ValueError, match="^a node set needs at least one node$"):
+            NodeSet(mode=mode, dim=2, coords=np.empty((0, 2)), side=side)
+
     def test_coords_immutable(self):
         net = make_lattice(2, 3)
         with pytest.raises(ValueError):
@@ -262,11 +267,23 @@ class TestNodeSetFiles:
         ('{"mode": "lattice-l1", "d": 1, "m": 3}', "lacks 'side'"),
         ('{"mode": "euclidean-l2", "m": 3}', "lacks 'd'"),
         ('{"mode": "grid", "d": 1, "m": 3, "side": 3}', "unknown 'mode' 'grid'"),
+        ('[1, 2]', "^node set file: the metadata line is not a JSON object"),
+        ('"str"', "^node set file: the metadata line is not a JSON object"),
+        ('{bad', "^node set file: the metadata line is not JSON: Expecting property name"),
     ])
     def test_bad_metadata_is_named(self, tmp_path, meta, problem):
         path = tmp_path / "net.csv"
         path.write_text(f"# {meta}\nid,x0\n0,0\n1,1\n2,2\n")
         with pytest.raises(ValueError, match=problem):
+            load_nodeset(path)
+
+    @pytest.mark.parametrize("meta", ['{"mode": "lattice-l1", "d": 2, "side": 8}',
+                                      '{"mode": "euclidean-l2", "d": 2}'])
+    def test_a_file_without_rows_is_refused(self, tmp_path, meta):
+        # a lattice file failed in numpy, and a euclidean one loaded as 0 nodes
+        path = tmp_path / "net.csv"
+        path.write_text(f"# {meta}\nid,x0,x1\n")
+        with pytest.raises(ValueError, match="^a node set needs at least one node$"):
             load_nodeset(path)
 
     @pytest.mark.parametrize("key, value", [
@@ -443,7 +460,7 @@ def test_shapes_match_the_full_scan(net, data):
         spec = make_shape(kind, center, half_axes, kappa, net.mode)
         assert np.array_equal(spec.member_ids(net), full_members(spec, net))
     if net.mode == EUCLIDEAN:
-        spec = sample_thick_shape(net, params, data.draw(st.integers(0, 999)), rotate=True)
+        spec = sample_thick_shape(net, params, data.draw(st.integers(0, 999)))
         assert spec.rotation is not None
         assert np.array_equal(spec.member_ids(net), full_members(spec, net))
 
