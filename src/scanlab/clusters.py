@@ -356,17 +356,31 @@ def _domain_extent(net: NodeSet) -> float:
     return 1.0 if net.mode == EUCLIDEAN else float(net.side - 1)
 
 
+# (center, template) pairs a thick family may hold, at most: 20x the largest enumeration in
+# the tests and benchmark (448,000), 120x tools/setup_rss.py at 512^2; finer grids put centers
+# between nodes, whose sets repeat (16^2: the same 545 from 19 k pairs and from 1.2 M)
+MAX_BLOBS = 10_000_000
+
+
 def _thick_lines(net: NodeSet, params: ThickParams):
     """(templates, head, axis, raw block) per line of centers head + (a,), a in axis,
     over the scale grid; the block's rows go center-major, then by template."""
     d = net.dim
     extent = _domain_extent(net)
+    scales = []
     for lam in _scale_grid(params.lam_lo, params.lam_hi):
-        pitch = lam * params.grid_eps
-        axis = np.arange(pitch / 2, extent + 1e-9, pitch).tolist() or [extent / 2]
         # the aspect and sandwich checks do not depend on the center: run them once
         shapes = thick_templates(d, lam, params.kappa, params.shapes, net.mode)
-        templates = [make_shape(k, (0.0,) * d, a, params.kappa, net.mode) for k, a in shapes]
+        scales.append((lam * params.grid_eps,
+                       [make_shape(k, (0.0,) * d, a, params.kappa, net.mode) for k, a in shapes]))
+    # each axis's length as np.arange counts it, clipped so that a fine pitch's is finite
+    count = sum(max(1, math.ceil(min((extent + 1e-9 - p / 2) / p, MAX_BLOBS + 1))) ** d * len(t)
+                for p, t in scales)
+    if count > MAX_BLOBS:
+        raise CapacityError(f"over {MAX_BLOBS} thick blobs (centers x templates); "
+                            "coarsen the grids")
+    for pitch, templates in scales:
+        axis = np.arange(pitch / 2, extent + 1e-9, pitch).tolist() or [extent / 2]
         for head in itertools.product(axis, repeat=d - 1) if templates else ():
             yield templates, head, axis, _line_shapes(net, templates, head, axis)
 
@@ -508,24 +522,19 @@ def holder_violation(xs, values, alpha, kappa) -> int | None:
                  > kappa * abs(xs[j] - xs[i]) ** alpha + 1e-12), None)
 
 
-def _holder_sequences(xs, levels, alpha, kappa, cap: int):
-    """Control-value sequences passing the pairwise constraint (at most cap)."""
-    out: list[tuple[float, ...]] = []
-
-    def rec(prefix: list[float]):
-        if len(out) > cap:
-            return
-        if len(prefix) == len(xs):
-            out.append(tuple(prefix))
-            return
-        for v in levels:
-            prefix.append(v)
-            if holder_violation(xs, prefix, alpha, kappa) is None:
-                rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return out
+def _holder_sequences(xs, levels, alpha, kappa, coords: int):
+    """Control-value sequences passing the pairwise constraint, in lexicographic
+    order, one control point at a time.  A curve takes one for each of its `coords`
+    coordinates; a prefix extends by its last value, so the counts never fall.  A point
+    keeps at most MAX_CURVES + 1, already over budget, and over MAX_CURVES curves is refused."""
+    seqs = [()]
+    for _ in xs:
+        kept = (s + (v,) for s in seqs for v in levels
+                if holder_violation(xs, s + (v,), alpha, kappa) is None)
+        seqs = list(itertools.islice(kept, MAX_CURVES + 1))
+        if len(seqs) ** coords > MAX_CURVES:
+            raise CapacityError(f"over {MAX_CURVES} control-point curves; coarsen the grids")
+    return seqs
 
 
 def polyline_distances(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -554,14 +563,7 @@ def enumerate_tube_curves(net: NodeSet, params: ThinParams):
         raise ValueError("tubes need d >= 2")
     xs = np.linspace(0.0, 1.0, params.n_control)
     levels = tuple(np.arange(0.0, 1.0 + 1e-9, params.pitch))
-    per_coord = _holder_sequences(xs, levels, params.alpha, params.kappa,
-                                  cap=MAX_CURVES)
-    n_curves = len(per_coord) ** (d - 1)
-    if n_curves > MAX_CURVES:
-        raise CapacityError(
-            f"over {MAX_CURVES} control-point curves; "
-            "coarsen the grids"
-        )
+    per_coord = _holder_sequences(xs, levels, params.alpha, params.kappa, d - 1)
     for gs in itertools.product(per_coord, repeat=d - 1):
         vertices = curve_vertices(xs, gs)
         dist = polyline_distances(net.coords, vertices)

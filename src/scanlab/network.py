@@ -368,8 +368,12 @@ def load_nodeset(path) -> NodeSet:
     outside = ids[(ids < 0) | (ids >= m)]
     if outside.size:
         raise ValueError(f"node set file: id {outside[0]} is out of range 0..{m - 1}")
-    counts = np.bincount(ids, minlength=m)
-    for bad, problem in ((counts > 1, "appears more than once"), (counts == 0, "is missing")):
-        if bad.any():
-            raise ValueError(f"node set file: id {np.argmax(bad)} {problem}")
-    return NodeSet(mode=meta["mode"], dim=d, coords=rows["x"][np.argsort(ids)], side=side)
+    order = np.argsort(ids)  # read off the rows, as m may be far above their count
+    ids = ids[order]
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise ValueError(f"node set file: id {repeated[0]} appears more than once")
+    if ids.size < m:
+        missing = np.searchsorted(ids - np.arange(ids.size), 1)  # ids[k] - k rises at a gap
+        raise ValueError(f"node set file: id {missing} is missing")
+    return NodeSet(mode=meta["mode"], dim=d, coords=rows["x"][order], side=side)

@@ -1,18 +1,18 @@
 """Monte Carlo risk estimation: calibrate a test once, then sweep signal
 strengths and report type-I + worst-case type-II per grid point.
 
-Worst case over the truth class is approximated by the maximum over a
-sampled set of truth clusters (the whole class when it is small).  Every
-trial draws its seed from the master seed and its index path, so results are
-bit-identical for a fixed config regardless of thread count.  Trial i of
-truth k draws one null background, from ("h1", 0, k, i, 0), for the whole
-lambda grid (common random numbers): each grid point plants the truth's
-cells into it from its own key and re-scores only the elements those cells
-touch.  A test is its detect.Elements, the one statistic of a block and of
-one field, which scorer picks from detect's builders and builds nothing of
-itself: the eps-scan is the one table scan at the field's horizon (the
-cylinder scan), and the oracle is one element, the truth's own cells, which
-read no background.
+Worst case over the truth class is approximated by the maximum over a set of
+truth clusters: every truth a FixedTruths holds, or SampledTruths' draws.
+Every trial draws its seed from the master seed and its index path, so
+results are bit-identical for a fixed config regardless of thread count.
+Trial i of truth k draws one null background, from ("h1", 0, k, i, 0), for
+the whole lambda grid (common random numbers): each grid point plants the
+truth's cells into it from its own key and re-scores only the elements those
+cells touch.  A test is its detect.Elements, the one statistic of a block
+and of one field, which scorer picks from detect's builders and builds
+nothing of itself: the eps-scan is the one table scan at the field's horizon
+(the cylinder scan), and the oracle is one element, the truth's own cells,
+which read no background.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ from .models import (
     sample_null_block,
 )
 from .network import NodeSet
-from .rng import derive_seed, derive_seeds, rng_from_seed
+from .rng import derive_seed, derive_seeds
 
 Truth = Union[Cluster, ClusterSequence]
 
-EXHAUSTIVE_TRUTH_MAX = 200
 DEFAULT_TRUTH_SAMPLE = 20
 
 
@@ -157,16 +156,9 @@ def _binom_se(p: float, n: int) -> float:
 
 def _resolve_truths(cfg: ExperimentConfig) -> list[Truth]:
     if isinstance(cfg.truth, FixedTruths):
-        truths = list(cfg.truth.truths)
-        if not truths:
+        if not cfg.truth.truths:
             raise ValueError("truth class is empty")
-        if len(truths) > EXHAUSTIVE_TRUTH_MAX:
-            rng_idx = np.sort(
-                rng_from_seed(derive_seed(cfg.seed, "truthsel"))
-                .choice(len(truths), size=DEFAULT_TRUTH_SAMPLE, replace=False)
-            )
-            truths = [truths[i] for i in rng_idx]
-        return truths
+        return list(cfg.truth.truths)
     if cfg.truth.count < 1:
         raise ValueError("need at least one sampled truth")
     return [

@@ -81,6 +81,42 @@ class TestNetAndEnumerate:
                     "--net", str(net), "--out", str(tmp_path / "a.txt")])
         assert code == 3
 
+    def test_a_node_count_above_the_rows_is_named(self, tmp_path, capsys):
+        # m sized an id count array: 745 GiB here, a MemoryError traceback
+        net = tmp_path / "net.csv"
+        net.write_text('# {"mode": "lattice-l1", "d": 2, "side": 2, "m": 100000000000}\n'
+                       "id,x0,x1\n0,0,0\n1,1,0\n2,0,1\n3,1,1\n")
+        start = time.perf_counter()
+        code = run(["enumerate", "--family", "balls", "--lam", "1", "--net", str(net),
+                    "--out", str(tmp_path / "b.txt")])
+        assert code == 2 and time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "scanlab: config error: node set file: id 4 is missing\n"
+
+    def test_thick_blob_budget_exit_code(self, tmp_path, capsys):
+        # centers 1e-9 apart: the grid was enumerated line by line, without end
+        net = tmp_path / "net.csv"
+        run(["net", "--mode", "lattice", "--d", "2", "--side", "16", "--out", str(net)])
+        start = time.perf_counter()
+        code = run(["enumerate", "--family", "thick", "--lam-lo", "1e-9", "--lam-hi", "1",
+                    "--net", str(net), "--out", str(tmp_path / "t.txt")])
+        assert code == 3 and time.perf_counter() - start < 1
+        assert capsys.readouterr().err == ("scanlab: capacity error: over 10000000 thick blobs "
+                                           "(centers x templates); coarsen the grids\n")
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_curve_budget_exit_code_on_a_fine_level_grid(self, tmp_path, capsys):
+        # 10,001 levels: the second point's 100 M extensions were built before the check;
+        # a bounded step refuses after about 210 k checks, as the recursive search did
+        net = tmp_path / "cloud.csv"
+        run(["net", "--mode", "cloud", "--d", "2", "--m", "50", "--seed", "1", "--out", str(net)])
+        start = time.perf_counter()
+        code = run(["enumerate", "--family", "tubes", "--r", "0.25", "--value-pitch", "1e-4",
+                    "--ncontrol", "2", "--net", str(net), "--out", str(tmp_path / "t.txt")])
+        assert code == 3 and time.perf_counter() - start < 2
+        assert capsys.readouterr().err == ("scanlab: capacity error: over 200000 control-point "
+                                           "curves; coarsen the grids\n")
+        assert not (tmp_path / "t.txt").exists()
+
 
 class TestRates:
     def test_thick_value(self, capsys):

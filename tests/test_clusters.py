@@ -1,8 +1,10 @@
 import copy
+import inspect
 import io
 import itertools
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from scanlab.clusters import (
     enumerate_thick_shapes,
     enumerate_tube_curves,
     enumerate_tubes,
+    holder_violation,
     load_clusters,
     make_shape,
     sample_animal,
@@ -187,6 +190,22 @@ class TestThick:
         params = ThickParams(lam_lo=0.1, lam_hi=0.2, kappa=2.0)
         assert_stream_invariants(enumerate_thick(net, params), net.m)
 
+    @pytest.mark.parametrize("net, params", [
+        (make_lattice(2, 12), ThickParams(lam_lo=1.0, lam_hi=4.0, kappa=2.0)),
+        (make_lattice(1, 40), ThickParams(lam_lo=3.0, lam_hi=6.0, kappa=1.5)),
+        (make_uniform_cloud(2, 50, seed=3), ThickParams(lam_lo=0.1, lam_hi=0.4, kappa=3.0)),
+        (network.rescale_lattice(make_lattice(3, 4)), ThickParams(0.3, 0.6, 2.0, grid_eps=0.3)),
+        (make_lattice(2, 3), ThickParams(lam_lo=40.0, lam_hi=40.0)),  # one center, no axis
+    ])
+    def test_blob_budget_counts_each_center_and_template(self, monkeypatch, net, params):
+        n = sum(1 for _ in enumerate_thick_shapes(net, params))
+        monkeypatch.setattr(cl, "MAX_BLOBS", n)
+        assert sum(1 for _ in enumerate_thick_shapes(net, params)) == n
+        monkeypatch.setattr(cl, "MAX_BLOBS", n - 1)
+        with pytest.raises(CapacityError, match=f"^over {n - 1} thick blobs "
+                                                r"\(centers x templates\); coarsen the grids$"):
+            next(enumerate_thick_shapes(net, params))
+
     def test_sample_thick_shape_rotated(self):
         net = make_uniform_cloud(2, 500, seed=2)
         params = ThickParams(lam_lo=0.1, lam_hi=0.2, kappa=2.0)
@@ -236,6 +255,38 @@ class TestTubes:
     def test_lattice_mode_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_tubes(make_lattice(2, 8), ThinParams(r=0.2)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 5),
+           levels=st.lists(st.floats(0, 1), min_size=1, max_size=6, unique=True).map(sorted),
+           alpha=st.floats(0, 2, exclude_min=True), kappa=st.floats(0, 3),
+           coords=st.integers(1, 2), budget=st.integers(1, 8000))
+    def test_holder_sequences_are_the_filtered_product(self, n, levels, alpha, kappa, coords,
+                                                       budget):
+        xs = np.linspace(0.0, 1.0, n)
+        want = [seq for seq in itertools.product(levels, repeat=n)
+                if all(holder_violation(xs, seq[:j], alpha, kappa) is None
+                       for j in range(1, n + 1))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cl, "MAX_CURVES", budget)
+            if len(want) ** coords > budget:
+                with pytest.raises(CapacityError, match=f"^over {budget} control-point curves"):
+                    cl._holder_sequences(xs, tuple(levels), alpha, kappa, coords)
+            else:
+                assert cl._holder_sequences(xs, tuple(levels), alpha, kappa, coords) == want
+
+    def test_more_control_points_than_frames(self):
+        # one frame per control point overran the recursion limit: 2,000 points at the default
+        cloud = make_uniform_cloud(2, 200, seed=1)
+        params = ThinParams(r=0.25, kappa=10.0, n_control=120)  # steps of 0.125 too steep
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            curves = list(enumerate_tube_curves(cloud, params))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [verts[0, 1] for verts, _ in curves] == [i / 8 for i in range(9)]
+        assert all((verts[:, 1] == verts[0, 1]).all() for verts, _ in curves)
 
 
 class TestBands:

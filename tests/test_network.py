@@ -254,6 +254,10 @@ class TestNodeSetFiles:
         ([0, -1, 2], 3, "id -1 is out of range 0..2"),
         ([0, 1, 1], 3, "id 1 appears more than once"),
         ([0, 2], 3, "id 1 is missing"),
+        # m and a large id below it size no array (a count array of m was 745 GiB)
+        ([0, 1, 2], 10**11, "^node set file: id 3 is missing$"),
+        ([0, 2, 10**11 - 1], 10**11, "^node set file: id 1 is missing$"),
+        ([3, 10**10, 0, 10**10, 3], 10**11, "^node set file: id 3 appears more than once$"),
     ])
     def test_bad_ids_are_named(self, tmp_path, ids, m, problem):
         path = tmp_path / "net.csv"

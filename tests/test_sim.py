@@ -146,15 +146,16 @@ class TestEstimateRisk:
         with pytest.raises(ValueError):
             estimate_risk(cfg)
 
-    def test_large_fixed_truth_class_is_subsampled(self):
+    def test_every_fixed_truth_is_scored(self):
+        # a class of more than 200 truths was scored on a random 20 of them
         net = make_lattice(2, 16)
-        truths = tuple(Cluster((i,)) for i in range(250))
+        truths = tuple(Cluster((i,)) for i in range(201))
         cfg = ExperimentConfig(
             net=net, model=GAUSS, test=AverageTest(), truth=FixedTruths(truths),
             lambdas=(1.0,), trials=50, calib_b=99, n_null=100, seed=12,
         )
         row = estimate_risk(cfg)[0]
-        assert row.n_truth == 20
+        assert row.n_truth == 201
 
     def test_sampled_truths(self):
         net = make_lattice(2, 16)
