@@ -39,17 +39,21 @@ BLOCK = 512
 ID_MAX = np.iinfo(np.int32).max  # node ids are below network.MAX_NODES = 2**26
 
 
-def _problem(indptr: np.ndarray, ids: np.ndarray) -> tuple[int, str] | None:
-    """The first row of a CSR incidence (rows nonempty, or one row: Cluster's
+def _problem(indptr: np.ndarray | None, ids: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a CSR incidence (rows nonempty; None: one row, Cluster's
     ids) that Cluster would refuse, and its words for it; None if none."""
     down = ids[1:] <= ids[:-1]
-    down[indptr[1:-1] - 1] = False  # the pairs across rows
-    bad = (ids < 0) | (ids > ID_MAX)  # in a row whose ids increase, also its first or last
-    bad[1:] |= down
-    if not np.count_nonzero(bad):
+    row, lo, hi = 0, 0, ids.size  # one row (indptr None): no pairs across rows, no row search
+    if indptr is not None:
+        down[indptr[1:-1] - 1] = False  # the pairs across rows
+        bad = (ids < 0) | (ids > ID_MAX)  # in a row whose ids increase, also its first or last
+        bad[1:] |= down
+        if not np.count_nonzero(bad):
+            return None
+        row = int(np.searchsorted(indptr, np.argmax(bad), "right")) - 1
+        lo, hi = indptr[row], indptr[row + 1]
+    elif not ids.size or not (down.any() or ids[0] < 0 or ids[-1] > ID_MAX):
         return None
-    row = int(np.searchsorted(indptr, np.argmax(bad), "right")) - 1
-    lo, hi = indptr[row], indptr[row + 1]
     if np.count_nonzero(down[lo : hi - 1]):
         return row, "cluster ids must be strictly increasing"
     if ids[lo] < 0:
@@ -69,7 +73,7 @@ class Cluster:
         arr = np.asarray(self.idarray)
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
             raise ValueError(f"node ids must be integers in 0..{ID_MAX}")
-        if (problem := _problem(np.array([0, arr.size]), arr)) is not None:
+        if (problem := _problem(None, arr)) is not None:
             raise ValueError(problem[1])
         arr = arr.astype(np.int32)
         arr.flags.writeable = False

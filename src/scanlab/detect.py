@@ -353,7 +353,7 @@ def null_statistics(statistic: Callable[[np.ndarray], np.ndarray], net: NodeSet,
     t_m = sum(groups) - 1
 
     def block(lo: int, hi: int) -> np.ndarray:
-        seeds = derive_seeds(seed, (head,), ((i,) for i in range(lo, hi)))
+        seeds = derive_seeds(seed, (head,), lo, hi)
         return statistic(sample_null_block(net, model, t_m, seeds, groups))
 
     return map_blocks(block, n, block_size(len(groups), net.m), threads)

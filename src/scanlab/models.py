@@ -5,7 +5,10 @@ relative to their base law F0: gaussian N(0,1) (theta shifts the mean),
 bernoulli(1/2) (theta is the log-odds offset, sigma^2 = 1/4) and poisson(1)
 (theta is log mean, sigma^2 = 1).  A planted cluster K at signal strength
 lam receives the natural parameter theta_K = sigma * lam / sqrt(|K|), with
-|K| counting (node, time) pairs in the spatio-temporal case.
+|K| counting (node, time) pairs in the spatio-temporal case.  A draw is
+keyed once, as base variates (normals, or uniforms for the discrete
+families), and mapped to the law of each cell at theta by a map
+nondecreasing in theta, so one draw serves every signal strength.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import field as _field  # `field` names Field arguments below
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
+from scipy.special import pdtrc
 
 from .clusters import Cluster
 from .network import NodeSet, csv_rows
@@ -31,6 +35,7 @@ POISSON = "poisson"
 
 _MAD_CONSISTENCY = 0.6744897501960817  # Phi^-1(3/4), the normal law's MAD
 MIN_CLUSTER_WARN = 30  # non-gaussian planting below this many pairs is suspect
+POISSON_MEAN_MAX = 1e6  # a poisson cell's inversion table holds about this many values
 
 # family -> (mean, variance) of its base law F0
 MOMENTS = {GAUSSIAN: (0.0, 1.0), BERNOULLI: (0.5, 0.25), POISSON: (1.0, 1.0)}
@@ -64,46 +69,54 @@ class NoiseModel:
             return 1.0 / (1.0 + math.exp(-theta))
         return math.exp(theta)
 
-    def draw_sums(self, seeds, n: np.ndarray, k: np.ndarray | None = None,
-                  theta: float = 0.0) -> np.ndarray:
-        """(len(seeds),) + n.shape sums; row r is drawn from seeds[r] alone.
+    def variates(self, seeds, shape: tuple[int, ...]) -> np.ndarray:
+        """(len(seeds),) + shape base variates in cell order, row r keyed by
+        seeds[r] alone: standard normals for the gaussian, uniforms on [0, 1)
+        for the others.  sums maps them to sums of the law, at any theta."""
+        out = np.empty((len(seeds),) + shape)
+        for row, seed in zip(out, seeds):
+            gen = _fast_rng(seed)
+            (gen.standard_normal if self.family == GAUSSIAN else gen.random)(out=row)
+        return out
+
+    def sums(self, u: np.ndarray, n: np.ndarray, k: np.ndarray | None = None,
+             theta: float = 0.0) -> np.ndarray:
+        """The sums of the base variates u, (B,) + n.shape, in place.
 
         Cell c is one draw of the sum of n[c] independent values, k[c] of
         them from F_theta and the rest from F0 (k None: all from F0): of its
-        law N(k theta, n), Binomial(n - k, 1/2) + Binomial(k, p) or
-        Poisson(n - k + k e^theta), by one normal, one uniform (inverted
-        through the law's survival function) or one Poisson variate per
-        cell, in cell order.  A one-step cell (n = 1) is therefore the draw
-        of one value: z (+ theta), U < p or a Poisson variate of its mean.
+        law N(k theta, n) as z sqrt(n) + k theta, or Binomial(n - k, 1/2) +
+        Binomial(k, p) or Poisson(n - k + k e^theta) as the inverse of the
+        law's survival function at the uniform.  Each map is nondecreasing in
+        theta, so one draw serves every signal strength.  A one-step cell
+        (n = 1) is the draw of one value: z (+ theta), U < p, or a Poisson
+        variate of its mean by inversion.
         """
-        out = np.empty((len(seeds),) + n.shape)
-        if self.family == POISSON:
-            mean = n if k is None else n - k + k * math.exp(theta)
-            for row, seed in zip(out, seeds):
-                row[...] = _fast_rng(seed).poisson(mean)
-            return out
         if self.family == GAUSSIAN:
-            for row, seed in zip(out, seeds):
-                _fast_rng(seed).standard_normal(out=row)
-            out *= np.sqrt(n)
+            u *= np.sqrt(n)
             if k is not None:
-                out += k * theta
-            return out
-        p = 0.5 if k is None else self.tilted_mean(theta)
-        if p >= 1.0:
+                u += k * theta
+            return u
+        p = self.tilted_mean(theta)
+        if self.family == BERNOULLI and p >= 1.0:
             raise ValueError(f"bernoulli tilt saturates: p={p} >= 1")
-        for row, seed in zip(out, seeds):
-            _fast_rng(seed).random(out=row)
+        n = np.broadcast_to(n, u.shape[1:])
         k = np.zeros_like(n) if k is None else k
         base = int(n.max()) + 1
         for ni, ki in (divmod(code, base) for code in np.unique(n * base + k).tolist()):
             cells = (n == ni) & (k == ki)
-            pmf = np.ones(1)
-            for q in (0.5,) * (ni - ki) + (p,) * ki:  # the law of the sum, value by value
-                pmf = np.convolve(pmf, (1.0 - q, q))
-            survival = np.cumsum(pmf[::-1])[:ni]  # P(X >= x) for x = ni, ..., 1: ascending
-            out[:, cells] = ni - np.searchsorted(survival, out[:, cells], side="right")
-        return out
+            if self.family == BERNOULLI:
+                pmf = np.ones(1)
+                for q in (0.5,) * (ni - ki) + (p,) * ki:  # the law of the sum, value by value
+                    pmf = np.convolve(pmf, (1.0 - q, q))
+                survival = np.cumsum(pmf[::-1])[:ni]  # P(S >= x) for x = ni, ..., 1: ascending
+            else:  # the same for x = top, ..., 1; P(S >= top) < 2**-53, the least nonzero uniform
+                mean = ni - ki + ki * p
+                if mean > POISSON_MEAN_MAX:
+                    raise ValueError(f"poisson tilt saturates: mean={mean} > {POISSON_MEAN_MAX:g}")
+                survival = pdtrc(np.arange(int(mean + 10 * math.sqrt(mean) + 40))[::-1], mean)
+            u[:, cells] = survival.size - np.searchsorted(survival, u[:, cells], side="right")
+        return u
 
 
 def noise_model(family: str) -> NoiseModel:
@@ -149,6 +162,13 @@ class SignalSpec:
             raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
 
     def theta(self, model: NoiseModel, total_pairs: int) -> float:
+        """theta_K, with a warning below MIN_CLUSTER_WARN non-gaussian pairs."""
+        if model.family != GAUSSIAN and total_pairs < MIN_CLUSTER_WARN:
+            warnings.warn(
+                f"planting {total_pairs} anomalous pairs in a {model.family} field; "
+                f"normal approximations assume at least {MIN_CLUSTER_WARN}",
+                stacklevel=3,
+            )
         return model.sigma * self.lam / math.sqrt(total_pairs)
 
 
@@ -180,7 +200,7 @@ def sample_null_block(net: NodeSet, model: NoiseModel, t_m: int, seeds,
     if t_m < 0:
         raise ValueError("t_m must be >= 0")
     steps = _time_steps(groups, t_m + 1)
-    return model.draw_sums(seeds, np.broadcast_to(steps[:, None], (steps.size, net.m)))
+    return model.sums(model.variates(seeds, (steps.size, net.m)), steps[:, None])
 
 
 def sample_null(net: NodeSet, model: NoiseModel, t_m: int, seed: int) -> Field:
@@ -242,15 +262,8 @@ def plant_block(
         raise ValueError(f"{steps.size} time groups for a block of {values.shape[1]} rows")
     cells, k = planted_cells(target, steps, values.shape[2])
     group, nodes = np.divmod(cells, values.shape[2])
-    pairs = int(k.sum())
-    theta = sig.theta(model, pairs)
-    if model.family != GAUSSIAN and pairs < MIN_CLUSTER_WARN:
-        warnings.warn(
-            f"planting {pairs} anomalous pairs in a {model.family} field; "
-            f"normal approximations assume at least {MIN_CLUSTER_WARN}",
-            stacklevel=3,
-        )
-    values[:, group, nodes] = model.draw_sums(seeds, steps[group], k, theta)
+    theta = sig.theta(model, int(k.sum()))
+    values[:, group, nodes] = model.sums(model.variates(seeds, k.shape), steps[group], k, theta)
 
 
 def plant(

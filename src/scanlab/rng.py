@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
-from typing import Iterable
 
 import numpy as np
 
@@ -63,30 +62,32 @@ def _encode(part: int | str) -> bytes:
     return b"s" + part.encode("utf-8") + b"\x00"
 
 
-def derive_seeds(
-    master: int, head: tuple[int | str, ...], tails: Iterable[tuple[int | str, ...]]
-) -> list[int]:
-    """derive_seed(master, *head, *tail) for every tail, hashing the head once.
+def derive_seeds(master: int, head: tuple[int | str, ...], lo: int, hi: int,
+                 tail: tuple[int | str, ...] = ()) -> list[int]:
+    """derive_seed(master, *head, i, *tail) for i = lo, ..., hi - 1: a block of
+    per-trial seeds.
 
-    Each tail resumes a copy of the blake2b state left after the packed
-    master seed and the head and feeds it the tail's encoded parts one by
-    one (the hash streams, so this is the digest of their concatenation):
-    a block of per-trial seeds costs one hash of the shared prefix plus one
-    short update per part.
+    The blake2b state left after the packed master seed and the head is
+    copied once per index and fed the index's 18-byte encoding and the tail
+    in one update (the hash streams, so this is the digest of the whole
+    path); the encodings are built for the block in one numpy pass, and
+    the digests read in one.
     """
+    if lo < 0:
+        raise ValueError(f"trial indices start at {lo}; they must be >= 0")
     base = hashlib.blake2b(digest_size=8)
     base.update(struct.pack("<Q", master & _MASK64) + b"".join(map(_encode, head)))
-    encoded: dict[int | str, bytes] = {}
-    out = []
-    for tail in tails:
+    suffix = b"".join(map(_encode, tail))
+    codes = np.zeros((max(hi - lo, 0), 18 + len(suffix)), np.uint8)
+    codes[:, 0] = ord("i")  # _encode(i): tag, little-endian int128, NUL
+    codes[:, 1:9] = np.arange(lo, max(hi, lo), dtype="<i8")[:, None].view(np.uint8)
+    codes[:, 18:] = np.frombuffer(suffix, np.uint8)
+    digests = []
+    for code in codes:
         h = base.copy()
-        for part in tail:
-            code = encoded.get(part)
-            if code is None:
-                code = encoded[part] = _encode(part)
-            h.update(code)
-        out.append(int.from_bytes(h.digest(), "little"))
-    return out
+        h.update(code)
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), "<u8").tolist()
 
 
 def derive_seed(master: int, *path: int | str) -> int:
@@ -95,4 +96,6 @@ def derive_seed(master: int, *path: int | str) -> int:
     blake2b over the packed master seed and the path components; identical
     (master, path) give identical seeds on every platform.
     """
-    return derive_seeds(master, path, ((),))[0]
+    h = hashlib.blake2b(digest_size=8)
+    h.update(struct.pack("<Q", master & _MASK64) + b"".join(map(_encode, path)))
+    return int.from_bytes(h.digest(), "little")

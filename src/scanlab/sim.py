@@ -5,14 +5,17 @@ Worst case over the truth class is approximated by the maximum over a set of
 truth clusters: every truth a FixedTruths holds, or SampledTruths' draws.
 Every trial draws its seed from the master seed and its index path, so
 results are bit-identical for a fixed config regardless of thread count.
-Trial i of truth k draws one null background, from ("h1", 0, k, i, 0), for
-the whole lambda grid (common random numbers): each grid point plants the
-truth's cells into it from its own key and re-scores only the elements those
-cells touch.  A test is its detect.Elements, the one statistic of a block
-and of one field, which scorer picks from detect's builders and builds
-nothing of itself: the eps-scan is the one table scan at the field's horizon
-(the cylinder scan), and the oracle is one element, the truth's own cells,
-which read no background.
+Trial i of truth k draws one null background, from ("h1", 0, k, i, 0), and
+one set of base variates for the truth's cells, from ("h1", 0, k, i, 1), for
+the whole lambda grid (common random numbers): every grid point maps trial
+i's one draw to the planted cells' sums at its theta, and re-scores only the
+elements those cells touch.  So a row equals the row of a one-point grid at
+its lambda, and each trial's statistic is nondecreasing in lambda.  A test
+is its detect.Elements, the one statistic of a block and of one field, which
+scorer picks from detect's builders and builds nothing of itself: the
+eps-scan is the one table scan at the field's horizon (the cylinder scan),
+and the oracle is one element, the truth's own cells, which read no
+background.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .models import (
     NoiseModel,
     SignalSpec,
     _anomalous_slices,
-    plant_block,
     planted_cells,
     sample_null_block,
 )
@@ -199,39 +201,41 @@ def h1_statistics(cfg: ExperimentConfig, el: Elements, k: int,
                   truth: Truth) -> Callable[[int, int], np.ndarray]:
     """fn(lo, hi) -> the (hi - lo, len(cfg.lambdas)) statistics of trials lo..hi - 1
     of truth k.  A trial's null background, from ("h1", 0, k, i, 0), is scored
-    once; each lambda plants the truth's cells from ("h1", pt, k, i, 1) and
-    re-scores only the elements whose members hold a planted node, as background
-    sums plus the increments y - x over each window's groups.  The statistic is
-    the larger of their maximum and the other elements' background maximum.
-    Elements that read only planted cells (the oracle's: their sums of a field
-    of ones off the planted cells are all zero) read no background, so their
-    trials plant into zeros and draw none."""
-    groups, m = el.groups, cfg.net.m
-    cells, _ = planted_cells(truth, np.array(groups), m)
+    once, and its planted cells' base variates, from ("h1", 0, k, i, 1), drawn
+    once; each lambda maps them to the cells' sums at its theta and re-scores
+    only the elements whose members hold a planted node, as background sums
+    plus the increments y - x over each window's groups.  The statistic is the
+    larger of their maximum and the other elements' background maximum, so it
+    is nondecreasing in lambda.  Elements that read only planted cells (the
+    oracle's: their sums of a field of ones off the planted cells are all zero)
+    read no background, so their trials plant into zeros and draw none."""
+    groups, m, model = el.groups, cfg.net.m, cfg.model
+    cells, count = planted_cells(truth, np.array(groups), m)
     group, node = np.divmod(cells, m)
+    steps = np.array(groups)[group]
     nodes, at = np.unique(node, return_inverse=True)
     touched, incidence = el.touched(nodes)
     probe = np.ones(len(groups) * m)
     probe[cells] = 0.0
     background = el.sums(probe.reshape(1, len(groups), m)).any()
+    thetas = [SignalSpec(lam).theta(model, int(count.sum())) for lam in cfg.lambdas]
 
     def block(lo: int, hi: int) -> np.ndarray:
-        trials, n = range(lo, hi), hi - lo
+        n = hi - lo
         values = np.zeros((n, len(groups), m))
         if background:
-            seeds = derive_seeds(cfg.seed, ("h1", 0, k), ((i, 0) for i in trials))
-            values = sample_null_block(cfg.net, cfg.model, cfg.t_m, seeds, groups)
+            seeds = derive_seeds(cfg.seed, ("h1", 0, k), lo, hi, (0,))
+            values = sample_null_block(cfg.net, model, cfg.t_m, seeds, groups)
         sums = el.sums(values)
         scores = el.scores(sums)
         scores[..., touched] = -np.inf
         rest, base = scores.reshape(n, -1).max(axis=1), sums[..., touched]
         x = values[:, group, node]
+        u = model.variates(derive_seeds(cfg.seed, ("h1", 0, k), lo, hi, (1,)), cells.shape)
         stats = np.empty((n, len(cfg.lambdas)))
-        for pt, lam in enumerate(cfg.lambdas):
-            seeds = derive_seeds(cfg.seed, ("h1", pt, k), ((i, 1) for i in trials))
-            plant_block(values, truth, SignalSpec(lam), cfg.model, seeds, groups)
+        for pt, theta in enumerate(thetas):
             step = np.zeros((n, len(groups), nodes.size))
-            step[:, group, at] = values[:, group, node] - x
+            step[:, group, at] = model.sums(u.copy(), steps, count, theta) - x
             inc = (step.reshape(-1, nodes.size) @ incidence).reshape(n, len(groups), touched.size)
             # sums over the last 1, 2, ..., G groups, of which the elements take the last W
             window = np.cumsum(inc[:, ::-1], axis=1)[:, len(groups) - len(el.pairs):]
@@ -249,9 +253,9 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
     (detect.block_size), each field drawn as the sums over the scorer's
     time groups; trial i of a pass draws from its own seeds:
     derive_seed(seed, "null", i) for the null field, and for truth k
-    derive_seed(seed, "h1", 0, k, i, 0) for the null background it shares
-    across the lambda grid and ("h1", pt, k, i, 1) for its planted cells at
-    grid point pt (see h1_statistics).  The oracle's elements read only the
+    derive_seed(seed, "h1", 0, k, i, 0) for the null background and ("h1",
+    0, k, i, 1) for its planted cells' base variates, both shared across the
+    lambda grid (see h1_statistics).  The oracle's elements read only the
     target cells, which planting overwrites, so its H1 trials key only
     (..., i, 1) and plant into zeros: the same statistics as planting into
     the background.

@@ -17,6 +17,7 @@ from scanlab.clusters import (
     _emit,
     _l1_offsets,
     _path_band_ids,
+    _problem,
     BandParams,
     Cluster,
     ThickParams,
@@ -92,6 +93,13 @@ class TestCluster:
     def test_bad_ids_refused(self, ids, problem):
         with pytest.raises(ValueError, match=problem):
             Cluster(ids)
+
+    @given(st.lists(st.sampled_from((-2**40, -3, -1, 0, 1, 2, 5, 2**31 - 1, 2**31, 2**40)),
+                    max_size=6))
+    def test_one_row_case_matches_the_incidence_check(self, ids):
+        """Cluster's one-row check gives the CSR check's verdict and words."""
+        ids = np.array(ids, dtype=np.int64)
+        assert _problem(None, ids) == _problem(np.array([0, ids.size]), ids)
 
     def test_ids_are_one_read_only_int32_array(self):
         source = np.array([1, 4, 9], dtype=np.int64)

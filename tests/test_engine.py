@@ -2,7 +2,8 @@
 
 Each reference draws one field at a time from a freshly keyed generator
 (rng_from_seed), plants slice by slice and sums with plain numpy, as the
-per-trial loop did; the engine must match it bit for bit.
+per-trial loop did (a Poisson value by scipy's inverse survival function of
+a uniform); the engine must match it bit for bit.
 """
 
 import hashlib
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, poisson
 
 import scanlab.detect
+import scanlab.models
 import scanlab.sim
 from scanlab.clusters import Cluster
 from scanlab.detect import block_size, calibrate, map_blocks, null_statistics
@@ -55,10 +57,13 @@ parts = st.one_of(st.integers(-(2**100), 2**100), st.text(max_size=6))
 paths = st.lists(parts, max_size=4).map(tuple)
 
 
-@given(st.integers(-(2**70), 2**70), paths, st.lists(paths, max_size=6))
-def test_block_seeds_equal_derive_seed(master, head, tails):
-    want = [derive_seed(master, *head, *tail) for tail in tails]
-    assert derive_seeds(master, head, tails) == want
+indices = st.integers(0, 2**62)
+
+
+@given(st.integers(-(2**70), 2**70), paths, indices, st.integers(0, 6), paths)
+def test_block_seeds_equal_derive_seed(master, head, lo, n, tail):
+    want = [derive_seed(master, *head, i, *tail) for i in range(lo, lo + n)]
+    assert derive_seeds(master, head, lo, lo + n, tail) == want
 
 
 def _packed(part):
@@ -68,15 +73,20 @@ def _packed(part):
     return b"s" + part.encode("utf-8") + b"\x00"
 
 
-@given(st.integers(-(2**70), 2**70), paths, st.lists(paths, max_size=6))
-def test_block_seeds_hash_the_whole_path(master, head, tails):
+@given(st.integers(-(2**70), 2**70), paths, indices, st.integers(0, 6), paths)
+def test_block_seeds_hash_the_whole_path(master, head, lo, n, tail):
     key = struct.pack("<Q", master % 2**64)
     want = [
-        int.from_bytes(hashlib.blake2b(key + b"".join(map(_packed, head + tail)),
+        int.from_bytes(hashlib.blake2b(key + b"".join(map(_packed, head + (i,) + tail)),
                                        digest_size=8).digest(), "little")
-        for tail in tails
+        for i in range(lo, lo + n)
     ]
-    assert derive_seeds(master, head, tails) == want
+    assert derive_seeds(master, head, lo, lo + n, tail) == want
+
+
+def test_block_seeds_refuse_a_negative_index():
+    with pytest.raises(ValueError, match="trial indices start at -1; they must be >= 0"):
+        derive_seeds(3, ("null",), -1, 4)
 
 
 def _draw(model, rng, size, theta=None):
@@ -87,7 +97,7 @@ def _draw(model, rng, size, theta=None):
     if model.family == BERNOULLI:
         p = 0.5 if theta is None else model.tilted_mean(theta)
         return (rng.random(size) < p).astype(float)
-    return rng.poisson(1.0 if theta is None else model.tilted_mean(theta), size).astype(float)
+    return poisson.isf(rng.random(size), 1.0 if theta is None else model.tilted_mean(theta))
 
 
 def _reference_field(model, m, t_m, truth, lam, seed0, seed1):
@@ -146,9 +156,9 @@ def test_block_engine_matches_per_field_reference(family, truth_tm, lam, master,
     average = scorer(AverageTest(), NET, model, t_m)
 
     def block(lo, hi):
-        seeds = derive_seeds(master, ("h1", 2, 1), ((i, j) for i in range(lo, hi) for j in (0, 1)))
-        values = sample_null_block(NET, model, t_m, seeds[0::2])
-        plant_block(values, truth, sig, model, seeds[1::2])
+        seeds0, seeds1 = (derive_seeds(master, ("h1", 2, 1), lo, hi, (j,)) for j in (0, 1))
+        values = sample_null_block(NET, model, t_m, seeds0)
+        plant_block(values, truth, sig, model, seeds1)
         return values, oracle.block(values), average.block(values)
 
     with warnings.catch_warnings():
@@ -176,11 +186,11 @@ def test_one_step_groups_reproduce_the_per_field_stream(family):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # few planted pairs for bernoulli and poisson
         for t_m, truth in ((0, static), (3, temporal)):
-            seeds = derive_seeds(17, ("h1", 0, 0), ((i, j) for i in range(6) for j in (0, 1)))
+            seeds0, seeds1 = (derive_seeds(17, ("h1", 0, 0), 0, 6, (j,)) for j in (0, 1))
             for groups in (None, (1,) * (t_m + 1)):
-                values = sample_null_block(NET, model, t_m, seeds[0::2], groups)
-                plant_block(values, truth, SignalSpec(2.5), model, seeds[1::2], groups)
-                for row, seed0, seed1 in zip(values, seeds[0::2], seeds[1::2]):
+                values = sample_null_block(NET, model, t_m, seeds0, groups)
+                plant_block(values, truth, SignalSpec(2.5), model, seeds1, groups)
+                for row, seed0, seed1 in zip(values, seeds0, seeds1):
                     ref = _reference_field(model, NET.m, t_m, truth, 2.5, seed0, seed1)
                     assert np.array_equal(row, ref)
 
@@ -218,7 +228,7 @@ def test_group_cells_follow_their_exact_laws(family):
     values plus k F_theta values, to its first two moments."""
     model = noise_model(family)
     groups = (1, 16, 8, 4, 2, 1, 1)
-    seeds = derive_seeds(23, ("law",), ((i,) for i in range(20_000)))
+    seeds = derive_seeds(23, ("law",), 0, 20_000)
     null = sample_null_block(SPACETIME, model, 32, seeds, groups)
     mean0, var0 = model.null_mean, model.sigma2
     for g, n in enumerate(groups):
@@ -231,10 +241,10 @@ def test_group_cells_follow_their_exact_laws(family):
             slices[t].add(node)
     truth = ClusterSequence(tuple(Cluster(tuple(sorted(k))) for k in slices))
     sig = SignalSpec(0.5 * math.sqrt(25) / model.sigma)  # theta = 0.5 over 25 pairs
-    theta = sig.theta(model, 25)
     planted = np.zeros((len(seeds), len(groups), SPACETIME.m))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # 25 planted pairs for bernoulli and poisson
+        theta = sig.theta(model, 25)
         plant_block(planted, truth, sig, model, seeds, groups)
     p = model.tilted_mean(theta)
     for g, node, n, k in ((1, 0, 16, 5), (1, 1, 16, 16), (0, 2, 1, 1), (3, 3, 4, 3)):
@@ -296,19 +306,20 @@ def _check_keys(family, t_m, truth):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # few planted pairs for bernoulli and poisson
         rows = estimate_risk(cfg)
-    for pt, row in enumerate(rows):
+    for row in rows:
         assert row.type1 == float(np.mean(np.array(null) > row.lam / 2))
         miss = [
             _reference_oracle(model, _reference_field(
-                model, 9, t_m, truth, row.lam, derive_seed(21, "h1", pt, 0, i, 0),
-                derive_seed(21, "h1", pt, 0, i, 1)), truth) <= row.lam / 2
+                model, 9, t_m, truth, row.lam, derive_seed(21, "h1", 0, 0, i, 0),
+                derive_seed(21, "h1", 0, 0, i, 1)), truth) <= row.lam / 2
             for i in range(60)
         ]
         assert row.type2_worst == float(np.mean(miss))
 
 
 def test_estimate_risk_keys_every_trial_by_its_path():
-    """Trial i of the null pass uses ("null", i); of (pt, k) the pair ("h1", pt, k, i, 0|1).
+    """Trial i of the null pass uses ("null", i); of truth k the pair ("h1", 0, k, i, 0|1)
+    at every grid point.
 
     The reference draws the (..., i, 0) null field of every H1 trial; the oracle's
     engine never does, and its rows must still match bit for bit.
@@ -401,14 +412,15 @@ def truth_at(t_m):
 
 def _planted_reference(cfg, score, k, i, pt, truth, per_point=False):
     """The statistic of trial i of truth k at grid point pt, by the one-row
-    call on the whole planted field: the ("h1", 0, k, i, 0) background (with
-    per_point, ("h1", pt, k, i, 0), each point's own), planted from ("h1", pt,
-    k, i, 1).  A cylinder field holds each time group's sum at the group's
-    last step, so its group sums are the block's."""
-    seed0 = derive_seed(cfg.seed, "h1", pt if per_point else 0, k, i, 0)
+    call on the whole planted field: the ("h1", 0, k, i, 0) background,
+    planted from ("h1", 0, k, i, 1) (with per_point, ("h1", pt, k, i, 0|1),
+    each point's own keys).  A cylinder field holds each time group's sum at
+    the group's last step, so its group sums are the block's."""
+    key = pt if per_point else 0
+    seed0 = derive_seed(cfg.seed, "h1", key, k, i, 0)
     values = sample_null_block(cfg.net, cfg.model, cfg.t_m, [seed0], score.groups)
     plant_block(values, truth, SignalSpec(cfg.lambdas[pt]), cfg.model,
-                [derive_seed(cfg.seed, "h1", pt, k, i, 1)], score.groups)
+                [derive_seed(cfg.seed, "h1", key, k, i, 1)], score.groups)
     full = np.zeros((cfg.t_m + 1, cfg.net.m))
     full[np.cumsum(score.groups) - 1] = values[0]
     return score(Field(cfg.net, full))[0]
@@ -489,3 +501,73 @@ def test_first_grid_point_keeps_the_per_point_keys(name, family):
     type1 = float(np.mean(null > threshold))
     assert (first.lam, first.type1, first.type2_worst, first.risk) == (
         2.0, type1, miss, type1 + miss)
+
+
+@pytest.mark.filterwarnings("ignore:planting")
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ENGINE_SPECS)), st.sampled_from(FAMILIES), st.data(),
+       st.integers(0, 2**64 - 1),
+       st.lists(st.floats(0.0, 6.0), min_size=2, max_size=5, unique=True).map(sorted))
+def test_statistics_are_nondecreasing_in_lambda(name, family, data, master, lambdas):
+    """Every grid point maps a trial's one draw of its planted cells, by maps
+    nondecreasing in theta, so each trial's statistic is nondecreasing along
+    the grid, exactly, and each truth's miss rate at the one calibrated
+    threshold, and so type2_worst, is nonincreasing."""
+    spec, t_m = ENGINE_SPECS[name]
+    model = noise_model(family)
+    truths = tuple(data.draw(truth_at(t_m)) for _ in range(2))
+    cfg = ExperimentConfig(
+        net=NET, model=model, test=spec, truth=FixedTruths(truths), lambdas=tuple(lambdas),
+        trials=50, calib_b=99, n_null=50, seed=master, t_m=t_m,
+    )
+    score = scorer(spec, NET, model, t_m)
+    for k, truth in enumerate(truths):
+        stats = h1_statistics(cfg, score, k, truth)(0, cfg.trials)
+        assert (np.diff(stats, axis=1) >= 0).all()
+    type2 = [row.type2_worst for row in estimate_risk(cfg)]
+    assert type2 == sorted(type2, reverse=True)
+
+
+@pytest.mark.filterwarnings("ignore:planting")
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", sorted(ENGINE_SPECS) + ["oracle"])
+def test_a_row_does_not_depend_on_the_rest_of_the_grid(name, family):
+    """Each row of a three-point grid is, bit for bit, the row of the
+    one-point grid at its lambda."""
+    spec, t_m = (OracleTest(), 0) if name == "oracle" else ENGINE_SPECS[name]
+    truths = (Cluster((3, 4, 8, 9, 13)), Cluster((20, 21, 22, 23, 24)))
+    truths = truths[:1] if name == "oracle" else truths
+    if t_m:
+        truths = tuple(ClusterSequence((Cluster(()),) * (t_m - 1) + (c, c)) for c in truths)
+
+    def rows(lambdas):
+        return estimate_risk(ExperimentConfig(
+            net=NET, model=noise_model(family), test=spec, truth=FixedTruths(truths),
+            lambdas=lambdas, trials=60, calib_b=99, n_null=70, seed=12, t_m=t_m))
+
+    grid = rows((0.5, 2.0, 4.5))
+    assert [row.lam for row in grid] == [0.5, 2.0, 4.5]
+    for row in grid:
+        assert rows((row.lam,)) == [row]
+
+
+def test_the_oracle_keys_each_trial_once_for_the_whole_grid(monkeypatch):
+    """The oracle keys its null fields and one row of planted-cell variates a
+    trial, ("h1", 0, 0, i, 1), whatever the length of the grid."""
+    keyed = []
+    fast_rng = scanlab.models._fast_rng
+
+    def counted(seed):
+        keyed.append(seed)
+        return fast_rng(seed)
+
+    monkeypatch.setattr(scanlab.models, "_fast_rng", counted)
+    cfg = ExperimentConfig(
+        net=make_lattice(2, 3), model=noise_model("gaussian"), test=OracleTest(),
+        truth=FixedTruths((Cluster((1, 3, 4, 5)),)), lambdas=(1.0, 2.0, 4.0), trials=60,
+        n_null=70, seed=5,
+    )
+    estimate_risk(cfg)
+    assert len(keyed) == cfg.n_null + cfg.trials
+    assert sorted(keyed) == sorted([derive_seed(5, "null", i) for i in range(cfg.n_null)]
+                                   + [derive_seed(5, "h1", 0, 0, i, 1) for i in range(cfg.trials)])

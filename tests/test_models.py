@@ -113,6 +113,12 @@ class TestPlant:
         with pytest.warns(UserWarning), pytest.raises(ValueError):
             plant(f, Cluster((0,)), SignalSpec(200.0), BERN, seed=7)
 
+    def test_poisson_saturation_rejected(self):
+        # theta = 20 on one pair: mean e^20, past the inversion table's 1e6
+        f = sample_null(make_lattice(2, 8), POIS, 0, seed=6)
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="poisson tilt saturates"):
+            plant(f, Cluster((0,)), SignalSpec(20.0), POIS, seed=7)
+
     def test_time_groups_must_partition_the_block(self):
         net = make_lattice(2, 4)
         for groups in ((2, 1), (1, 1, 1), (4, 0), (2, -1, 3)):
