@@ -33,7 +33,6 @@ from .detect import (
     multiscale_test,
     oracle_test,
     rate,
-    scan,
 )
 from .errors import CapacityError, ConfigError
 from .growth import (

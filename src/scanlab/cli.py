@@ -270,10 +270,7 @@ def _cmd_calibrate(args) -> int:
     net = network.load_nodeset(args.net)
     model = models.noise_model(args.model)
     score = sim.scorer(_test_spec(args, net), net, model, args.tm)
-    calib = detect.calibrate(
-        score.block, net, model, args.alpha, args.b, args.seed,
-        groups=score.groups, threads=args.threads,
-    )
+    calib = detect.calibrate(score, net, model, args.alpha, args.b, args.seed, args.threads)
     with _open_out(args.out) as fh:
         fh.write(",".join(CALIBRATION_COLUMNS) + "\n")
         fh.write(

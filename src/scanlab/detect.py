@@ -8,12 +8,13 @@ field (Elements.one_row).  Its builders all live here.  scan_elements is the
 one table scan: the static and multiscale scans are its one-window case
 (t_m = 0), and the cylinder scan crosses the same tables with the trailing
 dyadic windows of times 0..t_m.  average_elements and oracle_elements are the
-one-element tests.  eps_scan (also named scan; the cylinder scan at t_m > 0),
-multiscale_test and average_test wrap them.  Ties break to the first raw
-maximum of a table in member-major order, then to the first table, so results
-are deterministic under any evaluation order.  oracle_test sums its known
-cluster directly.  Finite-sample decisions come from calibrated empirical
-null quantiles; the closed-form rates are reported alongside.
+one-element tests.  eps_scan (the cylinder scan at t_m > 0), multiscale_test
+and average_test wrap them.  Ties break to the first raw maximum of a table in
+member-major order, then to the first table, so results are deterministic
+under any evaluation order.  oracle_test sums its known cluster directly.
+Finite-sample decisions come from calibrated empirical null quantiles of a
+statistic, whose null fields are drawn at its time groups; the closed-form
+rates are reported alongside.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class Elements:
         the block's on the field's group sums, bit for bit."""
         if sum(self.groups) != len(field.values):
             raise ValueError(f"the statistic reads fields of {sum(self.groups)} time steps, "
-                             f"not {len(field.values)}; eps_scan scans in time")
+                             f"not {len(field.values)}")
         scores = self.model.standardize(
             self.sums(group_sums(field.values, self.groups)[None])[0], self.pairs)
         n, flat = len(scores), scores.T.ravel()  # member-major: member, then window
@@ -195,7 +196,7 @@ def average_elements(m: int, t_m: int, model: NoiseModel) -> Elements:
 def oracle_elements(truth, m: int, t_m: int, model: NoiseModel) -> Elements:
     """The oracle's one element: the truth's own cells, a Cluster or a
     ClusterSequence, whose sum reads nothing else of a field."""
-    cells, _ = planted_cells(truth, np.ones(t_m + 1, dtype=int), m)
+    cells, _ = planted_cells(truth, (1,) * (t_m + 1), m)
     nodes = np.unique(cells % m)
     return Elements(lambda values: target_sums(values, truth)[:, None, None],
                     [ScanTable([0, nodes.size], nodes)], np.array([[cells.size]]),
@@ -210,9 +211,6 @@ def eps_scan(field: Field, net: EpsNet | Iterable[Cluster], model: NoiseModel) -
     stat, _, j, window, _ = scan_elements([net.members], np.zeros(1), model,
                                           field.t_m).one_row(field)
     return TestResult(statistic=stat, argmax=net.members[j], argmax_index=j, argmax_window=window)
-
-
-scan = eps_scan  # the scan over a cluster stream, under its own name
 
 
 def average_test(field: Field, model: NoiseModel) -> TestResult:
@@ -276,8 +274,11 @@ def multiscale_test(
 
     The reported statistic is the maximum threshold excess, so the TestResult
     invariant holds with threshold 0.  Scales with empty nets are skipped;
-    each net's table is built once and kept with the net.
+    each net's table is built once and kept with the net.  The thresholds
+    are static, so a temporal field is refused.
     """
+    if field.t_m != 0:
+        raise ValueError(f"multiscale_test needs a static field (t_m = 0), got t_m = {field.t_m}")
     if thresholds is None:
         thresholds = default_scale_thresholds(field.net.m, field.net.dim, nets)
     scales, tables, taus = scale_offsets(nets, thresholds)
@@ -344,19 +345,17 @@ def map_blocks(
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def null_statistics(statistic: Callable[[np.ndarray], np.ndarray], net: NodeSet,
-                    model: NoiseModel, groups: Sequence[int], seed: int, head: str, n: int,
-                    threads: int) -> np.ndarray:
-    """statistic of n null fields in blocks, each field drawn as its per-node
-    sums over consecutive time groups of sizes `groups`; field i is drawn
-    from derive_seed(seed, head, i) alone."""
-    t_m = sum(groups) - 1
+def null_statistics(statistic: Elements, net: NodeSet, model: NoiseModel, seed: int,
+                    head: str, n: int, threads: int) -> np.ndarray:
+    """statistic.block of n null fields in blocks, each field drawn as its
+    per-node sums over the statistic's time groups (statistic.groups); field
+    i is drawn from derive_seed(seed, head, i) alone."""
 
     def block(lo: int, hi: int) -> np.ndarray:
         seeds = derive_seeds(seed, (head,), lo, hi)
-        return statistic(sample_null_block(net, model, t_m, seeds, groups))
+        return statistic.block(sample_null_block(net, model, seeds, statistic.groups))
 
-    return map_blocks(block, n, block_size(len(groups), net.m), threads)
+    return map_blocks(block, n, block_size(len(statistic.groups), net.m), threads)
 
 
 def calibration_rank(alpha: float, b: int) -> int:
@@ -372,24 +371,16 @@ def calibration_rank(alpha: float, b: int) -> int:
     return rank
 
 
-def calibrate(
-    statistic: Callable[[np.ndarray], np.ndarray],
-    net: NodeSet,
-    model: NoiseModel,
-    alpha: float,
-    b: int,
-    seed: int,
-    groups: Sequence[int] = (1,),
-    threads: int = 1,
-) -> Calibration:
+def calibrate(statistic: Elements, net: NodeSet, model: NoiseModel, alpha: float, b: int,
+              seed: int, threads: int = 1) -> Calibration:
     """Threshold = ceil((1-alpha)(b+1))-th order statistic of b null draws.
 
-    statistic maps a (B, G, m) block of null fields, drawn as per-node sums
-    over consecutive time groups of sizes `groups` (default: one static
-    step), to their B statistics, as an Elements' block and groups do.
+    The statistic is an Elements, or anything with its block and groups:
+    block maps a (B, G, m) block of null fields, drawn as per-node sums over
+    consecutive time groups of sizes groups, to their B statistics.
     """
     rank = calibration_rank(alpha, b)
-    stats = null_statistics(statistic, net, model, groups, seed, "calib", b, threads)
+    stats = null_statistics(statistic, net, model, seed, "calib", b, threads)
     threshold = float(np.sort(stats)[rank - 1])
     return Calibration(alpha=alpha, b=b, threshold=threshold, seed=seed, null_stats=stats)
 

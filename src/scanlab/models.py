@@ -172,14 +172,12 @@ class SignalSpec:
         return model.sigma * self.lam / math.sqrt(total_pairs)
 
 
-def _time_steps(groups, horizon: int) -> np.ndarray:
-    """The sizes of consecutive time groups partitioning `horizon` steps, as
-    an array; None is one step each.  A ValueError names groups that do not."""
-    if groups is None:
-        return np.ones(horizon, dtype=np.int64)
+def _time_steps(groups) -> np.ndarray:
+    """The sizes of consecutive time groups, as an array; a ValueError names
+    groups that are not one or more positive sizes."""
     steps = np.asarray(groups, dtype=np.int64)
-    if steps.ndim != 1 or not steps.size or steps.min() < 1 or steps.sum() != horizon:
-        raise ValueError(f"time groups {tuple(groups)} do not partition {horizon} steps")
+    if steps.ndim != 1 or not steps.size or steps.min() < 1:
+        raise ValueError(f"time groups {tuple(groups)} are not positive sizes")
     return steps
 
 
@@ -192,20 +190,19 @@ def group_sums(values: np.ndarray, groups) -> np.ndarray:
     return np.add.reduceat(values, np.cumsum((0,) + tuple(groups)[:-1]), axis=-2)
 
 
-def sample_null_block(net: NodeSet, model: NoiseModel, t_m: int, seeds,
-                      groups=None) -> np.ndarray:
-    """(len(seeds), G, m) null sums over the consecutive time groups of
-    times 0..t_m, of sizes `groups` (None: one step each, so G = t_m + 1 and
-    the sums are the values); row r is drawn from seeds[r] alone."""
-    if t_m < 0:
-        raise ValueError("t_m must be >= 0")
-    steps = _time_steps(groups, t_m + 1)
+def sample_null_block(net: NodeSet, model: NoiseModel, seeds, groups) -> np.ndarray:
+    """(len(seeds), G, m) null sums over G consecutive time groups of sizes
+    `groups` (one-step groups: the values themselves); row r is drawn from
+    seeds[r] alone."""
+    steps = _time_steps(groups)
     return model.sums(model.variates(seeds, (steps.size, net.m)), steps[:, None])
 
 
 def sample_null(net: NodeSet, model: NoiseModel, t_m: int, seed: int) -> Field:
     """i.i.d. F0 draws at every (node, time); t_m = 0 gives a static field."""
-    return Field(net, sample_null_block(net, model, t_m, (seed,))[0])
+    if t_m < 0:
+        raise ValueError("t_m must be >= 0")
+    return Field(net, sample_null_block(net, model, (seed,), (1,) * (t_m + 1))[0])
 
 
 def _anomalous_slices(
@@ -231,12 +228,12 @@ def _anomalous_slices(
     return slices
 
 
-def planted_cells(target: Union[Cluster, "ClusterSequence"], steps: np.ndarray,
+def planted_cells(target: Union[Cluster, "ClusterSequence"], groups,
                   m: int) -> tuple[np.ndarray, np.ndarray]:
     """The cells (group * m + node, ascending) of (G, m) sums over time groups of
-    sizes `steps` that hold target pairs, and how many each: what plant_block redraws."""
-    slices = _anomalous_slices(target, int(steps.sum()) - 1)
-    group_of = np.repeat(np.arange(steps.size), steps)
+    sizes `groups` that hold target pairs, and how many each: what plant_block redraws."""
+    slices = _anomalous_slices(target, sum(groups) - 1)
+    group_of = np.repeat(np.arange(len(groups)), groups)
     return np.unique(np.concatenate([group_of[t] * m + c.idarray for t, c in slices]),
                      return_counts=True)
 
@@ -247,20 +244,20 @@ def plant_block(
     sig: SignalSpec,
     model: NoiseModel,
     seeds,
-    groups=None,
+    groups,
 ) -> None:
     """Plant the target in every row of a (B, G, m) block of sums over
-    consecutive time groups of sizes `groups` (None: one step each), in place.
+    consecutive time groups of sizes `groups`, in place.
 
     Each cell holding k > 0 of the target's (time, node) pairs is redrawn
     whole, as the sum of its n - k F0 and k F_theta values, one draw per cell
     in (group, node) order from seeds[r] alone for row r (with one-step
     groups, the target's pairs in slice order); other cells are untouched.
     """
-    steps = _time_steps(groups, values.shape[1] if groups is None else sum(groups))
+    steps = _time_steps(groups)
     if steps.size != values.shape[1]:
         raise ValueError(f"{steps.size} time groups for a block of {values.shape[1]} rows")
-    cells, k = planted_cells(target, steps, values.shape[2])
+    cells, k = planted_cells(target, groups, values.shape[2])
     group, nodes = np.divmod(cells, values.shape[2])
     theta = sig.theta(model, int(k.sum()))
     values[:, group, nodes] = model.sums(model.variates(seeds, k.shape), steps[group], k, theta)
@@ -275,7 +272,7 @@ def plant(
 ) -> Field:
     """Replace values on the target by F_theta draws; off-target untouched."""
     values = field.values[None].copy()
-    plant_block(values, target, sig, model, (seed,))
+    plant_block(values, target, sig, model, (seed,), (1,) * (field.t_m + 1))
     return Field(field.net, values[0])
 
 

@@ -55,9 +55,6 @@ from .rng import derive_seed, derive_seeds
 
 Truth = Union[Cluster, ClusterSequence]
 
-DEFAULT_TRUTH_SAMPLE = 20
-
-
 @dataclass(frozen=True)
 class EpsScanTest:
     """Scan over a fixed net (the full class stream makes it the plain scan), crossed
@@ -100,7 +97,7 @@ class SampledTruths:
     """sampler(seed) -> truth; `count` independent draws per experiment."""
 
     sampler: Callable[[int], Truth]
-    count: int = DEFAULT_TRUTH_SAMPLE
+    count: int
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def h1_statistics(cfg: ExperimentConfig, el: Elements, k: int,
     oracle's: their sums of a field of ones off the planted cells are all zero)
     read no background, so their trials plant into zeros and draw none."""
     groups, m, model = el.groups, cfg.net.m, cfg.model
-    cells, count = planted_cells(truth, np.array(groups), m)
+    cells, count = planted_cells(truth, groups, m)
     group, node = np.divmod(cells, m)
     steps = np.array(groups)[group]
     nodes, at = np.unique(node, return_inverse=True)
@@ -225,7 +222,7 @@ def h1_statistics(cfg: ExperimentConfig, el: Elements, k: int,
         values = np.zeros((n, len(groups), m))
         if background:
             seeds = derive_seeds(cfg.seed, ("h1", 0, k), lo, hi, (0,))
-            values = sample_null_block(cfg.net, model, cfg.t_m, seeds, groups)
+            values = sample_null_block(cfg.net, model, seeds, groups)
         sums = el.sums(values)
         scores = el.scores(sums)
         scores[..., touched] = -np.inf
@@ -269,14 +266,11 @@ def estimate_risk(cfg: ExperimentConfig) -> list[RiskEstimate]:
             "the oracle test is simple-vs-simple: supply exactly one truth"
         )
     score = scorer(cfg.test, cfg.net, cfg.model, cfg.t_m, truths[0] if oracle else None)
-    groups = score.groups
-    calib = None if oracle else calibrate(
-        score.block, cfg.net, cfg.model, cfg.alpha, cfg.calib_b,
-        derive_seed(cfg.seed, "calibration"), groups=groups, threads=cfg.threads,
-    )
-    null_stats = null_statistics(score.block, cfg.net, cfg.model, groups, cfg.seed, "null",
-                                 cfg.n_null, cfg.threads)
-    size = block_size(len(groups), cfg.net.m)
+    calib = None if oracle else calibrate(score, cfg.net, cfg.model, cfg.alpha, cfg.calib_b,
+                                          derive_seed(cfg.seed, "calibration"), cfg.threads)
+    null_stats = null_statistics(score, cfg.net, cfg.model, cfg.seed, "null", cfg.n_null,
+                                 cfg.threads)
+    size = block_size(len(score.groups), cfg.net.m)
     thresholds = [oracle_cutoff(lam) if oracle else calib.threshold for lam in cfg.lambdas]
     worst = np.full(len(thresholds), -1.0)
     for k, truth in enumerate(truths):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +17,12 @@ from scanlab.detect import (
     multiscale_test,
     oracle_test,
     rate,
-    scan,
     scan_elements,
 )
 from scanlab.metric import EpsNet, build_net
-from scanlab.models import Field, noise_model, plant, sample_null, SignalSpec
+from scanlab.models import Field, noise_model, plant, sample_null, sample_null_block, SignalSpec
 from scanlab.network import make_lattice, rescale_lattice
-from scanlab.rng import derive_seed
+from scanlab.rng import derive_seed, derive_seeds
 
 GAUSS = noise_model("gaussian")
 
@@ -31,18 +31,26 @@ def static_field(net, values_row):
     return Field(net=net, values=np.asarray([values_row], dtype=float))
 
 
+def static_statistic(block):
+    """A statistic of static fields, read as one one-step time group."""
+    return SimpleNamespace(block=block, groups=(1,))
+
+
+ZERO = static_statistic(lambda v: np.zeros(len(v)))
+
+
 class TestScan:
     def test_single_cluster(self):
         net = make_lattice(1, 3)
         f = static_field(net, [1.0, 2.0, 3.0])
-        r = scan(f, [Cluster((0, 2))], GAUSS)
+        r = eps_scan(f, [Cluster((0, 2))], GAUSS)
         assert r.statistic == pytest.approx(4.0 / math.sqrt(2))
         assert r.argmax.ids == (0, 2)
 
     def test_prefix_example(self):
         net = make_lattice(1, 3)
         f = static_field(net, [1.0, 2.0, 3.0])
-        r = scan(f, [Cluster((0,)), Cluster((0, 1)), Cluster((0, 1, 2))], GAUSS)
+        r = eps_scan(f, [Cluster((0,)), Cluster((0, 1)), Cluster((0, 1, 2))], GAUSS)
         assert r.statistic == pytest.approx(6.0 / math.sqrt(3))
         assert r.argmax.ids == (0, 1, 2)
 
@@ -50,12 +58,12 @@ class TestScan:
         net = make_lattice(1, 3)
         f = static_field(net, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            scan(f, [], GAUSS)
+            eps_scan(f, [], GAUSS)
 
     def test_tie_breaks_to_first(self):
         net = make_lattice(1, 4)
         f = static_field(net, [1.0, 1.0, 0.0, 0.0])
-        r = scan(f, [Cluster((0,)), Cluster((1,))], GAUSS)
+        r = eps_scan(f, [Cluster((0,)), Cluster((1,))], GAUSS)
         assert r.argmax_index == 0
 
     def test_table_takes_no_model(self):
@@ -82,18 +90,18 @@ class TestScan:
         stream = list(enumerate_balls(net, 1.5))
         subnet = build_net(stream, 0.9)
         f = sample_null(net, GAUSS, 0, seed=3)
-        full = scan(f, stream, GAUSS).statistic
+        full = eps_scan(f, stream, GAUSS).statistic
         sub = eps_scan(f, subnet, GAUSS).statistic
-        single = scan(f, [subnet.members[0]], GAUSS).statistic
+        single = eps_scan(f, [subnet.members[0]], GAUSS).statistic
         assert full >= sub >= single
 
     def test_equal_size_argmax_shift_invariant(self):
         net = make_lattice(1, 6)
         row = [0.3, -1.0, 2.0, 0.1, -0.4, 0.9]
         clusters = [Cluster((i, i + 1)) for i in range(5)]
-        a = scan(static_field(net, row), clusters, GAUSS)
+        a = eps_scan(static_field(net, row), clusters, GAUSS)
         shifted = [v + 5.0 for v in row]
-        b = scan(static_field(net, shifted), clusters, GAUSS)
+        b = eps_scan(static_field(net, shifted), clusters, GAUSS)
         assert a.argmax_index == b.argmax_index
 
 
@@ -103,7 +111,7 @@ class TestEpsScan:
         stream = list(enumerate_balls(net, 1.5))
         whole = EpsNet(epsilon=0.01, members=tuple(stream))
         f = sample_null(net, GAUSS, 0, seed=5)
-        assert eps_scan(f, whole, GAUSS).statistic == scan(f, stream, GAUSS).statistic
+        assert eps_scan(f, whole, GAUSS).statistic == eps_scan(f, stream, GAUSS).statistic
 
     def test_singleton_net(self):
         net = make_lattice(2, 4)
@@ -188,13 +196,13 @@ class TestCalibrate:
     def test_order_statistic_rank(self):
         net = make_lattice(2, 4)
         calib = calibrate(
-            lambda v: v[:, 0, 0], net, GAUSS, alpha=0.01, b=99, seed=3
+            static_statistic(lambda v: v[:, 0, 0]), net, GAUSS, alpha=0.01, b=99, seed=3
         )
         assert calib.threshold == float(np.max(calib.null_stats))
 
     def test_degenerate_statistic(self):
         net = make_lattice(2, 4)
-        calib = calibrate(lambda v: np.zeros(len(v)), net, GAUSS, alpha=0.05, b=99, seed=4)
+        calib = calibrate(ZERO, net, GAUSS, alpha=0.05, b=99, seed=4)
         assert calib.threshold == 0.0
         # any positive observed value rejects
         assert 0.5 > calib.threshold
@@ -202,30 +210,44 @@ class TestCalibrate:
     def test_b_floor(self):
         net = make_lattice(2, 4)
         with pytest.raises(ValueError):
-            calibrate(lambda v: np.zeros(len(v)), net, GAUSS, alpha=0.05, b=50, seed=0)
+            calibrate(ZERO, net, GAUSS, alpha=0.05, b=50, seed=0)
 
     def test_alpha_needs_enough_samples(self):
         net = make_lattice(2, 4)
         with pytest.raises(ValueError):
-            calibrate(lambda v: np.zeros(len(v)), net, GAUSS, alpha=0.005, b=99, seed=0)
+            calibrate(ZERO, net, GAUSS, alpha=0.005, b=99, seed=0)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_1_refused(self, threads):
         net = make_lattice(2, 4)
         with pytest.raises(ValueError, match="threads >= 1"):
-            calibrate(lambda v: np.zeros(len(v)), net, GAUSS, alpha=0.05, b=99, seed=0,
-                      threads=threads)
+            calibrate(ZERO, net, GAUSS, alpha=0.05, b=99, seed=0, threads=threads)
         with pytest.raises(ValueError, match="threads >= 1"):
             map_blocks(lambda lo, hi: np.zeros(hi - lo), 10, 4, threads)
 
     def test_threads_match_single(self):
         net = make_lattice(2, 6)
         table = ScanTable.of(list(enumerate_balls(net, 1.5)))
-        stat = scan_elements([table], np.zeros(1), GAUSS).block
+        stat = scan_elements([table], np.zeros(1), GAUSS)
         a = calibrate(stat, net, GAUSS, alpha=0.05, b=120, seed=5, threads=1)
         b = calibrate(stat, net, GAUSS, alpha=0.05, b=120, seed=5, threads=4)
         assert a.threshold == b.threshold
         assert np.array_equal(a.null_stats, b.null_stats)
+
+    @pytest.mark.parametrize("family", ["gaussian", "poisson"])
+    def test_draws_at_the_statistics_time_groups(self, family):
+        # the cylinder scan at t_m = 32 reads 7 time groups; calibrate draws
+        # each null field at them, from its "calib" seed, and takes the rank
+        net = make_lattice(2, 8)
+        model = noise_model(family)
+        table = ScanTable.of(list(enumerate_balls(net, 1.5)))
+        score = scan_elements([table], np.zeros(1), model, 32)
+        assert score.groups == (1, 16, 8, 4, 2, 1, 1)
+        calib = calibrate(score, net, model, alpha=0.05, b=99, seed=11)
+        fields = sample_null_block(net, model, derive_seeds(11, ("calib",), 0, 99), score.groups)
+        want = score.block(fields)
+        assert calib.null_stats.tobytes() == want.tobytes()
+        assert calib.threshold == np.sort(want)[94]
 
     def test_fresh_null_level(self):
         # ball scan on the 64x64 lattice, alpha=0.05, B=400:
@@ -233,8 +255,8 @@ class TestCalibrate:
         net = make_lattice(2, 64)
         table = ScanTable.of(list(enumerate_balls(net, 2.5)))
         stat = lambda f: table.max_score(f.values[0], GAUSS)[0]
-        block = scan_elements([table], np.zeros(1), GAUSS).block
-        calib = calibrate(block, net, GAUSS, alpha=0.05, b=400, seed=6)
+        calib = calibrate(scan_elements([table], np.zeros(1), GAUSS), net, GAUSS, alpha=0.05,
+                          b=400, seed=6)
         hits = sum(
             stat(sample_null(net, GAUSS, 0, derive_seed(71, i))) > calib.threshold
             for i in range(400)
@@ -284,6 +306,14 @@ class TestMultiscale:
             multiscale_test(f, nets, {2: 1.0}, GAUSS)
         # an empty scale needs no threshold
         assert multiscale_test(f, nets, {2: 1.0, 3: 1.0}, GAUSS).per_scale[-1].scale == 3
+
+    def test_temporal_field_refused_in_the_tests_words(self):
+        net = rescale_lattice(make_lattice(2, 16))
+        nets = self._nets(net, {3: 0.125})
+        f = sample_null(net, GAUSS, 3, seed=10)
+        with pytest.raises(ValueError) as err:
+            multiscale_test(f, nets, None, GAUSS)
+        assert str(err.value) == "multiscale_test needs a static field (t_m = 0), got t_m = 3"
 
     def test_default_thresholds_false_alarm_rate(self):
         # H0 on the rescaled 64^2 lattice, ball nets at 4 dyadic scales

@@ -157,8 +157,8 @@ def test_block_engine_matches_per_field_reference(family, truth_tm, lam, master,
 
     def block(lo, hi):
         seeds0, seeds1 = (derive_seeds(master, ("h1", 2, 1), lo, hi, (j,)) for j in (0, 1))
-        values = sample_null_block(NET, model, t_m, seeds0)
-        plant_block(values, truth, sig, model, seeds1)
+        values = sample_null_block(NET, model, seeds0, oracle.groups)
+        plant_block(values, truth, sig, model, seeds1, oracle.groups)
         return values, oracle.block(values), average.block(values)
 
     with warnings.catch_warnings():
@@ -179,7 +179,7 @@ def test_block_engine_matches_per_field_reference(family, truth_tm, lam, master,
 @pytest.mark.parametrize("family", FAMILIES)
 def test_one_step_groups_reproduce_the_per_field_stream(family):
     """One-step time groups draw and plant exactly the per-field reference
-    values, whether given or left as the default."""
+    values."""
     model = noise_model(family)
     static = Cluster((1, 3, 4, 5, 9))
     temporal = ClusterSequence((Cluster((1, 3)), Cluster(()), Cluster((4, 5, 7)), Cluster((0,))))
@@ -187,12 +187,12 @@ def test_one_step_groups_reproduce_the_per_field_stream(family):
         warnings.simplefilter("ignore")  # few planted pairs for bernoulli and poisson
         for t_m, truth in ((0, static), (3, temporal)):
             seeds0, seeds1 = (derive_seeds(17, ("h1", 0, 0), 0, 6, (j,)) for j in (0, 1))
-            for groups in (None, (1,) * (t_m + 1)):
-                values = sample_null_block(NET, model, t_m, seeds0, groups)
-                plant_block(values, truth, SignalSpec(2.5), model, seeds1, groups)
-                for row, seed0, seed1 in zip(values, seeds0, seeds1):
-                    ref = _reference_field(model, NET.m, t_m, truth, 2.5, seed0, seed1)
-                    assert np.array_equal(row, ref)
+            groups = (1,) * (t_m + 1)
+            values = sample_null_block(NET, model, seeds0, groups)
+            plant_block(values, truth, SignalSpec(2.5), model, seeds1, groups)
+            for row, seed0, seed1 in zip(values, seeds0, seeds1):
+                ref = _reference_field(model, NET.m, t_m, truth, 2.5, seed0, seed1)
+                assert np.array_equal(row, ref)
 
 
 SPACETIME = make_lattice(2, 4)
@@ -207,7 +207,7 @@ def test_group_sum_nulls_score_as_full_fields(family):
     model = noise_model(family)
     score = scorer(EpsScanTest(SPACETIME_NET), SPACETIME, model, 32)
     assert score.groups == (1, 16, 8, 4, 2, 1, 1)
-    grouped = null_statistics(score.block, SPACETIME, model, score.groups, 5, "null", 800, 1)
+    grouped = null_statistics(score, SPACETIME, model, 5, "null", 800, 1)
     full = [score(sample_null(SPACETIME, model, 32, derive_seed(6, i)))[0] for i in range(800)]
     assert ks_2samp(grouped, full).pvalue > 1e-3
 
@@ -229,7 +229,7 @@ def test_group_cells_follow_their_exact_laws(family):
     model = noise_model(family)
     groups = (1, 16, 8, 4, 2, 1, 1)
     seeds = derive_seeds(23, ("law",), 0, 20_000)
-    null = sample_null_block(SPACETIME, model, 32, seeds, groups)
+    null = sample_null_block(SPACETIME, model, seeds, groups)
     mean0, var0 = model.null_mean, model.sigma2
     for g, n in enumerate(groups):
         _check_moments(null[:, g, 3], n * mean0, n * var0)
@@ -336,9 +336,9 @@ def test_estimate_risk_draws_null_fields_only_where_read(monkeypatch, test):
     field, and one background per trial and truth, shared by the whole lambda grid."""
     drawn = []
 
-    def counted(net, model, t_m, seeds, groups=None):
+    def counted(net, model, seeds, groups):
         drawn.append(len(seeds))
-        return sample_null_block(net, model, t_m, seeds, groups)
+        return sample_null_block(net, model, seeds, groups)
 
     for module in (scanlab.sim, scanlab.detect):  # estimate_risk and calibrate
         monkeypatch.setattr(module, "sample_null_block", counted)
@@ -375,9 +375,9 @@ def test_elements_that_read_only_planted_cells_draw_no_background(monkeypatch, f
             for i in range(cfg.trials)]
     seen = []
 
-    def counted(net, model, t_m, seeds, groups=None):
+    def counted(net, model, seeds, groups):
         seen.append(len(seeds))
-        return sample_null_block(net, model, t_m, seeds, groups)
+        return sample_null_block(net, model, seeds, groups)
 
     monkeypatch.setattr(scanlab.sim, "sample_null_block", counted)
     assert np.array_equal(h1_statistics(cfg, score, 0, truth)(0, cfg.trials), want)
@@ -418,7 +418,7 @@ def _planted_reference(cfg, score, k, i, pt, truth, per_point=False):
     the group's last step, so its group sums are the block's."""
     key = pt if per_point else 0
     seed0 = derive_seed(cfg.seed, "h1", key, k, i, 0)
-    values = sample_null_block(cfg.net, cfg.model, cfg.t_m, [seed0], score.groups)
+    values = sample_null_block(cfg.net, cfg.model, [seed0], score.groups)
     plant_block(values, truth, SignalSpec(cfg.lambdas[pt]), cfg.model,
                 [derive_seed(cfg.seed, "h1", key, k, i, 1)], score.groups)
     full = np.zeros((cfg.t_m + 1, cfg.net.m))
@@ -456,8 +456,8 @@ def test_shared_background_engine_matches_the_planted_field(name, family, data, 
                for k, truth in enumerate(truths)]
         with _blocks_of(width):
             rows = estimate_risk(cfg)
-        threshold = calibrate(score.block, NET, model, cfg.alpha, cfg.calib_b,
-                              derive_seed(master, "calibration"), groups=score.groups).threshold
+        threshold = calibrate(score, NET, model, cfg.alpha, cfg.calib_b,
+                              derive_seed(master, "calibration")).threshold
         want = np.array([[[_planted_reference(cfg, score, k, i, pt, truth) for pt in range(3)]
                           for i in range(cfg.trials)] for k, truth in enumerate(truths)])
     if family == GAUSSIAN:
@@ -492,9 +492,9 @@ def test_first_grid_point_keeps_the_per_point_keys(name, family):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # few planted pairs for bernoulli and poisson
         first = estimate_risk(cfg)[0]
-        threshold = calibrate(score.block, NET, model, cfg.alpha, cfg.calib_b,
-                              derive_seed(31, "calibration"), groups=score.groups).threshold
-        null = null_statistics(score.block, NET, model, score.groups, 31, "null", 70, 1)
+        threshold = calibrate(score, NET, model, cfg.alpha, cfg.calib_b,
+                              derive_seed(31, "calibration")).threshold
+        null = null_statistics(score, NET, model, 31, "null", 70, 1)
         miss = max(np.mean([_planted_reference(cfg, score, k, i, 0, truth, per_point=True)
                             <= threshold for i in range(cfg.trials)])
                    for k, truth in enumerate(truths))

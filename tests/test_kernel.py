@@ -34,7 +34,6 @@ from scanlab.detect import (
     multiscale_test,
     oracle_test,
     scale_term,
-    scan,
 )
 from scanlab.growth import make_cylinder, scan_spacetime_cylinders
 from scanlab.metric import EpsNet, ScanTable, build_net
@@ -252,7 +251,7 @@ LINE = make_lattice(1, 6)
 
 def test_scan_ties_go_to_the_first_cluster():
     fld = Field(LINE, [[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
-    result = scan(fld, [Cluster((4, 5)), Cluster((2, 3)), Cluster((0, 1))], GAUSS)
+    result = eps_scan(fld, [Cluster((4, 5)), Cluster((2, 3)), Cluster((0, 1))], GAUSS)
     assert result.argmax_index == 1 and result.argmax == Cluster((2, 3))
 
 
@@ -345,7 +344,7 @@ def test_results_do_not_depend_on_block_width(model, seed):
             for name, (spec, horizon) in WIDTH_SPECS.items():
                 truth = _truth(horizon)
                 score = scorer(spec, NET, model, horizon - 1, truth)
-                null = calibrate(score.block, NET, model, 0.05, 99, seed, groups=score.groups)
+                null = calibrate(score, NET, model, 0.05, 99, seed)
                 cfg = ExperimentConfig(
                     net=NET, model=model, test=spec, truth=FixedTruths((truth,)),
                     lambdas=(1.0, 4.0), trials=50, calib_b=99, n_null=60, seed=seed,

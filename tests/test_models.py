@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,13 +122,24 @@ class TestPlant:
 
     def test_time_groups_must_partition_the_block(self):
         net = make_lattice(2, 4)
-        for groups in ((2, 1), (1, 1, 1), (4, 0), (2, -1, 3)):
-            with pytest.raises(ValueError, match="do not partition 4 steps"):
-                sample_null_block(net, GAUSS, 3, (1, 2), groups)
-        block = sample_null_block(net, GAUSS, 3, (1, 2), (1, 2, 1))
+        for groups in ((4, 0), (2, -1, 3)):
+            with pytest.raises(ValueError, match="are not positive sizes"):
+                sample_null_block(net, GAUSS, (1, 2), groups)
+        block = sample_null_block(net, GAUSS, (1, 2), (1, 2, 1))
         target = Cluster((0, 1))
         with pytest.raises(ValueError, match="2 time groups for a block of 3 rows"):
             plant_block(block, target, SignalSpec(1.0), GAUSS, (3, 4), (2, 2))
+
+    @pytest.mark.parametrize("groups", [(0,), (3, 0, 1), (-1,), (2, -2), ()])
+    def test_nonpositive_group_sizes_are_refused_by_name(self, groups):
+        net = make_lattice(2, 4)
+        refusal = f"time groups {groups} are not positive sizes"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            sample_null_block(net, GAUSS, (1,), groups)
+        block = np.zeros((1, len(groups), net.m))
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            plant_block(block, Cluster((0,)), SignalSpec(1.0), GAUSS, (2,), groups)
+        assert not block.any()
 
     def test_empty_cluster_rejected(self):
         net = make_lattice(2, 4)
@@ -150,7 +162,7 @@ class TestPlant:
         with pytest.raises(ValueError, match="pass a ClusterSequence for temporal fields"):
             plant(f, k, SignalSpec(50.0), GAUSS, 2)
         block = f.values[None].copy()
-        for call in (lambda: plant_block(block, k, SignalSpec(50.0), GAUSS, (2,)),
+        for call in (lambda: plant_block(block, k, SignalSpec(50.0), GAUSS, (2,), (1,) * 4),
                      lambda: target_sums(block, k)):
             with pytest.raises(ValueError, match="pass a ClusterSequence for temporal fields"):
                 call()

@@ -211,7 +211,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=problem):
             small_oracle_cfg((1.0,), trials=50, alpha=alpha, calib_b=calib_b)
         with pytest.raises(ValueError, match=problem):
-            calibrate(lambda v: np.zeros(len(v)), make_lattice(2, 3), GAUSS, alpha, calib_b, 0)
+            net = make_lattice(2, 3)
+            calibrate(scorer(AverageTest(), net, GAUSS), net, GAUSS, alpha, calib_b, 0)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_at_least_one(self, threads):
